@@ -80,8 +80,20 @@ def cmd_count(args) -> int:
     if p in fam.bad_primes(p):
         print(f"p = {p} is excluded for this family", file=sys.stderr)
         return 2
+    degenerate = fam.degenerate_lambdas(p)
+
+    def on_cusp(lam):
+        label = degenerate[lam]   # fixture keys are read lower-cased; fiber labels print as I<n>
+        return f"lambda = {lam} lies on the cusp {label.upper()} = {fam.cusp_table[label]} mod {p}"
+
+    if args.lam is not None and args.lam % p in degenerate:
+        print(f"{on_cusp(args.lam % p)}; its member is degenerate", file=sys.stderr)
+        return 2
     lams = [args.lam % p] if args.lam is not None else range(p)
     for lam in lams:
+        if lam in degenerate:
+            print(f"skipped {on_cusp(lam)}", file=sys.stderr)
+            continue
         n, t_alg, (c1, c2) = count_family_member(fam, p, lam, cache)
         print(f"{lam}\t{n}\t{t_alg}\t{c1}\t{c2}")
     return 0
@@ -102,35 +114,10 @@ def cmd_search(args) -> int:
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        reports = _search_parallel(fam, args, primes, cache)
-    else:
-        reports = search(fam, args.disc, primes, args.height_bound, cache)
+    reports = search(fam, args.disc, primes, args.height_bound, cache)
     for rep in reports:
         print(rep.line())
     return 0 if reports else 1
-
-
-def _search_parallel(fam, args, primes, cache):
-    import multiprocessing as mp
-
-    from k3cm.search import lift_candidates, scan_prime
-
-    with mp.Pool(args.jobs) as pool:
-        jobs = [(args.family, args.disc, p) for p in primes]
-        results = pool.map(_scan_worker, jobs)
-    residue_sets = dict(zip(primes, results))
-    reports = lift_candidates(residue_sets, args.disc, args.height_bound)
-    return reports
-
-
-def _scan_worker(job):
-    family_spec, disc, p = job
-    from k3cm.newforms import NewformOracle
-    from k3cm.search import scan_prime
-
-    fam = _load_family(family_spec)
-    return scan_prime(fam, p, NewformOracle(disc))
 
 
 def cmd_lift(args) -> int:
@@ -269,8 +256,6 @@ def main(argv=None) -> int:
         description="Exact workbench for singular elliptic K3 surfaces and CM newforms",
     )
     parser.add_argument("--cache", default=None, help="point-count cache file")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized property tests")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("discs", help="exponent-2 field discriminant table")

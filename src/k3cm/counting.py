@@ -6,11 +6,36 @@ component count of every resolved reducible fiber that is rational over
 F_p.  The algebraic trace collects the Frobenius-fixed divisor classes, and
 the two sign choices for the leftover +-p eigenvalue give the candidate
 transcendental traces compared against the newform oracle.
+
+Family members are counted through a quadratic twist when lambda enters
+only as (t-lambda)^(1,2,3) on (a2, a4, a6).  Substituting x = (t-lambda) X
+gives x^3 + a2 x^2 + a4 x + a6 = (t-lambda)^3 g_t(X), where g_t is the
+untwisted model and does not depend on lambda.  A `TwistTable`, built once
+per (family, p) in O(p^2), holds S(t) = sum_X chi(g_t(X)) and
+Z(t) = #{X : g_t(X) = 0}, the fibers of g at its finite cusps and the fiber
+at infinity with its point count; then each member costs O(p):
+
+* raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
+  the fiber y^2 = x^3 at t = lambda having p+1 points;
+* at a finite cusp t0 of g the member has g's fiber, an I_n (n >= 2) node
+  split flipping when chi(t0-lambda) = -1;
+* at t = lambda the member has an I0* fiber whose residual cubic is g_lambda,
+  so r3 = Z(lambda);
+* at infinity the twist factor (1 - lambda s) is 1 at s = 0, so the fiber and
+  its count are g's, read off the chart (a2'.reverse(3), a4'.reverse(6),
+  a6'.reverse(9)).
+
+The twist path needs Delta_g(lambda) != 0; a member with lambda on a cusp of
+g is counted the general way (specialize, `analyze_fibers_mod_p`,
+`count_weierstrass`), and so is every member of a prime where g has a fiber
+the table cannot carry (an I* type at a fixed cusp, or one `_local_fiber`
+rejects).  Families of any other shape always take the general path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from k3cm.exact import GF, Polynomial
 from k3cm.surfaces import WeierstrassSurface
@@ -152,6 +177,86 @@ def count_weierstrass(surface: WeierstrassSurface) -> int:
     return total
 
 
+# ---------------------------------------------------------------------------
+# twist table: one O(p^2) pass per (family, p), O(p) per member
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TwistTable:
+    """Member-independent counting data of a (1, 2, 3)-twist family at p."""
+
+    p: int
+    chi: list          # chi[x] = (x|p), twice over, so chi[p + d] = (d|p) for -p < d < p
+    S: list            # S[t] = sum_X chi(g_t(X))
+    Z: list            # Z[t] = #{X : g_t(X) = 0}
+    cusps: dict        # finite cusp t0 of g -> g's FpFiber there (all of kind "I")
+    inf_fiber: FpFiber | None
+    inf_count: int     # points on the fiber at infinity, its point at infinity included
+
+    @staticmethod
+    def build(family, p: int) -> "TwistTable":
+        a2, a4, a6 = family.untwisted_mod(p)
+        g = WeierstrassSurface(a2, a4, a6, name=f"{family.name}@p{p}~untwisted")
+        chi = _character_table(p)
+        S, Z = [], []
+        for t in range(p):
+            c2, c4, c6 = a2(t), a4(t), a6(t)
+            vals = [(((x + c2) * x + c4) * x + c6) % p for x in range(p)]
+            S.append(sum(map(chi.__getitem__, vals)))
+            Z.append(vals.count(0))
+        cusps = {}
+        for t0 in range(p):
+            if g.delta(t0) == 0:
+                cusps[t0] = _local_fiber(g, t0, g.delta.valuation_at(t0), chi)
+        chart = WeierstrassSurface(a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf")
+        v_inf = 18 - g.delta.degree   # the member's 24 - deg Delta, Delta = (t-lambda)^6 Delta_g
+        inf_fiber = None
+        if v_inf > 0:
+            fib = _local_fiber(chart, 0, v_inf, chi)
+            inf_fiber = FpFiber(None, fib.kind, fib.n, fib.split, fib.r3)
+        if any(f.kind != "I" for f in [*cusps.values(), inf_fiber] if f is not None):
+            raise CountingError(f"twist table at p = {p} covers I_n fibers of g only")
+        c2, c4, c6 = chart.a2(0), chart.a4(0), chart.a6(0)
+        inf_count = p + 1 + sum(chi[(((x + c2) * x + c4) * x + c6) % p] for x in range(p))
+        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count)
+
+    def fibers(self, lam: int) -> list[FpFiber]:
+        """The member's reducible fibers, ordered as `analyze_fibers_mod_p` lists them."""
+        out = []
+        for t0, f in self.cusps.items():
+            flip = f.n >= 2 and self.chi[self.p + t0 - lam] == -1
+            out.append(FpFiber(t0, "I", f.n, f.split != flip))
+        out.append(FpFiber(lam, "I*", 0, r3=self.Z[lam]))
+        out.sort(key=lambda f: f.t0)
+        if self.inf_fiber is not None:
+            out.append(self.inf_fiber)
+        return out
+
+    def raw_count(self, lam: int) -> int:
+        """The member's raw Weierstrass count, equal to `count_weierstrass`."""
+        p = self.p
+        twisted = sum(map(mul, self.chi[p - lam:2 * p - lam], self.S))
+        return p * (p + 1) + self.inf_count + twisted
+
+
+def twist_table(family, p: int) -> TwistTable | None:
+    """The family's twist table at p, built on first use and kept on the family.
+
+    None when the family is not a (1, 2, 3) twist in (t-lambda), or when g
+    has a fiber at p that the table cannot carry.
+    """
+    tables = family.twist_tables
+    if p not in tables:
+        table = None
+        if family.twist_exponents == (1, 2, 3):
+            try:
+                table = TwistTable.build(family, p)
+            except CountingError:
+                pass
+        tables[p] = table
+    return tables[p]
+
+
 def smooth_correction(fibers: list[FpFiber], p: int) -> int:
     """Sum of p * (fixed non-identity components) over F_p-rational cusps."""
     return sum(p * f.fixed_components for f in fibers)
@@ -237,13 +342,23 @@ class CountCache:
 
 
 def count_family_member(family, p: int, lam: int, cache: CountCache | None = None):
-    """(smooth count, t_alg, candidates) for the family member at lambda mod p."""
-    surf = family.specialize_mod(p, lam)
-    fibers = analyze_fibers_mod_p(surf)
+    """(smooth count, t_alg, candidates) for the family member at lambda mod p.
+
+    Read off the family's twist table in O(p) where it applies; otherwise
+    the member is specialized and counted by brute force.
+    """
+    table = twist_table(family, p)
+    lam_p = lam % p
+    if table is not None and lam_p not in table.cusps:
+        fibers = table.fibers(lam_p)
+        raw_count = lambda: table.raw_count(lam_p)
+    else:
+        surf = family.specialize_mod(p, lam)
+        fibers = analyze_fibers_mod_p(surf)
+        raw_count = lambda: count_weierstrass(surf)
     cached = cache.get(family.name, p, lam) if cache is not None else None
     if cached is None:
-        raw = count_weierstrass(surf)
-        smooth = raw + smooth_correction(fibers, p)
+        smooth = raw_count() + smooth_correction(fibers, p)
         if cache is not None:
             cache.put(family.name, p, lam, smooth)
     else:

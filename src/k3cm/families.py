@@ -11,7 +11,10 @@ with structural prefactors in t, (t-1) and (t-lambda):
 Specialization at rational (lambda, mu) produces a WeierstrassSurface over Q;
 lambda = infinity is the x-rescaled limit where the (t-lambda) prefactors
 collapse to constants.  A mod-p specialization fast path serves the
-point-counting scan.
+point-counting scan; when the (t-lambda) exponents are (1, 2, 3), every
+member is the quadratic twist by (t-lambda) of the model assembled with
+those exponents set to 0 (`untwisted_mod`), which the scan counts once per
+prime.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from k3cm.exact import GF, QQ, Polynomial, primes_up_to, resultant
+from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, resultant
 from k3cm.surfaces import WeierstrassSurface
 
 INFINITY = "inf"
@@ -47,6 +50,8 @@ class Family:
     excluded_primes: tuple = ()
     cusp_table: dict = field(default_factory=dict)   # label -> cusp value text
     splitting: dict = field(default_factory=dict)    # label -> square-class data
+    # p -> counting.TwistTable (or None where it does not apply), filled lazily
+    twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction helpers -------------------------------------------------
 
@@ -89,16 +94,35 @@ class Family:
 
     def specialize_mod(self, p: int, lam: int) -> WeierstrassSurface:
         """Member over GF(p) at lambda in F_p; p must be a good prime."""
-        if p in self.bad_primes(p):
-            raise ValueError(f"p = {p} is excluded for family {self.name}")
-        F = GF(p)
-        mu = self.mu
-        if mu is None:
-            raise ValueError("mod-p specialization needs a fixed mu")
+        F, mu = self._mod_setup(p)
         a2 = self._assemble_mod(self.A, self.pre_a2, lam, mu, F)
         a4 = self._assemble_mod(self.B, self.pre_a4, lam, mu, F)
         a6 = self._assemble_mod(self.C, self.pre_a6, lam, mu, F)
         return WeierstrassSurface(a2, a4, a6, name=f"{self.name}@p{p}l{lam}")
+
+    @property
+    def twist_exponents(self) -> tuple:
+        """The exponents of (t-lambda) in a2, a4, a6."""
+        return (self.pre_a2[2], self.pre_a4[2], self.pre_a6[2])
+
+    def untwisted_mod(self, p: int) -> tuple:
+        """(a2', a4', a6') over GF(p): the blocks with the (t-lambda) exponent set to 0.
+
+        With twist exponents (1, 2, 3) the member at lambda is
+        (a2, a4, a6) = ((t-lambda) a2', (t-lambda)^2 a4', (t-lambda)^3 a6').
+        """
+        F, mu = self._mod_setup(p)
+        return tuple(
+            self._assemble_mod(block, pre[:2] + (0,), 0, mu, F)
+            for block, pre in ((self.A, self.pre_a2), (self.B, self.pre_a4), (self.C, self.pre_a6))
+        )
+
+    def _mod_setup(self, p: int):
+        if p in self.bad_primes(p):
+            raise ValueError(f"p = {p} is excluded for family {self.name}")
+        if self.mu is None:
+            raise ValueError("mod-p specialization needs a fixed mu")
+        return GF(p), self.mu
 
     def _assemble_mod(self, block, pre, lam, mu, F) -> Polynomial:
         base = Polynomial(F, [F.from_fraction(c(mu)) for c in block])
@@ -157,6 +181,21 @@ class Family:
                 out |= _small_prime_divisors(r)
         return out
 
+    def degenerate_lambdas(self, p: int) -> dict[int, str]:
+        """lambda in F_p on a fixed finite cusp mod p, mapped to that cusp's label.
+
+        There the moving I0* fiber at t = lambda merges with a fixed fiber, so
+        the member leaves the generic configuration.
+        """
+        out: dict[int, str] = {}
+        for label, text in self.cusp_table.items():
+            if text in ("lambda", INFINITY):
+                continue
+            q = parse_rational(text)
+            if q.denominator % p:
+                out.setdefault(q.numerator * pow(q.denominator, -1, p) % p, label)
+        return out
+
     def good_primes(self, bound: int) -> list[int]:
         bad = self.bad_primes(bound)
         return [p for p in primes_up_to(bound) if p not in bad]
@@ -198,8 +237,6 @@ def _small_prime_divisors(q, bound: int = 500) -> set[int]:
 # ---------------------------------------------------------------------------
 
 def family_from_fields(fields: dict) -> Family:
-    from k3cm.exact import parse_rational
-
     pre = lambda key: tuple(int(x) for x in fields[key].split(","))
     return Family(
         name=fields.get("name", "family"),

@@ -48,7 +48,7 @@ def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None =
         raise SearchError(f"p = {p} is a bad prime for family {family.name}")
     admissible = oracle.eigenvalue_abs(p)
     out = set()
-    skip = _degenerate_lambdas(family, p)
+    skip = family.degenerate_lambdas(p)
     for lam in range(p):
         if lam in skip:
             continue
@@ -62,17 +62,8 @@ def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None =
 
 
 def _degenerate_lambdas(family, p: int) -> set[int]:
-    """lambda values colliding with a fixed cusp mod p (degenerate members)."""
-    out = set()
-    for text in family.cusp_table.values():
-        if text in ("lambda", "inf"):
-            continue
-        from k3cm.exact import parse_rational
-
-        q = parse_rational(text)
-        if q.denominator % p:
-            out.add(q.numerator * pow(q.denominator, -1, p) % p)
-    return out
+    """`Family.degenerate_lambdas` as a set (perfbench/workloads.py calls this name)."""
+    return set(family.degenerate_lambdas(p))
 
 
 def lift_candidates(
@@ -152,7 +143,7 @@ def corroborate(family, lam: Fraction, oracle: NewformOracle, primes, cache=None
             out.append((p, "skipped"))
             continue
         lam_p = lam.numerator * pow(lam.denominator, -1, p) % p
-        if lam_p in _degenerate_lambdas(family, p):
+        if lam_p in family.degenerate_lambdas(p):
             out.append((p, "skipped"))
             continue
         _, _, cands = count_family_member(family, p, lam_p, cache)

@@ -1,5 +1,5 @@
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -40,6 +40,29 @@ def test_count_single_lambda(tmp_path):
     # 5/32 = 15 mod 19 is the disc -88 member: one candidate is +-|a_19| = 6
     assert "6" in (c1.lstrip("-"), c2.lstrip("-"))
     assert cache.exists() and "xlm 19 15" in cache.read_text()
+
+
+def test_count_skips_degenerate_lambdas():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["count", "--family", "xlm", "--prime", "19"])
+    assert code == 0
+    # 0, 1, 35/32 = 10 and -5/1024 = 12 mod 19 sit on the fixed cusps
+    assert [int(line.split("\t")[0]) for line in out.splitlines()] == [
+        lam for lam in range(19) if lam not in (0, 1, 10, 12)
+    ]
+    skipped = err.getvalue().splitlines()
+    assert len(skipped) == 4
+    assert "I5 = 0" in skipped[0] and "I3 = 1" in skipped[1]
+    assert "I2 = 35/32" in skipped[2] and "I1 = -5/1024" in skipped[3]
+
+
+def test_count_degenerate_lambda_is_input_error():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["count", "--family", "xlm", "--prime", "19", "--lambda", "0"])
+    assert code == 2 and out == ""
+    assert "I5 = 0" in err.getvalue() and "19" in err.getvalue()
 
 
 def test_count_excluded_prime():

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import k3cm.counting as counting
 from k3cm.counting import (
     CountCache,
     CountingError,
@@ -13,6 +15,7 @@ from k3cm.counting import (
     count_weierstrass,
     lefschetz_candidates,
     smooth_correction,
+    twist_table,
 )
 from k3cm.exact import GF, Polynomial
 from k3cm.fixtures import registry
@@ -125,3 +128,86 @@ def test_family_member_counts_bounded(fam):
         except CountingError:
             continue
         assert abs(n - 1 - p * p - p * t_alg) <= 3 * p
+
+
+# ---------------------------------------------------------------------------
+# twist path against the brute-force path (the oracle)
+# ---------------------------------------------------------------------------
+
+def brute_force_member(fam, p, lam):
+    """((smooth, t_alg, candidates), fibers) by specialize + analyze + count,
+    or the type of the error that path raises."""
+    try:
+        surf = fam.specialize_mod(p, lam)
+        fibers = analyze_fibers_mod_p(surf)
+    except CountingError as e:
+        return type(e)
+    smooth = count_weierstrass(surf) + smooth_correction(fibers, p)
+    t_alg = algebraic_trace(fibers, 0)
+    return (smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)), fibers
+
+
+def count_or_error(fam, p, lam):
+    try:
+        return count_family_member(fam, p, lam)
+    except CountingError as e:
+        return type(e)
+
+
+class CallCounter:
+    """Counts calls of the general path's counting functions."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"analyze": 0, "count": 0}
+        for key, name in (("analyze", "analyze_fibers_mod_p"), ("count", "count_weierstrass")):
+            monkeypatch.setattr(counting, name, self._wrap(key, getattr(counting, name)))
+
+    def _wrap(self, key, fn):
+        def wrapped(*args, **kwargs):
+            self.calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+
+def test_twist_path_matches_brute_force(fam):
+    for p in fam.good_primes(61):
+        table = twist_table(fam, p)
+        assert table is not None, p
+        for lam in range(p):
+            if lam in table.cusps:
+                continue
+            want, want_fibers = brute_force_member(fam, p, lam)
+            assert count_family_member(fam, p, lam) == want, (p, lam)
+            assert table.fibers(lam) == want_fibers, (p, lam)
+
+
+def test_lambdas_on_cusps_of_g_take_the_general_path(fam, monkeypatch):
+    spy = CallCounter(monkeypatch)
+    for p in fam.good_primes(61):
+        table = twist_table(fam, p)
+        # Delta_g(lambda) = 0 exactly on the family's degenerate lambdas
+        assert set(table.cusps) == set(fam.degenerate_lambdas(p)), p
+        for lam in range(p):
+            before = dict(spy.calls)
+            got = count_or_error(fam, p, lam)
+            general = spy.calls["analyze"] > before["analyze"]
+            assert general == (lam in table.cusps), (p, lam)
+            if general:
+                assert got == CountingError     # the member leaves the fiber tables
+                assert brute_force_member(fam, p, lam) == CountingError
+
+
+def test_non_twist_family_takes_the_general_path(fam, monkeypatch):
+    # a2 = t A: the (t-lambda) exponents become (0, 2, 3), so no twist table
+    other = dataclasses.replace(fam, name="xlm_t", pre_a2=(1, 0, 0))
+    assert other.twist_exponents == (0, 2, 3)
+    spy = CallCounter(monkeypatch)
+    p = other.good_primes(30)[0]
+    for lam in range(p):
+        want = brute_force_member(other, p, lam)
+        got = count_or_error(other, p, lam)
+        assert got == (want if want == CountingError else want[0]), lam
+    assert other.twist_tables == {p: None}
+    assert spy.calls["analyze"] == p          # every member went through the general path
+    assert fam.twist_tables.get(p, "unbuilt") is not None
