@@ -173,12 +173,15 @@ def cmd_verify(args) -> int:
     return _verify_fixture(reg, fx, args.sections)
 
 
-def _verify_fixture(reg, fx, sections_path=None) -> int:
-    from k3cm.lattices import match_transcendental
-    from k3cm.regression import _conjugate_ratfun
-    from k3cm.sections import assemble_ns, height, ns_discriminant, verify_section
+def _verified_sections(surf, fx, sections_path=None):
+    """Yield (fixture, verified section) for the fixture's sections, or for
+    the `[sections]` blocks of `sections_path` when it is given.
 
-    surf = fx.build_surface(reg)
+    A `conjugate_of` entry is the Galois conjugate of the section it names.
+    """
+    from k3cm.regression import _conjugate_ratfun
+    from k3cm.sections import verify_section
+
     section_fixtures = fx.sections
     if sections_path:
         from k3cm.fixtures import parse_blocks, section_fixture_from_block
@@ -189,12 +192,23 @@ def _verify_fixture(reg, fx, sections_path=None) -> int:
             if name == "sections"
         ]
     secs = {}
-    mismatch = False
     for sf in section_fixtures:
         if sf.conjugate_of:
-            sec = verify_section(surf, _conjugate_ratfun(secs[sf.conjugate_of.lower()].u), name=sf.name)
+            u = _conjugate_ratfun(secs[sf.conjugate_of.lower()].u)
         else:
-            sec = verify_section(surf, sf.u(), name=sf.name)
+            u = sf.u()
+        secs[sf.name.lower()] = sec = verify_section(surf, u, name=sf.name)
+        yield sf, sec
+
+
+def _verify_fixture(reg, fx, sections_path=None) -> int:
+    from k3cm.lattices import match_transcendental
+    from k3cm.sections import assemble_ns, height, ns_discriminant
+
+    surf = fx.build_surface(reg)
+    secs = {}
+    mismatch = False
+    for sf, sec in _verified_sections(surf, fx, sections_path):
         secs[sf.name.lower()] = sec
         h = height(sec)
         print(f"section {sf.name}: height {h}, (P.O) = {sec.pO}")
@@ -222,21 +236,14 @@ def _verify_fixture(reg, fx, sections_path=None) -> int:
 def cmd_tlattice(args) -> int:
     from k3cm.fixtures import registry
     from k3cm.lattices import match_transcendental
-    from k3cm.regression import _conjugate_ratfun
-    from k3cm.sections import assemble_ns, verify_section
+    from k3cm.sections import assemble_ns
 
     reg = registry()
     fx = reg.surfaces.get(args.surface)
     if fx is None:
         reg, fx = _load_surface_file(args.surface)
     surf = fx.build_surface(reg)
-    secs = {}
-    for sf in fx.sections:
-        if sf.conjugate_of:
-            sec = verify_section(surf, _conjugate_ratfun(secs[sf.conjugate_of.lower()].u), name=sf.name)
-        else:
-            sec = verify_section(surf, sf.u(), name=sf.name)
-        secs[sf.name.lower()] = sec
+    secs = {sf.name.lower(): sec for sf, sec in _verified_sections(surf, fx, args.sections)}
     lat = assemble_ns(surf, list(secs.values()))
     print(f"{lat.det}\t{match_transcendental(lat)}")
     return 0

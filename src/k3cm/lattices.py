@@ -5,11 +5,15 @@ Gram matrix of a verified surface, enumerate the reduced positive definite
 rank-2 candidates of the same determinant and pick the one whose finite
 quadratic form is minus that of the input.  Uniqueness of the match is part
 of the contract (single-class genus for surfaces over Q) and is enforced.
+
+A finite quadratic form is the orthogonal sum of its p-primary parts, and an
+isometry maps each part onto the same prime's part (Nikulin 1979), so the
+forms are compared one prime at a time: the brute-force isometry search only
+ever enumerates a group of order p^k, never the whole group of order |d|.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -262,100 +266,112 @@ class DiscriminantForm:
                 total += x[i] * y[j] * self.qmat[i][j]
         return _mod1(total)
 
-    def element_order(self, coeffs) -> int:
-        return lcm(*(d // gcd(a, d) for a, d in zip(coeffs, self.orders))) if self.orders else 1
-
-    def elements(self):
-        return itertools.product(*(range(d) for d in self.orders))
-
     def negated(self) -> "DiscriminantForm":
         return DiscriminantForm(
             self.orders, tuple(tuple(-x for x in row) for row in self.qmat)
         )
 
-    def _scaled(self):
-        """Integer model: (D, qdiag mod 2D, pairing matrix mod D) with every
-        value multiplied by the common denominator D."""
-        D = 1
-        for row in self.qmat:
-            for x in row:
-                D = lcm(D, Fraction(x).denominator)
-        qm = [[int(x * D) for x in row] for row in self.qmat]
-        return D, qm
+    def _scaled(self, D: int):
+        """qmat times D, as integers; D must clear every denominator."""
+        return [[int(x * D) for x in row] for row in self.qmat]
 
-    def element_table(self):
-        """(element, order, scaled q) for every group element."""
-        D, qm = self._scaled()
-        k = len(self.orders)
-        out = []
-        for el in self.elements():
-            q = 0
-            for i in range(k):
-                q += el[i] * el[i] * qm[i][i]
-                for j in range(i + 1, k):
-                    q += 2 * el[i] * el[j] * qm[i][j]
-            out.append((el, self.element_order(el), q % (2 * D)))
-        return D, qm, out
+    def _element_table(self, qm, D: int) -> dict[tuple[int, int], list[tuple]]:
+        """Every group element, keyed by (its order, D * q mod 2D); qm = _scaled(D)."""
+        rows = [((), 0, 1)]  # (element, D * q, order), grown one cyclic factor at a time
+        for t, o in enumerate(self.orders):
+            grown = []
+            for el, q, order in rows:
+                cross = 2 * sum(x * qm[i][t] for i, x in enumerate(el))
+                grown += [(el + (a,), q + a * (a * qm[t][t] + cross), lcm(order, o // gcd(a, o)))
+                          for a in range(o)]
+            rows = grown
+        table: dict[tuple[int, int], list[tuple]] = {}
+        for el, q, order in rows:
+            table.setdefault((order, q % (2 * D)), []).append(el)
+        return table
 
-    def value_multiset(self):
-        """Multiset of (element order, q value): a fast isometry invariant."""
-        D, _, table = self.element_table()
-        out: dict[tuple[int, Fraction], int] = {}
-        for _, o, q in table:
-            key = (o, Fraction(q, D))
-            out[key] = out.get(key, 0) + 1
-        return out
+    def primary_parts(self) -> dict[int, "DiscriminantForm"]:
+        """The p-primary parts {p: part} for each prime p of the exponent.
+
+        The part at p is generated by (o_i / p^e) g_i, of order p^e, for each
+        invariant factor o_i with p^e || o_i, e >= 1; its qmat is scaled to
+        match.  Parts at different primes are orthogonal and together make up
+        the whole form (Nikulin 1979).
+        """
+        parts = {}
+        for p in _prime_divisors(self.orders[-1] if self.orders else 1):
+            idx, orders, mult = [], [], []
+            for i, o in enumerate(self.orders):
+                pe = gcd(o, p ** o.bit_length())  # the p-power part of o
+                if pe > 1:
+                    idx.append(i)
+                    orders.append(pe)
+                    mult.append(o // pe)
+            qmat = tuple(
+                tuple(mult[a] * mult[b] * self.qmat[i][j] for b, j in enumerate(idx))
+                for a, i in enumerate(idx)
+            )
+            parts[p] = DiscriminantForm(tuple(orders), qmat)
+        return parts
 
     def is_isomorphic(self, other: "DiscriminantForm") -> bool:
-        """Brute-force isometry search preserving orders, q and the pairing."""
+        """Isometry test, one p-primary part at a time.
+
+        An isometry maps each p-primary part onto the p-primary part of the
+        image, so two forms are isometric iff their parts are, prime by prime.
+        """
+        if self.orders != other.orders:
+            return False
+        theirs = other.primary_parts()
+        return all(part._isometric_to(theirs[p]) for p, part in self.primary_parts().items())
+
+    def _isometric_to(self, other: "DiscriminantForm") -> bool:
+        """Brute-force isometry search preserving orders, q and the pairing.
+
+        Enumerates every element of both groups, so it is meant for one
+        p-primary part at a time; on a whole form it is the test oracle.
+        """
         if self.orders != other.orders:
             return False
         if not self.orders:
             return True
-        if self.value_multiset() != other.value_multiset():
+        D = lcm(*(Fraction(x).denominator for f in (self, other) for row in f.qmat for x in row))
+        qms, qmo = self._scaled(D), other._scaled(D)
+        mine, buckets = self._element_table(qms, D), other._element_table(qmo, D)
+        # the (order, q) value multiset is a cheap isometry invariant
+        if {key: len(els) for key, els in mine.items()} != {
+            key: len(els) for key, els in buckets.items()
+        }:
             return False
         k = len(self.orders)
-        Ds, qms = self._scaled()
-        Do, qmo, table = other.element_table()
-        # common scale for comparisons
-        scale_s, scale_o = lcm(Ds, Do) // Ds, lcm(Ds, Do) // Do
-        D = lcm(Ds, Do)
-        buckets: dict[tuple[int, int], list[tuple]] = {}
-        for el, o, q in table:
-            buckets.setdefault((o, q * scale_o % (2 * D)), []).append(el)
 
         def pair_o(x, y):
-            total = 0
-            for i in range(k):
-                for j in range(k):
-                    total += x[i] * y[j] * qmo[i][j]
-            return total * scale_o % D
-
-        gens = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-
-        def q_s(el):
-            q = 0
-            for i in range(k):
-                q += el[i] * el[i] * qms[i][i]
-                for j in range(i + 1, k):
-                    q += 2 * el[i] * el[j] * qms[i][j]
-            return q * scale_s % (2 * D)
+            return sum(x[i] * y[j] * qmo[i][j] for i in range(k) for j in range(k)) % D
 
         def extend(idx, images):
             if idx == k:
                 return _generates(self.orders, images)
-            key = (self.orders[idx], q_s(gens[idx]))
+            key = (self.orders[idx], qms[idx][idx] % (2 * D))
             for cand in buckets.get(key, []):
-                ok = True
-                for prev in range(idx):
-                    if qms[idx][prev] * scale_s % D != pair_o(cand, images[prev]):
-                        ok = False
-                        break
-                if ok and extend(idx + 1, images + [cand]):
+                fits = all(qms[idx][prev] % D == pair_o(cand, images[prev]) for prev in range(idx))
+                if fits and extend(idx + 1, images + [cand]):
                     return True
             return False
 
         return extend(0, [])
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _generates(orders, images) -> bool:

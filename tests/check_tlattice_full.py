@@ -1,0 +1,104 @@
+"""Full oracle check of the per-prime isometry test, too slow for the test suite.
+
+    PYTHONPATH=src python tests/check_tlattice_full.py
+
+1. For every ordered pair of reduced forms of 73 discriminants (the 65
+   exponent-2 fields of `discs --max 7000` and the NS determinants of the
+   Table 1, example and extremal fixtures), taken as is and with the second
+   form negated, compares `is_isomorphic` (one p-primary part at a time)
+   with the brute force over the whole group (`_isometric_to` on the
+   unsplit forms).
+2. For the Neron-Severi lattice of every non-defective Table 1 row, example
+   surface and extremal row (the 39 surfaces `verify` certifies), compares
+   `match_transcendental` with the same matching done by the whole-group
+   brute force.
+
+Prints one line per discriminant and per fixture group, then the totals;
+exits 1 on any disagreement.
+"""
+
+import sys
+import time
+
+from k3cm.cli import _verified_sections
+from k3cm.fixtures import parse_ratfun, registry
+from k3cm.lattices import MatchError, discriminant_form, form_lattice, match_transcendental
+from k3cm.newforms import exponent_two_table
+from k3cm.quadforms import enumerate_reduced
+from k3cm.sections import assemble_ns, verify_section
+
+
+def whole_group_matches(ns):
+    """Every reduced form whose discriminant form is minus that of ns."""
+    target = discriminant_form(ns).negated()
+    return [f for f in sorted(enumerate_reduced(ns.det))
+            if discriminant_form(form_lattice(f))._isometric_to(target)]
+
+
+def ns_lattices(reg):
+    """(group, name, NS lattice) for every surface `verify` certifies."""
+    fam = reg.family("xlm")
+    for row in reg.table1:
+        if row.status != "defective":
+            surf = fam.specialize(row.lam, name=f"t1_{row.lam}")
+            yield "table1", row.disc, assemble_ns(surf, [verify_section(surf, parse_ratfun(row.u_text))])
+    for name, fx in sorted(reg.surfaces.items()):
+        surf = fx.build_surface(reg)
+        yield "examples", name, assemble_ns(surf, [sec for _, sec in _verified_sections(surf, fx)])
+    for fx in reg.extremal:
+        yield "extremal", fx.name, assemble_ns(fx.build_surface(reg), [])
+
+
+def check_pairs(discs):
+    pairs = isometric = disagree = 0
+    for d in discs:
+        start = time.perf_counter()
+        forms = [discriminant_form(form_lattice(f)) for f in sorted(enumerate_reduced(d))]
+        bad = iso = 0
+        for a in forms:
+            for b in forms:
+                for target in (b, b.negated()):
+                    want = a._isometric_to(target)
+                    iso += want
+                    bad += a.is_isomorphic(target) != want
+        pairs += len(forms) ** 2
+        isometric += iso
+        disagree += bad
+        print(f"d = {d}: {len(forms)} forms, {len(forms) ** 2} ordered pairs, {iso} isometric, "
+              f"{bad} disagreement, {time.perf_counter() - start:.1f} s", flush=True)
+    return pairs, isometric, disagree
+
+
+def check_lattices(reg):
+    counts, disagree = {}, 0
+    for group, name, ns in ns_lattices(reg):
+        try:
+            got = [match_transcendental(ns)]
+        except MatchError as e:
+            got = str(e)
+        want = whole_group_matches(ns)
+        counts[group] = counts.get(group, 0) + 1
+        if got != want:
+            disagree += 1
+            print(f"{group} {name}: per-prime {got}, whole group {want}", flush=True)
+    for group, n in counts.items():
+        print(f"{group}: {n} NS lattices compared", flush=True)
+    return sum(counts.values()), disagree
+
+
+def main():
+    reg = registry()
+    discs = {d for ds in exponent_two_table(7000).values() for d in ds}
+    discs |= {r.disc for r in reg.table1 if r.status != "defective"}
+    discs |= {fx.expected_disc for fx in reg.surfaces.values()}
+    discs |= {fx.expected_disc for fx in reg.extremal}
+    pairs, isometric, bad_pairs = check_pairs(sorted(discs, key=abs))
+    lattices, bad_lattices = check_lattices(reg)
+    print(f"{len(discs)} discriminants, {pairs} ordered pairs x 2 (as is, negated), "
+          f"{isometric} isometric, {bad_pairs} disagreement; "
+          f"{lattices} NS lattices, {bad_lattices} disagreement")
+    return 1 if bad_pairs or bad_lattices else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

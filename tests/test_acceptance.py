@@ -252,13 +252,14 @@ def test_criterion_7_property_suites():
         surf = fx.build_surface(reg)
         fibers = classify_fibers(surf)
         assert sum(f.euler * f.cusp.degree for f in fibers) == 24, name
-        secs = []
+        secs = {}
         for sf in fx.sections:
             if sf.conjugate_of:
-                secs.append(verify_section(surf, _conjugate_ratfun(secs[0].u)))
+                u = _conjugate_ratfun(secs[sf.conjugate_of.lower()].u)
             else:
-                secs.append(verify_section(surf, sf.u()))
-        assert assemble_ns(surf, secs).rank <= 20
+                u = sf.u()
+            secs[sf.name.lower()] = verify_section(surf, u, name=sf.name)
+        assert assemble_ns(surf, list(secs.values())).rank <= 20
     # 2 h(P) has odd denominator on all family rows
     for row in reg.table1:
         if row.status != "defective":

@@ -83,6 +83,37 @@ def test_tlattice_output():
     assert out.strip() == "-715\t[22,11,38]"
 
 
+EX_3315_P = """[sections]
+name = P
+field = rational
+u = 85184 * 2415744/221;-58882;88179
+expected_height = 17/8
+"""
+
+EX_3315_Q = """[sections]
+name = Q
+field = rational
+u = -5/208 * -289;741 * 5454297;-379180711;503840883;1960038171
+expected_height = 13/4
+"""
+
+
+def test_tlattice_reads_sections_file(tmp_path):
+    both = tmp_path / "pq.sections"
+    both.write_text(EX_3315_P + "\n" + EX_3315_Q)
+    code, out = run(["tlattice", "--surface", "ex_3315", "--sections", str(both)])
+    assert code == 0
+    assert out.strip() == "-3315\t[2,1,1658]"
+    # P alone spans a rank-19 lattice of det 1020: no transcendental lattice
+    only_p = tmp_path / "p.sections"
+    only_p.write_text(EX_3315_P)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["tlattice", "--surface", "ex_3315", "--sections", str(only_p)])
+    assert code == 2 and out == ""
+    assert "determinant must be negative" in err.getvalue()
+
+
 def test_regression_subset():
     code, out = run(["regression", "--subset", "extremal"])
     assert code == 0

@@ -16,7 +16,7 @@ from k3cm.lattices import (
     mat_mul,
     smith_normal_form,
 )
-from k3cm.quadforms import BinaryQuadraticForm
+from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 
 
 def test_smith_examples():
@@ -142,3 +142,90 @@ def test_assemble_im_star_block_disc():
     assert lat.rank == 20
     assert lat.det == -840
     assert lat.signature() == (1, 19)
+
+
+# -- p-primary split ---------------------------------------------------------------
+
+# 2-parts Z/2 x Z/4 (-88, -840), Z/2 x Z/8 (-112), a non-primitive reduced
+# form 2[1,1,17] (-268), and h = 8 (-840, -1540)
+SPLIT_DISCS = (-88, -112, -268, -840, -1540)
+
+
+def _reduced_forms(d):
+    return [discriminant_form(form_lattice(f)) for f in sorted(enumerate_reduced(d))]
+
+
+def _split_examples():
+    """Reduced forms of SPLIT_DISCS and the rank-19 family lattice, whose
+    group (Z/2)^3 x Z/105 has three invariant factors."""
+    blocks = [FiberBlock("I", 2), FiberBlock("I", 3), FiberBlock("I", 5),
+              FiberBlock("I", 7), FiberBlock("I*", 0)]
+    forms = [df for d in SPLIT_DISCS for df in _reduced_forms(d)]
+    return forms + [discriminant_form(assemble_ns_gram(blocks, []))]
+
+
+def _part_generators(df, p):
+    """The generators of df's p-part, in df's coordinates: (o_i / p^e) g_i."""
+    out = []
+    for i, o in enumerate(df.orders):
+        pe = 1
+        while o % (pe * p) == 0:
+            pe *= p
+        if pe > 1:
+            out.append(tuple(o // pe if j == i else 0 for j in range(len(df.orders))))
+    return out
+
+
+def _is_power_of(o, p):
+    while o % p == 0:
+        o //= p
+    return o == 1
+
+
+def test_primary_part_orders_multiply_to_group_order():
+    for df in _split_examples():
+        parts = df.primary_parts()
+        total = 1
+        for p, part in parts.items():
+            assert part.orders and all(_is_power_of(o, p) for o in part.orders)
+            total *= part.group_order
+        assert total == df.group_order
+
+
+def test_primary_parts_are_orthogonal():
+    for df in _split_examples():
+        primes = sorted(df.primary_parts())
+        for p in primes:
+            for r in primes:
+                if p < r:
+                    for x in _part_generators(df, p):
+                        for y in _part_generators(df, r):
+                            assert df.pairing(x, y) == 0
+
+
+def test_primary_part_values_match_the_whole_form():
+    for df in _split_examples():
+        for p, part in df.primary_parts().items():
+            gens = _part_generators(df, p)
+            assert len(gens) == len(part.orders)
+            units = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
+            for a, x in zip(units, gens):
+                assert part.q_value(a) == df.q_value(x)
+                for b, y in zip(units, gens):
+                    assert part.pairing(a, b) == df.pairing(x, y)
+
+
+def test_per_prime_isometry_matches_whole_group_oracle():
+    # the per-part brute force applied to an unsplit form is the whole-group check
+    compared = isometric = 0
+    for d in SPLIT_DISCS:
+        forms = _reduced_forms(d)
+        for a in forms:
+            for b in forms:
+                for target in (b, b.negated()):
+                    want = a._isometric_to(target)
+                    assert a.is_isomorphic(target) == want, (d, a, target)
+                    compared += 1
+                    isometric += want
+    assert compared == 2 * sum(len(enumerate_reduced(d)) ** 2 for d in SPLIT_DISCS)
+    assert 0 < isometric < compared
