@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from k3cm import (
     assemble_ns,
-    classify_fibers,
     height,
     match_transcendental,
     ns_discriminant,
@@ -25,7 +24,7 @@ row = next(r for r in reg.table1 if r.disc == -88)
 
 surf = fam.specialize(row.lam, name="disc88")
 print(f"member at lambda = {row.lam}")
-print("fibers:", ", ".join(str(f) for f in classify_fibers(surf)))
+print("fibers:", ", ".join(str(f) for f in surf.fibers))
 
 sec = verify_section(surf, parse_ratfun(row.u_text))
 print(f"\nsection accepted: y^2 needs the square class m = {sec.msq}")

@@ -9,7 +9,6 @@ exactly.  The output is the certified surface.
 
 from k3cm import (
     NewformOracle,
-    classify_fibers,
     height,
     ns_discriminant,
     recover_section,
@@ -32,7 +31,7 @@ for rep in reports[:3]:
 lam = reports[0].lam
 print(f"\nspecializing at lambda = {lam} and prescribing contacts for disc -88")
 surf = fam.specialize(lam, name="candidate")
-fibers = classify_fibers(surf)
+fibers = surf.fibers
 plan = {}
 for i, f in enumerate(fibers):
     spec = {"I5": 1, "I3": 1, "I7": 2, "I0*": "leg"}.get(f.label())

@@ -173,43 +173,28 @@ def cmd_verify(args) -> int:
     return _verify_fixture(reg, fx, args.sections)
 
 
-def _verified_sections(surf, fx, sections_path=None):
-    """Yield (fixture, verified section) for the fixture's sections, or for
-    the `[sections]` blocks of `sections_path` when it is given.
+def _section_fixtures(fx, sections_path=None):
+    """The fixture's sections, or the `[sections]` blocks of `sections_path`."""
+    if not sections_path:
+        return fx.sections
+    from k3cm.fixtures import parse_blocks, section_fixture_from_block
 
-    A `conjugate_of` entry is the Galois conjugate of the section it names.
-    """
-    from k3cm.regression import _conjugate_ratfun
-    from k3cm.sections import verify_section
-
-    section_fixtures = fx.sections
-    if sections_path:
-        from k3cm.fixtures import parse_blocks, section_fixture_from_block
-
-        section_fixtures = [
-            section_fixture_from_block(kv)
-            for name, kv in parse_blocks(open(sections_path).read())
-            if name == "sections"
-        ]
-    secs = {}
-    for sf in section_fixtures:
-        if sf.conjugate_of:
-            u = _conjugate_ratfun(secs[sf.conjugate_of.lower()].u)
-        else:
-            u = sf.u()
-        secs[sf.name.lower()] = sec = verify_section(surf, u, name=sf.name)
-        yield sf, sec
+    return [
+        section_fixture_from_block(kv)
+        for name, kv in parse_blocks(open(sections_path).read())
+        if name == "sections"
+    ]
 
 
 def _verify_fixture(reg, fx, sections_path=None) -> int:
     from k3cm.lattices import match_transcendental
-    from k3cm.sections import assemble_ns, height, ns_discriminant
+    from k3cm.sections import assemble_ns, build_sections, height, ns_discriminant
 
     surf = fx.build_surface(reg)
-    secs = {}
+    section_fixtures = _section_fixtures(fx, sections_path)
+    secs = build_sections(surf, section_fixtures)
     mismatch = False
-    for sf, sec in _verified_sections(surf, fx, sections_path):
-        secs[sf.name.lower()] = sec
+    for sf, sec in zip(section_fixtures, secs):
         h = height(sec)
         print(f"section {sf.name}: height {h}, (P.O) = {sec.pO}")
         for idx, c in sorted(sec.contacts.items()):
@@ -217,13 +202,10 @@ def _verify_fixture(reg, fx, sections_path=None) -> int:
                 print(f"  contact {c.fiber}: {c.kind} k={c.k}")
         if sf.expected_height is not None and h != sf.expected_height:
             mismatch = True
-    ordered = list(secs.values())
-    if ordered:
-        d = ns_discriminant(surf, ordered)
-        T = match_transcendental(assemble_ns(surf, ordered))
-    else:
-        lat = assemble_ns(surf, [])
-        d, T = lat.det, match_transcendental(lat)
+    d = ns_discriminant(surf, secs) if secs else None
+    lat = assemble_ns(surf, secs)
+    d = lat.det if d is None else d
+    T = match_transcendental(lat)
     print(f"disc NS = {d}")
     print(f"T(X) = {T}")
     if fx.expected_disc is not None and d != fx.expected_disc:
@@ -236,15 +218,14 @@ def _verify_fixture(reg, fx, sections_path=None) -> int:
 def cmd_tlattice(args) -> int:
     from k3cm.fixtures import registry
     from k3cm.lattices import match_transcendental
-    from k3cm.sections import assemble_ns
+    from k3cm.sections import assemble_ns, build_sections
 
     reg = registry()
     fx = reg.surfaces.get(args.surface)
     if fx is None:
         reg, fx = _load_surface_file(args.surface)
     surf = fx.build_surface(reg)
-    secs = {sf.name.lower(): sec for sf, sec in _verified_sections(surf, fx, args.sections)}
-    lat = assemble_ns(surf, list(secs.values()))
+    lat = assemble_ns(surf, build_sections(surf, _section_fixtures(fx, args.sections)))
     print(f"{lat.det}\t{match_transcendental(lat)}")
     return 0
 

@@ -98,6 +98,17 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+def rational_sqrt(q) -> Fraction | None:
+    """The non-negative rational square root of q, or None if q has none."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n)."""
     if n == 0:

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from k3cm.exact import Polynomial, RationalFunction
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lattices import match_transcendental
 from k3cm.newforms import NewformOracle
 from k3cm.quadforms import reduce_form
 from k3cm.sections import (
     assemble_ns,
+    build_sections,
     height,
     ns_discriminant,
     pairing,
     verify_section,
 )
-from k3cm.surfaces import classify_fibers
 
 
 @dataclass
@@ -50,11 +49,6 @@ class Report:
         return "\n".join(
             self.lines + [f"{status}: {self.checks - self.failures}/{self.checks} checks"]
         )
-
-
-def _conjugate_ratfun(f: RationalFunction) -> RationalFunction:
-    conj = lambda poly: Polynomial(poly.domain, [c.conjugate() for c in poly.coeffs])
-    return RationalFunction(conj(f.num), conj(f.den))
 
 
 def run_table1() -> Report:
@@ -87,24 +81,18 @@ def run_examples() -> Report:
     for name in names:
         fx = reg.surfaces[name]
         surf = fx.build_surface(reg)
-        secs = {}
-        for sf in fx.sections:
-            if sf.conjugate_of:
-                base = secs[sf.conjugate_of.lower()]
-                sec = verify_section(surf, _conjugate_ratfun(base.u), name=sf.name)
-            else:
-                sec = verify_section(surf, sf.u(), name=sf.name)
-            secs[sf.name.lower()] = sec
+        ordered = build_sections(surf, fx.sections)
+        for sf, sec in zip(fx.sections, ordered):
             if sf.expected_height is not None:
                 h = height(sec)
                 rep.add(h == sf.expected_height,
                         f"{name} height({sf.name}) {h} = {sf.expected_height}")
-        ordered = list(secs.values())
         d = ns_discriminant(surf, ordered)
         rep.add(d == fx.expected_disc, f"{name} disc {d} = {fx.expected_disc}")
         T = match_transcendental(assemble_ns(surf, ordered))
         suffix = " [erratum: printed T differs, see notes]" if fx.derived_T else ""
         rep.add(T == fx.working_T, f"{name} T {T} = {fx.working_T}{suffix}")
+        secs = {sec.name.lower(): sec for sec in ordered}
         for (a, b), val in fx.expected_pairings.items():
             got = pairing(surf, secs[a], secs[b])
             rep.add(abs(got) == abs(val),
@@ -117,8 +105,7 @@ def run_extremal() -> Report:
     reg = registry()
     for fx in reg.extremal:
         surf = fx.build_surface(reg)
-        fibers = classify_fibers(surf)
-        euler = sum(f.euler * f.cusp.degree for f in fibers)
+        euler = sum(f.euler * f.cusp.degree for f in surf.fibers)
         rep.add(euler == 24, f"{fx.name} euler {euler} = 24")
         lat = assemble_ns(surf, [])
         det = lat.det

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from k3cm.exact import (
     QQ,
@@ -20,6 +21,7 @@ from k3cm.exact import (
     RationalFunction,
     Series,
     poly_series,
+    rational_sqrt,
     ratfun_series,
     squarefree_part,
 )
@@ -28,7 +30,6 @@ from k3cm.surfaces import (
     Cusp,
     FiberDescriptor,
     WeierstrassSurface,
-    classify_fibers,
     node_series,
     squarefree_decomposition,
 )
@@ -77,15 +78,16 @@ class Section:
     msq: object                  # square class scalar with y^2 = msq * w^2
     pO: int
     name: str = "P"
-    contacts: dict = field(default_factory=dict)   # id(fiber-index) -> Contact
+    contacts: dict = field(default_factory=dict)   # fiber index -> Contact
+    fibers: list = field(default_factory=list)     # the surface's fiber list
 
     @property
     def domain(self):
         return self.u.domain
 
-    def correction_sum(self, fibers) -> Fraction:
+    def correction_sum(self) -> Fraction:
         total = Fraction(0)
-        for idx, f in enumerate(fibers):
+        for idx, f in enumerate(self.fibers):
             c = self.contacts.get(idx)
             if c is not None:
                 total += c.correction() * f.cusp.degree
@@ -140,15 +142,15 @@ def verify_section(surface: WeierstrassSurface, u: RationalFunction, name: str =
 
     The right-hand side R = u^3 + a2 u^2 + a4 u + a6 must factor as
     m * w(t)^2 for a scalar square class m, established by squarefree
-    decomposition; pole orders of u must be even, giving (P.O).
+    decomposition; pole orders of u must be even, giving (P.O).  The
+    surface is over Q; a section over Q(sqrt m) is checked on the surface
+    mapped to that field, once for the right-hand side and all contacts.
     """
     if isinstance(u, Polynomial):
         u = RationalFunction(u)
     dom = u.domain
-    base_surface = surface
-    if dom != surface.domain:
-        surface = surface.map_domain(dom)
-    R = surface.rhs(u)
+    chart = surface if dom == surface.domain else surface.map_domain(dom)
+    R = chart.rhs(u)
     if R.is_zero():
         raise SectionError("u lies on the zero locus y = 0 identically")
     m, w = _square_cofactor(R)
@@ -166,8 +168,10 @@ def verify_section(surface: WeierstrassSurface, u: RationalFunction, name: str =
         if inf_pole % 2:
             raise SectionError("odd pole order at infinity")
         pO += inf_pole // 2
-    sec = Section(u=u, w=w, msq=m, pO=pO, name=name)
-    _attach_contacts(base_surface, sec)
+    sec = Section(u=u, w=w, msq=m, pO=pO, name=name, fibers=surface.fibers)
+    for idx, f in enumerate(sec.fibers):
+        if f.reducible:
+            sec.contacts[idx] = determine_contact(chart, sec, f)
     return sec
 
 
@@ -190,13 +194,9 @@ def _square_cofactor(R: RationalFunction):
     if dom == QQ:
         m0 = Fraction(m)
         kernel = squarefree_part(m0.numerator * m0.denominator)
-        scale = m0 / kernel
-        # scale = (r)^2 for a rational r; fold r into w
-        num, den = scale.numerator, scale.denominator
-        import math
-
-        r = Fraction(math.isqrt(num), math.isqrt(den))
-        assert r * r == scale
+        # m0 / kernel = r^2 for a rational r; fold r into w
+        r = rational_sqrt(m0 / kernel)
+        assert r is not None
         wn = wn.scale(r)
         m = Fraction(kernel)
     return m, RationalFunction(wn, wd)
@@ -206,23 +206,15 @@ def _square_cofactor(R: RationalFunction):
 # contact determination
 # ---------------------------------------------------------------------------
 
-def _attach_contacts(surface: WeierstrassSurface, sec: Section):
-    fibers = classify_fibers(surface)
-    sec.fibers = fibers
-    for idx, f in enumerate(fibers):
-        if not f.reducible:
-            continue
-        sec.contacts[idx] = determine_contact(surface, sec, f)
-
-
 def determine_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
+    """How the section meets the fiber; the surface is over the section's field."""
+    if surface.domain != sec.domain:
+        raise SectionError(f"contacts need the surface over {sec.domain}, not {surface.domain}")
     if fiber.cusp.kind == "orbit":
         return _orbit_contact(surface, sec, fiber)
     surf_c, u_c, w_c, t0 = _local_chart(surface, sec, fiber.cusp)
     dom = u_c.domain
-    if surf_c.domain != dom:
-        surf_c = surf_c.map_domain(dom)
-    t0 = _embed(dom, t0) if isinstance(t0, Fraction) else t0
+    t0 = _embed(dom, t0)
     if not u_c.is_zero() and u_c.valuation_at(t0) < 0:
         return Contact(fiber, "identity")
     if fiber.kind == "I":
@@ -277,7 +269,6 @@ def _star_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     # untwisted cubic X^3 + (a2/pi) X^2 + (a4/pi^2) X + (a6/pi^3)
     x2 = poly_series(surf_c.a2, t0, prec + 1)
     x4 = poly_series(surf_c.a4, t0, prec + 2)
-    x6 = poly_series(surf_c.a6, t0, prec + 3)
     a2b = Series(dom, x2.coeffs[1:], prec)
     a4b = Series(dom, x4.coeffs[2:], prec)
     node = _untwisted_node_series(dom, a2b, a4b, _embed(dom, fiber.double_root), prec)
@@ -332,11 +323,10 @@ def _orbit_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
         w_van = True
     else:
         w_van = _vanishes_along(w.num, g) and not _vanishes_along(w.den, g)
-    a2 = surface.a2.map_domain(dom) if surface.domain != dom else surface.a2
-    a4 = surface.a4.map_domain(dom) if surface.domain != dom else surface.a4
     three = Polynomial.constant(dom, dom.from_fraction(Fraction(3)))
     two = Polynomial.constant(dom, dom.from_fraction(Fraction(2)))
-    fx = RationalFunction(three) * u * u + RationalFunction(two * a2) * u + RationalFunction(a4)
+    fx = (RationalFunction(three) * u * u + RationalFunction(two * surface.a2) * u
+          + RationalFunction(surface.a4))
     fx_van = _vanishes_along(fx.num, g) and not _vanishes_along(fx.den, g)
     if w_van and fx_van:
         if fiber.n == 2:
@@ -357,10 +347,9 @@ def _vanishes_along(f: Polynomial, g: Polynomial) -> bool:
 # heights and pairings
 # ---------------------------------------------------------------------------
 
-def height(sec: Section, fibers=None) -> Fraction:
+def height(sec: Section) -> Fraction:
     """4 + 2 (P.O) - sum of per-fiber correction terms."""
-    fibers = fibers if fibers is not None else sec.fibers
-    return 4 + 2 * sec.pO - sec.correction_sum(fibers)
+    return 4 + 2 * sec.pO - sec.correction_sum()
 
 
 def _same_branch(p: Contact, q: Contact) -> bool:
@@ -378,7 +367,7 @@ def _scaled_section(q: Section, scale, new_m) -> Section:
     """Copy of q with w (and contact eta series) multiplied by scale."""
     dom = q.domain
     s = _embed(dom, scale)
-    out = Section(
+    return Section(
         u=q.u,
         w=q.w * Polynomial.constant(dom, s),
         msq=new_m,
@@ -391,39 +380,70 @@ def _scaled_section(q: Section, scale, new_m) -> Section:
             )
             for idx, c in q.contacts.items()
         },
+        fibers=q.fibers,
     )
-    out.fibers = q.fibers
-    return out
+
+
+def normalize_sections(surface, sections) -> list:
+    """The sections with w rescaled to the first one's square class.
+
+    Over Q, sections of different classes are all verified again, once, over
+    the quadratic field joining the classes (meetings at quadratic points are
+    invisible over Q); over a quadratic field incompatible classes are out of
+    scope.  A list that is already normalized comes back as it is.
+    """
+    if not sections:
+        return []
+    first = sections[0]
+    dom = first.domain
+    if any(sec.domain != dom for sec in sections):
+        raise SectionError("sections must live over one field")
+    scales = [_same_square_class(dom, sec.msq, first.msq) for sec in sections]
+    if None not in scales:
+        return [
+            sec if dom.eq(_embed(dom, c), dom.one) else _scaled_section(sec, c, first.msq)
+            for sec, c in zip(sections, scales)
+        ]
+    if dom != QQ:
+        raise SectionError("sections with incompatible square classes over a quadratic field")
+    products = [Fraction(first.msq) * Fraction(sec.msq) for sec, c in zip(sections, scales) if c is None]
+    kernels = {squarefree_part(m.numerator * m.denominator) for m in products}
+    if len(kernels) > 1:
+        raise SectionError("more than two incompatible square classes")
+    K = QuadField(kernels.pop())
+    lift = lambda f: RationalFunction(f.num.map_domain(K), f.den.map_domain(K))
+    return normalize_sections(
+        surface, [verify_section(surface, lift(sec.u), name=sec.name) for sec in sections]
+    )
 
 
 def normalized_pair(surface, p: Section, q: Section):
-    """(surface, p, q') sharing one square class, lifting the field if needed.
+    """(p, q') sharing one square class: `normalize_sections` of the pair."""
+    p, q = normalize_sections(surface, [p, q])
+    return p, q
 
-    Over Q with incompatible classes both sections are re-verified over the
-    quadratic field joining them (meetings at quadratic points are invisible
-    over Q); over a quadratic field incompatible classes are out of scope.
+
+def build_sections(surface, section_fixtures) -> list:
+    """The declared sections, verified in order and normalized to one class.
+
+    A fixture with `conjugate_of` is the Galois conjugate of the section it
+    names, taken from that section as verified, before normalization.
     """
-    dom = p.domain
-    if q.domain != dom:
-        raise SectionError("sections must live over one field")
-    scale = _same_square_class(dom, q.msq, p.msq)
-    if scale is not None:
-        if dom.is_field and dom.eq(_embed(dom, scale), dom.one):
-            return surface, p, q
-        return surface, p, _scaled_section(q, scale, p.msq)
-    if dom != QQ:
-        raise SectionError(
-            "sections with incompatible square classes over a quadratic field"
-        )
-    m1, m2 = Fraction(p.msq), Fraction(q.msq)
-    kernel = squarefree_part((m1 * m2).numerator * (m1 * m2).denominator)
-    K = QuadField(kernel)
-    lift = lambda sec: verify_section(
-        surface,
-        RationalFunction(sec.u.num.map_domain(K), sec.u.den.map_domain(K)),
-        name=sec.name,
-    )
-    return normalized_pair(surface, lift(p), lift(q))
+    secs = {}
+    for sf in section_fixtures:
+        if sf.name.lower() in secs:
+            raise SectionError(f"section {sf.name} is declared twice")
+        if sf.conjugate_of:
+            u = _conjugate_ratfun(secs[sf.conjugate_of.lower()].u)
+        else:
+            u = sf.u()
+        secs[sf.name.lower()] = verify_section(surface, u, name=sf.name)
+    return normalize_sections(surface, list(secs.values()))
+
+
+def _conjugate_ratfun(f: RationalFunction) -> RationalFunction:
+    conj = lambda poly: Polynomial(poly.domain, [c.conjugate() for c in poly.coeffs])
+    return RationalFunction(conj(f.num), conj(f.den))
 
 
 def corr_pair(p: Contact, q: Contact) -> Fraction:
@@ -446,7 +466,7 @@ def corr_pair(p: Contact, q: Contact) -> Fraction:
     return Fraction(i * (n - j), n)
 
 
-def pairing(surface, p: Section, q: Section, fibers=None) -> Fraction:
+def pairing(surface, p: Section, q: Section) -> Fraction:
     """Height pairing <P, Q> = 2 + (P.O) + (Q.O) - (P.Q) - sum corr_v(P, Q).
 
     For p is q this returns the height without needing (P.P).  The result
@@ -454,37 +474,36 @@ def pairing(surface, p: Section, q: Section, fibers=None) -> Fraction:
     negates it (heights and discriminants are unaffected).
     """
     if p is q:
-        return height(p, fibers)
-    surface2, p2, q2 = normalized_pair(surface, p, q)
-    fibers = p2.fibers
-    pq = _intersection_normalized(surface2, p2, q2)
+        return height(p)
+    p, q = normalized_pair(surface, p, q)
+    pq = intersection_number(surface, p, q)
     corr = Fraction(0)
-    for idx, f in enumerate(fibers):
-        cp, cq = p2.contacts.get(idx), q2.contacts.get(idx)
+    for idx, f in enumerate(p.fibers):
+        cp, cq = p.contacts.get(idx), q.contacts.get(idx)
         if cp is None or cq is None:
             continue
         corr += corr_pair(cp, cq) * f.cusp.degree
     return 2 + p.pO + q.pO - pq - corr
 
 
-def ns_discriminant(surface, sections, fibers=None, torsion_order: int = 1) -> int:
+def ns_discriminant(surface, sections, torsion_order: int = 1) -> int:
     """disc NS(X) = -(det of the height-pairing Gram) * prod disc(F_v) / tors^2.
 
     The sign is forced by the signature (1, 19); sections are declared
     generators of the Mordell-Weil group modulo torsion.
     """
-    fibers = fibers if fibers is not None else sections[0].fibers
+    sections = normalize_sections(surface, sections)
     k = len(sections)
     gram = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            val = pairing(surface, sections[i], sections[j], fibers) if i != j else height(sections[i], fibers)
+            val = pairing(surface, sections[i], sections[j]) if i != j else height(sections[i])
             gram[i][j] = gram[j][i] = val
     det = _fraction_det(gram)
     if det <= 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
     prod = 1
-    for f in fibers:
+    for f in surface.fibers:
         if f.reducible:
             prod *= f.root_disc ** f.cusp.degree
     disc = -det * prod / (torsion_order * torsion_order)
@@ -535,16 +554,7 @@ def _gcd_restricted(f: Polynomial, support: Polynomial) -> Polynomial:
 def _same_square_class(dom, m1, m2):
     """Return c with m1 = c^2 m2, or None."""
     if dom == QQ:
-        q = Fraction(m1) / Fraction(m2)
-        if q <= 0:
-            return None
-        import math
-
-        num, den = q.numerator, q.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd)
-        return None
+        return rational_sqrt(Fraction(m1) / Fraction(m2))
     # quadratic field: solve (x + y sqrt(m))^2 = m1/m2
     z = dom.div(m1, m2)
     if isinstance(z, QuadNum):
@@ -554,40 +564,22 @@ def _same_square_class(dom, m1, m2):
 
 def _quad_sqrt(dom: QuadField, z: QuadNum):
     """A square root of z in Q(sqrt m), or None."""
-    import math
-
     a, b, m = z.a, z.b, z.m
     if b == 0:
         # sqrt of a rational inside the field: rational or y*sqrt(m)
-        if a >= 0:
-            num, den = a.numerator, a.denominator
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                return QuadNum(Fraction(rn, rd), Fraction(0), m)
-        q = a / m
-        if q >= 0:
-            num, den = q.numerator, q.denominator
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                return QuadNum(Fraction(0), Fraction(rn, rd), m)
-        return None
+        r = rational_sqrt(a)
+        if r is not None:
+            return QuadNum(r, Fraction(0), m)
+        r = rational_sqrt(a / m)
+        return None if r is None else QuadNum(Fraction(0), r, m)
     # x^2 + m y^2 = a, 2xy = b: x^4 - a x^2 + m b^2 / 4 = 0
-    disc = a * a - m * b * b
-    if disc < 0:
+    root = rational_sqrt(a * a - m * b * b)
+    if root is None:
         return None
-    num, den = disc.numerator, disc.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    root = Fraction(rn, rd)
     for x2 in ((a + root) / 2, (a - root) / 2):
-        if x2 > 0:
-            nx, dx = x2.numerator, x2.denominator
-            sn, sd = math.isqrt(nx), math.isqrt(dx)
-            if sn * sn == nx and sd * sd == dx:
-                x = Fraction(sn, sd)
-                y = b / (2 * x)
-                return QuadNum(x, y, m)
+        x = rational_sqrt(x2) if x2 > 0 else None
+        if x is not None:
+            return QuadNum(x, b / (2 * x), m)
     return None
 
 
@@ -599,14 +591,9 @@ def intersection_number(surface, p: Section, q: Section) -> int:
     poles; and meetings at fiber nodes are re-evaluated on the smooth model
     (different components intersect zero times there).
     """
-    surface, p, q = normalized_pair(surface, p, q)
-    return _intersection_normalized(surface, p, q)
-
-
-def _intersection_normalized(surface, p: Section, q: Section) -> int:
+    p, q = normalized_pair(surface, p, q)
     if p.u == q.u:
         raise SectionError("(P.Q) needs distinct x-coordinates")
-    dom = p.domain
     fibers = p.fibers
     total = 0
     udiff = p.u - q.u
@@ -641,7 +628,7 @@ def _intersection_normalized(surface, p: Section, q: Section) -> int:
         naive, resolved = _node_multiplicities(cp, cq)
         total += resolved - naive
     # the place at infinity
-    total += _infinity_contribution(surface, p, q)
+    total += _infinity_contribution(p, q)
     return total
 
 
@@ -662,7 +649,7 @@ def _node_multiplicities(cp: Contact, cq: Contact):
     return naive, resolved
 
 
-def _infinity_contribution(surface, p: Section, q: Section) -> int:
+def _infinity_contribution(p: Section, q: Section) -> int:
     dom = p.domain
     up, wp = _ratfun_flip(p.u, 4), _ratfun_flip(p.w, 6)
     uq, wq = _ratfun_flip(q.u, 4), _ratfun_flip(q.w, 6)
@@ -702,25 +689,10 @@ def _infinity_contribution(surface, p: Section, q: Section) -> int:
 # Neron-Severi assembly (Gram route, cross-checked against ns_discriminant)
 # ---------------------------------------------------------------------------
 
-def _normalize_family(surface, sections):
-    """Normalize every section's square class against the first one."""
-    if len(sections) <= 1:
-        return surface, list(sections)
-    surface2, first, second = normalized_pair(surface, sections[0], sections[1])
-    out = [first, second]
-    for s in sections[2:]:
-        _, anchor, s2 = normalized_pair(surface2, out[0], s)
-        if anchor.msq != out[0].msq:
-            raise SectionError("more than two incompatible square classes")
-        out.append(s2)
-    return surface2, out
-
-
 def assemble_ns(surface, sections) -> GramLattice:
     """Gram matrix of NS(X) on {O, F, fiber components, sections}."""
-    if len(sections) > 1:
-        surface, sections = _normalize_family(surface, sections)
-    fibers = sections[0].fibers if sections else classify_fibers(surface)
+    sections = normalize_sections(surface, sections)
+    fibers = surface.fibers
     blocks = []
     block_fiber_idx = []
     for idx, f in enumerate(fibers):
@@ -729,6 +701,9 @@ def assemble_ns(surface, sections) -> GramLattice:
         for _ in range(f.cusp.degree):
             blocks.append(FiberBlock(f.kind, f.n))
             block_fiber_idx.append(idx)
+    pq = {}
+    for s_i, s_j in combinations(range(len(sections)), 2):
+        pq[s_i, s_j] = pq[s_j, s_i] = intersection_number(surface, sections[s_i], sections[s_j])
     sec_rows = []
     for s_i, sec in enumerate(sections):
         contacts = []
@@ -743,10 +718,6 @@ def assemble_ns(surface, sections) -> GramLattice:
                 contacts.append(c.k if f.kind == "I" else "far")
                 continue
             contacts.append(_oriented_contact(sections, s_i, f_idx, c))
-        pq = {}
-        for s_j in range(len(sections)):
-            if s_j != s_i:
-                pq[(s_i, s_j)] = intersection_number(surface, sections[s_i], sections[s_j])
         sec_rows.append({"pO": sec.pO, "contacts": contacts, "pq": pq})
     return assemble_ns_gram(blocks, sec_rows)
 
@@ -801,12 +772,9 @@ def section_sum(surface: WeierstrassSurface, p: Section, q: Section) -> Rational
     ru = lambda f: RationalFunction(f.num.map_domain(K), f.den.map_domain(K))
     up, uq, wp, wq = ru(p.u), ru(q.u), ru(p.w), ru(q.w)
     # y_p y_q = sqrt(m1 m2) w_p w_q ; sqrt(m1 m2) = r sqrt(mprod)
-    r2 = (m1 * m2) / mprod
-    import math
-
-    rn, rd = math.isqrt(r2.numerator), math.isqrt(r2.denominator)
-    assert Fraction(rn * rn, rd * rd) == r2
-    r = K.embed(Fraction(rn, rd)) * QuadNum(Fraction(0), Fraction(1), mprod)
+    r0 = rational_sqrt((m1 * m2) / mprod)
+    assert r0 is not None
+    r = K.embed(r0) * QuadNum(Fraction(0), Fraction(1), mprod)
     # slope^2 = (y_p - y_q)^2/(u_p-u_q)^2 = (m1 w_p^2 + m2 w_q^2 - 2 r sqrt? ...)
     num = (
         wp * wp * Polynomial.constant(K, K.from_fraction(m1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from k3cm.exact import (
     QQ,
@@ -132,6 +133,7 @@ class WeierstrassSurface:
 
     Degree bounds deg a2 <= 4, deg a4 <= 8, deg a6 <= 12 certify the K3
     property together with the Euler-number check done at classification.
+    The chart at infinity and the fiber list are derived once, on first use.
     """
 
     def __init__(self, a2: Polynomial, a4: Polynomial, a6: Polynomial, name: str = ""):
@@ -145,6 +147,12 @@ class WeierstrassSurface:
         self.c4, self.c6, self.delta = _discriminant_polys(a2, a4, a6)
         if self.delta.is_zero():
             raise SurfaceError("identically singular model (Delta = 0)")
+        self._flipped = None
+
+    @cached_property
+    def fibers(self) -> list[FiberDescriptor]:
+        """The singular fibers, as `classify_fibers` finds them."""
+        return classify_fibers(self)
 
     def rhs(self, u):
         """u^3 + a2 u^2 + a4 u + a6 as a rational function of t."""
@@ -162,10 +170,12 @@ class WeierstrassSurface:
 
     def flipped(self) -> "WeierstrassSurface":
         """The model in the chart s = 1/t, x' = x/t^4, y' = y/t^6."""
-        return WeierstrassSurface(
-            self.a2.reverse(4), self.a4.reverse(8), self.a6.reverse(12),
-            name=f"{self.name}~inf",
-        )
+        if self._flipped is None:
+            self._flipped = WeierstrassSurface(
+                self.a2.reverse(4), self.a4.reverse(8), self.a6.reverse(12),
+                name=f"{self.name}~inf",
+            )
+        return self._flipped
 
     def map_domain(self, target) -> "WeierstrassSurface":
         return WeierstrassSurface(
@@ -299,30 +309,20 @@ def _valuation_along(f: Polynomial, cusp: Cusp) -> int:
 # fiber classification
 # ---------------------------------------------------------------------------
 
-def classify_fibers(surface: WeierstrassSurface, declared_cusps=None) -> list[FiberDescriptor]:
+def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     """Kodaira types at every zero of Delta, including the place at infinity.
 
-    declared_cusps: optional list of finite cusp scalars to try before the
-    generic rational-root search (used by fixtures; results are verified).
+    The surface must be defined over Q: the finite cusps are the rational
+    roots of Delta, and the other factors of Delta are Galois orbits.
+    Callers read the list through `WeierstrassSurface.fibers`.
     """
+    if surface.domain != QQ:
+        raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
     fibers = []
     delta = surface.delta
     # finite places
     remaining = delta.monic()
-    finite_points = []
-    if surface.domain == QQ:
-        roots = rational_roots(delta)
-        finite_points = sorted(roots, key=lambda r: (abs(r), r))
-    else:
-        # quadratic base field: fixtures declare the cusps
-        for c in declared_cusps or []:
-            if _valuation_along(delta, Cusp.finite(c)) > 0:
-                finite_points.append(c)
-    if declared_cusps:
-        declared = [c for c in declared_cusps if c not in finite_points]
-        for c in declared:
-            if _valuation_along(delta, Cusp.finite(c)) > 0:
-                finite_points.append(c)
+    finite_points = sorted(rational_roots(delta), key=lambda r: (abs(r), r))
     d = surface.domain
     for t0 in finite_points:
         fibers.append(_classify_at(surface, Cusp.finite(t0)))

@@ -20,12 +20,11 @@ exits 1 on any disagreement.
 import sys
 import time
 
-from k3cm.cli import _verified_sections
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lattices import MatchError, discriminant_form, form_lattice, match_transcendental
 from k3cm.newforms import exponent_two_table
 from k3cm.quadforms import enumerate_reduced
-from k3cm.sections import assemble_ns, verify_section
+from k3cm.sections import assemble_ns, build_sections, verify_section
 
 
 def whole_group_matches(ns):
@@ -44,7 +43,7 @@ def ns_lattices(reg):
             yield "table1", row.disc, assemble_ns(surf, [verify_section(surf, parse_ratfun(row.u_text))])
     for name, fx in sorted(reg.surfaces.items()):
         surf = fx.build_surface(reg)
-        yield "examples", name, assemble_ns(surf, [sec for _, sec in _verified_sections(surf, fx)])
+        yield "examples", name, assemble_ns(surf, build_sections(surf, fx.sections))
     for fx in reg.extremal:
         yield "extremal", fx.name, assemble_ns(fx.build_surface(reg), [])
 

@@ -206,8 +206,7 @@ def test_criterion_7_property_suites():
     from k3cm.exact import rational_reconstruct
     from k3cm.lattices import det_bareiss, mat_mul, smith_normal_form
     from k3cm.quadforms import BinaryQuadraticForm, reduce_form
-    from k3cm.regression import _conjugate_ratfun
-    from k3cm.sections import assemble_ns, verify_section
+    from k3cm.sections import assemble_ns, build_sections
     from k3cm.surfaces import classify_fibers
 
     t0 = time.time()
@@ -252,14 +251,7 @@ def test_criterion_7_property_suites():
         surf = fx.build_surface(reg)
         fibers = classify_fibers(surf)
         assert sum(f.euler * f.cusp.degree for f in fibers) == 24, name
-        secs = {}
-        for sf in fx.sections:
-            if sf.conjugate_of:
-                u = _conjugate_ratfun(secs[sf.conjugate_of.lower()].u)
-            else:
-                u = sf.u()
-            secs[sf.name.lower()] = verify_section(surf, u, name=sf.name)
-        assert assemble_ns(surf, list(secs.values())).rank <= 20
+        assert assemble_ns(surf, build_sections(surf, fx.sections)).rank <= 20
     # 2 h(P) has odd denominator on all family rows
     for row in reg.table1:
         if row.status != "defective":

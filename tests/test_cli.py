@@ -1,9 +1,12 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from k3cm.cli import main
+from k3cm.exact import QQ, QuadField
+from k3cm.fixtures import registry
 
 
 def run(args):
@@ -77,6 +80,35 @@ def test_verify_fixture_surface():
     assert "T(X) = [22,11,34]" in out
 
 
+GOLDEN = Path(__file__).parent / "golden" / "verify_examples.txt"
+
+
+def test_verify_examples_match_golden_output():
+    # `k3cm verify --surface X` stdout for the 9 example surfaces, as recorded
+    # before sections were built and normalized in one place
+    got = ""
+    for name in sorted(registry().surfaces):
+        code, out = run(["verify", "--surface", name])
+        got += f"# k3cm verify --surface {name} -> exit {code}\n{out}"
+    assert got == GOLDEN.read_text()
+
+
+def test_verify_lifts_sections_once(monkeypatch):
+    import k3cm.sections
+    import k3cm.surfaces
+
+    verified, classified = [], []
+    verify, classify = k3cm.sections.verify_section, k3cm.surfaces.classify_fibers
+    monkeypatch.setattr(k3cm.sections, "verify_section",
+                        lambda surf, u, name="P": verified.append(u.domain) or verify(surf, u, name))
+    monkeypatch.setattr(k3cm.surfaces, "classify_fibers",
+                        lambda surf: classified.append(surf) or classify(surf))
+    code, out = run(["verify", "--surface", "ex_3003"])
+    assert code == 0 and "disc NS = -3003" in out
+    assert verified == [QQ, QQ, QuadField(21), QuadField(21)]
+    assert len(classified) == 1
+
+
 def test_tlattice_output():
     code, out = run(["tlattice", "--surface", "ex_715"])
     assert code == 0
@@ -112,6 +144,18 @@ def test_tlattice_reads_sections_file(tmp_path):
         code, out = run(["tlattice", "--surface", "ex_3315", "--sections", str(only_p)])
     assert code == 2 and out == ""
     assert "determinant must be negative" in err.getvalue()
+
+
+def test_section_declared_twice_is_input_error(tmp_path):
+    # a second section named P used to replace the first without a word
+    ex_715_p = "[sections]\nname = P\nu = 15/11776 * -1;1 * -1058529;11995075;-35970275;44289025\n"
+    twice = tmp_path / "pp.sections"
+    twice.write_text(ex_715_p + "\n" + ex_715_p.replace("name = P", "name = p"))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["verify", "--surface", "ex_715", "--sections", str(twice)])
+    assert code == 2 and out == ""
+    assert "section p is declared twice" in err.getvalue()
 
 
 def test_regression_subset():

@@ -22,6 +22,8 @@ from k3cm.exact import (
     rational_reconstruct,
     ratfun_series,
     resultant,
+    is_square,
+    rational_sqrt,
     roots_mod_p,
     squarefree_part,
 )
@@ -273,6 +275,11 @@ def test_misc_number_theory():
     assert kronecker(-88, 23) == 1
     assert kronecker(-7, 3) == -1
     assert is_prime(10403) is False and is_prime(101) is True
+    assert is_square(0) and is_square(144) and not is_square(12) and not is_square(-4)
+    assert rational_sqrt(0) == 0 and rational_sqrt(144) == 12
+    assert rational_sqrt(Fraction(49, 36)) == Fraction(7, 6)
+    assert rational_sqrt(Fraction(-49, 36)) is None and rational_sqrt(-1) is None
+    assert rational_sqrt(12) is None and rational_sqrt(Fraction(9, 8)) is None
 
 
 def test_rational_function_normalization():

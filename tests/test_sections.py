@@ -6,12 +6,14 @@ from k3cm.exact import QQ, Polynomial, QuadField, RationalFunction
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lattices import match_transcendental
 from k3cm.quadforms import BinaryQuadraticForm
-from k3cm.regression import _conjugate_ratfun
 from k3cm.sections import (
     SectionError,
+    _conjugate_ratfun,
     assemble_ns,
+    build_sections,
     height,
     intersection_number,
+    normalize_sections,
     ns_discriminant,
     pairing,
     section_sum,
@@ -127,9 +129,9 @@ def test_pairing_against_group_law_oracle(reg):
     Q = verify_section(surf, fx.sections[1].u(), name="Q")
     from k3cm.sections import normalized_pair
 
-    surf2, P2, Q2 = normalized_pair(surf, P, Q)
-    x3 = section_sum(surf2, P2, Q2)
-    S = verify_section(surf2, x3, name="P+Q")
+    P2, Q2 = normalized_pair(surf, P, Q)
+    x3 = section_sum(surf, P2, Q2)
+    S = verify_section(surf, x3, name="P+Q")
     lhs = pairing(surf, P, Q)
     rhs = (height(S) - height(P) - height(Q)) / 2
     assert lhs == rhs == 0
@@ -162,12 +164,49 @@ def test_two_adic_height_integrality(reg, fam):
 def test_rank_bound_on_fixtures(reg):
     for name, fx in reg.surfaces.items():
         surf = fx.build_surface(reg)
-        secs = []
-        for sf in fx.sections:
-            if sf.conjugate_of:
-                secs.append(verify_section(surf, _conjugate_ratfun(secs[0].u)))
-            else:
-                secs.append(verify_section(surf, sf.u()))
+        secs = build_sections(surf, fx.sections)
+        assert [s.name for s in secs] == [sf.name for sf in fx.sections]
         lat = assemble_ns(surf, secs)
         assert lat.rank <= 20
         assert lat.signature() == (1, lat.rank - 1)
+
+
+def _counting(monkeypatch, module, name):
+    """Record the arguments of every call to module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sections_are_lifted_to_the_joining_field_once(reg, monkeypatch):
+    import k3cm.sections
+
+    fx = reg.surfaces["ex_3003"]
+    surf = fx.build_surface(reg)
+    calls = _counting(monkeypatch, k3cm.sections, "verify_section")
+    secs = build_sections(surf, fx.sections)
+    assert [args[1].domain for args in calls] == [QQ, QQ, QuadField(21), QuadField(21)]
+    assert [s.domain for s in secs] == [QuadField(21)] * 2
+    assert normalize_sections(surf, secs) == secs
+    assert ns_discriminant(surf, secs) == -3003
+    assert len(calls) == 4
+
+
+def test_assemble_ns_intersects_each_pair_once(reg, monkeypatch):
+    import k3cm.sections
+
+    for name, pq in (("ex_3003", 1), ("ex_3315", 2), ("ex_1012", 0)):
+        fx = reg.surfaces[name]
+        surf = fx.build_surface(reg)
+        P, Q = build_sections(surf, fx.sections)
+        assert intersection_number(surf, P, Q) == intersection_number(surf, Q, P) == pq
+        calls = _counting(monkeypatch, k3cm.sections, "intersection_number")
+        assemble_ns(surf, [P, Q])
+        assert len(calls) == 1, name
+        monkeypatch.undo()

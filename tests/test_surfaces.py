@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.exact import QQ, Polynomial
+from k3cm.exact import QQ, Polynomial, QuadField
 from k3cm.fixtures import registry
 from k3cm.surfaces import (
     SurfaceError,
@@ -100,6 +100,25 @@ def test_unsupported_fiber_type_raises():
     surf = WeierstrassSurface(P(0), P(0), P(0, 1) + P(1) * P(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))
     with pytest.raises((UnsupportedFiberError, SurfaceError)):
         classify_fibers(surf)
+
+
+def test_classify_fibers_rejects_surfaces_not_over_q():
+    reg = registry()
+    surf = reg.surfaces["ex_3003"].build_surface(reg).map_domain(QuadField(21))
+    with pytest.raises(SurfaceError, match=r"Q\(sqrt\(21\)\)"):
+        classify_fibers(surf)
+
+
+def test_chart_at_infinity_and_fibers_are_derived_once(fam, monkeypatch):
+    import k3cm.surfaces
+
+    calls = []
+    original = k3cm.surfaces.classify_fibers
+    monkeypatch.setattr(k3cm.surfaces, "classify_fibers", lambda s: calls.append(s) or original(s))
+    surf = fam.specialize(Fraction(5, 32))
+    assert surf.flipped() is surf.flipped()
+    assert surf.fibers is surf.fibers
+    assert calls == [surf]
 
 
 def test_degree_bounds_enforced():
