@@ -166,15 +166,14 @@ def count_weierstrass(surface: WeierstrassSurface) -> int:
     for chart in (surface, surface.flipped()):
         ts = range(p) if chart is surface else (0,)
         for t in ts:
-            c2 = chart.a2(t)
-            c4 = chart.a4(t)
-            c6 = chart.a6(t)
-            fiber = p + 1  # the sum of 1's plus the point at infinity
-            for x in range(p):
-                val = ((x + c2) * x + c4) * x + c6
-                fiber += chi[val % p]
-            total += fiber
+            vals = _cubic_values(chart.a2(t), chart.a4(t), chart.a6(t), p)
+            total += p + 1 + sum(map(chi.__getitem__, vals))
     return total
+
+
+def _cubic_values(c2, c4, c6, p: int) -> list[int]:
+    """x^3 + c2 x^2 + c4 x + c6 mod p at x = 0, ..., p - 1."""
+    return [(((x + c2) * x + c4) * x + c6) % p for x in range(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,7 @@ class TwistTable:
         chi = _character_table(p)
         S, Z = [], []
         for t in range(p):
-            c2, c4, c6 = a2(t), a4(t), a6(t)
-            vals = [(((x + c2) * x + c4) * x + c6) % p for x in range(p)]
+            vals = _cubic_values(a2(t), a4(t), a6(t), p)
             S.append(sum(map(chi.__getitem__, vals)))
             Z.append(vals.count(0))
         cusps = {}
@@ -216,8 +214,8 @@ class TwistTable:
             inf_fiber = FpFiber(None, fib.kind, fib.n, fib.split, fib.r3)
         if any(f.kind != "I" for f in [*cusps.values(), inf_fiber] if f is not None):
             raise CountingError(f"twist table at p = {p} covers I_n fibers of g only")
-        c2, c4, c6 = chart.a2(0), chart.a4(0), chart.a6(0)
-        inf_count = p + 1 + sum(chi[(((x + c2) * x + c4) * x + c6) % p] for x in range(p))
+        inf_vals = _cubic_values(chart.a2(0), chart.a4(0), chart.a6(0), p)
+        inf_count = p + 1 + sum(map(chi.__getitem__, inf_vals))
         return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count)
 
     def fibers(self, lam: int) -> list[FpFiber]:

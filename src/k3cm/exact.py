@@ -5,7 +5,7 @@ anywhere in the package.  Four coefficient domains are supported:
 
   * QQ        -- arbitrary-precision rationals (fractions.Fraction)
   * GF(p)     -- the prime field, elements stored as ints in [0, p)
-  * ZMod(p,k) -- the ring Z/p^k, used for p-adic approximations
+  * PadicRing(p, k) -- the ring Z/p^k, used for p-adic approximations
   * QuadField(m) -- Q(sqrt(m)) for a squarefree integer m
 
 Polynomials carry their domain explicitly and refuse to mix domains;
@@ -254,9 +254,6 @@ class QuadNum:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __str__(self):
         return f"{format_rational(self.a)}+{format_rational(self.b)}*sqrt({self.m})"
 
@@ -297,6 +294,9 @@ class Domain:
 
     def is_zero(self, x) -> bool:
         return self.eq(x, self.zero)
+
+    def is_unit(self, x) -> bool:
+        return not self.is_zero(x)
 
     def pow(self, x, n: int):
         out = self.one
@@ -480,6 +480,9 @@ class PadicRing(Domain):
             raise ZeroDivisionError(f"{x} is not a unit in Z/{self.p}^{self.k}")
         return pow(x, -1, self.modulus)
 
+    def is_unit(self, x) -> bool:
+        return x % self.p != 0
+
     def div(self, x, y):
         return x * self.inv(y) % self.modulus
 
@@ -553,6 +556,34 @@ class QuadField(Domain):
 
     def __repr__(self):
         return f"Q(sqrt({self.m}))"
+
+
+def row_reduce(domain: Domain, rows, ncols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination on the first ncols columns over a domain.
+
+    Columns past ncols (right-hand sides) are carried along.  The pivot of a
+    column is the first remaining row whose entry is a unit of the domain; a
+    column without one is skipped.  Returns (rows, pivot columns): row i of
+    the result has a 1 in pivot column i and zeros elsewhere in that column,
+    and the rows past the pivots are zero in the first ncols columns when
+    the domain is a field.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if domain.is_unit(a[i][c])), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = domain.inv(a[r][c])
+        a[r] = [domain.mul(x, inv) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and not domain.is_zero(a[i][c]):
+                f = a[i][c]
+                a[i] = [domain.sub(x, domain.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -902,10 +933,6 @@ class RationalFunction:
     @property
     def domain(self):
         return self.num.domain
-
-    @staticmethod
-    def from_poly(f: Polynomial) -> "RationalFunction":
-        return RationalFunction(f)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -33,10 +33,6 @@ def _parse_bivariate(text: str) -> list[Polynomial]:
     return [Polynomial.from_text(QQ, part) for part in text.split("|")]
 
 
-def _format_bivariate(coeffs) -> str:
-    return "|".join(c.to_text() for c in coeffs)
-
-
 @dataclass
 class Family:
     name: str
@@ -47,7 +43,6 @@ class Family:
     pre_a4: tuple
     pre_a6: tuple
     mu: Fraction | None = None      # fixed modulus for one-parameter use
-    excluded_primes: tuple = ()
     cusp_table: dict = field(default_factory=dict)   # label -> cusp value text
     splitting: dict = field(default_factory=dict)    # label -> square-class data
     # p -> counting.TwistTable (or None where it does not apply), filled lazily
@@ -156,7 +151,6 @@ class Family:
                     bad |= c.content_primes()
             if self.mu is not None:
                 bad |= _fraction_primes(self.mu)
-            bad |= set(self.excluded_primes)
             bad |= self._collision_primes()
             self._bad_cache = bad
         return set(self._bad_cache)

@@ -38,6 +38,8 @@ def det_bareiss(m) -> int:
     """Exact determinant of an integer matrix (fraction-free elimination)."""
     a = [row[:] for row in m]
     n = len(a)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

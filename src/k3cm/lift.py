@@ -15,7 +15,15 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from k3cm.exact import GF, QQ, Polynomial, RationalFunction, rational_reconstruct
+from k3cm.exact import (
+    GF,
+    QQ,
+    PadicRing,
+    Polynomial,
+    RationalFunction,
+    rational_reconstruct,
+    row_reduce,
+)
 from k3cm.sections import verify_section
 from k3cm.surfaces import WeierstrassSurface, node_series
 
@@ -53,9 +61,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -160,9 +165,6 @@ class PolySystem:
             if eq.denominator_lcm() % p == 0:
                 raise LiftError(f"system coefficients are not {p}-integral")
 
-    def residuals(self, values, domain=QQ):
-        return [eq.evaluate(values, domain) for eq in self.equations]
-
 
 # ---------------------------------------------------------------------------
 # the section ansatz
@@ -188,15 +190,8 @@ class SectionAnsatz:
     expected_height: Fraction
     pin_index: int | None = None
 
-    @property
-    def m_index(self) -> int:
-        return self.n_u_free + self.n_w_free
-
     def u_for(self, values, domain=QQ) -> Polynomial:
         return Polynomial(domain, [a.evaluate(values, domain) for a in self.u_affine])
-
-    def w_for(self, values, domain=QQ) -> Polynomial:
-        return Polynomial(domain, [a.evaluate(values, domain) for a in self.w_affine])
 
     def pinned(self, j: int) -> "SectionAnsatz":
         """Gauge-fixed copy with free w-coordinate j set to 1."""
@@ -344,33 +339,9 @@ def _affine_solutions(rows, rhs, width, var_offset):
 
     Returns (affine list over a temporary variable count, n_free).
     """
-    n = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    # row reduce
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, n):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][width] != 0:
-            raise LiftError("contact plan is linearly inconsistent")
+    aug, pivots = row_reduce(QQ, [row + [b] for row, b in zip(rows, rhs)], width)
+    if any(row[width] for row in aug[len(pivots):]):
+        raise LiftError("contact plan is linearly inconsistent")
     free_cols = [c for c in range(width) if c not in pivots]
     nfree = len(free_cols)
     # temporary total variable count: var_offset + nfree + slack; expanded later
@@ -495,33 +466,10 @@ def _match_w_affine(ansatz, w: Polynomial, zu, m, F):
                 row[i - nu] = F.add(row[i - nu], cval)
         rows.append(row)
         rhs.append(F.sub(w[j] if j <= w.degree else F.zero, const))
-    # gaussian solve
-    n = len(rows)
-    aug = [rows[i][:] + [rhs[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(nw):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = F.inv(aug[r][c])
-        aug[r] = [F.mul(x, inv) for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][nw] != 0:
-            return None
-    if r < nw:
-        return None  # underdetermined w should not happen for our plans
-    out = [0] * nw
-    for i, c in enumerate(piv_cols):
-        out[c] = aug[i][nw]
-    return out
+    aug, pivots = row_reduce(F, [row + [b] for row, b in zip(rows, rhs)], nw)
+    if len(pivots) < nw or any(row[nw] for row in aug[nw:]):
+        return None  # inconsistent; an underdetermined w does not occur for our plans
+    return [row[nw] for row in aug[:nw]]
 
 
 def newton_double(system: PolySystem, solution, p: int, k: int, row_choice=None):
@@ -533,8 +481,8 @@ def newton_double(system: PolySystem, solution, p: int, k: int, row_choice=None)
     """
     n = len(system.variables)
     mod_small = p ** k
-    mod = p ** (2 * k)
-    F = GF(p)
+    ring = PadicRing(p, 2 * k)
+    mod = ring.modulus
     # residuals must vanish mod p^k
     for eq in system.equations:
         if _eval_int(eq, solution, mod_small) % mod_small:
@@ -552,7 +500,7 @@ def newton_double(system: PolySystem, solution, p: int, k: int, row_choice=None)
     jac = [
         [_eval_int(eq.derivative(j), solution, mod) for j in range(n)] for eq in eqs
     ]
-    delta = _solve_linear_mod(jac, [-f % mod for f in fvec], p, mod)
+    delta = _solve_linear_mod(jac, [-f % mod for f in fvec], ring)
     new = tuple((s + d) % mod for s, d in zip(solution, delta))
     for eq in system.equations:
         if _eval_int(eq, new, mod) % mod:
@@ -574,55 +522,51 @@ def _eval_int(eq: MultiPoly, values, mod: int) -> int:
 
 
 def _independent_rows(jac_p, p):
-    """Indices of rows forming an invertible square submatrix mod p."""
+    """The first rows of jac_p, in order, forming an invertible square submatrix mod p.
+
+    Taking each row that is independent of those already taken is the same
+    as taking the pivot columns of the transpose in reduced echelon form.
+    None when the rank is below the number of columns.
+    """
     n = len(jac_p[0]) if jac_p else 0
-    chosen = []
-    basis = []
-    for idx, row in enumerate(jac_p):
-        cand = basis + [row[:]]
-        if _rank_mod(cand, p) == len(cand):
-            basis = cand
-            chosen.append(idx)
-            if len(chosen) == n:
-                return chosen
-    return None
+    _, pivots = row_reduce(GF(p), [list(col) for col in zip(*jac_p)], len(jac_p))
+    return pivots if len(pivots) == n else None
 
 
-def _rank_mod(rows, p):
-    m = [r[:] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _solve_linear_mod(a, b, p: int, mod: int):
-    """Solve a x = b mod p^k for a matrix invertible mod p."""
+def _solve_linear_mod(a, b, ring: PadicRing):
+    """Solve a x = b in Z/p^k (the ring) for a matrix invertible mod p."""
     n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            raise LiftError("Jacobian lost invertibility mod p")
-        m[c], m[piv] = m[piv], m[c]
-        inv = pow(m[c][c], -1, mod)
-        m[c] = [x * inv % mod for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % mod for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+    m, pivots = row_reduce(ring, [row + [v] for row, v in zip(a, b)], n)
+    if len(pivots) < n:
+        raise LiftError("Jacobian lost invertibility mod p")
+    return [row[n] for row in m]
+
+
+def _lift_one(system: PolySystem, sol, p: int, max_doublings: int, trace):
+    """Newton-double one mod-p solution, reconstructing and verifying after each step.
+
+    Returns (values, approximation): values is the exact rational solution
+    satisfying every equation and guard over Q, or None when the precision
+    budget runs out or a step fails; the approximation is the last one reached.
+    Each completed step appends (p, k) to trace when a list is given.
+    """
+    cur, k, row_choice = sol, 1, None
+    for _ in range(max_doublings):
+        try:
+            cur, row_choice = newton_double(system, cur, p, k, row_choice)
+        except LiftError:
+            break
+        k *= 2
+        if trace is not None:
+            trace.append((p, k))
+        mod = p ** k
+        cand = [rational_reconstruct(c % mod, mod) for c in cur]
+        if any(c is None for c in cand):
+            continue
+        values = tuple(cand)
+        if all(eq.evaluate(values, QQ) == 0 for eq in system.equations + system.guards):
+            return values, cur
+    return None, cur
 
 
 def lift_and_verify(ansatz: SectionAnsatz, p: int, max_doublings: int = 10, trace=None):
@@ -641,29 +585,10 @@ def lift_and_verify(ansatz: SectionAnsatz, p: int, max_doublings: int = 10, trac
             sols = solve_mod_p(fixed, p)
         except LiftError:
             continue
-        system = fixed.system
         for sol in sols:
-            cur = sol
-            k = 1
-            row_choice = None
-            for _ in range(max_doublings):
-                try:
-                    cur, row_choice = newton_double(system, cur, p, k, row_choice)
-                except LiftError:
-                    break
-                k *= 2
-                if trace is not None:
-                    trace.append((p, k))
-                mod = p ** k
-                cand = [rational_reconstruct(c % mod, mod) for c in cur]
-                if any(c is None for c in cand):
-                    continue
-                values = tuple(cand)
-                if all(eq.evaluate(values, QQ) == 0 for eq in system.equations) and all(
-                    g.evaluate(values, QQ) == 0 for g in system.guards
-                ):
-                    return values, fixed
-            best = cur
+            values, best = _lift_one(fixed.system, sol, p, max_doublings, trace)
+            if values is not None:
+                return values, fixed
     if best is not None:
         raise LiftError(f"precision budget exhausted; best approximation {best}")
     raise LiftError("no mod-p solution lifted to Q")
@@ -696,27 +621,9 @@ def lift_system(system: PolySystem, p: int, max_doublings: int = 10, trace=None)
     ]
     best = None
     for sol in sols:
-        cur = sol
-        k = 1
-        row_choice = None
-        for _ in range(max_doublings):
-            try:
-                cur, row_choice = newton_double(system, cur, p, k, row_choice)
-            except LiftError:
-                break
-            k *= 2
-            if trace is not None:
-                trace.append((p, k))
-            mod = p ** k
-            cand = [rational_reconstruct(c % mod, mod) for c in cur]
-            if any(c is None for c in cand):
-                continue
-            values = tuple(cand)
-            if all(eq.evaluate(values, QQ) == 0 for eq in system.equations) and all(
-                g.evaluate(values, QQ) == 0 for g in system.guards
-            ):
-                return values
-        best = cur
+        values, best = _lift_one(system, sol, p, max_doublings, trace)
+        if values is not None:
+            return values
     if best is not None:
         raise LiftError(f"no rational solution found; best approximation {best}")
     raise LiftError("no mod-p solution exists")

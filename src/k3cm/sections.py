@@ -9,6 +9,7 @@ Neron-Severi discriminant from the Mordell-Weil determinant formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -25,11 +26,12 @@ from k3cm.exact import (
     ratfun_series,
     squarefree_part,
 )
-from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram
+from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram, det_bareiss
 from k3cm.surfaces import (
     Cusp,
     FiberDescriptor,
     WeierstrassSurface,
+    _critical_point_series,
     node_series,
     squarefree_decomposition,
 )
@@ -271,7 +273,7 @@ def _star_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     x4 = poly_series(surf_c.a4, t0, prec + 2)
     a2b = Series(dom, x2.coeffs[1:], prec)
     a4b = Series(dom, x4.coeffs[2:], prec)
-    node = _untwisted_node_series(dom, a2b, a4b, _embed(dom, fiber.double_root), prec)
+    node = _critical_point_series(a2b, a4b, _embed(dom, fiber.double_root))
     diff = X - node
     vdiff = diff.valuation()
     need = (m + 1) // 2
@@ -282,23 +284,6 @@ def _star_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     raise SectionError(
         f"section depth at {fiber} lands on a double component (v = {vdiff})"
     )
-
-
-def _untwisted_node_series(dom, a2b: Series, a4b: Series, x0, prec: int) -> Series:
-    """Newton root of 3X^2 + 2(a2/pi)X + (a4/pi^2) near the double root x0."""
-    three = Series(dom, [dom.from_fraction(Fraction(3))], prec)
-    two = Series(dom, [dom.from_fraction(Fraction(2))], prec)
-    six = Series(dom, [dom.from_fraction(Fraction(6))], prec)
-    x = Series(dom, [x0], prec)
-    for _ in range(prec.bit_length() + 2):
-        fp = three * x * x + two * a2b * x + a4b
-        fs = six * x + two * a2b
-        if dom.is_zero(fs.coeffs[0]):
-            raise SectionError("degenerate untwisted node")
-        x = x - fp / fs
-        if fp.is_zero_to_prec():
-            break
-    return x
 
 
 def _orbit_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
@@ -499,7 +484,8 @@ def ns_discriminant(surface, sections, torsion_order: int = 1) -> int:
         for j in range(i, k):
             val = pairing(surface, sections[i], sections[j]) if i != j else height(sections[i])
             gram[i][j] = gram[j][i] = val
-    det = _fraction_det(gram)
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    det = Fraction(det_bareiss([[int(x * scale) for x in row] for row in gram]), scale ** k)
     if det <= 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
     prod = 1
@@ -510,30 +496,6 @@ def ns_discriminant(surface, sections, torsion_order: int = 1) -> int:
     if disc.denominator != 1:
         raise SectionError(f"non-integral Neron-Severi discriminant {disc}")
     return int(disc)
-
-
-def _fraction_det(m) -> Fraction:
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 # ---------------------------------------------------------------------------

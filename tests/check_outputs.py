@@ -1,0 +1,86 @@
+"""Write the stdout of the user-facing commands, one file each, for `diff -r`.
+
+    PYTHONPATH=src python tests/check_outputs.py OUTDIR
+
+Runs, in-process unless noted:
+
+* `k3cm regression --subset all`
+* `k3cm verify` for the 39 surfaces the certify workload checks: the 9
+  example fixtures, plus surface files for the 25 non-defective Table 1 rows
+  and the 5 extremal rows, written by `perfbench/workloads.certify`
+* `k3cm tlattice` for the 9 example fixtures
+* the 4 demos (each in a subprocess that imports the same k3cm)
+* `k3cm lift --system` on the one-variable system of `test_cli`
+
+Each command's stdout goes to OUTDIR/<command>.txt; OUTDIR/exit_codes.txt
+lists every exit code.  A refactor that claims byte-identical output runs
+this once on the old tree and once on the new one (each with its own
+PYTHONPATH) and compares the two directories with `diff -r`.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import k3cm  # noqa: E402
+from k3cm.fixtures import registry  # noqa: E402
+
+import workloads  # noqa: E402
+
+LIFT_SYSTEM = "[system]\nvars = x\neq1 = 1:2 + -4/9:0\n"
+
+
+def run_cli(argv) -> tuple[int, str]:
+    code, out, _ = workloads._cli(argv)
+    return code, out
+
+
+def run_demo(path: Path) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(k3cm.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+def commands(workdir: str):
+    """(file stem, thunk returning (exit code, stdout)) for every command."""
+    yield "regression_all", lambda: run_cli(["regression", "--subset", "all"])
+    examples = sorted(registry().surfaces)
+    workloads.certify(0, workdir)   # writes the Table 1 and extremal surface files
+    files = sorted(Path(workdir).glob("*.surf"))
+    for target in examples + [str(f) for f in files]:
+        stem = Path(target).stem
+        yield f"verify_{stem}", lambda t=target: run_cli(["verify", "--surface", t])
+    for name in examples:
+        yield f"tlattice_{name}", lambda n=name: run_cli(["tlattice", "--surface", n])
+    for demo in sorted((REPO / "demos").glob("demo_*.py")):
+        yield demo.stem, lambda d=demo: run_demo(d)
+    system = Path(workdir) / "sq.system"
+    system.write_text(LIFT_SYSTEM)
+    yield "lift_system", lambda: run_cli(["lift", "--system", str(system), "--prime", "7"])
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    codes = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for stem, thunk in commands(workdir):
+            code, out = thunk()
+            (outdir / f"{stem}.txt").write_text(out)
+            codes.append(f"{stem}\t{code}")
+            print(f"{stem}: exit {code}", file=sys.stderr)
+    (outdir / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+    print(f"{len(codes)} outputs written to {outdir}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

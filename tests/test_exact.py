@@ -22,6 +22,7 @@ from k3cm.exact import (
     rational_reconstruct,
     ratfun_series,
     resultant,
+    row_reduce,
     is_square,
     rational_sqrt,
     roots_mod_p,
@@ -239,6 +240,52 @@ def test_padic_ring():
         R.inv(7)
     with pytest.raises(DomainError):
         R.from_fraction(Fraction(1, 7))
+    # a unit of Z/p^k is a residue prime to p; in a field, any non-zero element
+    assert R.is_unit(1) and R.is_unit(8) and R.is_unit(48)
+    assert not any(R.is_unit(x) for x in (0, 7, 14, 42))
+    assert GF(7).is_unit(3) and not GF(7).is_unit(0)
+    assert QQ.is_unit(Fraction(7, 3)) and not QQ.is_unit(Fraction(0))
+
+
+def test_row_reduce_over_q():
+    F = Fraction
+    rows = [[F(1), F(2), F(0), F(3)], [F(2), F(4), F(1), F(7)], [F(0), F(0), F(1), F(1)]]
+    reduced, pivots = row_reduce(QQ, rows, 3)
+    assert pivots == [0, 2]            # column 1 is twice column 0
+    assert reduced == [[1, 2, 0, 3], [0, 0, 1, 1], [0, 0, 0, 0]]
+    assert rows[1] == [2, 4, 1, 7]     # the input is not modified
+    # the same system with an inconsistent right-hand side: 0 = 1 past the pivots
+    rows[2][3] = F(2)
+    reduced, pivots = row_reduce(QQ, rows, 3)
+    assert pivots == [0, 2] and reduced[2] == [0, 0, 0, 1]
+    reduced, pivots = row_reduce(QQ, [[F(2), F(1), F(1)]], 2)
+    assert pivots == [0] and reduced == [[1, F(1, 2), F(1, 2)]]
+
+
+def test_row_reduce_over_gf7():
+    F7 = GF(7)
+    # 3x + y = 2, x + 4y = 5 mod 7 (determinant 11 = 4)
+    reduced, pivots = row_reduce(F7, [[3, 1, 2], [1, 4, 5]], 2)
+    assert pivots == [0, 1]
+    x, y = reduced[0][2], reduced[1][2]
+    assert (3 * x + y - 2) % 7 == 0 and (x + 4 * y - 5) % 7 == 0
+    assert reduced[0][:2] == [1, 0] and reduced[1][:2] == [0, 1]
+    # determinant 3 * 5 - 1 = 14 = 0 mod 7: one pivot, the second row vanishes
+    reduced, pivots = row_reduce(F7, [[3, 1], [1, 5]], 2)
+    assert pivots == [0] and reduced[1] == [0, 0]
+
+
+def test_row_reduce_over_padic_ring():
+    R = PadicRing(7, 2)
+    # column 0 holds 7 (not a unit) and 1: the row with 1 is the pivot
+    reduced, pivots = row_reduce(R, [[7, 1, 0], [1, 2, 3]], 2)
+    assert pivots == [0, 1]
+    assert reduced[0][:2] == [1, 0] and reduced[1][:2] == [0, 1]
+    x, y = reduced[0][2], reduced[1][2]
+    assert (7 * x + y) % 49 == 0 and (x + 2 * y - 3) % 49 == 0
+    # a column of non-units has no pivot even though it is non-zero
+    reduced, pivots = row_reduce(R, [[7, 1], [14, 2]], 1)
+    assert pivots == [] and reduced == [[7, 1], [14, 2]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from k3cm.exact import QQ, RationalFunction
+from k3cm import lift
+from k3cm.exact import QQ, PadicRing, RationalFunction
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lift import (
     LiftError,
     MultiPoly,
     PolySystem,
+    _independent_rows,
+    _solve_linear_mod,
     build_ansatz,
     lift_and_verify,
     lift_system,
@@ -102,9 +106,12 @@ def test_disc88_roundtrip(reg, fam):
     assert ks == [2 ** (i + 1) for i in range(len(ks))]
 
 
-def test_roundtrip_low_height_rows(reg, fam):
-    # configurable subset: rows whose section was derived by hand-solvable
-    # linear constraints; the pipeline must reproduce u exactly
+def low_height_lifts(reg, fam):
+    """(row, surface, fibers, plan, p, printed section) for the -88, -312 and -520 rows.
+
+    Rows whose section was derived by hand-solvable linear constraints; the
+    plan is read off the printed section's contacts.
+    """
     targets = {-88, -312, -520}
     for row in reg.table1:
         if row.disc not in targets or row.status == "defective":
@@ -121,8 +128,113 @@ def test_roundtrip_low_height_rows(reg, fam):
         p = next(
             p for p in oracle.split_primes(60) if p not in fam.bad_primes(60)
         )
+        yield row, surf, fibers, plan, p, sec0
+
+
+def test_roundtrip_low_height_rows(reg, fam):
+    # the pipeline must reproduce u exactly
+    for row, surf, fibers, plan, p, sec0 in low_height_lifts(reg, fam):
         sec = recover_section(surf, fibers, plan, p, expected_disc=row.disc)
         assert sec.u == sec0.u, row.disc
+
+
+# ---------------------------------------------------------------------------
+# the Newton step's linear algebra against the elimination it replaced
+# ---------------------------------------------------------------------------
+
+def greedy_rank_mod(rows, p):
+    """Reference rank mod p, by its own Gauss-Jordan loop."""
+    m = [r[:] for r in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] % p), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c] % p:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def greedy_rows(jac_p, p):
+    """Reference row choice: keep each row that raises the rank mod p."""
+    n = len(jac_p[0]) if jac_p else 0
+    chosen, basis = [], []
+    for idx, row in enumerate(jac_p):
+        if greedy_rank_mod(basis + [row], p) == len(basis) + 1:
+            basis.append(row)
+            chosen.append(idx)
+            if len(chosen) == n:
+                return chosen
+    return None
+
+
+def test_row_choice_matches_greedy_on_lift_jacobians(reg, fam, monkeypatch):
+    seen = []
+
+    def recording(jac_p, p):
+        got = _independent_rows(jac_p, p)
+        seen.append((jac_p, p, got))
+        return got
+
+    monkeypatch.setattr(lift, "_independent_rows", recording)
+    discs = set()
+    for row, surf, fibers, plan, p, sec0 in low_height_lifts(reg, fam):
+        assert recover_section(surf, fibers, plan, p, expected_disc=row.disc).u == sec0.u
+        discs.add(row.disc)
+    assert discs == {-88, -312, -520}
+    assert seen
+    for jac_p, p, got in seen:
+        assert got is not None and got == greedy_rows(jac_p, p)
+
+
+def test_row_choice_matches_greedy_on_random_matrices():
+    rng = random.Random(5)
+    outcomes = set()
+    for p in (7, 19):
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            m = rng.randint(n, n + 4)
+            if rng.random() < 0.3:
+                # rank at most r < n: a product through an r-dimensional space
+                r = rng.randint(0, n - 1)
+                left = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
+                right = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+                jac = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                       if r else [0] * n for row in left]
+            else:
+                jac = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            got = _independent_rows(jac, p)
+            assert got == greedy_rows(jac, p), (p, jac)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_solve_linear_mod_solves_mod_p_power():
+    rng = random.Random(11)
+    for p, k in ((7, 2), (7, 4), (19, 2), (19, 8)):
+        ring = PadicRing(p, k)
+        mod = p ** k
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            while True:
+                a = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+                if greedy_rank_mod(a, p) == n:
+                    break
+            b = [rng.randrange(mod) for _ in range(n)]
+            x = _solve_linear_mod(a, b, ring)
+            assert all(
+                (sum(aij * xj for aij, xj in zip(row, x)) - bi) % mod == 0
+                for row, bi in zip(a, b)
+            )
+    with pytest.raises(LiftError):
+        _solve_linear_mod([[7, 1], [14, 2]], [1, 1], PadicRing(7, 2))
 
 
 def test_mod_p_solution_count_at_split_prime(reg, fam):

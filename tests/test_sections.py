@@ -151,6 +151,10 @@ def test_assemble_matches_mwl_route_on_table1(reg, fam):
         surf = fam.specialize(row.lam)
         sec = verify_section(surf, parse_ratfun(row.u_text))
         assert assemble_ns(surf, [sec]).det == ns_discriminant(surf, [sec])
+    # Mordell-Weil rank 0: the empty height Gram has determinant 1
+    for fx in reg.extremal:
+        surf = fx.build_surface(reg)
+        assert assemble_ns(surf, []).det == ns_discriminant(surf, []) == fx.expected_disc
 
 
 def test_two_adic_height_integrality(reg, fam):
