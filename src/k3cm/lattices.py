@@ -178,44 +178,39 @@ class GramLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def signature(self) -> tuple[int, int]:
-        """(n_plus, n_minus) over Q by exact congruent diagonalization."""
+        """(n_plus, n_minus) over Q by fraction-free (Bareiss) congruent elimination.
+
+        The k-th pivot, M_k / M_{k-1} in leading principal minors, has sign
+        sign(M_k) * sign(M_{k-1}).  A zero pivot is first replaced by
+        congruence: a swap with a later nonzero diagonal entry, or adding a
+        row and column that meets row k off the diagonal.
+        """
         n = self.rank
-        a = [[Fraction(x) for x in row] for row in self.gram]
-        pos = neg = 0
+        a = [list(row) for row in self.gram]
+        pos, neg, prev = 0, 0, 1
         for k in range(n):
             if a[k][k] == 0:
-                # find i > k with a[i][i] != 0 or combine rows to create one
-                found = False
-                for i in range(k + 1, n):
-                    if a[i][i] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        for r in range(n):
-                            a[r][k], a[r][i] = a[r][i], a[r][k]
-                        found = True
-                        break
-                if not found:
-                    for i in range(k + 1, n):
-                        if a[k][i] != 0:
-                            for j in range(n):
-                                a[k][j] += a[i][j]
-                            for j in range(n):
-                                a[j][k] += a[j][i]
-                            found = True
-                            break
-                if not found:
-                    raise ValueError("degenerate lattice")
+                i = next((i for i in range(k + 1, n) if a[i][i]), None)
+                if i is not None:
+                    a[k], a[i] = a[i], a[k]
+                    for row in a:
+                        row[k], row[i] = row[i], row[k]
+                else:
+                    i = next((i for i in range(k + 1, n) if a[k][i]), None)
+                    if i is None:
+                        raise ValueError("degenerate lattice")
+                    a[k] = [x + y for x, y in zip(a[k], a[i])]
+                    for row in a:
+                        row[k] += row[i]
             piv = a[k][k]
-            if piv > 0:
+            if (piv > 0) == (prev > 0):
                 pos += 1
             else:
                 neg += 1
             for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] / piv
-                    for j in range(n):
-                        a[i][j] -= f * a[k][j]
-                    for j in range(n):
-                        a[j][i] -= f * a[j][k]
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+            prev = piv
         return pos, neg
 
 

@@ -134,9 +134,11 @@ class WeierstrassSurface:
     Degree bounds deg a2 <= 4, deg a4 <= 8, deg a6 <= 12 certify the K3
     property together with the Euler-number check done at classification.
     The chart at infinity and the fiber list are derived once, on first use.
+    The chart at infinity and a mapped model take c4, c6, Delta from the parent.
     """
 
-    def __init__(self, a2: Polynomial, a4: Polynomial, a6: Polynomial, name: str = ""):
+    def __init__(self, a2: Polynomial, a4: Polynomial, a6: Polynomial, name: str = "",
+                 _invariants=None):
         if not (a2.domain == a4.domain == a6.domain):
             raise DomainError("surface coefficients must share one domain")
         if a2.degree > 4 or a4.degree > 8 or a6.degree > 12:
@@ -144,7 +146,7 @@ class WeierstrassSurface:
         self.domain = a2.domain
         self.a2, self.a4, self.a6 = a2, a4, a6
         self.name = name
-        self.c4, self.c6, self.delta = _discriminant_polys(a2, a4, a6)
+        self.c4, self.c6, self.delta = _invariants or _discriminant_polys(a2, a4, a6)
         if self.delta.is_zero():
             raise SurfaceError("identically singular model (Delta = 0)")
         self._flipped = None
@@ -174,6 +176,7 @@ class WeierstrassSurface:
             self._flipped = WeierstrassSurface(
                 self.a2.reverse(4), self.a4.reverse(8), self.a6.reverse(12),
                 name=f"{self.name}~inf",
+                _invariants=(self.c4.reverse(8), self.c6.reverse(12), self.delta.reverse(24)),
             )
         return self._flipped
 
@@ -183,6 +186,7 @@ class WeierstrassSurface:
             self.a4.map_domain(target),
             self.a6.map_domain(target),
             name=self.name,
+            _invariants=tuple(f.map_domain(target) for f in (self.c4, self.c6, self.delta)),
         )
 
     def __repr__(self):

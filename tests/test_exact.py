@@ -105,6 +105,10 @@ def test_valuation_at():
     assert f.valuation_at(Fraction(0)) == 2
     assert f.valuation_at(Fraction(1)) == 1
     assert P(QQ, 5).valuation_at(Fraction(0)) == 0
+    g = P(QQ, Fraction(-5, 32), 1) ** 3 * P(QQ, Fraction(1, 3), 7) * P(QQ, 0, Fraction(2, 9))
+    assert g.valuation_at(Fraction(5, 32)) == 3
+    assert g.valuation_at(Fraction(-1, 21)) == 1
+    assert g.valuation_at(0) == 1 and g.valuation_at(Fraction(5, 16)) == 0
     with pytest.raises(ValueError):
         Polynomial(QQ, []).valuation_at(Fraction(0))
 
@@ -211,6 +215,52 @@ def test_quadnum_mixed_radicands_rejected():
         QuadNum(1, 1, 23) + QuadNum(1, 1, 15)
     with pytest.raises(DomainError):
         QuadField(12)   # not squarefree
+
+
+def reference_squarefree_part(n: int) -> int:
+    """Squarefree kernel by trial division all the way to sqrt(|n|)."""
+    if n == 0:
+        return 0
+    sign, n, out, d = (-1 if n < 0 else 1), abs(n), 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out *= d
+        d += 1
+    return sign * out * n
+
+
+def test_squarefree_part_matches_trial_division():
+    rng = random.Random(23)
+    values = list(range(-3000, 3001))
+    values += [rng.choice((1, -1)) * rng.getrandbits(40) for _ in range(100)]
+    for n in values:
+        assert squarefree_part(n) == reference_squarefree_part(n), n
+    # k * q^2 with a prime q > 10^6: the square cofactor is never trial-divided
+    for q in (1000003, 4546849):
+        assert is_prime(q)
+        for k in range(-60, 61):
+            assert squarefree_part(k * q * q) == reference_squarefree_part(k), (k, q)
+
+
+def test_invalid_radicands_raise_after_valid_ones_are_cached():
+    for m in (23, -1, 21, 5):
+        QuadField(m)
+        QuadNum(1, 1, m)
+    for _ in range(2):
+        for make in (lambda m: QuadNum(1, 1, m), QuadField):
+            for m in (4, 12, 0, 1, -8):
+                with pytest.raises(DomainError):
+                    make(m)
+
+
+def test_rational_field_constants():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert QQ.zero == 0 and QQ.one == 1 and isinstance(QQ.zero, Fraction)
+    assert QQ.is_zero(0) and QQ.is_zero(Fraction(0, 7)) and not QQ.is_zero(Fraction(1, 3))
 
 
 def test_quadnum_parse():

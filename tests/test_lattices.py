@@ -17,6 +17,7 @@ from k3cm.lattices import (
     smith_normal_form,
 )
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
+from k3cm.sections import assemble_ns
 
 
 def test_smith_examples():
@@ -142,6 +143,117 @@ def test_assemble_im_star_block_disc():
     assert lat.rank == 20
     assert lat.det == -840
     assert lat.signature() == (1, 19)
+
+
+# -- signature against the Fraction diagonalization it replaced -------------------
+
+def fraction_signature(gram):
+    """Reference (n_plus, n_minus): congruent diagonalization over Fraction."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            # find i > k with a[i][i] != 0 or combine rows to create one
+            found = False
+            for i in range(k + 1, n):
+                if a[i][i] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    for r in range(n):
+                        a[r][k], a[r][i] = a[r][i], a[r][k]
+                    found = True
+                    break
+            if not found:
+                for i in range(k + 1, n):
+                    if a[k][i] != 0:
+                        for j in range(n):
+                            a[k][j] += a[i][j]
+                        for j in range(n):
+                            a[j][k] += a[j][i]
+                        found = True
+                        break
+            if not found:
+                raise ValueError("degenerate lattice")
+        piv = a[k][k]
+        if piv > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / piv
+                for j in range(n):
+                    a[i][j] -= f * a[k][j]
+                for j in range(n):
+                    a[j][i] -= f * a[j][k]
+    return pos, neg
+
+
+def signatures(gram):
+    """(integer signature, reference signature), or the errors they raise."""
+    out = []
+    for sig in (lambda g: GramLattice(g).signature(), fraction_signature):
+        try:
+            out.append(sig(gram))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def direct_sum(*grams):
+    n = sum(len(g) for g in grams)
+    out, off = [[0] * n for _ in range(n)], 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[off + i][off:off + len(row)] = row
+        off += len(g)
+    return out
+
+
+U_GRAM = [[0, 1], [1, 0]]
+# E8(-1): a chain of seven vertices with an eighth on the fifth
+E8_NEG = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
+for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]:
+    E8_NEG[i][j] = E8_NEG[j][i] = 1
+
+
+def test_signature_matches_fraction_reference_on_zero_diagonal_forms():
+    # U and U+U have no nonzero diagonal entry: the pivot is made by adding a
+    # row and column; U+E8(-1) and E8(-1)+U reach that step after swaps
+    cases = {
+        "U": (U_GRAM, (1, 1)),
+        "U+U": (direct_sum(U_GRAM, U_GRAM), (2, 2)),
+        "U+E8(-1)": (direct_sum(U_GRAM, E8_NEG), (1, 9)),
+        "E8(-1)+U": (direct_sum(E8_NEG, U_GRAM), (1, 9)),
+        "E8(-1)": (E8_NEG, (0, 8)),
+    }
+    for name, (gram, expected) in cases.items():
+        assert signatures(gram) == [expected, expected], name
+    assert GramLattice(E8_NEG).det == 1
+    assert signatures([[0, 0], [0, 0]]) == ["degenerate lattice"] * 2
+    assert signatures(direct_sum(U_GRAM, [[0]])) == ["degenerate lattice"] * 2
+
+
+def test_signature_matches_fraction_reference_on_random_forms():
+    rng = random.Random(8)
+    degenerate = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 0 if rng.random() < 0.5 else rng.randint(-4, 4)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.choice((0, 0, rng.randint(-3, 3)))
+        mine, ref = signatures(g)
+        assert mine == ref, g
+        degenerate += isinstance(ref, str)
+    assert 0 < degenerate < 400
+
+
+def test_signature_matches_fraction_reference_on_certified_lattices(certified):
+    for name, surf, secs in certified:
+        ns = assemble_ns(surf, secs)
+        assert signatures(ns.gram) == [(1, 19), (1, 19)], name
 
 
 # -- p-primary split ---------------------------------------------------------------

@@ -107,12 +107,14 @@ def test_disc88_roundtrip(reg, fam):
 
 
 def low_height_lifts(reg, fam):
-    """(row, surface, fibers, plan, p, printed section) for the -88, -312 and -520 rows.
+    """(row, surface, fibers, plan, p, printed section) for five low-height rows.
 
-    Rows whose section was derived by hand-solvable linear constraints; the
-    plan is read off the printed section's contacts.
+    The -88, -312 and -520 rows, whose section was derived by hand-solvable
+    linear constraints, meet one-column Jacobians; the -708 and -1380 rows
+    meet 9x3 and 11x5 ones.  The plan is read off the printed section's
+    contacts.
     """
-    targets = {-88, -312, -520}
+    targets = {-88, -312, -520, -708, -1380}
     for row in reg.table1:
         if row.disc not in targets or row.status == "defective":
             continue
@@ -188,7 +190,7 @@ def test_row_choice_matches_greedy_on_lift_jacobians(reg, fam, monkeypatch):
     for row, surf, fibers, plan, p, sec0 in low_height_lifts(reg, fam):
         assert recover_section(surf, fibers, plan, p, expected_disc=row.disc).u == sec0.u
         discs.add(row.disc)
-    assert discs == {-88, -312, -520}
+    assert discs == {-88, -312, -520, -708, -1380}
     assert seen
     for jac_p, p, got in seen:
         assert got is not None and got == greedy_rows(jac_p, p)

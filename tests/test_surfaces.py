@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.exact import QQ, Polynomial, QuadField
+from k3cm.exact import GF, QQ, Polynomial, QuadField
 from k3cm.fixtures import registry
 from k3cm.surfaces import (
     SurfaceError,
     UnsupportedFiberError,
     WeierstrassSurface,
+    _discriminant_polys,
     classify_fibers,
     node_series,
     rational_roots,
@@ -119,6 +120,33 @@ def test_chart_at_infinity_and_fibers_are_derived_once(fam, monkeypatch):
     assert surf.flipped() is surf.flipped()
     assert surf.fibers is surf.fibers
     assert calls == [surf]
+
+
+def test_derived_models_carry_their_own_invariants(certified):
+    # the chart at infinity and each mapped model take c4, c6 and Delta from
+    # their parent; they must equal those computed from the model's own a_i
+    def own(model):
+        return _discriminant_polys(model.a2, model.a4, model.a6)
+
+    fields = set()
+    for name, surf, secs in certified:
+        domains = {sec.u.domain for sec in secs} - {QQ}
+        fields |= domains
+        models = [surf.flipped(), surf.map_domain(GF(10007))]
+        for K in domains:
+            models += [surf.map_domain(K), surf.map_domain(K).flipped()]
+        for model in models:
+            assert (model.c4, model.c6, model.delta) == own(model), (name, model.domain)
+    assert fields == {QuadField(21), QuadField(23), QuadField(85)}
+
+
+def test_mapped_model_with_vanishing_delta_is_rejected():
+    # Delta is 16 times an integral expression in the a_i: it vanishes mod 2
+    surf = WeierstrassSurface(P(1), P(0, 1), P(0, 0, 1))
+    assert not surf.delta.is_zero()
+    with pytest.raises(SurfaceError, match="Delta = 0"):
+        surf.map_domain(GF(2))
+    assert not surf.map_domain(GF(3)).delta.is_zero()
 
 
 def test_degree_bounds_enforced():
