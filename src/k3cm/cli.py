@@ -15,24 +15,13 @@ from k3cm.exact import format_rational, parse_rational, primes_up_to
 
 def _load_family(spec: str):
     """A registry family name, or a path to a family fixture file."""
-    from k3cm.families import family_from_fields
-    from k3cm.fixtures import parse_blocks, registry
+    from k3cm.fixtures import family_from_text, registry
 
     reg = registry()
     if spec in reg._families:
         return reg.family(spec)
-    fields, cusps, splitting = {}, {}, {}
     with open(spec) as fh:
-        for name, kv in parse_blocks(fh.read()):
-            if name == "family":
-                fields.update(kv)
-            elif name == "cusps":
-                cusps.update(kv)
-            elif name == "splitting":
-                splitting.update(kv)
-    fields["cusps"] = cusps
-    fields["splitting"] = splitting
-    return family_from_fields(fields)
+        return family_from_text(fh.read())
 
 
 def _load_surface_file(path: str):

@@ -72,6 +72,20 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; none for 0 and +-1."""
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def squarefree_part(n: int) -> int:
     """Squarefree kernel of n (sign preserved); 0 for 0.
 
@@ -410,33 +424,6 @@ class PrimeField(Domain):
 
     def format(self, x) -> str:
         return str(x % self.p)
-
-    def sqrt(self, x):
-        """A square root mod p, or None (Tonelli-Shanks)."""
-        p = self.p
-        x %= p
-        if x == 0:
-            return 0
-        if pow(x, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            return pow(x, (p + 1) // 4, p)
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-        return r
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -876,19 +863,7 @@ class Polynomial:
 
     def content_primes(self) -> set[int]:
         """Primes dividing any coefficient denominator (Q coefficients only)."""
-        out: set[int] = set()
-        for c in self.coeffs:
-            den = Fraction(c).denominator
-            d = 2
-            while d * d <= den:
-                if den % d == 0:
-                    out.add(d)
-                    while den % d == 0:
-                        den //= d
-                d += 1
-            if den > 1:
-                out.add(den)
-        return out
+        return {q for c in self.coeffs for q in prime_divisors(Fraction(c).denominator)}
 
 
 def _integer_coeffs(coeffs) -> tuple[list[int], int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, resultant
+from k3cm.exact import GF, QQ, Polynomial, parse_rational, prime_divisors, primes_up_to, resultant
 from k3cm.surfaces import WeierstrassSurface
 
 INFINITY = "inf"
@@ -196,19 +196,7 @@ class Family:
 
 
 def _fraction_primes(q: Fraction) -> set[int]:
-    out = set()
-    for n in (q.numerator, q.denominator):
-        n = abs(n)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.add(n)
-    return out
+    return set(prime_divisors(q.numerator * q.denominator))
 
 
 def _small_prime_divisors(q, bound: int = 500) -> set[int]:

@@ -239,20 +239,7 @@ class FixtureRegistry:
                 self._load_corroborate(fname)
 
     def _load_family(self, fname):
-        blocks = parse_blocks(self._read(fname))
-        fields = {}
-        cusps = {}
-        splitting = {}
-        for name, kv in blocks:
-            if name == "family":
-                fields.update({k.lower(): v for k, v in kv.items()})
-            elif name == "cusps":
-                cusps.update(kv)
-            elif name == "splitting":
-                splitting.update(kv)
-        fields["cusps"] = cusps
-        fields["splitting"] = splitting
-        fam = family_from_fields(fields)
+        fam = family_from_text(self._read(fname))
         self._families[fam.name] = fam
 
     def family(self, name: str) -> Family:
@@ -335,6 +322,21 @@ def section_fixture_from_block(kv: dict) -> SectionFixture:
             parse_rational(kv["expected_height"]) if "expected_height" in kv else None
         ),
     )
+
+
+def family_from_text(text: str) -> Family:
+    """A family from the [family], [cusps] and [splitting] blocks of a fixture file."""
+    fields, cusps, splitting = {}, {}, {}
+    for name, kv in parse_blocks(text):
+        if name == "family":
+            fields.update(kv)
+        elif name == "cusps":
+            cusps.update(kv)
+        elif name == "splitting":
+            splitting.update(kv)
+    fields["cusps"] = cusps
+    fields["splitting"] = splitting
+    return family_from_fields(fields)
 
 
 def surface_fixture_from_text(text: str) -> SurfaceFixture:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from k3cm.exact import prime_divisors
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 
 
@@ -296,7 +297,7 @@ class DiscriminantForm:
         the whole form (Nikulin 1979).
         """
         parts = {}
-        for p in _prime_divisors(self.orders[-1] if self.orders else 1):
+        for p in prime_divisors(self.orders[-1] if self.orders else 1):
             idx, orders, mult = [], [], []
             for i, o in enumerate(self.orders):
                 pe = gcd(o, p ** o.bit_length())  # the p-power part of o
@@ -356,19 +357,6 @@ class DiscriminantForm:
             return False
 
         return extend(0, [])
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _generates(orders, images) -> bool:

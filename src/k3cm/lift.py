@@ -387,89 +387,71 @@ def _convolve(a, b, nvars):
 # ---------------------------------------------------------------------------
 
 def solve_mod_p(ansatz: SectionAnsatz, p: int) -> list[tuple[int, ...]]:
-    """All solutions of the ansatz system over F_p, by structured search.
+    """All solutions of the gauge-fixed ansatz system over F_p, by structured search.
 
-    Free u-coefficients and m are scanned exhaustively; w is recovered by
-    extracting the polynomial square root of RHS(u)/m, then checked against
-    its own linear constraints.  Empty output is a report, not an error.
+    The free u-coefficients are scanned exhaustively; the p^(n_u) values
+    scanned are capped at 2*10^6.  For each u, R = u^3 + a2 u^2 + a4 u + a6
+    must be lc(R) times the square of a monic w0, and then w = c*w0 for a
+    scalar c, so one linear solve of w_affine(z_w) = c*w0 in (z_w, c) gives
+    z_w and m = lc(R)/c^2.  The pin fixes the scale, so a u yields at most
+    one solution, and solutions come in the order of u.  Each candidate is
+    checked against every equation.  Empty output is a report, not an error.
     """
     ansatz.system.check_p_integral(p)
     F = GF(p)
     nu, nw = ansatz.n_u_free, ansatz.n_w_free
-    if p ** (nu + 1) > 2 * 10**6:
-        raise LiftError(f"mod-{p} search space too large for the exhaustive step")
+    if ansatz.pin_index is None and nw:
+        raise LiftError("the (m, w) scale is not fixed: pin a free w-coordinate first")
+    if p ** nu > 2 * 10**6:
+        raise LiftError(f"mod-{p} search space of {p}^{nu} values of u exceeds the cap of 2*10^6")
     surf_p = ansatz.surface.map_domain(F)
+    u_rows = _affine_rows(ansatz.u_affine, 0, nu, F)
+    w_rows = _affine_rows(ansatz.w_affine, nu, nw, F)
     sols = []
     for zu in itertools.product(range(p), repeat=nu):
-        u_vals = list(zu) + [0] * (nw) + [0]
-        u = Polynomial(F, [a.evaluate(u_vals, F) for a in ansatz.u_affine])
-        R = surf_p.rhs(RationalFunction(u)).num
+        u = Polynomial(F, [sum((a * z for a, z in zip(row, zu)), row[nu]) % p for row in u_rows])
+        R = ((u + surf_p.a2) * u + surf_p.a4) * u + surf_p.a6
         if R.is_zero():
             continue
-        for m in range(1, p):
-            w = _poly_sqrt_mod(R.scale(F.inv(m)), F)
-            if w is None:
-                continue
-            for wsign in (w, -w):
-                zw = _match_w_affine(ansatz, wsign, list(zu), m, F)
-                if zw is None:
-                    continue
-                values = tuple(list(zu) + zw + [m])
-                if all(
-                    eq.evaluate(values, F) == 0 for eq in ansatz.system.equations
-                ):
-                    if values not in sols:
-                        sols.append(values)
+        w0 = _monic_sqrt(R.monic())
+        if w0 is None or w0.degree >= len(w_rows):
+            continue
+        # w_affine(z_w) - c*w0 = 0, with z_w and c as the unknowns
+        rows = [row[:nw] + [-w0[j] % p, -row[nw] % p] for j, row in enumerate(w_rows)]
+        aug, pivots = row_reduce(F, rows, nw + 1)
+        c = aug[nw][nw + 1] if len(pivots) > nw else 0
+        if not c or any(row[nw + 1] for row in aug[nw + 1 :]):
+            continue
+        values = zu + tuple(row[nw + 1] for row in aug[:nw]) + (F.div(R.leading(), c * c),)
+        if all(eq.evaluate(values, F) == 0 for eq in ansatz.system.equations):
+            sols.append(values)
     return sols
 
 
-def _poly_sqrt_mod(f: Polynomial, F) -> Polynomial | None:
-    """Monic-leading square root of a polynomial over F_p, or None."""
-    if f.is_zero():
-        return Polynomial(F, [])
+def _affine_rows(affs, offset: int, n: int, F) -> list[list[int]]:
+    """Affine forms in variables offset..offset+n-1 as rows [coefficients..., constant] over F."""
+    rows = []
+    for aff in affs:
+        row = [0] * (n + 1)
+        for e, c in aff.terms.items():
+            row[e.index(1) - offset if any(e) else n] = F.from_fraction(c)
+        rows.append(row)
+    return rows
+
+
+def _monic_sqrt(f: Polynomial) -> Polynomial | None:
+    """The monic square root of a monic polynomial over F_p, or None."""
     if f.degree % 2:
         return None
-    lead = f.leading()
-    r = F.sqrt(lead)
-    if r is None:
-        return None
-    n = f.degree // 2
-    out = [0] * (n + 1)
-    out[n] = r
-    inv2r = F.inv(2 * r % F.p)
+    F, n = f.domain, f.degree // 2
+    out = [0] * n + [1]
+    inv2 = F.inv(2)
     # determine coefficients from the top down
     for i in range(n - 1, -1, -1):
-        acc = f[i + n]
-        for j in range(i + 1, n):
-            if i + n - j <= n:
-                acc = F.sub(acc, F.mul(out[j], out[i + n - j]))
-        out[i] = F.mul(acc, inv2r)
+        acc = f[i + n] - sum(out[j] * out[i + n - j] for j in range(i + 1, n))
+        out[i] = acc * inv2 % F.p
     w = Polynomial(F, out)
-    return w if (w * w) == f else None
-
-
-def _match_w_affine(ansatz, w: Polynomial, zu, m, F):
-    """Express w in the affine w-model if possible; returns z_w values."""
-    nu, nw = ansatz.n_u_free, ansatz.n_w_free
-    # w coefficients are affine in z_w only; solve the linear system mod p
-    rows, rhs = [], []
-    for j, aff in enumerate(ansatz.w_affine):
-        row = [0] * nw
-        const = F.zero
-        for e, c in aff.terms.items():
-            cval = F.from_fraction(c)
-            idx = [i for i, k in enumerate(e) if k]
-            if not idx:
-                const = F.add(const, cval)
-            else:
-                (i,) = idx
-                row[i - nu] = F.add(row[i - nu], cval)
-        rows.append(row)
-        rhs.append(F.sub(w[j] if j <= w.degree else F.zero, const))
-    aug, pivots = row_reduce(F, [row + [b] for row, b in zip(rows, rhs)], nw)
-    if len(pivots) < nw or any(row[nw] for row in aug[nw:]):
-        return None  # inconsistent; an underdetermined w does not occur for our plans
-    return [row[nw] for row in aug[:nw]]
+    return w if w * w == f else None
 
 
 def newton_double(system: PolySystem, solution, p: int, k: int, row_choice=None):
@@ -577,21 +559,24 @@ def lift_and_verify(ansatz: SectionAnsatz, p: int, max_doublings: int = 10, trac
     every coordinate, and accepts only candidates satisfying all equations
     and guards exactly over Q.
     """
-    best = None
+    best, reasons = None, []
     pins = range(ansatz.n_w_free) if ansatz.pin_index is None and ansatz.n_w_free else [None]
     for pin in pins:
         fixed = ansatz.pinned(pin) if pin is not None else ansatz
         try:
             sols = solve_mod_p(fixed, p)
-        except LiftError:
+        except LiftError as exc:
+            reasons.append(f"pin {pin}: {exc}")
             continue
         for sol in sols:
             values, best = _lift_one(fixed.system, sol, p, max_doublings, trace)
             if values is not None:
                 return values, fixed
+        reasons.append(f"pin {pin}: none of {len(sols)} mod-{p} solutions lifted")
+    why = "; ".join(reasons)
     if best is not None:
-        raise LiftError(f"precision budget exhausted; best approximation {best}")
-    raise LiftError("no mod-p solution lifted to Q")
+        raise LiftError(f"precision budget exhausted at p = {p}; best approximation {best} ({why})")
+    raise LiftError(f"no mod-p solution lifted to Q at p = {p} ({why})")
 
 
 def recover_section(surface, fibers, plan: dict, p: int, expected_disc=None, trace=None):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from k3cm.exact import xgcd
+from k3cm.exact import squarefree_part, xgcd
 
 
 @dataclass(frozen=True, order=True)
@@ -103,19 +103,9 @@ def is_fundamental(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):
         return False
     if d % 4 == 1:
-        return _squarefree(d)
+        return squarefree_part(d) == d
     m = d // 4
-    return _squarefree(m) and m % 4 in (2, 3)
-
-
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    dd = 2
-    while dd * dd <= n:
-        if n % (dd * dd) == 0:
-            return False
-        dd += 1
-    return True
+    return squarefree_part(m) == m and m % 4 in (2, 3)
 
 
 def principal_form(d: int) -> BinaryQuadraticForm:

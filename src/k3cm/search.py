@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from k3cm.counting import CountCache, CountingError, count_family_member
-from k3cm.exact import crt_combine, rational_reconstruct
+from k3cm.exact import crt_combine, prime_divisors, rational_reconstruct
 from k3cm.newforms import SPLIT, NewformOracle
 
 
@@ -113,18 +113,9 @@ def lift_candidates(
 
 def _smoothness(q: Fraction) -> int:
     """Largest prime factor of numerator * denominator (crude rank key)."""
-    n = abs(q.numerator) * q.denominator
-    if n == 0:
+    if q == 0:
         return 0
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out = d
-            while n % d == 0:
-                n //= d
-        d += 1
-    return max(out, n) if n > 1 else out
+    return max(prime_divisors(q.numerator * q.denominator), default=1)
 
 
 def corroborate(family, lam: Fraction, oracle: NewformOracle, primes, cache=None) -> list:

@@ -45,6 +45,21 @@ def test_count_single_lambda(tmp_path):
     assert cache.exists() and "xlm 19 15" in cache.read_text()
 
 
+def test_count_reads_a_family_file(tmp_path):
+    # the registry's own family file, with its keys upper-cased
+    from importlib import resources
+
+    text = resources.files("k3cm").joinpath("data/family_xlm.fam").read_text()
+    path = tmp_path / "xlm.fam"
+    path.write_text("\n".join(
+        line.split("=", 1)[0].upper() + "=" + line.split("=", 1)[1] if "=" in line else line
+        for line in text.splitlines()
+    ))
+    assert path.read_text() != text
+    member = ["--prime", "19", "--lambda", "15"]
+    assert run(["count", "--family", str(path)] + member) == run(["count", "--family", "xlm"] + member)
+
+
 def test_count_skips_degenerate_lambdas():
     err = io.StringIO()
     with redirect_stderr(err):

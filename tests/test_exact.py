@@ -18,6 +18,7 @@ from k3cm.exact import (
     parse_quadnum,
     parse_rational,
     poly_arith,
+    prime_divisors,
     poly_series,
     rational_reconstruct,
     ratfun_series,
@@ -244,6 +245,12 @@ def test_squarefree_part_matches_trial_division():
         assert is_prime(q)
         for k in range(-60, 61):
             assert squarefree_part(k * q * q) == reference_squarefree_part(k), (k, q)
+
+
+def test_prime_divisors_match_trial_by_primes():
+    for n in range(-1000, 1001):
+        assert prime_divisors(n) == [q for q in range(2, abs(n) + 1) if n % q == 0 and is_prime(q)], n
+    assert prime_divisors(2**10 * 3 * 1000003**2) == [2, 3, 1000003]
 
 
 def test_invalid_radicands_raise_after_valid_ones_are_cached():

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from k3cm import lift
-from k3cm.exact import QQ, PadicRing, RationalFunction
+from k3cm.exact import GF, QQ, PadicRing, Polynomial, RationalFunction, row_reduce
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lift import (
     LiftError,
@@ -106,31 +107,40 @@ def test_disc88_roundtrip(reg, fam):
     assert ks == [2 ** (i + 1) for i in range(len(ks))]
 
 
+def table1_case(fam, row):
+    """(surface, plan, printed section) of a Table 1 row.
+
+    The plan is read off the printed section's contacts.
+    """
+    surf = fam.specialize(row.lam)
+    sec0 = verify_section(surf, parse_ratfun(row.u_text))
+    plan = {
+        idx: (c.k if c.fiber.kind == "I" else "leg")
+        for idx, c in sec0.contacts.items()
+        if c.nonidentity
+    }
+    return surf, plan, sec0
+
+
+def good_split_primes(fam, disc, bound):
+    """The split primes of the field of discriminant disc below bound, bad primes excluded."""
+    return [p for p in NewformOracle(disc).split_primes(bound) if p not in fam.bad_primes(bound)]
+
+
 def low_height_lifts(reg, fam):
     """(row, surface, fibers, plan, p, printed section) for five low-height rows.
 
     The -88, -312 and -520 rows, whose section was derived by hand-solvable
     linear constraints, meet one-column Jacobians; the -708 and -1380 rows
-    meet 9x3 and 11x5 ones.  The plan is read off the printed section's
-    contacts.
+    meet 9x3 and 11x5 ones.
     """
     targets = {-88, -312, -520, -708, -1380}
     for row in reg.table1:
         if row.disc not in targets or row.status == "defective":
             continue
-        surf = fam.specialize(row.lam)
-        fibers = classify_fibers(surf)
-        sec0 = verify_section(surf, parse_ratfun(row.u_text))
-        plan = {
-            idx: (c.k if c.fiber.kind == "I" else "leg")
-            for idx, c in sec0.contacts.items()
-            if c.nonidentity
-        }
-        oracle = NewformOracle(row.disc)
-        p = next(
-            p for p in oracle.split_primes(60) if p not in fam.bad_primes(60)
-        )
-        yield row, surf, fibers, plan, p, sec0
+        surf, plan, sec0 = table1_case(fam, row)
+        p = good_split_primes(fam, row.disc, 60)[0]
+        yield row, surf, classify_fibers(surf), plan, p, sec0
 
 
 def test_roundtrip_low_height_rows(reg, fam):
@@ -248,3 +258,126 @@ def test_mod_p_solution_count_at_split_prime(reg, fam):
     fixed = ansatz.pinned(0)
     sols = solve_mod_p(fixed, 19)
     assert len(sols) == 1
+
+
+# ---------------------------------------------------------------------------
+# the mod-p solve against the m-scanning search it replaced
+# ---------------------------------------------------------------------------
+
+def reference_solve_mod_p(ansatz, p):
+    """The m-scanning mod-p solve: every u, every m in F_p*, both signs of w.
+
+    For each u and m it takes the square root of RHS(u)/m with the smallest
+    root of the leading coefficient, tries w and -w, and reads z_w off the
+    w-affine model by a linear solve.
+    """
+    ansatz.system.check_p_integral(p)
+    F = GF(p)
+    nu, nw = ansatz.n_u_free, ansatz.n_w_free
+    if p ** (nu + 1) > 2 * 10**6:
+        raise LiftError(f"mod-{p} search space too large for the exhaustive step")
+    roots = {r * r % p: r for r in range(p - 1, 0, -1)}
+    surf_p = ansatz.surface.map_domain(F)
+    sols = []
+    for zu in itertools.product(range(p), repeat=nu):
+        u_vals = list(zu) + [0] * (nw) + [0]
+        u = Polynomial(F, [a.evaluate(u_vals, F) for a in ansatz.u_affine])
+        R = surf_p.rhs(RationalFunction(u)).num
+        if R.is_zero():
+            continue
+        for m in range(1, p):
+            w = _reference_sqrt(R.scale(F.inv(m)), roots)
+            if w is None:
+                continue
+            for wsign in (w, -w):
+                zw = _reference_match_w(ansatz, wsign, F)
+                if zw is None:
+                    continue
+                values = tuple(list(zu) + zw + [m])
+                if all(eq.evaluate(values, F) == 0 for eq in ansatz.system.equations):
+                    if values not in sols:
+                        sols.append(values)
+    return sols
+
+
+def _reference_sqrt(f, roots):
+    """Square root of f over F_p with leading coefficient roots[lc(f)], or None."""
+    F = f.domain
+    if f.degree % 2:
+        return None
+    r = roots.get(f.leading())
+    if r is None:
+        return None
+    n = f.degree // 2
+    out = [0] * (n + 1)
+    out[n] = r
+    inv2r = F.inv(2 * r % F.p)
+    for i in range(n - 1, -1, -1):
+        acc = f[i + n]
+        for j in range(i + 1, n):
+            acc = F.sub(acc, F.mul(out[j], out[i + n - j]))
+        out[i] = F.mul(acc, inv2r)
+    w = Polynomial(F, out)
+    return w if w * w == f else None
+
+
+def _reference_match_w(ansatz, w, F):
+    """z_w with w_affine(z_w) = w, when the solve is unique; else None."""
+    nu, nw = ansatz.n_u_free, ansatz.n_w_free
+    rows, rhs = [], []
+    for j, aff in enumerate(ansatz.w_affine):
+        row = [0] * nw
+        const = F.zero
+        for e, c in aff.terms.items():
+            cval = F.from_fraction(c)
+            idx = [i for i, k in enumerate(e) if k]
+            if not idx:
+                const = F.add(const, cval)
+            else:
+                (i,) = idx
+                row[i - nu] = F.add(row[i - nu], cval)
+        rows.append(row)
+        rhs.append(F.sub(w[j], const))
+    aug, pivots = row_reduce(F, [row + [b] for row, b in zip(rows, rhs)], nw)
+    if len(pivots) < nw or any(row[nw] for row in aug[nw:]):
+        return None
+    return [row[nw] for row in aug[:nw]]
+
+
+def test_solve_mod_p_matches_reference(reg, fam):
+    # every pin of the low-height rows (-1380 at p = 19 scans p^2 values of
+    # u), and a pin of -1740 at p = 23 that has no solution
+    cases = [(row.disc, ansatz, p, pin)
+             for row, surf, fibers, plan, p, sec0 in low_height_lifts(reg, fam)
+             for ansatz in [build_ansatz(surf, fibers, plan, expected_disc=row.disc)]
+             for pin in range(ansatz.n_w_free)]
+    row = next(r for r in reg.table1 if r.disc == -1740)
+    surf, plan, _ = table1_case(fam, row)
+    cases.append((row.disc, build_ansatz(surf, surf.fibers, plan, expected_disc=row.disc), 23, 0))
+    found = []
+    for disc, ansatz, p, pin in cases:
+        fixed = ansatz.pinned(pin)
+        sols = solve_mod_p(fixed, p)
+        assert sols == reference_solve_mod_p(fixed, p), (disc, p, pin)
+        found.append((disc, ansatz.n_u_free, len(sols)))
+    assert len(found) == 9 and (-1380, 2, 1) in found and (-1740, 2, 0) in found
+
+
+def test_solve_mod_p_needs_a_fixed_scale(fam):
+    surf = fam.specialize(Fraction(5, 32))
+    fibers = classify_fibers(surf)
+    plan = plan_for(fibers, {"I5": 1, "I3": 1, "I7": 2, "I0*": "leg"})
+    ansatz = build_ansatz(surf, fibers, plan, expected_disc=-88)
+    with pytest.raises(LiftError, match="scale is not fixed"):
+        solve_mod_p(ansatz, 19)
+
+
+def test_failed_lift_names_the_cap_and_the_prime(reg, fam):
+    # 127^3 values of u exceed the 2*10^6 cap for each of the five pins
+    row = next(r for r in reg.table1 if r.disc == -2220)
+    surf, plan, _ = table1_case(fam, row)
+    ansatz = build_ansatz(surf, surf.fibers, plan, expected_disc=row.disc)
+    assert (ansatz.n_u_free, ansatz.n_w_free) == (3, 5)
+    with pytest.raises(LiftError, match="at p = 127") as err:
+        lift_and_verify(ansatz, 127)
+    assert str(err.value).count("127^3 values of u exceeds the cap") == 5

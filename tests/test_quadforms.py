@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -96,6 +97,16 @@ def test_exponent_two_matches_composition_oracle():
             compose(f, f) == reduce_form(principal_form(d)) for f in forms
         )
         assert by_squares == is_exponent_two(d)
+
+
+def test_is_fundamental_matches_trial_division():
+    def squarefree(n):
+        return all(n % (q * q) for q in range(2, math.isqrt(abs(n)) + 1))
+
+    for d in range(-2000, 1):
+        m = d // 4
+        expected = (d % 4 == 1 and squarefree(d)) or (d % 4 == 0 and m % 4 in (2, 3) and squarefree(m))
+        assert is_fundamental(d) == (d < 0 and expected), d
 
 
 def test_is_fundamental():
