@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from k3cm.exact import format_rational, parse_rational, primes_up_to
 
@@ -227,7 +228,9 @@ def cmd_regression(args) -> int:
     return 0 if rep.failures == 0 else 1
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main() may run many times."""
     parser = argparse.ArgumentParser(
         prog="k3cm",
         description="Exact workbench for singular elliptic K3 surfaces and CM newforms",
@@ -276,8 +279,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("regression", help="replay all fixture expectations")
     p.add_argument("--subset", choices=["all", "table1", "examples", "extremal"], default="all")
     p.set_defaults(func=cmd_regression)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as e:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 
 
 class DomainError(ValueError):
@@ -248,25 +249,25 @@ class QuadNum:
 
     def __add__(self, other):
         self._check(other)
-        return QuadNum(self.a + other.a, self.b + other.b, self.m)
+        return _quad(self.a + other.a, self.b + other.b, self.m)
 
     def __sub__(self, other):
         self._check(other)
-        return QuadNum(self.a - other.a, self.b - other.b, self.m)
+        return _quad(self.a - other.a, self.b - other.b, self.m)
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.m)
+        return _quad(-self.a, -self.b, self.m)
 
     def __mul__(self, other):
         self._check(other)
-        return QuadNum(
+        return _quad(
             self.a * other.a + self.m * self.b * other.b,
             self.a * other.b + self.b * other.a,
             self.m,
         )
 
     def conjugate(self):
-        return QuadNum(self.a, -self.b, self.m)
+        return _quad(self.a, -self.b, self.m)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.m * self.b * self.b
@@ -275,13 +276,20 @@ class QuadNum:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero element of quadratic field")
-        return QuadNum(self.a / n, -self.b / n, self.m)
+        return _quad(self.a / n, -self.b / n, self.m)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def __str__(self):
         return f"{format_rational(self.a)}+{format_rational(self.b)}*sqrt({self.m})"
+
+
+def _quad(a: Fraction, b: Fraction, m: int) -> QuadNum:
+    """QuadNum from Fraction parts and a checked radicand, past __post_init__."""
+    x = object.__new__(QuadNum)
+    x.__dict__.update(a=a, b=b, m=m)
+    return x
 
 
 def parse_quadnum(text: str, m: int) -> QuadNum:
@@ -393,6 +401,9 @@ class PrimeField(Domain):
     def one(self):
         return 1
 
+    def is_zero(self, x) -> bool:
+        return x == 0
+
     def add(self, x, y):
         return (x + y) % self.p
 
@@ -502,14 +513,8 @@ class QuadField(Domain):
 
     def __post_init__(self):
         _check_radicand(self.m)
-
-    @property
-    def zero(self):
-        return QuadNum(Fraction(0), Fraction(0), self.m)
-
-    @property
-    def one(self):
-        return QuadNum(Fraction(1), Fraction(0), self.m)
+        object.__setattr__(self, "zero", _quad(Fraction(0), Fraction(0), self.m))
+        object.__setattr__(self, "one", _quad(Fraction(1), Fraction(0), self.m))
 
     def add(self, x, y):
         return x + y
@@ -533,7 +538,7 @@ class QuadField(Domain):
         return x.is_zero()
 
     def from_fraction(self, q: Fraction):
-        return QuadNum(Fraction(q), Fraction(0), self.m)
+        return _quad(Fraction(q), Fraction(0), self.m)
 
     def embed(self, x):
         """Lift a Fraction or QuadNum into this field."""
@@ -651,7 +656,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def _check(self, other: "Polynomial"):
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             raise DomainError(f"mixed domains {self.domain!r} and {other.domain!r}")
 
     def __eq__(self, other):
@@ -672,14 +677,14 @@ class Polynomial:
     def __add__(self, other):
         self._check(other)
         d = self.domain
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(d, [d.add(self[i], other[i]) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=d.zero)
+        return Polynomial(d, [d.add(x, y) for x, y in pairs])
 
     def __sub__(self, other):
         self._check(other)
         d = self.domain
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(d, [d.sub(self[i], other[i]) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=d.zero)
+        return Polynomial(d, [d.sub(x, y) for x, y in pairs])
 
     def __neg__(self):
         return Polynomial(self.domain, [self.domain.neg(c) for c in self.coeffs])
@@ -689,22 +694,8 @@ class Polynomial:
         d = self.domain
         if self.is_zero() or other.is_zero():
             return Polynomial(d, [])
-        if isinstance(d, RationalField):
-            # convolve integer numerators; each output Fraction is built once
-            (xs, dx), (ys, dy) = _integer_coeffs(self.coeffs), _integer_coeffs(other.coeffs)
-            acc, den = [0] * (len(xs) + len(ys) - 1), dx * dy
-            for i, a in enumerate(xs):
-                if a:
-                    for j, b in enumerate(ys):
-                        acc[i + j] += a * b
-            return Polynomial(d, [Fraction(c, den) for c in acc])
-        out = [d.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if d.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = d.add(out[i + j], d.mul(a, b))
-        return Polynomial(d, out)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        return Polynomial(d, _convolve(d, self.coeffs, other.coeffs, n))
 
     def scale(self, c) -> "Polynomial":
         d = self.domain
@@ -721,10 +712,23 @@ class Polynomial:
         return out
 
     def divrem(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """(q, r) with self = q * other + r and deg r < deg other.
+
+        Over Q this is integer pseudo-division of the numerators over their
+        common denominators, lc^e * S = Q * O + R, scaled back at the end;
+        the quotient and remainder are unique, so they are the same as by
+        long division over Fraction.
+        """
         self._check(other)
         d = self.domain
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        if isinstance(d, RationalField):
+            (sn, ds), (on, do) = _integer_coeffs(self.coeffs), _integer_coeffs(other.coeffs)
+            quot, rem, mult = _pseudo_divrem(sn, on)
+            den = mult * ds
+            return (Polynomial(d, [Fraction(q * do, den) for q in quot]),
+                    Polynomial(d, [Fraction(r, den) for r in rem]))
         lead_inv = d.inv(other.leading())
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
@@ -732,8 +736,6 @@ class Polynomial:
             return Polynomial(d, []), self
         quot = [d.zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + i:
-                continue
             c = d.mul(rem[len(other.coeffs) + i - 1], lead_inv)
             quot[i] = c
             if d.is_zero(c):
@@ -753,29 +755,26 @@ class Polynomial:
             return self
         return self.scale(self.domain.inv(self.leading()))
 
-    def _normalized_for_gcd(self) -> "Polynomial":
-        """Rescale to tame coefficient growth in Euclidean remainder chains."""
-        if self.is_zero():
-            return self
-        if isinstance(self.domain, RationalField):
-            num_gcd = 0
-            den_lcm = 1
-            for c in self.coeffs:
-                num_gcd = math.gcd(num_gcd, c.numerator)
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-            content = Fraction(num_gcd, den_lcm)
-            return self.scale(1 / content) if content != 0 else self
-        return self.monic()
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd over a field of coefficients."""
+        """Monic gcd over a field of coefficients.
+
+        Over Q, a primitive remainder sequence on the integer numerators
+        (each pseudo-remainder divided by its content), made monic at the
+        end; elsewhere the Euclidean sequence of monic remainders.
+        """
         self._check(other)
-        if not self.domain.is_field:
+        d = self.domain
+        if not d.is_field:
             raise DomainError("gcd requires a field of coefficients")
-        a, b = self._normalized_for_gcd(), other._normalized_for_gcd()
+        if isinstance(d, RationalField):
+            a, b = (_primitive(_integer_coeffs(f.coeffs)[0]) for f in (self, other))
+            while b:
+                a, b = b, _primitive(_pseudo_divrem(a, b)[1])
+            return Polynomial(d, [Fraction(c, a[-1]) for c in a]) if a else Polynomial(d, [])
+        a, b = self.monic(), other.monic()
         while not b.is_zero():
-            a, b = b, (a % b)._normalized_for_gcd()
-        return a.monic() if not a.is_zero() else a
+            a, b = b, (a % b).monic()
+        return a
 
     def derivative(self) -> "Polynomial":
         d = self.domain
@@ -871,6 +870,88 @@ def _integer_coeffs(coeffs) -> tuple[list[int], int]:
     # a list, not a generator: unpacking a generator here cost certify ~1 MB of peak RSS
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """Integer coefficients without trailing zeros, divided by their content."""
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _pseudo_divrem(sn: list[int], on: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, mult) with mult * S = q * O + r and deg r < deg O, all integral.
+
+    Each step scales by lc(O)/gcd(lc(O), c) only, not by lc(O), so mult
+    divides lc(O)^(deg S - deg O + 1).  O must have a non-zero leading entry.
+    """
+    lc, k = on[-1], len(on)
+    rem, quot, mult = list(sn), [0] * max(len(sn) - k + 1, 0), 1
+    for i in range(len(sn) - k, -1, -1):
+        c = rem.pop()
+        if c:
+            g = math.gcd(c, lc)
+            s, c = lc // g, c // g
+            if s != 1:
+                rem, quot, mult = [s * r for r in rem], [s * q for q in quot], mult * s
+            quot[i] = c
+            for j in range(k - 1):
+                rem[i + j] -= c * on[j]
+    return quot, rem, mult
+
+
+def _convolve(domain: Domain, xs, ys, n: int) -> list:
+    """The first n coefficients of the product of coefficient lists xs and ys.
+
+    Over Q the integer numerators are convolved over one common denominator;
+    over Q(sqrt m) the (rational part, sqrt(m) part) numerator pairs; over
+    GF(p) plain ints, reduced mod p once per output coefficient.  Each output
+    scalar is built once.  Other domains use the generic loop.  Short lists
+    are read as padded with zeros.
+    """
+    xs, ys = xs[:n], ys[:n]
+    if isinstance(domain, RationalField):
+        (a, da), (b, db) = _integer_coeffs(xs), _integer_coeffs(ys)
+        den = da * db
+        return [Fraction(c, den) for c in _int_convolve(a, b, n)]
+    if isinstance(domain, PrimeField):
+        p = domain.p
+        return [c % p for c in _int_convolve(xs, ys, n)]
+    if isinstance(domain, QuadField):
+        m = domain.m
+        (xa, xb), dx = _pair_coeffs(xs, m)
+        (ya, yb), dy = _pair_coeffs(ys, m)
+        den = dx * dy
+        rat = [u + m * v for u, v in zip(_int_convolve(xa, ya, n), _int_convolve(xb, yb, n))]
+        irr = [u + v for u, v in zip(_int_convolve(xa, yb, n), _int_convolve(xb, ya, n))]
+        return [_quad(Fraction(u, den), Fraction(v, den), m) for u, v in zip(rat, irr)]
+    out = [domain.zero] * n
+    for i, x in enumerate(xs):
+        if domain.is_zero(x):
+            continue
+        for j, y in enumerate(ys[: n - i]):
+            out[i + j] = domain.add(out[i + j], domain.mul(x, y))
+    return out
+
+
+def _pair_coeffs(xs, m: int) -> tuple[tuple[list[int], list[int]], int]:
+    """((rational numerators, sqrt(m) numerators), common denominator) of QuadNums."""
+    for z in xs:
+        if z.m != m:
+            raise DomainError(f"mixed radicands {z.m} and {m}")
+    a, den = _integer_coeffs([z.a for z in xs] + [z.b for z in xs])
+    return (a[: len(xs)], a[len(xs):]), den
+
+
+def _int_convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of the integer product a * b."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                out[j] += x * y
+    return out
 
 
 def poly_arith(lhs: Polynomial, rhs: Polynomial, kind: str):
@@ -1068,16 +1149,7 @@ class Series:
 
     def __mul__(self, other):
         n = min(self.prec, other.prec)
-        d = self.domain
-        out = [d.zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if d.is_zero(a):
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not d.is_zero(b):
-                    out[i + j] = d.add(out[i + j], d.mul(a, b))
-        return Series(d, out, n)
+        return Series(self.domain, _convolve(self.domain, self.coeffs, other.coeffs, n), n)
 
     def scale(self, c):
         d = self.domain

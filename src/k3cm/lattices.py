@@ -341,22 +341,29 @@ class DiscriminantForm:
             key: len(els) for key, els in buckets.items()
         }:
             return False
-        k = len(self.orders)
+        return _extend_isometry(self.orders, qms, qmo, D, buckets, [])
 
-        def pair_o(x, y):
-            return sum(x[i] * y[j] * qmo[i][j] for i in range(k) for j in range(k)) % D
 
-        def extend(idx, images):
-            if idx == k:
-                return _generates(self.orders, images)
-            key = (self.orders[idx], qms[idx][idx] % (2 * D))
-            for cand in buckets.get(key, []):
-                fits = all(qms[idx][prev] % D == pair_o(cand, images[prev]) for prev in range(idx))
-                if fits and extend(idx + 1, images + [cand]):
-                    return True
-            return False
+def _extend_isometry(orders, qms, qmo, D, buckets, images) -> bool:
+    """Extend images of the first generators to an isometry, by backtracking.
 
-        return extend(0, [])
+    Candidates for the next generator come from `buckets` (same order and q);
+    each must pair with the earlier images as the generators do.  A module
+    function, not a closure: a recursive closure keeps a reference cycle.
+    """
+    idx, k = len(images), len(orders)
+    if idx == k:
+        return _generates(orders, images)
+    key = (orders[idx], qms[idx][idx] % (2 * D))
+    for cand in buckets.get(key, []):
+        fits = all(
+            qms[idx][prev] % D
+            == sum(cand[i] * images[prev][j] * qmo[i][j] for i in range(k) for j in range(k)) % D
+            for prev in range(idx)
+        )
+        if fits and _extend_isometry(orders, qms, qmo, D, buckets, images + [cand]):
+            return True
+    return False
 
 
 def _generates(orders, images) -> bool:

@@ -19,6 +19,7 @@ from k3cm.exact import (
     Polynomial,
     RationalFunction,
     Series,
+    _integer_coeffs,
     poly_series,
     primes_up_to,
     rational_reconstruct,
@@ -244,16 +245,11 @@ def _roots_of_squarefree(g: Polynomial) -> list:
     modulus dominates twice the square of any plausible height, then
     recognized by rational reconstruction and verified exactly.
     """
-    import math
-
     if g.degree == 0:
         return []
     if g.degree == 1:
         return [-g.coeffs[0] / g.coeffs[1]]
-    den = 1
-    for c in g.coeffs:
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-    gz = [int(c * den) for c in g.coeffs]
+    gz = _integer_coeffs(g.coeffs)[0]
 
     def eval_mod(coeffs, x, mod):
         acc = 0

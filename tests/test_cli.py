@@ -196,3 +196,22 @@ def test_lift_system_file(tmp_path):
 def test_missing_file_is_input_error():
     code, _ = run(["verify", "--surface", "/nonexistent.surf"])
     assert code == 2
+
+
+def test_main_parses_each_call_on_its_own(tmp_path):
+    # the parser is built once per process; no argument leaks between calls
+    first, second = tmp_path / "a.cache", tmp_path / "b.cache"
+    code, out = run(["--cache", str(first), "count", "--prime", "19", "--lambda", "15"])
+    assert code == 0 and out.startswith("15\t")
+    code, out = run(["--cache", str(second), "count", "--prime", "23", "--lambda", "3"])
+    assert code == 0 and out.startswith("3\t")
+    assert first.read_text().split()[:3] == ["xlm", "19", "15"]
+    assert second.read_text().split()[:3] == ["xlm", "23", "3"]
+    assert len(first.read_text().splitlines()) == len(second.read_text().splitlines()) == 1
+    code, out = run(["discs", "--max", "20"])
+    assert code == 0 and out.startswith("h(d)\tdiscriminants")
+    for bad in (["count", "--prime", "x"], ["verify"], ["nosuchcommand"]):
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            run(bad)
+        assert exc.value.code == 2
+    assert run(["count", "--prime", "19", "--lambda", "15"])[1].startswith("15\t")

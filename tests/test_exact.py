@@ -12,6 +12,8 @@ from k3cm.exact import (
     QuadField,
     QuadNum,
     RationalFunction,
+    Series,
+    _convolve,
     crt_combine,
     is_prime,
     kronecker,
@@ -397,3 +399,161 @@ def test_rational_function_normalization():
 def test_parse_rational_roundtrip():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("17") == Fraction(17)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the generic loops they replace
+# ---------------------------------------------------------------------------
+
+def reference_mul(f, g):
+    """Polynomial product by the generic loop over the domain's operations."""
+    d = f.domain
+    if f.is_zero() or g.is_zero():
+        return Polynomial(d, [])
+    out = [d.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if d.is_zero(a):
+            continue
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = d.add(out[i + j], d.mul(a, b))
+    return Polynomial(d, out)
+
+
+def reference_series_mul(s, t):
+    """Truncated series product by the generic loop."""
+    n, d = min(s.prec, t.prec), s.domain
+    out = [d.zero] * n
+    for i, a in enumerate(s.coeffs[:n]):
+        if d.is_zero(a):
+            continue
+        for j in range(n - i):
+            b = t.coeffs[j]
+            if not d.is_zero(b):
+                out[i + j] = d.add(out[i + j], d.mul(a, b))
+    return Series(d, out, n)
+
+
+def reference_divrem(f, g):
+    """Long division by the domain's operations (Fraction arithmetic over Q)."""
+    d = f.domain
+    lead_inv = d.inv(g.leading())
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return Polynomial(d, []), f
+    quot = [d.zero] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = d.mul(rem[len(g.coeffs) + i - 1], lead_inv)
+        quot[i] = c
+        if d.is_zero(c):
+            continue
+        for j, b in enumerate(g.coeffs):
+            rem[i + j] = d.sub(rem[i + j], d.mul(c, b))
+    return Polynomial(d, quot), Polynomial(d, rem[: len(g.coeffs) - 1])
+
+
+def reference_gcd(f, g):
+    """Euclid on monic remainders, with the reference division."""
+    a, b = f.monic(), g.monic()
+    while not b.is_zero():
+        a, b = b, reference_divrem(a, b)[1].monic()
+    return a
+
+
+KERNEL_DOMAINS = [QQ] + [QuadField(m) for m in (-1, 2, 21, -23, 85)] + [GF(p) for p in (2, 3, 29, 101)]
+
+
+def random_scalar(rng, d):
+    if rng.random() < 0.3:
+        return d.zero
+    if isinstance(d, QuadField):
+        # the public constructor, so the parts are Fractions whatever the kernels do
+        return QuadNum(Fraction(rng.randrange(-40, 41), rng.randrange(1, 13)),
+                       Fraction(rng.randrange(-40, 41), rng.randrange(1, 13)), d.m)
+    if d == QQ:
+        return Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
+    return rng.randrange(d.p)
+
+
+def random_coeffs(rng, d, top=7):
+    """0..top coefficients; about half the non-empty lists get a negative leading entry."""
+    cs = [random_scalar(rng, d) for _ in range(rng.randrange(top + 1))]
+    if cs and d == QQ and rng.random() < 0.5:
+        cs[-1] = -abs(cs[-1]) or Fraction(-1, rng.randrange(1, 9))
+    return cs
+
+
+def assert_scalar_types(d, cs):
+    for c in cs:
+        if isinstance(d, QuadField):
+            assert type(c) is QuadNum and c.m == d.m
+            assert type(c.a) is Fraction and type(c.b) is Fraction
+        elif d == QQ:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 <= c < d.p
+
+
+def test_kernel_products_match_generic_loop():
+    rng = random.Random(41)
+    for d in KERNEL_DOMAINS:
+        for _ in range(60):
+            f, g = Polynomial(d, random_coeffs(rng, d)), Polynomial(d, random_coeffs(rng, d))
+            prod = f * g
+            assert prod == reference_mul(f, g), (d, f, g)
+            assert_scalar_types(d, prod.coeffs)
+            s = Series(d, random_coeffs(rng, d), rng.randrange(9))
+            t = Series(d, random_coeffs(rng, d), rng.randrange(9))
+            got, want = s * t, reference_series_mul(s, t)
+            assert (got.prec, got.coeffs) == (want.prec, want.coeffs), (d, s, t)
+            assert_scalar_types(d, got.coeffs)
+
+
+def test_convolve_truncates_and_pads():
+    rng = random.Random(43)
+    for d in KERNEL_DOMAINS:
+        for _ in range(40):
+            xs, ys = random_coeffs(rng, d), random_coeffs(rng, d)
+            full = reference_mul(Polynomial(d, xs), Polynomial(d, ys)).coeffs
+            for n in range(len(xs) + len(ys) + 1):
+                want = list(full[:n]) + [d.zero] * (n - len(full))
+                assert _convolve(d, xs, ys, n) == want, (d, xs, ys, n)
+        assert _convolve(d, [], [], 3) == [d.zero] * 3
+
+
+def test_kernel_division_and_gcd_match_long_division():
+    rng = random.Random(47)
+    for d in KERNEL_DOMAINS:
+        for _ in range(60):
+            f = Polynomial(d, random_coeffs(rng, d))
+            g = Polynomial(d, random_coeffs(rng, d, top=rng.choice((1, 4))))  # degree 0 often
+            if g.is_zero():
+                assert f.gcd(g) == reference_gcd(f, g) == f.monic()
+                with pytest.raises(ZeroDivisionError):
+                    f.divrem(g)
+                continue
+            q, r = f.divrem(g)
+            assert (q, r) == reference_divrem(f, g), (d, f, g)
+            assert_scalar_types(d, q.coeffs + r.coeffs)
+            h = Polynomial(d, random_coeffs(rng, d, top=3))
+            for a, b in ((f, g), (f * h, g * h), (g, f * g)):
+                got = a.gcd(b)
+                assert got == reference_gcd(a, b), (d, a, b)
+                assert got.is_zero() or got.leading() == d.one
+                assert_scalar_types(d, got.coeffs)
+
+
+def test_quadnum_results_keep_fraction_parts_and_radicand():
+    K = QuadField(-23)
+    x, y = QuadNum(Fraction(3, 4), -2, -23), QuadNum(5, Fraction(1, 6), -23)
+    results = [x + y, x - y, x * y, -x, x.conjugate(), x.inverse(), K.div(x, y),
+               K.from_fraction(Fraction(7, 3)), K.zero, K.one]
+    for z in results:
+        assert type(z.a) is Fraction and type(z.b) is Fraction and z.m == -23
+    assert x * x.inverse() == K.one and K.zero is K.zero and K.one is K.one
+    other = QuadNum(1, 1, 21)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(DomainError):
+            op(x, other)
+    with pytest.raises(DomainError):   # a stray coefficient of another field
+        Polynomial(K, [x, other]) * Polynomial(K, [y])

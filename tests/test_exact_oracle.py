@@ -1,15 +1,17 @@
-"""The exact core against sympy, on the c4, c6 and Delta of every fixture surface.
+"""The exact core against sympy: over Q on the c4, c6 and Delta of every
+fixture surface, and over Q(sqrt m) on seeded random polynomials.
 
 Skipped when sympy is not installed (`pip install k3cm[test]` brings it in).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 sp = pytest.importorskip("sympy")
 
-from k3cm.exact import QQ, Polynomial, resultant  # noqa: E402
+from k3cm.exact import QQ, Polynomial, QuadField, QuadNum, resultant  # noqa: E402
 from k3cm.surfaces import rational_roots, squarefree_decomposition  # noqa: E402
 
 T = sp.Symbol("t")
@@ -79,3 +81,42 @@ def test_roots_valuations_and_squarefree_parts_match_sympy(certified):
             s_lead, s_parts = to_sympy(f).sqf_list()
             assert lead == rational(s_lead), name
             assert {i: g for g, i in parts} == {i: from_sympy(g) for g, i in s_parts}, name
+
+
+def quad_to_sympy(f: Polynomial):
+    r = sp.sqrt(f.domain.m)
+    cs = [sp.Rational(c.a.numerator, c.a.denominator)
+          + sp.Rational(c.b.numerator, c.b.denominator) * r for c in reversed(f.coeffs)]
+    return sp.Poly(cs or [0], T, extension=r)
+
+
+def quad_from_sympy(f, m: int) -> Polynomial:
+    """Read each coefficient of f over QQ<sqrt(m)> in the basis 1, sqrt(m)."""
+    assert f.domain.ext.as_expr() == sp.sqrt(m)
+    out = []
+    for c in reversed(f.rep.to_list()):
+        b, a = ([0, 0] + [Fraction(int(x.numerator), int(x.denominator)) for x in c.to_list()])[-2:]
+        out.append(QuadNum(a, b, m))
+    return Polynomial(QuadField(m), out)
+
+
+def random_quad_poly(rng, m: int, degree: int) -> Polynomial:
+    """A polynomial of the given degree over Q(sqrt m) with sparse parts."""
+    def part():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) if rng.random() < 0.7 else 0
+
+    lead = QuadNum(part(), Fraction(rng.choice((-3, -1, 1, 2)), rng.randrange(1, 5)), m)
+    return Polynomial(QuadField(m), [QuadNum(part(), part(), m) for _ in range(degree)] + [lead])
+
+
+def test_quadratic_field_arithmetic_matches_sympy():
+    rng = random.Random(53)
+    for m in (-1, 2, 21, -23, 85):
+        for _ in range(3):
+            f, g, h = (random_quad_poly(rng, m, rng.randrange(*span)) for span in ((5,), (4,), (1, 3)))
+            sf, sg, sh = quad_to_sympy(f), quad_to_sympy(g), quad_to_sympy(h)
+            assert f * g == quad_from_sympy(sf * sg, m), (m, f, g)
+            q, r = f.divrem(g)
+            sq, sr = sp.div(sf, sg)
+            assert (q, r) == (quad_from_sympy(sq, m), quad_from_sympy(sr, m)), (m, f, g)
+            assert (f * h).gcd(g * h) == quad_from_sympy(sp.gcd(sf * sh, sg * sh), m), (m, f, g, h)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -341,3 +342,19 @@ def test_per_prime_isometry_matches_whole_group_oracle():
                     isometric += want
     assert compared == 2 * sum(len(enumerate_reduced(d)) ** 2 for d in SPLIT_DISCS)
     assert 0 < isometric < compared
+
+
+def test_isometry_search_leaves_no_reference_cycles(certified):
+    # every certified NS form against itself and its T-side negation; the
+    # search must free what it builds without the cyclic collector
+    forms = [discriminant_form(assemble_ns(surf, secs)) for _, surf, secs in certified]
+    assert any(len(f.orders) > 1 for f in forms)
+    gc.collect()
+    gc.disable()
+    try:
+        for form in forms:
+            assert form.is_isomorphic(form)
+            form.is_isomorphic(form.negated())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
