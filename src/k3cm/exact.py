@@ -973,8 +973,10 @@ def roots_mod_p(f: Polynomial) -> set[int]:
         raise DomainError("roots_mod_p needs a polynomial over GF(p)")
     if f.is_zero():
         raise ValueError("zero polynomial mod p")
-    p = f.domain.p
-    return {x for x in range(p) if f(x) == 0}
+    p, acc = f.domain.p, [0] * f.domain.p
+    for c in reversed(f.coeffs):  # Horner at every residue at once, on plain ints
+        acc = [(a * x + c) % p for x, a in enumerate(acc)]
+    return {x for x, a in enumerate(acc) if not a}
 
 
 def resultant(f: Polynomial, g: Polynomial):

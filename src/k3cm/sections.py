@@ -1,17 +1,19 @@
 """Mordell-Weil sections: verification, fiber contacts, heights, pairings.
 
 A section is stored through its x-coordinate u(t) plus the square class m
-and cofactor w(t) with y = sqrt(m) w.  Contacts with reducible fibers are
-read off from exact valuations against the drifting node position; heights
-and pairings then follow from the standard correction tables, and the
-Neron-Severi discriminant from the Mordell-Weil determinant formula.
+and cofactor w(t) with y = sqrt(m) w.  Contact depths at reducible fibers
+are single exact valuations; local series at a node are expanded only for
+pairings there.  Heights and pairings follow from the standard correction
+tables, and the Neron-Severi discriminant from the Mordell-Weil determinant
+formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from k3cm.exact import (
@@ -21,7 +23,6 @@ from k3cm.exact import (
     QuadNum,
     RationalFunction,
     Series,
-    poly_series,
     rational_sqrt,
     ratfun_series,
     squarefree_part,
@@ -30,8 +31,8 @@ from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram, det_bareiss
 from k3cm.surfaces import (
     Cusp,
     FiberDescriptor,
+    SurfaceError,
     WeierstrassSurface,
-    _critical_point_series,
     node_series,
     squarefree_decomposition,
 )
@@ -53,10 +54,17 @@ class NonSemistableError(ValueError):
 class Contact:
     fiber: FiberDescriptor
     kind: str              # identity | cycle | far-cycle | star-leg | star-near | star-far
-    k: int = 0             # I_n: min(i, n-i); stars: unused
+    k: int = 0             # I_n: min(i, n-i), one exact valuation; stars: unused
     leg_root: object = None  # I_0*: which residual-cubic root carries the leg
-    xi: Series | None = None   # local x - node series (cycle contacts)
-    eta: Series | None = None  # local w series
+    # cycle contacts: () -> (xi, eta), the local series of x - node and of w,
+    # called when a pairing at a shared node first reads xi or eta
+    expand: object = field(default=None, repr=False, compare=False)
+    xi = property(lambda self: self._series[0])
+    eta = property(lambda self: self._series[1])
+
+    @cached_property
+    def _series(self) -> tuple:
+        return self.expand() if self.expand is not None else (None, None)
 
     @property
     def nonidentity(self) -> bool:
@@ -224,6 +232,26 @@ def determine_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
     return _star_contact(surf_c, u_c, w_c, t0, fiber)
 
 
+def _node_depth(surf_c, u_c, t0, x_t0, x0, twist: int) -> int:
+    """v_{t0}(x - x_node(t)) for x = u / (t - t0)^twist, with x(t0) = x_t0.
+
+    x_node is the root through x0 of 3x^2 + 2 A2 x + A4 = 3 (x - x_node)(x - x_other),
+    A_i = a_i / (t - t0)^(i twist / 2): an I_n node (twist 0) or the untwisted
+    I_m* cubic (twist 1).  f''(x0) != 0 makes x - x_other a unit at t0, so the
+    depth is v(3u^2 + 2 a2 u + a4) - 2 twist: with u = N/D, D(t0) != 0, one
+    valuation of 3N^2 + 2 a2 N D + a4 D^2.
+    """
+    d, a2, a4 = u_c.domain, surf_c.a2, surf_c.a4
+    c2, c3, c6 = (d.from_fraction(Fraction(c)) for c in (2, 3, 6))
+    if d.is_zero(d.add(d.mul(c6, x0), d.mul(c2, (a2.derivative() if twist else a2)(t0)))):
+        raise SurfaceError("degenerate node: f''(x0) vanishes")
+    if not d.eq(x_t0, x0):
+        return 0
+    num, den = u_c.num, u_c.den
+    fx = (num * num).scale(c3) + (a2 * num * den).scale(c2) + a4 * den * den
+    return 10**9 if fx.is_zero() else fx.valuation_at(t0) - 2 * twist
+
+
 def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     n = fiber.n
     dom = u_c.domain
@@ -232,21 +260,18 @@ def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     if fiber.node_x is None:
         raise SectionError(f"missing node data at {fiber}")
     node = _embed(dom, fiber.node_x)
-    if not dom.eq(u_c(t0), node):
-        return Contact(fiber, "identity")
-    prec = n + 4
-    x_node = node_series(surf_c, t0, node, prec)
-    xi = ratfun_series(u_c, t0, prec) - x_node
-    eta = ratfun_series(w_c, t0, prec) if not w_c.is_zero() else Series(dom, [], prec)
-    k = xi.valuation()
+    k = _node_depth(surf_c, u_c, t0, u_c(t0), node, 0)
     if k == 0:
         return Contact(fiber, "identity")
+    prec = n + 4
+    expand = lambda: (   # (xi, eta): local series of x - node and of w
+        ratfun_series(u_c, t0, prec) - node_series(surf_c, t0, node, prec),
+        ratfun_series(w_c, t0, prec) if not w_c.is_zero() else Series(dom, [], prec),
+    )
     if 2 * k < n:
-        return Contact(fiber, "cycle", k=k, xi=xi, eta=eta)
+        return Contact(fiber, "cycle", k=k, expand=expand)
     if n % 2 == 0:
-        return Contact(fiber, "far-cycle", k=n // 2, xi=xi, eta=eta)
-    if k >= prec:
-        raise SectionError(f"valuation saturated working precision at {fiber}")
+        return Contact(fiber, "far-cycle", k=n // 2, expand=expand)
     raise SectionError(
         f"x-contact depth {k} exceeds the I_{n} pattern at {fiber}; model not normalized"
     )
@@ -254,30 +279,15 @@ def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
 
 def _star_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     dom = u_c.domain
-    if u_c.is_zero():
-        v = 10**9
-    else:
-        v = u_c.valuation_at(t0)
-    if v <= 0:
+    if not u_c.is_zero() and u_c.valuation_at(t0) <= 0:
         return Contact(fiber, "identity")
-    m = fiber.n
-    prec = m + 6
-    useries = ratfun_series(u_c, t0, prec + 1)
-    X = Series(dom, useries.coeffs[1:], prec)  # u / (t - t0)
+    # X = u / (t - t0) on the untwisted cubic X^3 + (a2/pi) X^2 + (a4/pi^2) X
+    # + (a6/pi^3); u(t0) = 0, so X(t0) = u'(t0)
+    X0 = dom.div(u_c.num.derivative()(t0), u_c.den(t0))
     if fiber.n == 0:
-        leg = X[0]
-        return Contact(fiber, "star-leg", leg_root=leg)
-    # I_m*, m >= 1: compare against the drifting double root of the
-    # untwisted cubic X^3 + (a2/pi) X^2 + (a4/pi^2) X + (a6/pi^3)
-    x2 = poly_series(surf_c.a2, t0, prec + 1)
-    x4 = poly_series(surf_c.a4, t0, prec + 2)
-    a2b = Series(dom, x2.coeffs[1:], prec)
-    a4b = Series(dom, x4.coeffs[2:], prec)
-    node = _critical_point_series(a2b, a4b, _embed(dom, fiber.double_root))
-    diff = X - node
-    vdiff = diff.valuation()
-    need = (m + 1) // 2
-    if vdiff >= need:
+        return Contact(fiber, "star-leg", leg_root=X0)
+    vdiff = _node_depth(surf_c, u_c, t0, X0, _embed(dom, fiber.double_root), 1)
+    if vdiff >= (fiber.n + 1) // 2:
         return Contact(fiber, "star-far")
     if vdiff == 0:
         return Contact(fiber, "star-near")
@@ -349,7 +359,7 @@ def _same_branch(p: Contact, q: Contact) -> bool:
 
 
 def _scaled_section(q: Section, scale, new_m) -> Section:
-    """Copy of q with w (and contact eta series) multiplied by scale."""
+    """Copy of q with w (and, when read, contact eta series) multiplied by scale."""
     dom = q.domain
     s = _embed(dom, scale)
     return Section(
@@ -359,10 +369,7 @@ def _scaled_section(q: Section, scale, new_m) -> Section:
         pO=q.pO,
         name=q.name,
         contacts={
-            idx: Contact(
-                c.fiber, c.kind, c.k, c.leg_root, c.xi,
-                c.eta.scale(s) if c.eta is not None else None,
-            )
+            idx: c if c.expand is None else replace(c, expand=lambda c=c: (c.xi, c.eta.scale(s)))
             for idx, c in q.contacts.items()
         },
         fibers=q.fibers,

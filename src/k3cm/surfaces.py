@@ -428,21 +428,11 @@ def _square_class(domain, value):
 def node_series(surface: WeierstrassSurface, t0, x0, prec: int) -> Series:
     """Power series x(t) of the critical point of the fiber cubic near x0.
 
-    The root of f'(x) = 3x^2 + 2 a2 x + a4 in the series ring at t0;
-    requires f''(x0) != 0 at t0 (true at any I_n node).
+    The root of f'(x) = 3x^2 + 2 a2 x + a4 by Newton iteration in the series
+    ring at t0; requires f''(x0) != 0 at t0 (true at any I_n node).
     """
-    return _critical_point_series(
-        poly_series(surface.a2, t0, prec), poly_series(surface.a4, t0, prec), x0
-    )
-
-
-def _critical_point_series(a2s: Series, a4s: Series, x0) -> Series:
-    """Root x of 3x^2 + 2 a2 x + a4 near x0, for series a2 and a4.
-
-    Newton iteration in the series ring of a2s; requires 6 x0 + 2 a2(0) != 0,
-    true at an I_n node and at the untwisted double root of an I_m* fiber.
-    """
-    d, prec = a2s.domain, a2s.prec
+    d = surface.domain
+    a2s, a4s = poly_series(surface.a2, t0, prec), poly_series(surface.a4, t0, prec)
     three, two, six = (Series(d, [d.from_fraction(Fraction(c))], prec) for c in (3, 2, 6))
     x = Series(d, [x0], prec)
     for _ in range(prec.bit_length() + 3):

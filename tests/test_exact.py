@@ -144,6 +144,24 @@ def test_roots_mod_p():
     assert roots_mod_p(Polynomial(F5, [0, 4, 0, 1])) == {0, 1, 4}  # t^3 - t
 
 
+def test_roots_mod_p_match_evaluation_at_every_residue():
+    rng = random.Random(20261018)
+    for p in (2, 3, 101, 2999):
+        F = GF(p)
+        for _ in range(12):
+            f = Polynomial(F, [rng.randrange(p) for _ in range(rng.randint(1, 9))])
+            if f.is_zero():
+                continue
+            assert roots_mod_p(f) == {x for x in range(p) if f(x) == 0}, (p, f.coeffs)
+        roots = set(rng.sample(range(p), min(p, 3)))   # a product of linear factors
+        f = Polynomial(F, [1])
+        for r in roots:
+            f = f * Polynomial(F, [-r % p, 1])
+        assert roots_mod_p(f) == roots
+    with pytest.raises(ValueError):
+        roots_mod_p(Polynomial(GF(101), []))
+
+
 # ---------------------------------------------------------------------------
 # CRT and rational reconstruction
 # ---------------------------------------------------------------------------
