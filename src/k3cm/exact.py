@@ -698,8 +698,7 @@ class Polynomial:
         return Polynomial(d, _convolve(d, self.coeffs, other.coeffs, n))
 
     def scale(self, c) -> "Polynomial":
-        d = self.domain
-        return Polynomial(d, [d.mul(c, a) for a in self.coeffs])
+        return Polynomial(self.domain, _convolve(self.domain, [c], self.coeffs, len(self.coeffs)))
 
     def __pow__(self, n: int):
         out = Polynomial.constant(self.domain, self.domain.one)
@@ -715,9 +714,12 @@ class Polynomial:
         """(q, r) with self = q * other + r and deg r < deg other.
 
         Over Q this is integer pseudo-division of the numerators over their
-        common denominators, lc^e * S = Q * O + R, scaled back at the end;
-        the quotient and remainder are unique, so they are the same as by
-        long division over Fraction.
+        common denominators, lc^e * S = Q * O + R, scaled back at the end.
+        Over Q(sqrt m) the divisor's (rational, sqrt(m)) numerator pairs are
+        first multiplied by the conjugate of their lead, whose lead is then
+        the integer norm; the pairs are pseudo-divided by that, and the
+        quotient is multiplied back by the conjugate.  The quotient and
+        remainder are unique, so they are the same as by long division.
         """
         self._check(other)
         d = self.domain
@@ -729,6 +731,15 @@ class Polynomial:
             den = mult * ds
             return (Polynomial(d, [Fraction(q * do, den) for q in quot]),
                     Polynomial(d, [Fraction(r, den) for r in rem]))
+        if isinstance(d, QuadField):
+            m = d.m
+            (sa, sb), ds = _pair_coeffs(self.coeffs, m)
+            (oa, ob), do = _pair_coeffs(other.coeffs, m)
+            la, lb = oa[-1], ob[-1]
+            qa, qb, ra, rb, mult = _pair_pseudo_divrem(sa, sb, *_pair_scale(oa, ob, la, -lb, m), m)
+            den = mult * ds
+            return (Polynomial(d, _quads(*_pair_scale(qa, qb, la * do, -lb * do, m), den, m)),
+                    Polynomial(d, _quads(ra, rb, den, m)))
         lead_inv = d.inv(other.leading())
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
@@ -760,7 +771,10 @@ class Polynomial:
 
         Over Q, a primitive remainder sequence on the integer numerators
         (each pseudo-remainder divided by its content), made monic at the
-        end; elsewhere the Euclidean sequence of monic remainders.
+        end.  Over Q(sqrt m) the same on (rational, sqrt(m)) numerator
+        pairs, each remainder first multiplied by the conjugate of its lead
+        so that the lead is an integer (`_pair_primitive`).  Elsewhere the
+        Euclidean sequence of monic remainders.
         """
         self._check(other)
         d = self.domain
@@ -771,6 +785,12 @@ class Polynomial:
             while b:
                 a, b = b, _primitive(_pseudo_divrem(a, b)[1])
             return Polynomial(d, [Fraction(c, a[-1]) for c in a]) if a else Polynomial(d, [])
+        if isinstance(d, QuadField):
+            m = d.m
+            a, b = (_pair_primitive(*_pair_coeffs(f.coeffs, m)[0], m) for f in (self, other))
+            while b[0]:
+                a, b = b, _pair_primitive(*_pair_pseudo_divrem(*a, *b, m)[2:4], m)
+            return Polynomial(d, _quads(*a, a[0][-1], m) if a[0] else [])
         a, b = self.monic(), other.monic()
         while not b.is_zero():
             a, b = b, (a % b).monic()
@@ -778,14 +798,8 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         d = self.domain
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            acc = d.zero
-            for _ in range(i):
-                acc = d.add(acc, c)
-            out.append(acc)
-        return Polynomial(d, out)
+        return Polynomial(d, [d.mul(d.from_fraction(Fraction(i)), c)
+                              for i, c in enumerate(self.coeffs[1:], 1)])
 
     def __call__(self, point):
         d = self.domain
@@ -901,14 +915,59 @@ def _pseudo_divrem(sn: list[int], on: list[int]) -> tuple[list[int], list[int], 
     return quot, rem, mult
 
 
+def _pair_pseudo_divrem(sa, sb, oa, ob, m: int):
+    """(qa, qb, ra, rb, mult): `_pseudo_divrem` on (rational, sqrt(m)) numerator
+    pairs, mult * S = Q * O + R; O's lead must be an integer, ob[-1] = 0."""
+    lc, k = oa[-1], len(oa)
+    ra, rb, mult = list(sa), list(sb), 1
+    qa, qb = [0] * max(len(sa) - k + 1, 0), [0] * max(len(sa) - k + 1, 0)
+    for i in range(len(sa) - k, -1, -1):
+        ca, cb = ra.pop(), rb.pop()
+        if ca or cb:
+            g = math.gcd(ca, cb, lc)
+            s, ca, cb = lc // g, ca // g, cb // g
+            if s != 1:
+                ra, rb = [s * r for r in ra], [s * r for r in rb]
+                qa, qb, mult = [s * q for q in qa], [s * q for q in qb], mult * s
+            qa[i], qb[i] = ca, cb
+            for j in range(k - 1):
+                ra[i + j] -= ca * oa[j] + m * cb * ob[j]
+                rb[i + j] -= ca * ob[j] + cb * oa[j]
+    return qa, qb, ra, rb, mult
+
+
+def _pair_scale(xa, xb, ca: int, cb: int, m: int):
+    """The numerator pairs of (xa + xb sqrt(m)) * (ca + cb sqrt(m)), entrywise."""
+    return [a * ca + m * b * cb for a, b in zip(xa, xb)], [a * cb + b * ca for a, b in zip(xa, xb)]
+
+
+def _pair_primitive(xa, xb, m: int):
+    """Numerator pairs without trailing zeros, times the conjugate of their
+    lead (so the lead is an integer), divided by the content of both parts."""
+    while xa and not (xa[-1] or xb[-1]):
+        xa, xb = xa[:-1], xb[:-1]
+    if not xa:
+        return xa, xb
+    xa, xb = _pair_scale(xa, xb, xa[-1], -xb[-1], m)
+    g = math.gcd(*xa, *xb)
+    return [c // g for c in xa], [c // g for c in xb]
+
+
+def _quads(xa, xb, den: int, m: int) -> list:
+    """QuadNums (a + b sqrt(m)) / den from numerator pairs, each built once."""
+    return [_quad(Fraction(a, den), Fraction(b, den), m) for a, b in zip(xa, xb)]
+
+
 def _convolve(domain: Domain, xs, ys, n: int) -> list:
     """The first n coefficients of the product of coefficient lists xs and ys.
 
-    Over Q the integer numerators are convolved over one common denominator;
-    over Q(sqrt m) the (rational part, sqrt(m) part) numerator pairs; over
-    GF(p) plain ints, reduced mod p once per output coefficient.  Each output
-    scalar is built once.  Other domains use the generic loop.  Short lists
-    are read as padded with zeros.
+    The one multiply loop of `Polynomial` and `Series` products, `scale`
+    and `Series.inverse`.  Over Q the integer numerators are convolved over
+    one common denominator; over Q(sqrt m) the (rational part, sqrt(m) part)
+    numerator pairs over one common denominator; over GF(p) plain ints,
+    reduced mod p once per output coefficient.  Each output scalar is built
+    once.  Other domains use the generic loop.  Short lists are read as
+    padded with zeros.
     """
     xs, ys = xs[:n], ys[:n]
     if isinstance(domain, RationalField):
@@ -925,7 +984,7 @@ def _convolve(domain: Domain, xs, ys, n: int) -> list:
         den = dx * dy
         rat = [u + m * v for u, v in zip(_int_convolve(xa, ya, n), _int_convolve(xb, yb, n))]
         irr = [u + v for u, v in zip(_int_convolve(xa, yb, n), _int_convolve(xb, ya, n))]
-        return [_quad(Fraction(u, den), Fraction(v, den), m) for u, v in zip(rat, irr)]
+        return _quads(rat, irr, den, m)
     out = [domain.zero] * n
     for i, x in enumerate(xs):
         if domain.is_zero(x):
@@ -1154,21 +1213,21 @@ class Series:
         return Series(self.domain, _convolve(self.domain, self.coeffs, other.coeffs, n), n)
 
     def scale(self, c):
-        d = self.domain
-        return Series(d, [d.mul(c, a) for a in self.coeffs], self.prec)
+        return Series(self.domain, _convolve(self.domain, [c], self.coeffs, self.prec), self.prec)
 
     def inverse(self) -> "Series":
-        d = self.domain
-        if d.is_zero(self.coeffs[0]):
+        """Newton doubling g <- g - g (f g - 1) on `_convolve` in every domain,
+        so over Q and Q(sqrt m) on integer numerators (pairs).  A zero
+        precision or a non-unit constant term raises ZeroDivisionError."""
+        d, n = self.domain, self.prec
+        if n == 0 or not d.is_unit(self.coeffs[0]):
             raise ZeroDivisionError("series is not a unit")
-        inv0 = d.inv(self.coeffs[0])
-        out = [inv0] + [d.zero] * (self.prec - 1)
-        for n in range(1, self.prec):
-            acc = d.zero
-            for i in range(1, n + 1):
-                acc = d.add(acc, d.mul(self.coeffs[i], out[n - i]))
-            out[n] = d.neg(d.mul(inv0, acc))
-        return Series(d, out, self.prec)
+        g = [d.inv(self.coeffs[0])]
+        while len(g) < n:
+            k = len(g)
+            err = _convolve(d, self.coeffs, g, min(2 * k, n))[k:]
+            g += [d.neg(c) for c in _convolve(d, g, err, len(err))]
+        return Series(d, g, n)
 
     def __truediv__(self, other):
         return self * other.inverse()

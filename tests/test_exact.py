@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from k3cm.exact import (
     RationalFunction,
     Series,
     _convolve,
+    _pair_coeffs,
+    _pair_primitive,
     crt_combine,
     is_prime,
     kronecker,
@@ -490,7 +493,7 @@ def random_scalar(rng, d):
                        Fraction(rng.randrange(-40, 41), rng.randrange(1, 13)), d.m)
     if d == QQ:
         return Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
-    return rng.randrange(d.p)
+    return rng.randrange(d.modulus if isinstance(d, PadicRing) else d.p)
 
 
 def random_coeffs(rng, d, top=7):
@@ -509,7 +512,7 @@ def assert_scalar_types(d, cs):
         elif d == QQ:
             assert type(c) is Fraction
         else:
-            assert type(c) is int and 0 <= c < d.p
+            assert type(c) is int and 0 <= c < (d.modulus if isinstance(d, PadicRing) else d.p)
 
 
 def test_kernel_products_match_generic_loop():
@@ -575,3 +578,126 @@ def test_quadnum_results_keep_fraction_parts_and_radicand():
             op(x, other)
     with pytest.raises(DomainError):   # a stray coefficient of another field
         Polynomial(K, [x, other]) * Polynomial(K, [y])
+
+
+def reference_series_inverse(s):
+    """The term-by-term recurrence out[n] = -inv0 * sum_{i>=1} s_i out[n-i]."""
+    d = s.domain
+    inv0 = d.inv(s.coeffs[0])
+    out = [inv0] + [d.zero] * (s.prec - 1)
+    for n in range(1, s.prec):
+        acc = d.zero
+        for i in range(1, n + 1):
+            acc = d.add(acc, d.mul(s.coeffs[i], out[n - i]))
+        out[n] = d.neg(d.mul(inv0, acc))
+    return Series(d, out, s.prec)
+
+
+def reference_scale(f, c):
+    """Coefficientwise d.mul, for a Polynomial or a Series."""
+    d = f.domain
+    cs = [d.mul(c, a) for a in f.coeffs]
+    return Series(d, cs, f.prec) if isinstance(f, Series) else Polynomial(d, cs)
+
+
+def reference_derivative(f):
+    """Coefficient i of f' as i repeated additions of f_i."""
+    d = f.domain
+    out = []
+    for i in range(1, len(f.coeffs)):
+        acc = d.zero
+        for _ in range(i):
+            acc = d.add(acc, f.coeffs[i])
+        out.append(acc)
+    return Polynomial(d, out)
+
+
+SERIES_DOMAINS = KERNEL_DOMAINS + [PadicRing(5, 3), PadicRing(2, 6)]
+
+
+def test_series_inverse_and_scale_match_reference():
+    rng = random.Random(59)
+    for d in SERIES_DOMAINS:
+        for prec in range(1, 14):
+            for _ in range(4):
+                cs = random_coeffs(rng, d, top=prec + 2)
+                cs = [d.one if not cs or d.is_zero(cs[0]) else cs[0]] + cs[1:]
+                s = Series(d, cs, prec)
+                c = random_scalar(rng, d)
+                for got, want in ((s.scale(c), reference_scale(s, c)),
+                                  (Polynomial(d, cs).scale(c), reference_scale(Polynomial(d, cs), c))):
+                    assert got.coeffs == want.coeffs, (d, cs, c)
+                    assert_scalar_types(d, got.coeffs)
+                if not d.is_unit(cs[0]):
+                    with pytest.raises(ZeroDivisionError, match="not a unit"):
+                        s.inverse()
+                    continue
+                inv = s.inverse()
+                assert (inv.prec, inv.coeffs) == (prec, reference_series_inverse(s).coeffs), (d, s)
+                assert_scalar_types(d, inv.coeffs)
+                assert (s * inv).coeffs == [d.one] + [d.zero] * (prec - 1)
+            non_unit = d.p if isinstance(d, PadicRing) else d.zero
+            with pytest.raises(ZeroDivisionError, match="not a unit"):
+                Series(d, [non_unit, d.one], prec).inverse()
+
+
+def test_series_inverse_at_zero_precision_is_not_a_unit():
+    for d in SERIES_DOMAINS:
+        with pytest.raises(ZeroDivisionError, match="series is not a unit"):
+            Series(d, [d.one], 0).inverse()
+
+
+def test_derivative_matches_repeated_addition():
+    rng = random.Random(61)
+    for d in SERIES_DOMAINS:
+        for _ in range(30):
+            f = Polynomial(d, random_coeffs(rng, d, top=12))   # exponents past 2, 3 and 5
+            got = f.derivative()
+            assert got == reference_derivative(f), (d, f)
+            assert_scalar_types(d, got.coeffs)
+    assert Polynomial.from_text(GF(3), "1;1;1;1;1").derivative().to_text() == "1;2;0;1"
+    assert Polynomial.from_text(GF(2), "1;1;1;1;1").derivative().to_text() == "1;0;1"
+
+
+def random_quad_cubic(rng, K):
+    """A cubic over K whose lead has a non-zero sqrt(m) part."""
+    lead = QuadNum(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)),
+                   Fraction(rng.choice((-5, -2, 1, 3)), rng.randrange(1, 7)), K.m)
+    return Polynomial(K, [random_scalar(rng, K) for _ in range(3)] + [lead])
+
+
+def test_quad_divrem_and_gcd_match_reference_on_large_products():
+    rng = random.Random(67)
+    for m in (-23, 21, 85, 2):
+        K = QuadField(m)
+        for _ in range(2):
+            c = random_quad_cubic(rng, K)
+            f = c * Polynomial(K, [random_scalar(rng, K) for _ in range(17)] + [K.one])
+            g = c * random_quad_cubic(rng, K) ** 6
+            assert f.degree >= 20 and g.degree >= 21
+            for a, b in ((f, g), (g, f), (f, c), (g, c * c), (f * g, g), (c, f)):
+                q, r = a.divrem(b)
+                assert (q, r) == reference_divrem(a, b), (m, a, b)
+                assert_scalar_types(K, q.coeffs + r.coeffs)
+            for a, b in ((f, g), (f * c, g), (f, Polynomial.constant(K, K.one) + f)):
+                got = a.gcd(b)
+                assert got == reference_gcd(a, b), (m, a, b)
+                assert_scalar_types(K, got.coeffs)
+            assert f.gcd(g) % c.monic() == Polynomial(K, [])
+
+
+def test_pair_primitive_has_integer_lead_and_content_one():
+    rng = random.Random(71)
+    for m in (-23, 21, 85, 2):
+        K = QuadField(m)
+        for _ in range(20):
+            f = Polynomial(K, random_coeffs(rng, K, top=9))
+            if f.is_zero() or f.leading().b == 0:
+                continue
+            f = f.scale(K.from_fraction(Fraction(rng.randrange(2, 30))))   # content to remove
+            (xa, xb), _ = _pair_coeffs(f.coeffs, m)
+            pa, pb = _pair_primitive(xa + [0], xb + [0], m)
+            assert len(pa) == len(pb) == len(f.coeffs)
+            assert pb[-1] == 0 and pa[-1] != 0
+            assert math.gcd(*pa, *pb) == 1
+            assert Polynomial(K, [QuadNum(a, b, m) for a, b in zip(pa, pb)]).monic() == f.monic()

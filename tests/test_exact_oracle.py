@@ -1,5 +1,7 @@
 """The exact core against sympy: over Q on the c4, c6 and Delta of every
-fixture surface, and over Q(sqrt m) on seeded random polynomials.
+fixture surface, and over Q(sqrt m) on seeded random polynomials (products,
+division, gcd, and the squarefree decomposition that certify runs through
+`sections._square_cofactor`, against `sqf_list` over QQ<sqrt(m)>).
 
 Skipped when sympy is not installed (`pip install k3cm[test]` brings it in).
 """
@@ -84,20 +86,22 @@ def test_roots_valuations_and_squarefree_parts_match_sympy(certified):
 
 
 def quad_to_sympy(f: Polynomial):
-    r = sp.sqrt(f.domain.m)
-    cs = [sp.Rational(c.a.numerator, c.a.denominator)
-          + sp.Rational(c.b.numerator, c.b.denominator) * r for c in reversed(f.coeffs)]
-    return sp.Poly(cs or [0], T, extension=r)
+    """f over QQ<sqrt(m)>, each coefficient built as b*sqrt(m) + a in that field."""
+    K = sp.QQ.algebraic_field(sp.sqrt(f.domain.m))
+    q = lambda x: sp.QQ(x.numerator, x.denominator)  # noqa: E731
+    return sp.Poly.from_list([K([q(c.b), q(c.a)]) for c in reversed(f.coeffs)] or [K(0)], T, domain=K)
+
+
+def quad_from_element(c, m: int) -> QuadNum:
+    """An element of QQ<sqrt(m)> read in the basis 1, sqrt(m)."""
+    b, a = ([0, 0] + [Fraction(int(x.numerator), int(x.denominator)) for x in c.to_list()])[-2:]
+    return QuadNum(a, b, m)
 
 
 def quad_from_sympy(f, m: int) -> Polynomial:
     """Read each coefficient of f over QQ<sqrt(m)> in the basis 1, sqrt(m)."""
     assert f.domain.ext.as_expr() == sp.sqrt(m)
-    out = []
-    for c in reversed(f.rep.to_list()):
-        b, a = ([0, 0] + [Fraction(int(x.numerator), int(x.denominator)) for x in c.to_list()])[-2:]
-        out.append(QuadNum(a, b, m))
-    return Polynomial(QuadField(m), out)
+    return Polynomial(QuadField(m), [quad_from_element(c, m) for c in reversed(f.rep.to_list())])
 
 
 def random_quad_poly(rng, m: int, degree: int) -> Polynomial:
@@ -120,3 +124,18 @@ def test_quadratic_field_arithmetic_matches_sympy():
             sq, sr = sp.div(sf, sg)
             assert (q, r) == (quad_from_sympy(sq, m), quad_from_sympy(sr, m)), (m, f, g)
             assert (f * h).gcd(g * h) == quad_from_sympy(sp.gcd(sf * sh, sg * sh), m), (m, f, g, h)
+
+
+
+def test_squarefree_decomposition_over_quadratic_fields_matches_sympy():
+    # the certify caller: sections._square_cofactor decomposes over Q(sqrt m)
+    rng = random.Random(59)
+    for m in (-23, 21, 85, 2):
+        for _ in range(2):
+            g1, g2, g3 = (random_quad_poly(rng, m, deg) for deg in (1, 2, 3))
+            f = g1 * g2 ** 2 * g3 ** 3 * random_quad_poly(rng, m, 2)
+            lead, parts = squarefree_decomposition(f)
+            sf = quad_to_sympy(f)
+            s_lead, s_parts = sf.sqf_list()
+            assert lead == quad_from_element(sf.domain.from_sympy(s_lead), m), (m, f)
+            assert {i: g for g, i in parts} == {i: quad_from_sympy(g, m) for g, i in s_parts}, (m, f)
