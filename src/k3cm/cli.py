@@ -28,7 +28,8 @@ def _load_family(spec: str):
 def _load_surface_file(path: str):
     from k3cm.fixtures import registry, surface_fixture_from_text
 
-    return registry(), surface_fixture_from_text(open(path).read())
+    with open(path) as fh:
+        return registry(), surface_fixture_from_text(fh.read())
 
 
 def cmd_discs(args) -> int:
@@ -169,11 +170,9 @@ def _section_fixtures(fx, sections_path=None):
         return fx.sections
     from k3cm.fixtures import parse_blocks, section_fixture_from_block
 
-    return [
-        section_fixture_from_block(kv)
-        for name, kv in parse_blocks(open(sections_path).read())
-        if name == "sections"
-    ]
+    with open(sections_path) as fh:
+        blocks = parse_blocks(fh.read())
+    return [section_fixture_from_block(kv) for name, kv in blocks if name == "sections"]
 
 
 def _verify_fixture(reg, fx, sections_path=None) -> int:

@@ -28,17 +28,23 @@ at infinity with its point count; then each member costs O(p):
 The twist path needs Delta_g(lambda) != 0; a member with lambda on a cusp of
 g is counted the general way (specialize, `analyze_fibers_mod_p`,
 `count_weierstrass`), and so is every member of a prime where g has a fiber
-the table cannot carry (an I* type at a fixed cusp, or one `_local_fiber`
-rejects).  Families of any other shape always take the general path.
+the table cannot carry (an I* type at a fixed cusp, or one the counting
+tables reject).  Families of any other shape always take the general path.
+
+Fibers mod p are typed by the Kodaira rules of `surfaces.classify_at`, the
+ones that classify fibers over Q, run over GF(p) at the roots of Delta mod p.
+A fiber those rules reject (an additive type other than I_0*, a model that
+is not normalized there) or an I_m* fiber with m >= 1 raises CountingError,
+so that a scan skips the member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 
-from k3cm.exact import GF, Polynomial
-from k3cm.surfaces import WeierstrassSurface
+from k3cm.exact import GF, PadicRing, roots_mod_p
+from k3cm.surfaces import Cusp, SurfaceError, UnsupportedFiberError, WeierstrassSurface, classify_at
 
 
 class CountingError(ValueError):
@@ -91,54 +97,34 @@ class CountRecord:
 # ---------------------------------------------------------------------------
 
 def analyze_fibers_mod_p(surface: WeierstrassSurface) -> list[FpFiber]:
-    """Classify the reducible fibers of a surface over GF(p).
+    """Classify the singular fibers of a surface over GF(p), infinity last.
 
     Valid at good primes only: the caller guarantees that the generic
     configuration reduces cleanly (no cusp collisions, no denominators).
     """
     F = surface.domain
-    if not hasattr(F, "p"):
+    if not (isinstance(F, PadicRing) and F.is_field):
         raise CountingError("analyze_fibers_mod_p expects a GF(p) surface")
-    p = F.p
-    chi = _character_table(p)
-    out = []
-    delta = surface.delta
-    for t0 in range(p):
-        v = delta.valuation_at(t0)
-        if v == 0:
-            continue
-        out.append(_local_fiber(surface, t0, v, chi))
-    v_inf = 24 - delta.degree
-    if v_inf > 0:
-        flip = surface.flipped()
-        fib = _local_fiber(flip, 0, v_inf, chi)
-        out.append(FpFiber(None, fib.kind, fib.n, fib.split, fib.r3))
+    chi = _character_table(F.p)
+    out = [_fp_fiber(surface, t0, chi) for t0 in sorted(roots_mod_p(surface.delta))]
+    if surface.delta.degree < 24:
+        out.append(replace(_fp_fiber(surface.flipped(), 0, chi), t0=None))
     return out
 
 
-def _local_fiber(surface, t0, v, chi) -> FpFiber:
-    F = surface.domain
-    p = F.p
-    vc4 = surface.c4.valuation_at(t0) if not surface.c4.is_zero() else 99
-    if vc4 == 0:
-        if v < 2:
-            return FpFiber(t0, "I", v)
-        cubic = surface.fiber_cubic(t0)
-        g = cubic.gcd(cubic.derivative())
-        if g.degree != 1:
-            raise CountingError(f"bad reduction shape at t={t0} mod {p}")
-        x0 = F.neg(F.div(g.coeffs[0], g.coeffs[1]))
-        c = F.div(cubic.derivative().derivative()(x0), 2 % p)
-        return FpFiber(t0, "I", v, split=chi[c] == 1)
-    vc6 = surface.c6.valuation_at(t0) if not surface.c6.is_zero() else 99
-    if vc4 >= 2 and vc6 >= 3 and v == 6:
-        sh2, sh4, sh6 = (surface.a2.shift(t0), surface.a4.shift(t0), surface.a6.shift(t0))
-        cubic = Polynomial(F, [sh6[3], sh4[2], sh2[1], F.one])
-        r3 = sum(1 for x in range(p) if cubic(x) == 0)
-        return FpFiber(t0, "I*", 0, r3=r3)
-    raise CountingError(
-        f"unsupported fiber type mod {p} at t={t0} (v(c4)={vc4}, v(Delta)={v})"
-    )
+def _fp_fiber(surface, t0: int, chi) -> FpFiber:
+    """The fiber at t0 as `classify_at` types it over GF(p), as counting data."""
+    p = surface.domain.p
+    where = f"{surface.name or 'surface'} mod {p} at t={t0}"
+    try:
+        fib = classify_at(surface, Cusp.finite(t0))
+    except (SurfaceError, UnsupportedFiberError) as exc:
+        raise CountingError(f"{where}: {exc}") from exc
+    if fib.kind == "I":
+        return FpFiber(t0, "I", fib.n, split=fib.n < 2 or chi[fib.split_class] == 1)
+    if fib.n:
+        raise CountingError(f"{where}: I{fib.n}* fibers are outside the counting tables")
+    return FpFiber(t0, "I*", 0, r3=len(roots_mod_p(fib.residual_cubic)))
 
 
 def _character_table(p: int) -> list[int]:
@@ -202,16 +188,11 @@ class TwistTable:
             vals = _cubic_values(a2(t), a4(t), a6(t), p)
             S.append(sum(map(chi.__getitem__, vals)))
             Z.append(vals.count(0))
-        cusps = {}
-        for t0 in range(p):
-            if g.delta(t0) == 0:
-                cusps[t0] = _local_fiber(g, t0, g.delta.valuation_at(t0), chi)
+        cusps = {t0: _fp_fiber(g, t0, chi) for t0 in sorted(roots_mod_p(g.delta))}
         chart = WeierstrassSurface(a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf")
-        v_inf = 18 - g.delta.degree   # the member's 24 - deg Delta, Delta = (t-lambda)^6 Delta_g
         inf_fiber = None
-        if v_inf > 0:
-            fib = _local_fiber(chart, 0, v_inf, chi)
-            inf_fiber = FpFiber(None, fib.kind, fib.n, fib.split, fib.r3)
+        if g.delta.degree < 18:   # the member's 24 - deg Delta > 0, Delta = (t-lambda)^6 Delta_g
+            inf_fiber = replace(_fp_fiber(chart, 0, chi), t0=None)
         if any(f.kind != "I" for f in [*cusps.values(), inf_fiber] if f is not None):
             raise CountingError(f"twist table at p = {p} covers I_n fibers of g only")
         inf_vals = _cubic_values(chart.a2(0), chart.a4(0), chart.a6(0), p)

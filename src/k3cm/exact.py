@@ -385,90 +385,27 @@ QQ = RationalField()
 
 
 @dataclass(frozen=True)
-class PrimeField(Domain):
-    p: int
-    is_field = True
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def is_zero(self, x) -> bool:
-        return x == 0
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def mul(self, x, y):
-        return x * y % self.p
-
-    def neg(self, x):
-        return -x % self.p
-
-    def inv(self, x):
-        if x % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
-        return pow(x, self.p - 2, self.p)
-
-    def div(self, x, y):
-        return x * self.inv(y) % self.p
-
-    def from_fraction(self, q: Fraction):
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise DomainError(f"denominator of {q} divisible by p={self.p}")
-        return q.numerator * pow(q.denominator, -1, self.p) % self.p
-
-    def parse(self, text: str):
-        return self.from_fraction(parse_rational(text))
-
-    def format(self, x) -> str:
-        return str(x % self.p)
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
-@dataclass(frozen=True)
 class PadicRing(Domain):
-    """Z/p^k: truncated p-adic arithmetic at precision k."""
+    """Z/p^k: truncated p-adic arithmetic at precision k; k = 1 is GF(p)."""
 
     p: int
     k: int
-    is_field = False
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
         if self.k < 1:
             raise DomainError("precision must be >= 1")
+        object.__setattr__(self, "modulus", self.p ** self.k)
 
     @property
-    def modulus(self):
-        return self.p ** self.k
+    def is_field(self) -> bool:
+        return self.k == 1
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    def is_zero(self, x) -> bool:
+        return x == 0
 
     def add(self, x, y):
         return (x + y) % self.modulus
@@ -484,7 +421,7 @@ class PadicRing(Domain):
 
     def inv(self, x):
         if x % self.p == 0:
-            raise ZeroDivisionError(f"{x} is not a unit in Z/{self.p}^{self.k}")
+            raise ZeroDivisionError(f"{x} is not a unit in {self!r}")
         return pow(x, -1, self.modulus)
 
     def is_unit(self, x) -> bool:
@@ -499,11 +436,19 @@ class PadicRing(Domain):
             raise DomainError(f"denominator of {q} divisible by p={self.p}")
         return q.numerator * pow(q.denominator, -1, self.modulus) % self.modulus
 
+    def parse(self, text: str):
+        return self.from_fraction(parse_rational(text))
+
     def format(self, x) -> str:
         return str(x % self.modulus)
 
     def __repr__(self):
-        return f"Z/{self.p}^{self.k}"
+        return f"GF({self.p})" if self.k == 1 else f"Z/{self.p}^{self.k}"
+
+
+def GF(p: int) -> PadicRing:
+    """The prime field F_p, as the ring Z/p^1."""
+    return PadicRing(p, 1)
 
 
 @dataclass(frozen=True)
@@ -811,10 +756,27 @@ class Polynomial:
     # -- valuations ----------------------------------------------------------
 
     def valuation_at(self, point) -> int:
-        """Largest k with (t - point)^k dividing self; self must be nonzero.
+        """Largest k with (t - point)^k dividing self; self must be nonzero."""
+        return self._divide_out(point)[0]
+
+    def order_at(self, point) -> tuple:
+        """(k, c) with self = (t - point)^k (c + O(t - point)), c != 0: the
+        valuation and the first non-zero Taylor coefficient at the point."""
+        k, g = self._divide_out(point)
+        if not isinstance(self.domain, RationalField):
+            return k, g(point)
+        (a, b), den = Fraction(point).as_integer_ratio(), _integer_coeffs(self.coeffs)[1]
+        acc, bpow = 0, 1
+        for c in reversed(g):   # sum of g_i a^i b^(deg g - i); bpow ends at b^(deg g + 1)
+            acc, bpow = acc * a + c * bpow, bpow * b
+        return k, Fraction(acc * b ** (k + 1), bpow * den)
+
+    def _divide_out(self, point) -> tuple:
+        """(k, g) with self = (t - point)^k g, g(point) != 0; self must be nonzero.
 
         Over Q the integer numerators are divided by the primitive b t - a,
-        where point = a/b; by Gauss's lemma an exact quotient is integral.
+        where point = a/b; by Gauss's lemma an exact quotient is integral, and
+        g is returned as the integer list with self = (b t - a)^k g / den.
         """
         if self.is_zero():
             raise ValueError("valuation of zero polynomial")
@@ -827,24 +789,18 @@ class Polynomial:
                 for c in reversed(cs[1:]):   # synthetic division, top down
                     q, r = divmod(c + a * q, b)
                     if r:
-                        return k
+                        return k, cs
                     quot.append(q)
                 if cs[0] + a * q:
-                    return k
+                    return k, cs
                 cs, k = quot[::-1], k + 1
         lin = Polynomial(d, [d.neg(point), d.one])
         k, f = 0, self
         while True:
             q, r = f.divrem(lin)
             if not r.is_zero():
-                return k
+                return k, f
             k, f = k + 1, q
-
-    def valuation_at_infinity(self, deg_bound: int) -> int:
-        """deg_bound - deg(self) for the place at infinity."""
-        if self.is_zero():
-            raise ValueError("valuation of zero polynomial")
-        return deg_bound - self.degree
 
     def reverse(self, deg_bound: int) -> "Polynomial":
         """Coefficient reversal t^deg_bound * f(1/t); needs deg <= deg_bound."""
@@ -963,35 +919,25 @@ def _convolve(domain: Domain, xs, ys, n: int) -> list:
 
     The one multiply loop of `Polynomial` and `Series` products, `scale`
     and `Series.inverse`.  Over Q the integer numerators are convolved over
-    one common denominator; over Q(sqrt m) the (rational part, sqrt(m) part)
-    numerator pairs over one common denominator; over GF(p) plain ints,
-    reduced mod p once per output coefficient.  Each output scalar is built
-    once.  Other domains use the generic loop.  Short lists are read as
-    padded with zeros.
+    one common denominator; over Z/p^k (GF(p) included) plain ints, reduced
+    mod p^k once per output coefficient; over Q(sqrt m) the (rational part,
+    sqrt(m) part) numerator pairs over one common denominator.  Each output
+    scalar is built once.  Short lists are read as padded with zeros.
     """
     xs, ys = xs[:n], ys[:n]
     if isinstance(domain, RationalField):
         (a, da), (b, db) = _integer_coeffs(xs), _integer_coeffs(ys)
         den = da * db
         return [Fraction(c, den) for c in _int_convolve(a, b, n)]
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        return [c % p for c in _int_convolve(xs, ys, n)]
-    if isinstance(domain, QuadField):
-        m = domain.m
-        (xa, xb), dx = _pair_coeffs(xs, m)
-        (ya, yb), dy = _pair_coeffs(ys, m)
-        den = dx * dy
-        rat = [u + m * v for u, v in zip(_int_convolve(xa, ya, n), _int_convolve(xb, yb, n))]
-        irr = [u + v for u, v in zip(_int_convolve(xa, yb, n), _int_convolve(xb, ya, n))]
-        return _quads(rat, irr, den, m)
-    out = [domain.zero] * n
-    for i, x in enumerate(xs):
-        if domain.is_zero(x):
-            continue
-        for j, y in enumerate(ys[: n - i]):
-            out[i + j] = domain.add(out[i + j], domain.mul(x, y))
-    return out
+    if isinstance(domain, PadicRing):
+        mod = domain.modulus
+        return [c % mod for c in _int_convolve(xs, ys, n)]
+    m = domain.m
+    (xa, xb), dx = _pair_coeffs(xs, m)
+    (ya, yb), dy = _pair_coeffs(ys, m)
+    rat = [u + m * v for u, v in zip(_int_convolve(xa, ya, n), _int_convolve(xb, yb, n))]
+    irr = [u + v for u, v in zip(_int_convolve(xa, yb, n), _int_convolve(xb, ya, n))]
+    return _quads(rat, irr, dx * dy, m)
 
 
 def _pair_coeffs(xs, m: int) -> tuple[tuple[list[int], list[int]], int]:
@@ -1013,22 +959,9 @@ def _int_convolve(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def poly_arith(lhs: Polynomial, rhs: Polynomial, kind: str):
-    """Dispatch helper used by fixture-driven tests: add|mul|divrem|gcd."""
-    if kind == "add":
-        return lhs + rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "divrem":
-        return lhs.divrem(rhs)
-    if kind == "gcd":
-        return lhs.gcd(rhs)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def roots_mod_p(f: Polynomial) -> set[int]:
     """All roots of f over F_p by exhaustive evaluation."""
-    if not isinstance(f.domain, PrimeField):
+    if not (isinstance(f.domain, PadicRing) and f.domain.is_field):
         raise DomainError("roots_mod_p needs a polynomial over GF(p)")
     if f.is_zero():
         raise ValueError("zero polynomial mod p")
@@ -1145,17 +1078,6 @@ class RationalFunction:
             raise ValueError("valuation of zero function")
         return self.num.valuation_at(point) - self.den.valuation_at(point)
 
-    def valuation_at_infinity(self) -> int:
-        if self.is_zero():
-            raise ValueError("valuation of zero function")
-        return self.den.degree - self.num.degree
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
     def __repr__(self):
         if self.is_polynomial():
             return f"RationalFunction({self.num.to_text()!r})"
@@ -1165,15 +1087,6 @@ class RationalFunction:
         if self.is_polynomial():
             return self.num.to_text()
         return f"{self.num.to_text()} / {self.den.to_text()}"
-
-    @staticmethod
-    def from_text(domain: Domain, text: str) -> "RationalFunction":
-        if " / " in text:
-            n, d = text.split(" / ")
-            return RationalFunction(
-                Polynomial.from_text(domain, n), Polynomial.from_text(domain, d)
-            )
-        return RationalFunction(Polynomial.from_text(domain, text))
 
 
 # ---------------------------------------------------------------------------

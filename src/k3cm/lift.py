@@ -125,14 +125,12 @@ class MultiPoly:
             out = out * c.denominator // math.gcd(out, c.denominator)
         return out
 
-    def pin(self, i: int, value=1) -> "MultiPoly":
-        """Substitute variable i := value and drop it from the variable list."""
-        value = Fraction(value)
+    def pin(self, i: int) -> "MultiPoly":
+        """Substitute variable i := 1 and drop it from the variable list."""
         out: dict = {}
         for e, c in self.terms.items():
-            c2 = c * value ** e[i]
             e2 = e[:i] + e[i + 1 :]
-            v = out.get(e2, Fraction(0)) + c2
+            v = out.get(e2, Fraction(0)) + c
             if v:
                 out[e2] = v
             else:

@@ -95,16 +95,10 @@ class NewformOracle:
             return value == 0
         return abs(value) in vals
 
-    def split_primes(self, bound: int, exclude=()) -> list[int]:
+    def split_primes(self, bound: int) -> list[int]:
         from k3cm.exact import primes_up_to
 
-        out = []
-        for p in primes_up_to(bound):
-            if p == 2 or p in exclude:
-                continue
-            if self.prime_kind(p) == SPLIT:
-                out.append(p)
-        return out
+        return [p for p in primes_up_to(bound) if p != 2 and self.prime_kind(p) == SPLIT]
 
 
 def exponent_two_table(max_abs: int) -> dict[int, list[int]]:

@@ -2,10 +2,10 @@
 
 A section is stored through its x-coordinate u(t) plus the square class m
 and cofactor w(t) with y = sqrt(m) w.  Contact depths at reducible fibers
-are single exact valuations; local series at a node are expanded only for
-pairings there.  Heights and pairings follow from the standard correction
-tables, and the Neron-Severi discriminant from the Mordell-Weil determinant
-formula.
+are single exact valuations, and the tangent branch of a node contact is
+the sign of one exact slope; no local series is expanded.  Heights and
+pairings follow from the standard correction tables, and the Neron-Severi
+discriminant from the Mordell-Weil determinant formula.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 from k3cm.exact import (
@@ -22,9 +21,7 @@ from k3cm.exact import (
     QuadField,
     QuadNum,
     RationalFunction,
-    Series,
     rational_sqrt,
-    ratfun_series,
     squarefree_part,
 )
 from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram, det_bareiss
@@ -33,7 +30,6 @@ from k3cm.surfaces import (
     FiberDescriptor,
     SurfaceError,
     WeierstrassSurface,
-    node_series,
     squarefree_decomposition,
 )
 
@@ -56,15 +52,7 @@ class Contact:
     kind: str              # identity | cycle | far-cycle | star-leg | star-near | star-far
     k: int = 0             # I_n: min(i, n-i), one exact valuation; stars: unused
     leg_root: object = None  # I_0*: which residual-cubic root carries the leg
-    # cycle contacts: () -> (xi, eta), the local series of x - node and of w,
-    # called when a pairing at a shared node first reads xi or eta
-    expand: object = field(default=None, repr=False, compare=False)
-    xi = property(lambda self: self._series[0])
-    eta = property(lambda self: self._series[1])
-
-    @cached_property
-    def _series(self) -> tuple:
-        return self.expand() if self.expand is not None else (None, None)
+    slope: object = None   # cycle: lc(w) / lc(f'(u)) at (t - t0)^k, see `_cycle_contact`
 
     @property
     def nonidentity(self) -> bool:
@@ -232,24 +220,28 @@ def determine_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
     return _star_contact(surf_c, u_c, w_c, t0, fiber)
 
 
-def _node_depth(surf_c, u_c, t0, x_t0, x0, twist: int) -> int:
-    """v_{t0}(x - x_node(t)) for x = u / (t - t0)^twist, with x(t0) = x_t0.
+def _node_depth(surf_c, u_c, t0, x_t0, x0, twist: int) -> tuple:
+    """(v_{t0}(x - x_node(t)), lc F) for x = u / (t - t0)^twist, with x(t0) = x_t0.
 
     x_node is the root through x0 of 3x^2 + 2 A2 x + A4 = 3 (x - x_node)(x - x_other),
     A_i = a_i / (t - t0)^(i twist / 2): an I_n node (twist 0) or the untwisted
     I_m* cubic (twist 1).  f''(x0) != 0 makes x - x_other a unit at t0, so the
     depth is v(3u^2 + 2 a2 u + a4) - 2 twist: with u = N/D, D(t0) != 0, one
-    valuation of 3N^2 + 2 a2 N D + a4 D^2.
+    valuation of F = 3N^2 + 2 a2 N D + a4 D^2 = D^2 f'(u).  lc F is F's first
+    non-zero Taylor coefficient at t0, None when x(t0) is not the node or F = 0.
     """
     d, a2, a4 = u_c.domain, surf_c.a2, surf_c.a4
     c2, c3, c6 = (d.from_fraction(Fraction(c)) for c in (2, 3, 6))
     if d.is_zero(d.add(d.mul(c6, x0), d.mul(c2, (a2.derivative() if twist else a2)(t0)))):
         raise SurfaceError("degenerate node: f''(x0) vanishes")
     if not d.eq(x_t0, x0):
-        return 0
+        return 0, None
     num, den = u_c.num, u_c.den
     fx = (num * num).scale(c3) + (a2 * num * den).scale(c2) + a4 * den * den
-    return 10**9 if fx.is_zero() else fx.valuation_at(t0) - 2 * twist
+    if fx.is_zero():
+        return 10**9, None
+    k, lc = fx.order_at(t0)
+    return k - 2 * twist, lc
 
 
 def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
@@ -260,18 +252,21 @@ def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     if fiber.node_x is None:
         raise SectionError(f"missing node data at {fiber}")
     node = _embed(dom, fiber.node_x)
-    k = _node_depth(surf_c, u_c, t0, u_c(t0), node, 0)
+    k, lc_fx = _node_depth(surf_c, u_c, t0, u_c(t0), node, 0)
     if k == 0:
         return Contact(fiber, "identity")
-    prec = n + 4
-    expand = lambda: (   # (xi, eta): local series of x - node and of w
-        ratfun_series(u_c, t0, prec) - node_series(surf_c, t0, node, prec),
-        ratfun_series(w_c, t0, prec) if not w_c.is_zero() else Series(dom, [], prec),
-    )
     if 2 * k < n:
-        return Contact(fiber, "cycle", k=k, expand=expand)
+        # m w^2 = f(u) = f''(x0)/2 (u - x_node)^2 + O((t - t0)^n), so v(w) = k, and the
+        # slope lc(w) / lc(f'(u)) = lc(w) / (lc(u - x_node) f''(x0)) has the sign of the
+        # tangent branch; f'(u) = F / D^2 with D = den u
+        vw, lc_w = w_c.num.order_at(t0) if not w_c.is_zero() else (None, None)
+        if vw != k:
+            raise SectionError(f"v(w) = {vw} differs from the contact depth {k} at {fiber}")
+        d0 = u_c.den(t0)
+        slope = dom.div(dom.mul(lc_w, dom.mul(d0, d0)), dom.mul(w_c.den(t0), lc_fx))
+        return Contact(fiber, "cycle", k=k, slope=slope)
     if n % 2 == 0:
-        return Contact(fiber, "far-cycle", k=n // 2, expand=expand)
+        return Contact(fiber, "far-cycle", k=n // 2)
     raise SectionError(
         f"x-contact depth {k} exceeds the I_{n} pattern at {fiber}; model not normalized"
     )
@@ -286,7 +281,7 @@ def _star_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     X0 = dom.div(u_c.num.derivative()(t0), u_c.den(t0))
     if fiber.n == 0:
         return Contact(fiber, "star-leg", leg_root=X0)
-    vdiff = _node_depth(surf_c, u_c, t0, X0, _embed(dom, fiber.double_root), 1)
+    vdiff, _ = _node_depth(surf_c, u_c, t0, X0, _embed(dom, fiber.double_root), 1)
     if vdiff >= (fiber.n + 1) // 2:
         return Contact(fiber, "star-far")
     if vdiff == 0:
@@ -348,18 +343,17 @@ def height(sec: Section) -> Fraction:
 
 
 def _same_branch(p: Contact, q: Contact) -> bool:
-    """Do two node contacts at one fiber hug the same tangent branch?
+    """Do two cycle contacts at one fiber hug the same tangent branch?
 
-    Cross-term test: v(eta_P xi_Q - eta_Q xi_P) > k_P + k_Q  iff  same side.
-    Requires both sections' w normalized to one square class.
+    m w^2 = f''(x0)/2 (u - x_node)^2 + ... makes slope^2 = 1 / (2 m f''(x0)), so
+    with both sections' w normalized to one square class m the two slopes are
+    equal (same branch) or opposite.
     """
-    cross = p.eta * q.xi - q.eta * p.xi
-    v = cross.valuation()
-    return v > p.k + q.k
+    return p.slope == q.slope
 
 
 def _scaled_section(q: Section, scale, new_m) -> Section:
-    """Copy of q with w (and, when read, contact eta series) multiplied by scale."""
+    """Copy of q with w, and the slope of each cycle contact, multiplied by scale."""
     dom = q.domain
     s = _embed(dom, scale)
     return Section(
@@ -369,7 +363,7 @@ def _scaled_section(q: Section, scale, new_m) -> Section:
         pO=q.pO,
         name=q.name,
         contacts={
-            idx: c if c.expand is None else replace(c, expand=lambda c=c: (c.xi, c.eta.scale(s)))
+            idx: c if c.slope is None else replace(c, slope=dom.mul(c.slope, s))
             for idx, c in q.contacts.items()
         },
         fibers=q.fibers,
@@ -594,28 +588,25 @@ def intersection_number(surface, p: Section, q: Section) -> int:
             continue  # star fibers carry at most one section in scope
         if f.cusp.kind == "infinity":
             continue  # handled by the chart at infinity below
-        naive, resolved = _node_multiplicities(cp, cq)
-        total += resolved - naive
+        naive = _meeting_order(udiff, wdiff, _embed(p.domain, f.cusp.value))
+        total += _resolved_multiplicity(cp, cq, naive) - naive
     # the place at infinity
     total += _infinity_contribution(p, q)
     return total
 
 
-def _node_multiplicities(cp: Contact, cq: Contact):
-    """(naive Weierstrass, resolved smooth-model) local multiplicities."""
-    xi_p, xi_q = cp.xi, cq.xi
-    eta_p, eta_q = cp.eta, cq.eta
-    naive = min((xi_p - xi_q).valuation(), (eta_p - eta_q).valuation())
-    resolved = 0
-    if cp.k == cq.k:
-        same_comp = False
-        if cp.kind == "far-cycle" and cq.kind == "far-cycle":
-            same_comp = True
-        elif cp.kind == "cycle" and cq.kind == "cycle":
-            same_comp = _same_branch(cp, cq)
-        if same_comp:
-            resolved = max(0, naive - cp.k)
-    return naive, resolved
+def _meeting_order(udiff: RationalFunction, wdiff: RationalFunction, t0) -> int:
+    """min(v(u_P - u_Q), v(w_P - w_Q)) at t0: the naive Weierstrass multiplicity."""
+    return min(udiff.valuation_at(t0), 10**9 if wdiff.is_zero() else wdiff.valuation_at(t0))
+
+
+def _resolved_multiplicity(cp: Contact, cq: Contact, naive: int) -> int:
+    """The smooth-model multiplicity at a node both sections meet, given the naive one."""
+    if cp.k != cq.k:
+        return 0
+    same_comp = cp.kind == cq.kind == "far-cycle" or (
+        cp.kind == cq.kind == "cycle" and _same_branch(cp, cq))
+    return max(0, naive - cp.k) if same_comp else 0
 
 
 def _infinity_contribution(p: Section, q: Section) -> int:
@@ -632,7 +623,8 @@ def _infinity_contribution(p: Section, q: Section) -> int:
         return chart.valuation_at(zero)
     if vp < 0 or vq < 0:
         return 0
-    # both finite at s = 0: is it a shared node of the fiber at infinity?
+    # both finite at s = 0 (w too): the naive count, resolved at a shared node
+    naive = _meeting_order(up - uq, wp - wq, zero)
     inf_fibers = [
         (idx, f) for idx, f in enumerate(p.fibers) if f.cusp.kind == "infinity"
     ]
@@ -640,18 +632,9 @@ def _infinity_contribution(p: Section, q: Section) -> int:
         idx, f = inf_fibers[0]
         cp, cq = p.contacts.get(idx), q.contacts.get(idx)
         if cp is not None and cq is not None and cp.nonidentity and cq.nonidentity:
-            naive, resolved = _node_multiplicities(cp, cq)
-            return resolved
-        # identity-side meetings at s=0 fall through to the generic count
-    updiff = up - uq
-    if updiff.is_zero():
-        raise SectionError("sections share x at infinity identically")
-    v1 = updiff.valuation_at(zero)
-    if v1 <= 0:
-        return 0
-    wdiff = wp - wq
-    v2 = wdiff.valuation_at(zero) if not wdiff.is_zero() else 10**9
-    return min(v1, v2)
+            return _resolved_multiplicity(cp, cq, naive)
+        # identity-side meetings at s=0 take the generic count
+    return naive
 
 
 # ---------------------------------------------------------------------------

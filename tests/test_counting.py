@@ -20,7 +20,7 @@ from k3cm.counting import (
 from k3cm.exact import GF, Polynomial
 from k3cm.fixtures import registry
 from k3cm.newforms import NewformOracle
-from k3cm.surfaces import WeierstrassSurface, classify_fibers
+from k3cm.surfaces import SurfaceError, UnsupportedFiberError, WeierstrassSurface, classify_fibers
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,24 @@ def test_mod_p_analysis_agrees_with_char0(reg, fam):
         want = sorted((f.kind, f.n) for f in fibers0 for _ in range(f.cusp.degree))
         got = sorted((f.kind, f.n) for f in fibers_p)
         assert got == want
+
+
+def test_fibers_outside_the_tables_are_counting_errors():
+    # the Kodaira classifier's rejections come back as CountingError, which scan_prime skips
+    F = GF(7)
+    P = lambda *cs: Polynomial(F, [c % 7 for c in cs])
+    cases = [
+        (P(), P(), P(0, 1), UnsupportedFiberError),           # y^2 = x^3 + t: type II at t = 0
+        (P(-3), P(3, 0, 1), P(-1, 0, -1, 1), SurfaceError),    # I_0* at t = 0, node at x = 1
+        (P(0, 1), P(), P(0, 0, 0, 0, 1), None),                # I_1* at t = 0
+    ]
+    for a2, a4, a6, cause in cases:
+        with pytest.raises(CountingError, match="t=0") as info:
+            analyze_fibers_mod_p(WeierstrassSurface(a2, a4, a6, name="additive"))
+        if cause is None:
+            assert "I1*" in str(info.value)
+        else:
+            assert isinstance(info.value.__cause__, cause)
 
 
 def test_closed_loop_disc88(reg, fam):

@@ -22,7 +22,6 @@ from k3cm.exact import (
     kronecker,
     parse_quadnum,
     parse_rational,
-    poly_arith,
     prime_divisors,
     poly_series,
     rational_reconstruct,
@@ -48,7 +47,7 @@ def test_poly_mul_and_divrem():
     t_minus = P(QQ, -1, 1)
     t_plus = P(QQ, 1, 1)
     assert t_minus * t_plus == P(QQ, -1, 0, 1)
-    q, r = poly_arith(P(QQ, 0, 0, 0, 1), P(QQ, 0, 0, 1), "divrem")
+    q, r = P(QQ, 0, 0, 0, 1).divrem(P(QQ, 0, 0, 1))
     assert q == P(QQ, 0, 1) and r.is_zero()
 
 
@@ -130,9 +129,20 @@ def test_valuation_additive_random():
         assert (f * g).valuation_at(pt) == f.valuation_at(pt) + g.valuation_at(pt)
 
 
-def test_valuation_at_infinity():
-    f = P(QQ, 1, 0, 3)
-    assert f.valuation_at_infinity(4) == 2
+def test_order_at_matches_taylor_shift():
+    # (k, c) is the first non-zero coefficient of f(t + point), over Q, Q(sqrt m) and GF(p)
+    rng = random.Random(29)
+    K, F = QuadField(-7), GF(13)
+    for d, pt in ((QQ, Fraction(-3, 4)), (QQ, Fraction(5)), (K, QuadNum(1, Fraction(1, 2), -7)), (F, 4)):
+        lin = Polynomial(d, [d.neg(pt), d.one])
+        for _ in range(25):
+            f = Polynomial(d, random_coeffs(rng, d, top=5))
+            if f.is_zero():
+                continue
+            f = f * lin ** rng.randrange(4)
+            shifted = f.shift(pt).coeffs
+            k = next(i for i, c in enumerate(shifted) if not d.is_zero(c))
+            assert f.order_at(pt) == (k, shifted[k]) and f.valuation_at(pt) == k, (d, f)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +424,6 @@ def test_rational_function_normalization():
     assert f.num == P(QQ, Fraction(1, 2))
     assert f.den == P(QQ, 0, 1)
     assert f.valuation_at(Fraction(0)) == -1
-    assert f.valuation_at_infinity() == 1
 
 
 def test_parse_rational_roundtrip():

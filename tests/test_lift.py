@@ -206,6 +206,24 @@ def test_row_choice_matches_greedy_on_lift_jacobians(reg, fam, monkeypatch):
         assert got is not None and got == greedy_rows(jac_p, p)
 
 
+def test_lift_skips_a_dependent_jacobian_row(monkeypatch):
+    # the second equation is twice the first: Newton must square up rows 0 and 2
+    seen = []
+
+    def recording(jac_p, p):
+        got = _independent_rows(jac_p, p)
+        seen.append((jac_p, p, got))
+        return got
+
+    monkeypatch.setattr(lift, "_independent_rows", recording)
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    xy = x * y - 2
+    assert lift_system(PolySystem(["x", "y"], [xy, xy.scale(2), x - y - 1]), 7) == (2, 1)
+    assert seen
+    for jac_p, p, got in seen:
+        assert got == greedy_rows(jac_p, p) == [0, 2]
+
+
 def test_row_choice_matches_greedy_on_random_matrices():
     rng = random.Random(5)
     outcomes = set()

@@ -12,6 +12,7 @@ from k3cm.sections import (
     _cycle_contact,
     _embed,
     _local_chart,
+    _same_branch,
     _scaled_section,
     _star_contact,
     assemble_ns,
@@ -142,6 +143,20 @@ def test_pairing_against_group_law_oracle(reg):
     assert lhs == rhs == 0
 
 
+def test_pairings_with_the_sum_match_the_group_law(reg):
+    # <P+Q, P> = h(P) + <P, Q> and <P+Q, Q> = h(Q) + <P, Q>, both up to the one sign
+    # of the y-root that verify picks for P+Q; the sum meets P and Q at shared nodes
+    for name in ("ex_3003", "ex_3315", "ex_1012"):
+        fx = reg.surfaces[name]
+        surf = fx.build_surface(reg)
+        P, Q = build_sections(surf, fx.sections)
+        S = verify_section(surf, section_sum(surf, P, Q), name="P+Q")
+        pq = pairing(surf, P, Q)
+        assert height(S) == height(P) + height(Q) + 2 * pq, name
+        e = 1 if pairing(surf, S, P) > 0 else -1
+        assert (pairing(surf, S, P), pairing(surf, S, Q)) == (e * (height(P) + pq), e * (height(Q) + pq)), name
+
+
 def test_ns_discriminant_rejects_dependent_sections(disc88):
     surf, sec, _ = disc88
     with pytest.raises(SectionError):
@@ -225,8 +240,20 @@ def test_assemble_ns_intersects_each_pair_once(reg, monkeypatch):
 # contact depths: one exact valuation against the series-based rules
 # ---------------------------------------------------------------------------
 
-def _series_values(s):
-    return None if s is None else (s.prec, [s[i] for i in range(s.prec)])
+def _branch_ratio(xi, eta, k):
+    """eta_k / xi_k when v(xi) = v(eta) = k, else the two valuations."""
+    if (xi.valuation(), eta.valuation()) != (k, k):
+        return ("valuations", xi.valuation(), eta.valuation())
+    return xi.domain.div(eta[k], xi[k])
+
+
+def _slope_times_fpp(surf_c, t0, c):
+    """slope * f''(x0) for a cycle contact, f''(x0) = 6 x0 + 2 a2(t0) at the node x0."""
+    d = surf_c.domain
+    node = _embed(d, c.fiber.node_x)
+    fpp = d.add(d.mul(d.from_fraction(Fraction(6)), node),
+                d.mul(d.from_fraction(Fraction(2)), surf_c.a2(t0)))
+    return d.mul(c.slope, fpp)
 
 
 def _reference_critical_point(a2s, a4s, x0):
@@ -283,9 +310,16 @@ def reference_contact(surf_c, u_c, w_c, t0, fiber):
 
 
 def _contacts_against_reference(certified):
-    """(checked, kinds seen); asserts every contact matches the reference."""
-    checked, kinds = 0, set()
+    """(checked, kinds seen, cycle contacts, branch outcomes of shared-fiber pairs).
+
+    Asserts every contact matches the reference; at a cycle contact also
+    v(xi) = v(eta) = k and slope * f''(x0) = eta_k / xi_k, and at every pair
+    of cycle contacts at one fiber that the slope rule agrees with the
+    cross-term rule v(eta_P xi_Q - eta_Q xi_P) > k_P + k_Q.
+    """
+    checked, kinds, cycles, branches = 0, set(), 0, []
     for name, surf, secs in certified:
+        at_fiber = {}    # fiber index -> [(contact, xi, eta)] of the cycle contacts there
         for sec in secs:
             chart = surf if sec.domain == surf.domain else surf.map_domain(sec.domain)
             for idx, f in enumerate(sec.fibers):
@@ -300,32 +334,56 @@ def _contacts_against_reference(certified):
                     ref = reference_contact(surf_c, u_c, w_c, t0, f)
                 where = (name, sec.name, str(f))
                 assert (c.kind, c.k, c.leg_root) == ref[:3], where
-                assert _series_values(c.xi) == _series_values(ref[3]), where
-                assert _series_values(c.eta) == _series_values(ref[4]), where
+                assert (c.slope is None) == (c.kind != "cycle"), where
+                if c.kind == "cycle":
+                    xi, eta = ref[3], ref[4]
+                    assert _slope_times_fpp(surf_c, t0, c) == _branch_ratio(xi, eta, c.k), where
+                    at_fiber.setdefault(idx, []).append((c, xi, eta))
+                    cycles += 1
                 checked += 1
                 kinds.add(c.kind)
-    return checked, kinds
+        for group in at_fiber.values():
+            branches += _branch_pairs(group, name)
+    return checked, kinds, cycles, branches
+
+
+def _branch_pairs(group, where):
+    """Same-branch outcomes of every pair of (cycle contact, xi, eta) at one fiber,
+    asserting that the slope rule agrees with the cross-term rule."""
+    out = []
+    for i, (cp, xi_p, eta_p) in enumerate(group):
+        for cq, xi_q, eta_q in group[i + 1:]:
+            cross = (eta_p * xi_q - eta_q * xi_p).valuation() > cp.k + cq.k
+            assert _same_branch(cp, cq) == cross, where
+            out.append(cross)
+    return out
 
 
 def test_contact_depths_match_series_rules(certified):
-    checked, kinds = _contacts_against_reference(certified)
+    checked, kinds, cycles, branches = _contacts_against_reference(certified)
     assert checked > 150
     assert kinds == {"identity", "cycle", "far-cycle", "star-leg", "star-far"}
+    assert cycles == 54
+    assert branches
     assert {s.domain for _, _, secs in certified for s in secs} > {QQ}   # Q(sqrt m) too
 
 
 def _outcome(rule, surf_c, u_c, w_c, t0, fiber):
+    """(kind, k, leg_root, branch): the branch is eta_k / xi_k from the reference
+    series and slope * f''(x0) from a contact, at cycle contacts only."""
     try:
         c = rule(surf_c, u_c, w_c, t0, fiber)
     except SectionError:
         return "SectionError"
     if isinstance(c, tuple):
-        return c[:3] + tuple(_series_values(x) for x in c[3:])
-    return (c.kind, c.k, c.leg_root, _series_values(c.xi), _series_values(c.eta))
+        return c[:3] + (_branch_ratio(c[3], c[4], c[1]) if c[0] == "cycle" else None,)
+    return (c.kind, c.k, c.leg_root, _slope_times_fpp(surf_c, t0, c) if c.kind == "cycle" else c.slope)
 
 
 def _probe_coordinates(surf_c, t0, fiber):
-    """Local x-coordinates meeting the fiber at every depth up to past its middle."""
+    """(probes, node): local x-coordinates meeting the fiber at every depth up to
+    past its middle, and at an I_n fiber the node's series as a polynomial in
+    t - t0 to precision n + 3 (else None)."""
     d = surf_c.domain
     pi = Polynomial(d, [-t0, 1])
     const = lambda c: Polynomial.constant(d, c)
@@ -338,23 +396,25 @@ def _probe_coordinates(surf_c, t0, fiber):
         a4s = Series(d, poly_series(surf_c.a4, t0, n + 5).coeffs[2:], n + 3)
     out = [const(d.one) + pi]                           # u(t0) = 1
     if x0 is None:                                      # I_0*: the leg at X(t0) = 0, 1, 2
-        return out + [pi * const(c) + pi * pi for c in (0, 1, 2)]
+        return out + [pi * const(c) + pi * pi for c in (0, 1, 2)], None
     node = _reference_critical_point(a2s, a4s, x0)
     x_other = -Fraction(2, 3) * a2s[0] - x0            # the other critical point at t0
     out += [pi ** twist * (const(c) + pi) for c in (x0 + 1, x_other)]   # off the node
+    truncated = lambda j: sum((const(node[i]) * pi ** i for i in range(j)), Polynomial(d, []))
     for j in range(1, n + 3):                           # the node's first j terms
-        x = sum((const(node[i]) * pi ** i for i in range(j)), Polynomial(d, []))
-        out.append(pi ** twist * (x + pi ** j))
-    return out
+        out.append(pi ** twist * (truncated(j) + pi ** j))
+    return out, truncated(n + 3) if fiber.kind == "I" else None
 
 
 def test_contact_depths_match_series_rules_at_every_depth(certified):
     """Probe coordinates at reducible fibers, the far and raising cases too.
 
     Each fiber type (kind, n, finite or infinite cusp) is probed on the first
-    certified surface that has it.
+    certified surface that has it.  At an I_n fiber the probe's w is x minus
+    the node to precision n + 3, so that eta_k / xi_k = 1 at a cycle contact;
+    with -w too, the cycle probes of one fiber pair on both branches.
     """
-    outcomes, probed = set(), set()
+    outcomes, probed, branches = set(), set(), set()
     for name, surf, _ in certified:
         for f in surf.fibers:
             key = (f.kind, f.n, f.cusp.kind)
@@ -363,12 +423,21 @@ def test_contact_depths_match_series_rules_at_every_depth(certified):
             probed.add(key)
             surf_c, t0 = (surf, f.cusp.value) if f.cusp.kind == "finite" else (surf.flipped(), Fraction(0))
             rule = _cycle_contact if f.kind == "I" else _star_contact
-            for x in _probe_coordinates(surf_c, t0, f):
+            probes, node = _probe_coordinates(surf_c, t0, f)
+            group = []
+            for x in probes:
                 u_c = RationalFunction(x)
-                w_c = RationalFunction(x * x + Polynomial.constant(QQ, Fraction(1)))
+                w_c = RationalFunction(x * x + Polynomial.constant(QQ, Fraction(1)) if node is None else x - node)
                 got = _outcome(rule, surf_c, u_c, w_c, t0, f)
                 assert got == _outcome(reference_contact, surf_c, u_c, w_c, t0, f), (name, str(f), x)
+                if got != "SectionError" and got[0] == "cycle":
+                    assert got[3] == 1, (name, str(f), x)
+                    for w in (w_c, -w_c):
+                        ref = reference_contact(surf_c, u_c, w, t0, f)
+                        group.append((_cycle_contact(surf_c, u_c, w, t0, f), ref[3], ref[4]))
                 outcomes.add((f.kind, got if got == "SectionError" else got[0]))
+            branches.update(_branch_pairs(group, (name, str(f))))
+    assert branches == {True, False}
     assert outcomes == {
         ("I", "identity"), ("I", "cycle"), ("I", "far-cycle"), ("I", "SectionError"),
         ("I*", "identity"), ("I*", "star-leg"), ("I*", "star-near"), ("I*", "star-far"),
@@ -376,30 +445,45 @@ def test_contact_depths_match_series_rules_at_every_depth(certified):
     }
 
 
-def test_scaled_section_scales_eta_when_read(reg):
+def test_scaled_section_scales_the_slope(reg):
     fx = reg.surfaces["ex_3003"]
     surf = fx.build_surface(reg)
     P, _ = build_sections(surf, fx.sections)
     s = Fraction(-3, 7)
     scaled = _scaled_section(P, s, P.msq)
+    d = P.domain
+    chart = surf.map_domain(d)
     nodes = [idx for idx, c in P.contacts.items() if c.kind in ("cycle", "far-cycle")]
-    assert nodes
+    assert nodes and any(P.contacts[idx].kind == "cycle" for idx in nodes)
     for idx in nodes:
         c, cs = P.contacts[idx], scaled.contacts[idx]
         assert (cs.kind, cs.k) == (c.kind, c.k)
-        assert _series_values(cs.xi) == _series_values(c.xi)
-        assert _series_values(cs.eta) == _series_values(c.eta.scale(P.domain.from_fraction(s)))
+        if c.kind == "far-cycle":
+            assert cs.slope is c.slope is None
+            continue
+        assert cs.slope == d.mul(c.slope, d.from_fraction(s))
+        # the scaled slope is the one read off the scaled section's own series
+        surf_c, u_c, w_c, t0 = _local_chart(chart, scaled, c.fiber.cusp)
+        t0 = _embed(d, t0)
+        _, k, _, xi, eta = reference_contact(surf_c, u_c, w_c, t0, c.fiber)
+        assert _slope_times_fpp(surf_c, t0, cs) == _branch_ratio(xi, eta, k)
 
 
-def test_verify_section_expands_no_node_series(reg, fam, monkeypatch):
-    import k3cm.sections
+def test_verify_section_expands_no_node_series(reg, fam, monkeypatch, capsys):
+    import k3cm.surfaces
+    from k3cm.cli import main
 
     row = next(r for r in reg.table1 if r.disc == -88)
     surf = fam.specialize(row.lam)
-    calls = _counting(monkeypatch, k3cm.sections, "node_series")
+    calls = _counting(monkeypatch, k3cm.surfaces, "node_series")
     sec = verify_section(surf, parse_ratfun(row.u_text))
     assert height(sec) == Fraction(11, 105)
     assert sum(c.kind == "cycle" for c in sec.contacts.values()) == 3
+    assert sec.contacts[0].kind == "cycle" and sec.contacts[0].k == 1
+    assert sec.contacts[0].slope is not None
+    # the two surfaces whose pairings meet at shared nodes over Q(sqrt m)
+    for name in ("ex_3003", "ex_1012"):
+        assert main(["verify", "--surface", name]) == 0, name
+    out = capsys.readouterr().out
+    assert "disc NS = -3003" in out and "disc NS = -1012" in out
     assert calls == []
-    assert sec.contacts[0].kind == "cycle" and sec.contacts[0].xi.valuation() == 1
-    assert len(calls) == 1
