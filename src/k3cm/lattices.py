@@ -10,15 +10,19 @@ A finite quadratic form is the orthogonal sum of its p-primary parts, and an
 isometry maps each part onto the same prime's part (Nikulin 1979), so the
 forms are compared one prime at a time: the brute-force isometry search only
 ever enumerates a group of order p^k, never the whole group of order |d|.
+Only candidates whose genus characters at the odd p || d, read in closed
+form, agree with those of -q_ns (Conway-Sloane, Ch. 15) get that search:
+on the paper's fields (one class per genus) one candidate is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
-from k3cm.exact import prime_divisors
+from k3cm.exact import kronecker, prime_divisors
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 
 
@@ -33,30 +37,6 @@ def mat_mul(a, b):
 
 def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def det_bareiss(m) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    a = [row[:] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -171,24 +151,18 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
-    def det(self) -> int:
-        return det_bareiss([list(r) for r in self.gram])
+    @cached_property
+    def _minors(self) -> tuple:
+        """(1, M_1, M_2, ...): the leading principal minors of a congruent Gram matrix.
 
-    def is_even(self) -> bool:
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
-    def signature(self) -> tuple[int, int]:
-        """(n_plus, n_minus) over Q by fraction-free (Bareiss) congruent elimination.
-
-        The k-th pivot, M_k / M_{k-1} in leading principal minors, has sign
-        sign(M_k) * sign(M_{k-1}).  A zero pivot is first replaced by
-        congruence: a swap with a later nonzero diagonal entry, or adding a
-        row and column that meets row k off the diagonal.
+        One fraction-free (Bareiss) elimination.  A zero pivot is first replaced
+        by congruence, which keeps det: a swap with a later nonzero diagonal
+        entry, or adding a row and column that meets row k off the diagonal.
+        It stops short of M_n exactly when the lattice is degenerate.
         """
         n = self.rank
         a = [list(row) for row in self.gram]
-        pos, neg, prev = 0, 0, 1
+        minors = [1]
         for k in range(n):
             if a[k][k] == 0:
                 i = next((i for i in range(k + 1, n) if a[i][i]), None)
@@ -199,20 +173,31 @@ class GramLattice:
                 else:
                     i = next((i for i in range(k + 1, n) if a[k][i]), None)
                     if i is None:
-                        raise ValueError("degenerate lattice")
+                        break
                     a[k] = [x + y for x, y in zip(a[k], a[i])]
                     for row in a:
                         row[k] += row[i]
             piv = a[k][k]
-            if (piv > 0) == (prev > 0):
-                pos += 1
-            else:
-                neg += 1
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
-            prev = piv
-        return pos, neg
+                    a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // minors[-1]
+            minors.append(piv)
+        return tuple(minors)
+
+    @property
+    def det(self) -> int:
+        return self._minors[-1] if len(self._minors) > self.rank else 0
+
+    def is_even(self) -> bool:
+        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
+
+    def signature(self) -> tuple[int, int]:
+        """(n_plus, n_minus) over Q: the pivot M_k / M_{k-1} has the sign of M_k M_{k-1}."""
+        m = self._minors
+        if len(m) <= self.rank:
+            raise ValueError("degenerate lattice")
+        pos = sum((x > 0) == (y > 0) for x, y in zip(m, m[1:]))
+        return pos, self.rank - pos
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +375,7 @@ def discriminant_form(lattice: GramLattice) -> DiscriminantForm:
         raise ValueError("discriminant form needs an even lattice")
     n = lattice.rank
     G = [list(r) for r in lattice.gram]
-    if det_bareiss(G) == 0:
+    if lattice.det == 0:
         raise ValueError("degenerate lattice")
     D, U, V = smith_normal_form(G)
     # generators of L^v/L: columns of V scaled by 1/d_i, for d_i > 1.
@@ -425,6 +410,22 @@ def form_lattice(f: BinaryQuadraticForm) -> GramLattice:
     return GramLattice(f.gram())
 
 
+def _genus_characters(form: DiscriminantForm) -> dict[int, int]:
+    """{p: eps_p} for each odd p whose part is Z/p: the symbol (p q(g) | p)."""
+    return {p: kronecker(int(p * part.qmat[0][0]), p)
+            for p, part in form.primary_parts().items() if p > 2 and part.orders == (p,)}
+
+
+def _candidate_character(f: BinaryQuadraticForm, p: int) -> int:
+    """eps_p of [2a,b,2c] at an odd p || d, with no Smith normal form.
+
+    The p-part is generated by (-b, 2a)/p, of q = 2a (-d/p)/p, or, when p | a
+    (so p does not divide c), by (2c, -b)/p, of q = 2c (-d/p)/p.
+    """
+    m = f.a if f.a % p else f.c
+    return kronecker(2 * m * (-f.discriminant // p), p)
+
+
 def match_transcendental(ns: GramLattice) -> BinaryQuadraticForm:
     """The unique reduced [2a,b,2c] with q = -q_ns and |disc| = |det ns|.
 
@@ -439,10 +440,10 @@ def match_transcendental(ns: GramLattice) -> BinaryQuadraticForm:
     if d >= 0:
         raise MatchError("determinant must be negative")
     target = discriminant_form(ns).negated()
-    matches = []
-    for cand in sorted(enumerate_reduced(d)):
-        if discriminant_form(form_lattice(cand)).is_isomorphic(target):
-            matches.append(cand)
+    chars = _genus_characters(target)
+    matches = [cand for cand in sorted(enumerate_reduced(d))
+               if all(_candidate_character(cand, p) == e for p, e in chars.items())
+               and discriminant_form(form_lattice(cand)).is_isomorphic(target)]
     if not matches:
         raise MatchError(f"no rank-2 form of discriminant {d} matches the input")
     if len(matches) > 1:

@@ -24,7 +24,7 @@ from k3cm.exact import (
     rational_sqrt,
     squarefree_part,
 )
-from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram, det_bareiss
+from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram
 from k3cm.surfaces import (
     Cusp,
     FiberDescriptor,
@@ -486,7 +486,7 @@ def ns_discriminant(surface, sections, torsion_order: int = 1) -> int:
             val = pairing(surface, sections[i], sections[j]) if i != j else height(sections[i])
             gram[i][j] = gram[j][i] = val
     scale = math.lcm(*(x.denominator for row in gram for x in row))
-    det = Fraction(det_bareiss([[int(x * scale) for x in row] for row in gram]), scale ** k)
+    det = Fraction(GramLattice([[int(x * scale) for x in row] for row in gram]).det, scale ** k)
     if det <= 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
     prod = 1

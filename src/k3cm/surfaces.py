@@ -320,22 +320,20 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     """
     if surface.domain != QQ:
         raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
-    fibers = []
-    delta = surface.delta
-    # finite places
-    remaining = delta.monic()
-    finite_points = sorted(rational_roots(delta), key=lambda r: (abs(r), r))
     d = surface.domain
-    for t0 in finite_points:
-        fibers.append(classify_at(surface, Cusp.finite(t0)))
-        lin = Polynomial(d, [d.neg(t0), d.one])
-        for _ in range(_valuation_along(delta, Cusp.finite(t0))):
-            remaining = remaining // lin
-    # leftover orbit factors
-    if remaining.degree > 0:
-        _, sq = squarefree_decomposition(remaining)
-        for g, mult in sq:
-            fibers.append(classify_at(surface, Cusp.orbit(g)))
+    # each squarefree factor of Delta: its rational roots, and the rest of it,
+    # of the same multiplicity, as an orbit factor
+    finite_points, orbits = [], []
+    for g, _ in squarefree_decomposition(surface.delta)[1]:
+        roots = _roots_of_squarefree(g)
+        finite_points += roots
+        for t0 in roots:
+            g = g // Polynomial(d, [d.neg(t0), d.one])
+        if g.degree > 0:
+            orbits.append(g)
+    fibers = [classify_at(surface, Cusp.finite(t0))
+              for t0 in sorted(finite_points, key=lambda r: (abs(r), r))]
+    fibers += [classify_at(surface, Cusp.orbit(g)) for g in orbits]
     # infinity
     v_inf = 24 - surface.delta.degree
     if v_inf > 0:

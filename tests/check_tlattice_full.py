@@ -12,6 +12,10 @@
    surface and extremal row (the 39 surfaces `verify` certifies), compares
    `match_transcendental` with the same matching done by the whole-group
    brute force.
+3. For U + f(-1) with f each reduced form of the same 73 discriminants,
+   compares `match_transcendental` (genus characters, then the per-prime
+   isometry test) with the whole-group brute-force matching, on the returned
+   form or on the "several classes" / "no form" outcome.
 
 Prints one line per discriminant and per fixture group, then the totals;
 exits 1 on any disagreement.
@@ -21,7 +25,7 @@ import sys
 import time
 
 from k3cm.fixtures import parse_ratfun, registry
-from k3cm.lattices import MatchError, discriminant_form, form_lattice, match_transcendental
+from k3cm.lattices import GramLattice, MatchError, discriminant_form, form_lattice, match_transcendental
 from k3cm.newforms import exponent_two_table
 from k3cm.quadforms import enumerate_reduced
 from k3cm.sections import assemble_ns, build_sections, verify_section
@@ -85,6 +89,35 @@ def check_lattices(reg):
     return sum(counts.values()), disagree
 
 
+def outcome(matches):
+    """A form list as the match's outcome: the one form, "several classes" or "no form"."""
+    if len(matches) == 1:
+        return matches[0]
+    return "several classes" if matches else "no form"
+
+
+def check_u_plus_forms(discs):
+    lattices = disagree = 0
+    for d in discs:
+        forms = sorted(enumerate_reduced(d))
+        bad = 0
+        for f in forms:
+            (a, b), (_, c) = f.gram()
+            ns = GramLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -a, -b], [0, 0, -b, -c]])
+            try:
+                got = match_transcendental(ns)
+            except MatchError as e:
+                got = "several classes" if "several classes" in str(e) else "no form"
+            want = outcome(whole_group_matches(ns))
+            if got != want:
+                bad += 1
+                print(f"d = {d}, f = {f}: genus prefilter {got}, whole group {want}", flush=True)
+        lattices += len(forms)
+        disagree += bad
+        print(f"d = {d}: {len(forms)} lattices U + f(-1), {bad} disagreement", flush=True)
+    return lattices, disagree
+
+
 def main():
     reg = registry()
     discs = {d for ds in exponent_two_table(7000).values() for d in ds}
@@ -93,10 +126,12 @@ def main():
     discs |= {fx.expected_disc for fx in reg.extremal}
     pairs, isometric, bad_pairs = check_pairs(sorted(discs, key=abs))
     lattices, bad_lattices = check_lattices(reg)
+    u_forms, bad_u_forms = check_u_plus_forms(sorted(discs, key=abs))
     print(f"{len(discs)} discriminants, {pairs} ordered pairs x 2 (as is, negated), "
           f"{isometric} isometric, {bad_pairs} disagreement; "
-          f"{lattices} NS lattices, {bad_lattices} disagreement")
-    return 1 if bad_pairs or bad_lattices else 0
+          f"{lattices} NS lattices, {bad_lattices} disagreement; "
+          f"{u_forms} U + f(-1) lattices, {bad_u_forms} disagreement")
+    return 1 if bad_pairs or bad_lattices or bad_u_forms else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from k3cm.lattices import (
     GramLattice,
     MatchError,
     assemble_ns_gram,
-    det_bareiss,
     discriminant_form,
     form_lattice,
     match_transcendental,
@@ -19,6 +18,7 @@ from k3cm.lattices import (
 )
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 from k3cm.sections import assemble_ns
+from oracles import det_bareiss
 
 
 def test_smith_examples():
@@ -218,26 +218,21 @@ for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]:
     E8_NEG[i][j] = E8_NEG[j][i] = 1
 
 
-def test_signature_matches_fraction_reference_on_zero_diagonal_forms():
-    # U and U+U have no nonzero diagonal entry: the pivot is made by adding a
-    # row and column; U+E8(-1) and E8(-1)+U reach that step after swaps
-    cases = {
-        "U": (U_GRAM, (1, 1)),
-        "U+U": (direct_sum(U_GRAM, U_GRAM), (2, 2)),
-        "U+E8(-1)": (direct_sum(U_GRAM, E8_NEG), (1, 9)),
-        "E8(-1)+U": (direct_sum(E8_NEG, U_GRAM), (1, 9)),
-        "E8(-1)": (E8_NEG, (0, 8)),
-    }
-    for name, (gram, expected) in cases.items():
-        assert signatures(gram) == [expected, expected], name
-    assert GramLattice(E8_NEG).det == 1
-    assert signatures([[0, 0], [0, 0]]) == ["degenerate lattice"] * 2
-    assert signatures(direct_sum(U_GRAM, [[0]])) == ["degenerate lattice"] * 2
+# U and U+U have no nonzero diagonal entry: the pivot is made by adding a
+# row and column; U+E8(-1) and E8(-1)+U reach that step after swaps
+ZERO_DIAGONAL_CASES = {
+    "U": (U_GRAM, (1, 1)),
+    "U+U": (direct_sum(U_GRAM, U_GRAM), (2, 2)),
+    "U+E8(-1)": (direct_sum(U_GRAM, E8_NEG), (1, 9)),
+    "E8(-1)+U": (direct_sum(E8_NEG, U_GRAM), (1, 9)),
+    "E8(-1)": (E8_NEG, (0, 8)),
+}
+DEGENERATE_CASES = ([[0, 0], [0, 0]], direct_sum(U_GRAM, [[0]]))
 
 
-def test_signature_matches_fraction_reference_on_random_forms():
+def random_grams():
+    """400 symmetric integer matrices of rank 1 to 7, half their diagonal zero."""
     rng = random.Random(8)
-    degenerate = 0
     for _ in range(400):
         n = rng.randint(1, 7)
         g = [[0] * n for _ in range(n)]
@@ -245,10 +240,42 @@ def test_signature_matches_fraction_reference_on_random_forms():
             g[i][i] = 0 if rng.random() < 0.5 else rng.randint(-4, 4)
             for j in range(i + 1, n):
                 g[i][j] = g[j][i] = rng.choice((0, 0, rng.randint(-3, 3)))
+        yield g
+
+
+def test_signature_matches_fraction_reference_on_zero_diagonal_forms():
+    for name, (gram, expected) in ZERO_DIAGONAL_CASES.items():
+        assert signatures(gram) == [expected, expected], name
+    assert GramLattice(E8_NEG).det == 1
+    for gram in DEGENERATE_CASES:
+        assert signatures(gram) == ["degenerate lattice"] * 2
+
+
+def test_signature_matches_fraction_reference_on_random_forms():
+    degenerate = 0
+    for g in random_grams():
         mine, ref = signatures(g)
         assert mine == ref, g
         degenerate += isinstance(ref, str)
     assert 0 < degenerate < 400
+
+
+def test_det_matches_bareiss_reference_on_signature_test_forms():
+    # the determinant is the last pivot of the signature's elimination
+    grams = [gram for gram, _ in ZERO_DIAGONAL_CASES.values()]
+    grams += list(DEGENERATE_CASES) + list(random_grams())
+    degenerate = 0
+    for g in grams:
+        lat = GramLattice(g)
+        want = det_bareiss(g)
+        assert lat.det == want, g
+        if want == 0:
+            degenerate += 1
+            with pytest.raises(ValueError, match="degenerate lattice"):
+                lat.signature()
+        else:
+            assert sum(lat.signature()) == len(g)
+    assert 2 < degenerate < len(grams)
 
 
 def test_signature_matches_fraction_reference_on_certified_lattices(certified):
@@ -358,3 +385,67 @@ def test_isometry_search_leaves_no_reference_cycles(certified):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- genus-character prefilter against the unfiltered match -------------------------
+
+def reference_match(ns):
+    """The match without the prefilter: every reduced candidate gets the isometry check."""
+    pos, neg = ns.signature()
+    if pos != 1:
+        raise MatchError(f"expected signature (1, n-1), got ({pos}, {neg})")
+    d = ns.det
+    if d >= 0:
+        raise MatchError("determinant must be negative")
+    target = discriminant_form(ns).negated()
+    matches = []
+    for cand in sorted(enumerate_reduced(d)):
+        if discriminant_form(form_lattice(cand)).is_isomorphic(target):
+            matches.append(cand)
+    if not matches:
+        raise MatchError(f"no rank-2 form of discriminant {d} matches the input")
+    if len(matches) > 1:
+        raise MatchError(f"genus of discriminant {d} has several classes: {matches}")
+    return matches[0]
+
+
+def match_outcome(match, ns):
+    """The returned form, or the exact MatchError text."""
+    try:
+        return match(ns)
+    except MatchError as exc:
+        return str(exc)
+
+
+def test_prefilter_matches_reference_on_certified_lattices(certified, monkeypatch):
+    # one candidate survives the genus characters on every certified lattice
+    checks = []
+    isomorphic = DiscriminantForm.is_isomorphic
+
+    def counted(self, other):
+        checks.append(self)
+        return isomorphic(self, other)
+
+    for name, surf, secs in certified:
+        ns = assemble_ns(surf, secs)
+        want = match_outcome(reference_match, ns)
+        assert isinstance(want, BinaryQuadraticForm), name
+        checks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(DiscriminantForm, "is_isomorphic", counted)
+            assert match_outcome(match_transcendental, ns) == want, name
+        assert len(checks) == 1, name
+
+
+def test_prefilter_matches_reference_on_u_plus_rank_two_forms():
+    # U + f(-1) for every reduced f of SPLIT_DISCS: q = -q_f, so f matches
+    # unless its genus holds other classes; both error texts must agree
+    outcomes = []
+    for d in SPLIT_DISCS:
+        for f in sorted(enumerate_reduced(d)):
+            ns = GramLattice(direct_sum(U_GRAM, [[-x for x in row] for row in f.gram()]))
+            want = match_outcome(reference_match, ns)
+            assert match_outcome(match_transcendental, ns) == want, (d, f)
+            outcomes.append((f, want))
+    assert any(f == want for f, want in outcomes)
+    assert any(isinstance(want, str) and "several classes" in want for _, want in outcomes)

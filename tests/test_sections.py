@@ -6,12 +6,16 @@ from k3cm.exact import QQ, Polynomial, QuadField, RationalFunction, Series, poly
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lattices import match_transcendental
 from k3cm.quadforms import BinaryQuadraticForm
+from k3cm.surfaces import Cusp, FiberDescriptor
 from k3cm.sections import (
+    Contact,
     SectionError,
+    _resolved_multiplicity,
     _conjugate_ratfun,
     _cycle_contact,
     _embed,
     _local_chart,
+    _meeting_order,
     _same_branch,
     _scaled_section,
     _star_contact,
@@ -443,6 +447,36 @@ def test_contact_depths_match_series_rules_at_every_depth(certified):
         ("I*", "identity"), ("I*", "star-leg"), ("I*", "star-near"), ("I*", "star-far"),
         ("I*", "SectionError"),
     }
+
+
+def test_resolved_multiplicity_at_a_shared_node():
+    # two sections on one node component meet naive - k times on the smooth
+    # model; on different components (branches, or depths k) they do not meet
+    fiber = FiberDescriptor(Cusp.finite(Fraction(0)), "I", 8)
+    s = Fraction(2, 5)
+    for k in (1, 3):
+        cyc, far = Contact(fiber, "cycle", k, slope=s), Contact(fiber, "far-cycle", k)
+        pairs = {
+            "same branch": (cyc, Contact(fiber, "cycle", k, slope=s), True),
+            "far cycle": (far, Contact(fiber, "far-cycle", k), True),
+            "opposite slopes": (cyc, Contact(fiber, "cycle", k, slope=-s), False),
+            "unequal k": (cyc, Contact(fiber, "cycle", k + 1, slope=s), False),
+        }
+        for name, (cp, cq, meet) in pairs.items():
+            for extra in (0, 1, 3):
+                want = extra if meet else 0
+                assert _resolved_multiplicity(cp, cq, k + extra) == want, (name, k, extra)
+                assert _resolved_multiplicity(cq, cp, k + extra) == want, (name, k, extra)
+
+
+def test_meeting_order_is_the_smaller_valuation():
+    # the naive multiplicity reads v(w_P - w_Q) as well as v(u_P - u_Q)
+    cube = RationalFunction(Polynomial(QQ, [Fraction(c) for c in (-1, 3, -3, 1)]))
+    square = RationalFunction(Polynomial(QQ, [Fraction(c) for c in (1, -2, 1)]))
+    one, zero = Fraction(1), RationalFunction(Polynomial(QQ, []))
+    assert _meeting_order(cube, square, one) == 2
+    assert _meeting_order(square, cube, one) == 2
+    assert _meeting_order(cube, zero, one) == 3
 
 
 def test_scaled_section_scales_the_slope(reg):
