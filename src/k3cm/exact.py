@@ -10,6 +10,8 @@ anywhere in the package.  Four coefficient domains are supported:
 
 Polynomials carry their domain explicitly and refuse to mix domains;
 conversion Q -> F_p fails loudly when a denominator is divisible by p.
+Over Q a polynomial keeps integer numerators over one common denominator and
+builds its Fractions only when read.  `monic_sqrt` is the one square root.
 """
 
 from __future__ import annotations
@@ -539,20 +541,42 @@ class Polynomial:
     """Immutable dense polynomial over an explicit domain.
 
     Coefficients are stored ascending with no trailing zeros; the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    polynomial has an empty coefficient tuple and degree -1.  Over Q the
+    kernels work on `int_coeffs` = (numerators, denominator), canonical
+    (denominator > 0, coprime to the content, no trailing zeros); the Fraction
+    `coeffs` are built only when read, and either form at most once.  Outside
+    Q the kernels read the always-set `_coeffs`.
     """
 
-    __slots__ = ("domain", "coeffs")
+    __slots__ = ("domain", "degree", "_coeffs", "_ints")
 
     def __init__(self, domain: Domain, coeffs):
         cs = list(coeffs)
         while cs and domain.is_zero(cs[-1]):
             cs.pop()
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "degree", len(cs) - 1)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        try:
+            return self._coeffs
+        except AttributeError:   # over Q, built from integers
+            nums, den = self._ints
+            object.__setattr__(self, "_coeffs", tuple([Fraction(c, den) for c in nums]))
+            return self._coeffs
+
+    @property
+    def int_coeffs(self) -> tuple[list[int], int]:
+        try:
+            return self._ints
+        except AttributeError:   # over Q, built from Fractions
+            object.__setattr__(self, "_ints", _integer_coeffs(self._coeffs))
+            return self._ints
 
     # -- constructors -------------------------------------------------------
 
@@ -563,10 +587,6 @@ class Polynomial:
     @staticmethod
     def x(domain: Domain) -> "Polynomial":
         return Polynomial(domain, [domain.zero, domain.one])
-
-    @staticmethod
-    def from_fractions(domain: Domain, fracs) -> "Polynomial":
-        return Polynomial(domain, [domain.from_fraction(Fraction(c)) for c in fracs])
 
     @staticmethod
     def from_text(domain: Domain, text: str) -> "Polynomial":
@@ -583,36 +603,36 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def __getitem__(self, i: int):
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i <= self.degree:
             return self.coeffs[i]
         return self.domain.zero
 
     def leading(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if isinstance(self.domain, RationalField):
+            return Fraction(self.int_coeffs[0][-1], self.int_coeffs[1])
+        return self._coeffs[-1]
 
     def _check(self, other: "Polynomial"):
         if self.domain is not other.domain and self.domain != other.domain:
             raise DomainError(f"mixed domains {self.domain!r} and {other.domain!r}")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.domain == other.domain
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, Polynomial) or self.domain != other.domain:
+            return False
+        if isinstance(self.domain, RationalField):
+            return self.int_coeffs == other.int_coeffs
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.domain, self.coeffs))
+        if isinstance(self.domain, RationalField):
+            return hash((self.domain, tuple(self.int_coeffs[0]), self.int_coeffs[1]))
+        return hash((self.domain, self._coeffs))
 
     def __repr__(self):
         return f"Polynomial({self.domain!r}, {self.to_text()!r})"
@@ -620,30 +640,42 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        d = self.domain
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=d.zero)
-        return Polynomial(d, [d.add(x, y) for x, y in pairs])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
         self._check(other)
         d = self.domain
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=d.zero)
-        return Polynomial(d, [d.sub(x, y) for x, y in pairs])
+        if isinstance(d, RationalField):
+            (a, da), (b, db) = self.int_coeffs, other.int_coeffs
+            den = math.lcm(da, db)
+            sa, sb = den // da, sign * (den // db)
+            return _from_ints([x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)], den)
+        op = d.add if sign > 0 else d.sub
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=d.zero)
+        return Polynomial(d, [op(x, y) for x, y in pairs])
 
     def __neg__(self):
-        return Polynomial(self.domain, [self.domain.neg(c) for c in self.coeffs])
+        return self.scale(self.domain.neg(self.domain.one))
 
     def __mul__(self, other):
         self._check(other)
         d = self.domain
         if self.is_zero() or other.is_zero():
             return Polynomial(d, [])
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        return Polynomial(d, _convolve(d, self.coeffs, other.coeffs, n))
+        n = self.degree + other.degree + 1
+        if isinstance(d, RationalField):
+            (a, da), (b, db) = self.int_coeffs, other.int_coeffs
+            return _from_ints(_int_convolve(a, b, n), da * db)
+        return Polynomial(d, _convolve(d, self._coeffs, other._coeffs, n))
 
     def scale(self, c) -> "Polynomial":
-        return Polynomial(self.domain, _convolve(self.domain, [c], self.coeffs, len(self.coeffs)))
+        if isinstance(self.domain, RationalField):
+            (cn, cd), (nums, den) = c.as_integer_ratio(), self.int_coeffs
+            return _from_ints([x * cn for x in nums], den * cd)
+        return Polynomial(self.domain, _convolve(self.domain, [c], self._coeffs, self.degree + 1))
 
     def __pow__(self, n: int):
         out = Polynomial.constant(self.domain, self.domain.one)
@@ -671,34 +703,33 @@ class Polynomial:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if isinstance(d, RationalField):
-            (sn, ds), (on, do) = _integer_coeffs(self.coeffs), _integer_coeffs(other.coeffs)
+            (sn, ds), (on, do) = self.int_coeffs, other.int_coeffs
             quot, rem, mult = _pseudo_divrem(sn, on)
             den = mult * ds
-            return (Polynomial(d, [Fraction(q * do, den) for q in quot]),
-                    Polynomial(d, [Fraction(r, den) for r in rem]))
+            return _from_ints([q * do for q in quot], den), _from_ints(rem, den)
         if isinstance(d, QuadField):
             m = d.m
-            (sa, sb), ds = _pair_coeffs(self.coeffs, m)
-            (oa, ob), do = _pair_coeffs(other.coeffs, m)
+            (sa, sb), ds = _pair_coeffs(self._coeffs, m)
+            (oa, ob), do = _pair_coeffs(other._coeffs, m)
             la, lb = oa[-1], ob[-1]
             qa, qb, ra, rb, mult = _pair_pseudo_divrem(sa, sb, *_pair_scale(oa, ob, la, -lb, m), m)
             den = mult * ds
             return (Polynomial(d, _quads(*_pair_scale(qa, qb, la * do, -lb * do, m), den, m)),
                     Polynomial(d, _quads(ra, rb, den, m)))
         lead_inv = d.inv(other.leading())
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        rem, div = list(self._coeffs), other._coeffs
+        dq = len(rem) - len(div)
         if dq < 0:
             return Polynomial(d, []), self
         quot = [d.zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = d.mul(rem[len(other.coeffs) + i - 1], lead_inv)
+            c = d.mul(rem[len(div) + i - 1], lead_inv)
             quot[i] = c
             if d.is_zero(c):
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(div):
                 rem[i + j] = d.sub(rem[i + j], d.mul(c, b))
-        return Polynomial(d, quot), Polynomial(d, rem[: len(other.coeffs) - 1])
+        return Polynomial(d, quot), Polynomial(d, rem[: len(div) - 1])
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
@@ -726,13 +757,13 @@ class Polynomial:
         if not d.is_field:
             raise DomainError("gcd requires a field of coefficients")
         if isinstance(d, RationalField):
-            a, b = (_primitive(_integer_coeffs(f.coeffs)[0]) for f in (self, other))
+            a, b = (_primitive(f.int_coeffs[0]) for f in (self, other))
             while b:
                 a, b = b, _primitive(_pseudo_divrem(a, b)[1])
-            return Polynomial(d, [Fraction(c, a[-1]) for c in a]) if a else Polynomial(d, [])
+            return _from_ints(a, a[-1] if a else 1)
         if isinstance(d, QuadField):
             m = d.m
-            a, b = (_pair_primitive(*_pair_coeffs(f.coeffs, m)[0], m) for f in (self, other))
+            a, b = (_pair_primitive(*_pair_coeffs(f._coeffs, m)[0], m) for f in (self, other))
             while b[0]:
                 a, b = b, _pair_primitive(*_pair_pseudo_divrem(*a, *b, m)[2:4], m)
             return Polynomial(d, _quads(*a, a[0][-1], m) if a[0] else [])
@@ -743,13 +774,22 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         d = self.domain
+        if isinstance(d, RationalField):
+            nums, den = self.int_coeffs
+            return _from_ints([i * c for i, c in enumerate(nums)][1:], den)
         return Polynomial(d, [d.mul(d.from_fraction(Fraction(i)), c)
-                              for i, c in enumerate(self.coeffs[1:], 1)])
+                              for i, c in enumerate(self._coeffs[1:], 1)])
 
     def __call__(self, point):
         d = self.domain
+        if isinstance(d, RationalField):
+            (a, b), (nums, den) = point.as_integer_ratio(), self.int_coeffs
+            acc, bpow = 0, 1
+            for c in reversed(nums):   # sum of nums_i a^i b^(deg - i); bpow ends at b^(deg + 1)
+                acc, bpow = acc * a + c * bpow, bpow * b
+            return Fraction(acc * b, bpow * den)
         acc = d.zero
-        for c in reversed(self.coeffs):
+        for c in reversed(self._coeffs):
             acc = d.add(d.mul(acc, point), c)
         return acc
 
@@ -763,37 +803,22 @@ class Polynomial:
         """(k, c) with self = (t - point)^k (c + O(t - point)), c != 0: the
         valuation and the first non-zero Taylor coefficient at the point."""
         k, g = self._divide_out(point)
-        if not isinstance(self.domain, RationalField):
-            return k, g(point)
-        (a, b), den = Fraction(point).as_integer_ratio(), _integer_coeffs(self.coeffs)[1]
-        acc, bpow = 0, 1
-        for c in reversed(g):   # sum of g_i a^i b^(deg g - i); bpow ends at b^(deg g + 1)
-            acc, bpow = acc * a + c * bpow, bpow * b
-        return k, Fraction(acc * b ** (k + 1), bpow * den)
+        return k, g(point)
 
     def _divide_out(self, point) -> tuple:
         """(k, g) with self = (t - point)^k g, g(point) != 0; self must be nonzero.
 
         Over Q the integer numerators are divided by the primitive b t - a,
-        where point = a/b; by Gauss's lemma an exact quotient is integral, and
-        g is returned as the integer list with self = (b t - a)^k g / den.
+        where point = a/b; by Gauss's lemma an exact quotient is integral.
         """
         if self.is_zero():
             raise ValueError("valuation of zero polynomial")
         d = self.domain
         if isinstance(d, RationalField):
-            a, b = Fraction(point).as_integer_ratio()
-            cs, k = _integer_coeffs(self.coeffs)[0], 0
-            while True:
-                quot, q = [], 0
-                for c in reversed(cs[1:]):   # synthetic division, top down
-                    q, r = divmod(c + a * q, b)
-                    if r:
-                        return k, cs
-                    quot.append(q)
-                if cs[0] + a * q:
-                    return k, cs
-                cs, k = quot[::-1], k + 1
+            (a, b), (cs, den), k = point.as_integer_ratio(), self.int_coeffs, 0
+            while (quot := _linear_quotient(cs, a, b)) is not None:
+                cs, k = quot, k + 1
+            return k, _from_ints([c * b ** k for c in cs], den) if k else self
         lin = Polynomial(d, [d.neg(point), d.one])
         k, f = 0, self
         while True:
@@ -806,18 +831,17 @@ class Polynomial:
         """Coefficient reversal t^deg_bound * f(1/t); needs deg <= deg_bound."""
         if self.degree > deg_bound:
             raise ValueError("degree exceeds bound in reversal")
-        d = self.domain
-        out = [d.zero] * (deg_bound + 1)
-        for i, c in enumerate(self.coeffs):
-            out[deg_bound - i] = c
-        return Polynomial(d, out)
+        d, pad = self.domain, deg_bound - self.degree
+        if isinstance(d, RationalField):
+            return _from_ints([0] * pad + self.int_coeffs[0][::-1], self.int_coeffs[1])
+        return Polynomial(d, [d.zero] * pad + list(self._coeffs[::-1]))
 
     def shift(self, point) -> "Polynomial":
         """Taylor shift: returns g with g(t) = f(t + point)."""
         d = self.domain
-        out = Polynomial(d, [])
+        lin, out = Polynomial(d, [point, d.one]), Polynomial(d, [])
         for c in reversed(self.coeffs):
-            out = out * Polynomial(d, [point, d.one]) + Polynomial.constant(d, c)
+            out = out * lin + Polynomial.constant(d, c)
         return out
 
     def map_domain(self, target: Domain) -> "Polynomial":
@@ -832,7 +856,65 @@ class Polynomial:
 
     def content_primes(self) -> set[int]:
         """Primes dividing any coefficient denominator (Q coefficients only)."""
-        return {q for c in self.coeffs for q in prime_divisors(Fraction(c).denominator)}
+        return set(prime_divisors(self.int_coeffs[1]))
+
+
+def _from_ints(nums: list[int], den: int = 1) -> Polynomial:
+    """sum nums[i] t^i / den over Q, den != 0, made canonical; keeps (does not copy) nums."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    f = object.__new__(Polynomial)
+    object.__setattr__(f, "domain", QQ)
+    object.__setattr__(f, "_ints", (nums, den))
+    object.__setattr__(f, "degree", len(nums) - 1)
+    return f
+
+
+def _linear_quotient(cs: list[int], a: int, b: int) -> list[int] | None:
+    """The integer quotient of cs by b t - a, b > 0, or None when it does not divide."""
+    quot, q = [], 0
+    for c in reversed(cs[1:]):   # synthetic division, top down
+        q, r = divmod(c + a * q, b)
+        if r:
+            return None
+        quot.append(q)
+    return None if cs[0] + a * q else quot[::-1]
+
+
+def monic_sqrt(f: Polynomial) -> Polynomial | None:
+    """The (unique) monic square root of a monic polynomial, or None, in every domain.
+
+    For deg f = 2n, w_i follows from the top down: the t^(i+n) coefficient of
+    w^2 is 2 w_i + sum_{i<j<n} w_j w_(i+n-j); the result is checked by squaring.
+    Over Q on the numerators of f = F / E^2, since E w is integral (Gauss's
+    lemma), so each step is an exact division by 2E; over Z/p^k on plain ints.
+    """
+    if f.degree % 2:
+        return None
+    d, n = f.domain, f.degree // 2
+    over_q = isinstance(d, RationalField)
+    if over_q:
+        (cs, den), e = f.int_coeffs, math.isqrt(f.int_coeffs[1])
+        if e * e != den:
+            return None
+    else:
+        cs, e, inv2 = f._coeffs, d.one, d.inv(d.add(d.one, d.one))
+    out = [e] * (n + 1)   # entries below the top are overwritten, top down
+    for i in range(n - 1, -1, -1):
+        acc = cs[i + n]
+        for j in range(i + 1, n):
+            acc = acc - out[j] * out[i + n - j]
+        if over_q:
+            out[i], r = divmod(acc, 2 * e)
+            if r:
+                return None
+        else:
+            out[i] = d.mul(acc, inv2)
+    w = _from_ints(out, e) if over_q else Polynomial(d, out)
+    return w if w * w == f else None
 
 
 def _integer_coeffs(coeffs) -> tuple[list[int], int]:
@@ -917,12 +999,12 @@ def _quads(xa, xb, den: int, m: int) -> list:
 def _convolve(domain: Domain, xs, ys, n: int) -> list:
     """The first n coefficients of the product of coefficient lists xs and ys.
 
-    The one multiply loop of `Polynomial` and `Series` products, `scale`
-    and `Series.inverse`.  Over Q the integer numerators are convolved over
-    one common denominator; over Z/p^k (GF(p) included) plain ints, reduced
-    mod p^k once per output coefficient; over Q(sqrt m) the (rational part,
-    sqrt(m) part) numerator pairs over one common denominator.  Each output
-    scalar is built once.  Short lists are read as padded with zeros.
+    Multiplies `Series` (products, `scale`, `inverse`) and, outside Q,
+    `Polynomial` products and `scale`.  Over Q the integer numerators are
+    convolved over one common denominator; over Z/p^k (GF(p) included) plain
+    ints, reduced mod p^k once per output coefficient; over Q(sqrt m) the
+    (rational part, sqrt(m) part) numerator pairs over one common denominator.
+    Each output scalar is built once.  Short lists are read as padded with zeros.
     """
     xs, ys = xs[:n], ys[:n]
     if isinstance(domain, RationalField):
@@ -1166,10 +1248,3 @@ def poly_series(f: Polynomial, point, prec: int) -> Series:
     """Expansion of f around t = point to the given precision."""
     return Series(f.domain, f.shift(point).coeffs, prec)
 
-
-def ratfun_series(f: RationalFunction, point, prec: int) -> Series:
-    """Expansion of f around t = point; the point must not be a pole."""
-    den = poly_series(f.den, point, prec)
-    if f.domain.is_zero(den.coeffs[0]):
-        raise ZeroDivisionError("expansion at a pole")
-    return poly_series(f.num, point, prec) / den

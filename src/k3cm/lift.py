@@ -21,6 +21,7 @@ from k3cm.exact import (
     PadicRing,
     Polynomial,
     RationalFunction,
+    monic_sqrt,
     rational_reconstruct,
     row_reduce,
 )
@@ -411,7 +412,7 @@ def solve_mod_p(ansatz: SectionAnsatz, p: int) -> list[tuple[int, ...]]:
         R = ((u + surf_p.a2) * u + surf_p.a4) * u + surf_p.a6
         if R.is_zero():
             continue
-        w0 = _monic_sqrt(R.monic())
+        w0 = monic_sqrt(R.monic())
         if w0 is None or w0.degree >= len(w_rows):
             continue
         # w_affine(z_w) - c*w0 = 0, with z_w and c as the unknowns
@@ -435,21 +436,6 @@ def _affine_rows(affs, offset: int, n: int, F) -> list[list[int]]:
             row[e.index(1) - offset if any(e) else n] = F.from_fraction(c)
         rows.append(row)
     return rows
-
-
-def _monic_sqrt(f: Polynomial) -> Polynomial | None:
-    """The monic square root of a monic polynomial over F_p, or None."""
-    if f.degree % 2:
-        return None
-    F, n = f.domain, f.degree // 2
-    out = [0] * n + [1]
-    inv2 = F.inv(2)
-    # determine coefficients from the top down
-    for i in range(n - 1, -1, -1):
-        acc = f[i + n] - sum(out[j] * out[i + n - j] for j in range(i + 1, n))
-        out[i] = acc * inv2 % F.p
-    w = Polynomial(F, out)
-    return w if w * w == f else None
 
 
 def newton_double(system: PolySystem, solution, p: int, k: int, row_choice=None):

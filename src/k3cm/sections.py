@@ -21,17 +21,12 @@ from k3cm.exact import (
     QuadField,
     QuadNum,
     RationalFunction,
+    monic_sqrt,
     rational_sqrt,
     squarefree_part,
 )
 from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram
-from k3cm.surfaces import (
-    Cusp,
-    FiberDescriptor,
-    SurfaceError,
-    WeierstrassSurface,
-    squarefree_decomposition,
-)
+from k3cm.surfaces import Cusp, FiberDescriptor, SurfaceError, WeierstrassSurface
 
 
 class SectionError(ValueError):
@@ -139,10 +134,10 @@ def verify_section(surface: WeierstrassSurface, u: RationalFunction, name: str =
     """Exact check that u is the x-coordinate of a section; returns it.
 
     The right-hand side R = u^3 + a2 u^2 + a4 u + a6 must factor as
-    m * w(t)^2 for a scalar square class m, established by squarefree
-    decomposition; pole orders of u must be even, giving (P.O).  The
-    surface is over Q; a section over Q(sqrt m) is checked on the surface
-    mapped to that field, once for the right-hand side and all contacts.
+    m * w(t)^2 for a scalar square class m, established by one monic square
+    root each of its numerator and denominator.  The surface is over Q; a
+    section over Q(sqrt m) is checked on the surface mapped to that field,
+    once for the right-hand side and all contacts.
     """
     if isinstance(u, Polynomial):
         u = RationalFunction(u)
@@ -154,18 +149,11 @@ def verify_section(surface: WeierstrassSurface, u: RationalFunction, name: str =
     m, w = _square_cofactor(R)
     if m is None:
         raise SectionError("RHS(u) is not a square class times a square")
-    # (P.O): half the (even) pole orders, finite places plus infinity
-    pO = 0
-    _, sq = squarefree_decomposition(u.den)
-    for g, e in sq:
-        if e % 2:
-            raise SectionError(f"odd pole order {e} along {g.to_text()}")
-        pO += (e // 2) * g.degree
+    # (P.O) is half the pole order of u = N/D.  R = F / D^3 in lowest terms is a
+    # square class times a square, so D is a square, and where deg N - deg D > 4,
+    # deg F = 3 deg N makes deg N - deg D even
     inf_pole = u.num.degree - u.den.degree - 4
-    if inf_pole > 0:
-        if inf_pole % 2:
-            raise SectionError("odd pole order at infinity")
-        pO += inf_pole // 2
+    pO = u.den.degree // 2 + max(inf_pole, 0) // 2
     sec = Section(u=u, w=w, msq=m, pO=pO, name=name, fibers=surface.fibers)
     for idx, f in enumerate(sec.fibers):
         if f.reducible:
@@ -174,29 +162,17 @@ def verify_section(surface: WeierstrassSurface, u: RationalFunction, name: str =
 
 
 def _square_cofactor(R: RationalFunction):
-    """Write R = m * w^2 exactly; returns (m, w) or (None, None)."""
-    dom = R.domain
-    lead_n, sq_n = squarefree_decomposition(R.num)
-    lead_d, sq_d = squarefree_decomposition(R.den)
-    one = Polynomial.constant(dom, dom.one)
-    wn, wd = one, one
-    for g, e in sq_n:
-        if e % 2:
-            return None, None
-        wn = wn * g ** (e // 2)
-    for g, e in sq_d:
-        if e % 2:
-            return None, None
-        wd = wd * g ** (e // 2)
-    m = dom.div(lead_n, lead_d)
+    """Write R = m * w^2 exactly; returns (m, w) or (None, None).
+
+    m = lc(R.num) and w = monic_sqrt(R.num / m) / monic_sqrt(R.den) (R.den is monic);
+    over Q the square part of m is folded into w, leaving its squarefree kernel."""
+    dom, m = R.domain, R.num.leading()
+    wn, wd = monic_sqrt(R.num.monic()), monic_sqrt(R.den)
+    if wn is None or wd is None:
+        return None, None
     if dom == QQ:
-        m0 = Fraction(m)
-        kernel = squarefree_part(m0.numerator * m0.denominator)
-        # m0 / kernel = r^2 for a rational r; fold r into w
-        r = rational_sqrt(m0 / kernel)
-        assert r is not None
-        wn = wn.scale(r)
-        m = Fraction(kernel)
+        kernel = squarefree_part(m.numerator * m.denominator)
+        wn, m = wn.scale(rational_sqrt(m / kernel)), Fraction(kernel)
     return m, RationalFunction(wn, wd)
 
 

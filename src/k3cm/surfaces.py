@@ -21,7 +21,6 @@ from k3cm.exact import (
     Polynomial,
     RationalFunction,
     Series,
-    _integer_coeffs,
     poly_series,
     primes_up_to,
     rational_reconstruct,
@@ -160,13 +159,17 @@ class WeierstrassSurface:
         return classify_fibers(self)
 
     def rhs(self, u):
-        """u^3 + a2 u^2 + a4 u + a6 as a rational function of t."""
+        """u^3 + a2 u^2 + a4 u + a6 as a rational function of t.
+
+        For u = N/D in lowest terms: F / D^3, F = N^3 + a2 N^2 D + a4 N D^2 + a6 D^3,
+        also in lowest terms, as F = N^3 mod D (`RationalFunction` takes one gcd).
+        """
         if isinstance(u, Polynomial):
             u = RationalFunction(u)
-        a2 = RationalFunction(self.a2)
-        a4 = RationalFunction(self.a4)
-        a6 = RationalFunction(self.a6)
-        return ((u + a2) * u + a4) * u + a6
+        n, d = u.num, u.den
+        d2 = d * d
+        d3 = d2 * d
+        return RationalFunction(((n + self.a2 * d) * n + self.a4 * d2) * n + self.a6 * d3, d3)
 
     def fiber_cubic(self, t0) -> Polynomial:
         """x^3 + a2(t0) x^2 + a4(t0) x + a6(t0)."""
@@ -249,9 +252,9 @@ def _roots_of_squarefree(g: Polynomial) -> list:
     """
     if g.degree == 0:
         return []
+    gz = g.int_coeffs[0]
     if g.degree == 1:
-        return [-g.coeffs[0] / g.coeffs[1]]
-    gz = _integer_coeffs(g.coeffs)[0]
+        return [Fraction(-gz[0], gz[1])]
 
     def eval_mod(coeffs, x, mod):
         acc = 0

@@ -1,5 +1,24 @@
 """Reference implementations that the package no longer carries, kept as test oracles."""
 
+from fractions import Fraction
+from itertools import zip_longest
+
+from k3cm.exact import QQ, Polynomial, RationalFunction, Series, poly_series, rational_sqrt, squarefree_part
+from k3cm.surfaces import squarefree_decomposition
+
+
+def from_fractions(domain, fracs) -> Polynomial:
+    """The polynomial with ascending coefficients fracs (rationals) mapped into domain."""
+    return Polynomial(domain, [domain.from_fraction(Fraction(c)) for c in fracs])
+
+
+def ratfun_series(f: RationalFunction, point, prec: int) -> Series:
+    """Expansion of f around t = point; the point must not be a pole."""
+    den = poly_series(f.den, point, prec)
+    if f.domain.is_zero(den.coeffs[0]):
+        raise ZeroDivisionError("expansion at a pole")
+    return poly_series(f.num, point, prec) / den
+
 
 def det_bareiss(m) -> int:
     """Exact determinant of an integer matrix (fraction-free elimination).
@@ -28,3 +47,115 @@ def det_bareiss(m) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q as plain lists of Fractions, ascending, no trailing zeros
+# ---------------------------------------------------------------------------
+
+def frac_trim(xs) -> list:
+    xs = [Fraction(c) for c in xs]
+    while xs and xs[-1] == 0:
+        xs.pop()
+    return xs
+
+
+def frac_add(xs, ys, sign=1) -> list:
+    return frac_trim(x + sign * y for x, y in zip_longest(xs, ys, fillvalue=Fraction(0)))
+
+
+def frac_mul(xs, ys) -> list:
+    out = [Fraction(0)] * max(len(xs) + len(ys) - 1, 0)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return frac_trim(out)
+
+
+def frac_divrem(xs, ys) -> tuple[list, list]:
+    """Long division; ys must be non-zero."""
+    xs, ys = frac_trim(xs), frac_trim(ys)
+    quot, rem = [Fraction(0)] * max(len(xs) - len(ys) + 1, 0), list(xs)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(ys) - 1] / ys[-1]
+        quot[i] = c
+        for j, y in enumerate(ys):
+            rem[i + j] -= c * y
+    return frac_trim(quot), frac_trim(rem[: len(ys) - 1])
+
+
+def frac_monic(xs) -> list:
+    return [c / xs[-1] for c in xs] if xs else []
+
+
+def frac_gcd(xs, ys) -> list:
+    """Euclid on monic remainders."""
+    a, b = frac_monic(frac_trim(xs)), frac_monic(frac_trim(ys))
+    while b:
+        a, b = b, frac_monic(frac_divrem(a, b)[1])
+    return a
+
+
+def frac_derivative(xs) -> list:
+    return frac_trim([i * c for i, c in enumerate(xs)][1:])
+
+
+def frac_eval(xs, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(xs):
+        acc = acc * x + c
+    return acc
+
+
+def frac_shift(xs, a) -> list:
+    """f(t + a), by Horner on lists."""
+    out = []
+    for c in reversed(xs):
+        out = frac_add(frac_mul(out, [a, 1]), [c])
+    return out
+
+
+def frac_reverse(xs, n) -> list:
+    return frac_trim((list(xs) + [Fraction(0)] * (n + 1 - len(xs)))[::-1])
+
+
+def frac_order_at(xs, a) -> tuple[int, Fraction]:
+    """(k, c): (t - a)^k exactly divides f, and c = (f / (t - a)^k)(a); f non-zero."""
+    k, xs = 0, frac_trim(xs)
+    while frac_eval(xs, a) == 0:
+        xs, k = frac_divrem(xs, [-a, 1])[0], k + 1
+    return k, frac_eval(xs, a)
+
+
+# ---------------------------------------------------------------------------
+# section verification as it was before the one monic square root
+# ---------------------------------------------------------------------------
+
+def reference_rhs(surface, u: RationalFunction) -> RationalFunction:
+    """u^3 + a2 u^2 + a4 u + a6 by `RationalFunction` arithmetic (six gcds)."""
+    a2, a4, a6 = (RationalFunction(f) for f in (surface.a2, surface.a4, surface.a6))
+    return ((u + a2) * u + a4) * u + a6
+
+
+def reference_square_cofactor(R: RationalFunction):
+    """R = m * w^2 by two squarefree decompositions; (m, w) or (None, None)."""
+    dom = R.domain
+    lead_n, sq_n = squarefree_decomposition(R.num)
+    lead_d, sq_d = squarefree_decomposition(R.den)
+    one = Polynomial.constant(dom, dom.one)
+    wn, wd = one, one
+    for g, e in sq_n:
+        if e % 2:
+            return None, None
+        wn = wn * g ** (e // 2)
+    for g, e in sq_d:
+        if e % 2:
+            return None, None
+        wd = wd * g ** (e // 2)
+    m = dom.div(lead_n, lead_d)
+    if dom == QQ:
+        m0 = Fraction(m)
+        kernel = squarefree_part(m0.numerator * m0.denominator)
+        wn = wn.scale(rational_sqrt(m0 / kernel))
+        m = Fraction(kernel)
+    return m, RationalFunction(wn, wd)

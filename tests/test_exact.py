@@ -25,18 +25,40 @@ from k3cm.exact import (
     prime_divisors,
     poly_series,
     rational_reconstruct,
-    ratfun_series,
     resultant,
     row_reduce,
     is_square,
+    monic_sqrt,
     rational_sqrt,
     roots_mod_p,
     squarefree_part,
 )
 
+from oracles import (
+    frac_add,
+    frac_derivative,
+    frac_divrem,
+    frac_eval,
+    frac_gcd,
+    frac_monic,
+    frac_mul,
+    frac_order_at,
+    frac_reverse,
+    frac_shift,
+    frac_trim,
+    from_fractions,
+    ratfun_series,
+    reference_square_cofactor,
+)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:   # the seeded tests run the same checks
+    st = None
+
 
 def P(domain, *coeffs):
-    return Polynomial.from_fractions(domain, coeffs)
+    return from_fractions(domain, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -710,3 +732,143 @@ def test_pair_primitive_has_integer_lead_and_content_one():
             assert pb[-1] == 0 and pa[-1] != 0
             assert math.gcd(*pa, *pb) == 1
             assert Polynomial(K, [QuadNum(a, b, m) for a, b in zip(pa, pb)]).monic() == f.monic()
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q: the integer form against plain Fraction lists
+# ---------------------------------------------------------------------------
+
+def assert_q_form(f, want):
+    """f's integer form is canonical, reads as the Fraction list want, and f
+    equals (with the same hash) the polynomial built from want."""
+    nums, den = f.int_coeffs
+    assert den > 0 and math.gcd(den, *nums) == 1 and (not nums or nums[-1]), (nums, den)
+    assert list(f.coeffs) == want and f.degree == len(want) - 1, (f, want)
+    assert_scalar_types(QQ, f.coeffs)
+    g = Polynomial(QQ, want)
+    assert f == g and g == f and hash(f) == hash(g)
+
+
+def check_q_ops(xs, ys, c, a):
+    """Every Q kernel on f, g (built from xs, ys), a scalar c and a point a."""
+    f, g, fx, gx = Polynomial(QQ, xs), Polynomial(QQ, ys), frac_trim(xs), frac_trim(ys)
+    assert_q_form(f, fx)
+    assert_q_form(f + g, frac_add(fx, gx))
+    assert_q_form(f - g, frac_add(fx, gx, -1))
+    assert_q_form(-f, frac_add([], fx, -1))
+    assert_q_form(f * g, frac_mul(fx, gx))
+    assert_q_form(f.scale(c), frac_trim(c * x for x in fx))
+    assert_q_form(f.derivative(), frac_derivative(fx))
+    assert_q_form(f.monic(), frac_monic(fx))
+    assert_q_form(f.shift(a), frac_shift(fx, a))
+    assert_q_form(f.reverse(len(fx) + 1), frac_reverse(fx, len(fx) + 1))
+    assert_q_form(f.gcd(g), frac_gcd(fx, gx))
+    assert f(a) == frac_eval(fx, a) and type(f(a)) is Fraction
+    if gx:
+        (q, r), (wq, wr) = f.divrem(g), frac_divrem(fx, gx)
+        assert_q_form(q, wq)
+        assert_q_form(r, wr)
+    if fx:
+        h = f * Polynomial(QQ, [-a, 1]) ** 2
+        for poly, cs in ((f, fx), (h, frac_mul(fx, frac_mul([-a, 1], [-a, 1])))):
+            k, lc = frac_order_at(cs, a)
+            assert poly.order_at(a) == (k, lc) and poly.valuation_at(a) == k, (poly, a)
+            assert type(lc) is Fraction
+
+
+EDGE_Q_LISTS = [[Fraction(c) for c in cs] for cs in (
+    [], [0], [0, 0], [Fraction(-7, 3)], [0, Fraction(-1, 2), 0],
+    [Fraction(1, 10**30), 0, Fraction(-10**30, 7), 0, 0], [Fraction(-3, 4), Fraction(5, 6), Fraction(-9, 8)],
+)]
+
+
+def random_q_list(rng):
+    """0..7 coefficients with small or 30-digit parts, either sign, zeros inside and at the top."""
+    size = rng.choice((5, 10**6, 10**30))
+    cs = [Fraction(rng.randrange(-size, size + 1), rng.choice((1, -1)) * rng.randrange(1, size + 1))
+          if rng.random() < 0.8 else Fraction(0) for _ in range(rng.randrange(8))]
+    return cs + [Fraction(0)] * rng.randrange(3)
+
+
+def test_q_form_matches_fraction_lists_on_fixed_seeds():
+    for xs in EDGE_Q_LISTS:
+        for ys in EDGE_Q_LISTS:
+            check_q_ops(xs, ys, Fraction(-2, 3), Fraction(-1, 2))
+    rng = random.Random(73)
+    for _ in range(250):
+        c = Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12)) if rng.random() < 0.9 else 0
+        a = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+        check_q_ops(random_q_list(rng), random_q_list(rng), c, a)
+
+
+if st is None:
+    @pytest.mark.skip(reason="hypothesis is not installed; the fixed-seed test runs the same checks")
+    def test_q_form_matches_fraction_lists_under_hypothesis():
+        pass
+else:
+    _q_lists = st.tuples(
+        st.lists(st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**30)), max_size=7),
+        st.integers(0, 2),
+    ).map(lambda pair: pair[0] + [Fraction(0)] * pair[1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_q_lists, _q_lists, st.fractions(max_denominator=10**30),
+           st.fractions(min_value=-20, max_value=20, max_denominator=40))
+    def test_q_form_matches_fraction_lists_under_hypothesis(xs, ys, c, a):
+        check_q_ops(xs, ys, c, a)
+
+
+def coeffs_built(f) -> bool:
+    """Whether f's Fraction coefficients exist yet (the slot behind `coeffs` is set)."""
+    return hasattr(f, "_coeffs")
+
+
+def test_kernel_results_build_fraction_coeffs_only_when_read():
+    f = Polynomial(QQ, [Fraction(1, 2), Fraction(-3, 4), 5])
+    assert coeffs_built(f) and f.int_coeffs is f.int_coeffs   # computed once, then kept
+    results = [f + f, f - f, -f, f * f, f.scale(Fraction(-2, 9)), f.monic(), f.derivative(),
+               f.reverse(4), f.gcd(f * f), *f.divrem(f * f + f), (f * f).divrem(f)[0],
+               (f * Polynomial(QQ, [-1, 1]))._divide_out(1)[1]]
+    for g in results:
+        assert not coeffs_built(g)
+        _ = (g.degree, g.is_zero(), g == f, hash(g), g(Fraction(2, 7)), g.leading() if g.degree >= 0 else 0)
+        if not g.is_zero():
+            _ = (g.valuation_at(Fraction(1, 2)), g.order_at(0))
+        assert not coeffs_built(g), g
+        assert g.coeffs is g.coeffs and coeffs_built(g)
+        assert g == Polynomial(QQ, g.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the one monic square root, against two squarefree decompositions
+# ---------------------------------------------------------------------------
+
+def test_monic_sqrt_matches_squarefree_reference():
+    rng = random.Random(79)
+    for d in (QQ, QuadField(21), GF(101)):
+        t = Polynomial.x(d)
+        for _ in range(40):
+            w = Polynomial(d, random_coeffs(rng, d, top=6))
+            v = Polynomial(d, random_coeffs(rng, d, top=4))
+            if w.is_zero() or v.is_zero():
+                continue
+            c = random_scalar(rng, d)
+            cases = [w * w, w * w * v * v, w * w * v, w * w * (t - Polynomial.constant(d, c)),
+                     w * w * v * v * (t * t + Polynomial.constant(d, c)), w * v, v]
+            for f in (g.monic() for g in cases):
+                want = reference_square_cofactor(RationalFunction(f))
+                got = monic_sqrt(f)
+                if want[0] is None:
+                    assert got is None, (d, f)
+                else:
+                    assert want[0] == d.one and want[1].den.degree == 0, (d, f)
+                    assert got == want[1].num and got * got == f, (d, f)
+                    assert_scalar_types(d, got.coeffs)
+        for f in (Polynomial(d, []), t, t ** 3, t ** 2 * (t + Polynomial.constant(d, d.one))):
+            assert monic_sqrt(f) is None
+        assert monic_sqrt(Polynomial.constant(d, d.one)) == Polynomial.constant(d, d.one)
+    # over Q a denominator that is not a square, and a square one without a square root
+    assert monic_sqrt(P(QQ, Fraction(1, 2), 0, 1)) is None
+    assert monic_sqrt(P(QQ, Fraction(1, 4), 0, 1)) is None
+    assert monic_sqrt(P(QQ, Fraction(1, 4), 1, 1)) == P(QQ, Fraction(1, 2), 1)
+

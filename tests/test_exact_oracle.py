@@ -1,7 +1,7 @@
 """The exact core against sympy: over Q on the c4, c6 and Delta of every
 fixture surface, and over Q(sqrt m) on seeded random polynomials (products,
-division, gcd, and the squarefree decomposition that certify runs through
-`sections._square_cofactor`, against `sqf_list` over QQ<sqrt(m)>).
+division, gcd, and the squarefree decomposition that the reference
+`_square_cofactor` in `tests/oracles.py` runs, against `sqf_list` over QQ<sqrt(m)>).
 
 Skipped when sympy is not installed (`pip install k3cm[test]` brings it in).
 """
@@ -128,7 +128,7 @@ def test_quadratic_field_arithmetic_matches_sympy():
 
 
 def test_squarefree_decomposition_over_quadratic_fields_matches_sympy():
-    # the certify caller: sections._square_cofactor decomposes over Q(sqrt m)
+    # oracles.reference_square_cofactor, the check on `monic_sqrt`, decomposes over Q(sqrt m)
     rng = random.Random(59)
     for m in (-23, 21, 85, 2):
         for _ in range(2):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.exact import QQ, Polynomial, QuadField, RationalFunction, Series, poly_series, ratfun_series
+from k3cm.exact import QQ, Polynomial, QuadField, RationalFunction, Series, poly_series
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lattices import match_transcendental
 from k3cm.quadforms import BinaryQuadraticForm
@@ -18,6 +18,7 @@ from k3cm.sections import (
     _meeting_order,
     _same_branch,
     _scaled_section,
+    _square_cofactor,
     _star_contact,
     assemble_ns,
     build_sections,
@@ -29,6 +30,8 @@ from k3cm.sections import (
     section_sum,
     verify_section,
 )
+
+from oracles import from_fractions, ratfun_series, reference_rhs, reference_square_cofactor
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +84,30 @@ def test_contacts_disc1540_match_stated_pattern(reg, fam):
 
 def test_rejected_section(reg, fam):
     surf = fam.specialize(Fraction(5, 32))
-    bad = RationalFunction(Polynomial.from_fractions(QQ, [1, 2, 3]))
+    bad = RationalFunction(from_fractions(QQ, [1, 2, 3]))
     with pytest.raises(SectionError):
         verify_section(surf, bad)
+
+
+def test_odd_pole_and_odd_degree_are_not_a_square_class(fam):
+    # an odd pole of u makes the denominator of RHS(u) an odd power, an odd degree
+    # above 4 its degree odd: both fail the square test before (P.O) is read
+    surf, t = fam.specialize(Fraction(5, 32)), Polynomial.x(QQ)
+    for u in (RationalFunction(Polynomial.constant(QQ, Fraction(1)), t), RationalFunction(t ** 5)):
+        with pytest.raises(SectionError, match=r"^RHS\(u\) is not a square class times a square$"):
+            verify_section(surf, u)
+
+
+def test_rhs_and_square_root_match_the_rational_function_chain(certified):
+    checked = 0
+    for name, surf, sections in certified:
+        for sec in sections:
+            chart = surf if sec.domain == surf.domain else surf.map_domain(sec.domain)
+            R = chart.rhs(sec.u)
+            assert R == reference_rhs(chart, sec.u), (name, sec.name)
+            assert _square_cofactor(R) == reference_square_cofactor(R), (name, sec.name)
+            checked += 1
+    assert checked >= 37   # every section of the 39 certified surfaces
 
 
 def test_pO_from_denominator(reg, fam):

@@ -15,6 +15,8 @@ from k3cm.surfaces import (
     squarefree_decomposition,
 )
 
+from oracles import from_fractions
+
 
 @pytest.fixture(scope="module")
 def fam():
@@ -22,7 +24,7 @@ def fam():
 
 
 def P(*coeffs):
-    return Polynomial.from_fractions(QQ, coeffs)
+    return from_fractions(QQ, coeffs)
 
 
 def test_family_member_fibers(fam):
