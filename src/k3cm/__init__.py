@@ -42,6 +42,7 @@ from k3cm.surfaces import (
 from k3cm.sections import (
     Section,
     assemble_ns,
+    certify,
     determine_contact,
     height,
     intersection_number,
@@ -81,7 +82,7 @@ __all__ = [
     "DiscriminantForm", "GramLattice", "discriminant_form", "match_transcendental",
     "smith_normal_form",
     "FiberDescriptor", "UnsupportedFiberError", "WeierstrassSurface", "classify_fibers",
-    "Section", "assemble_ns", "determine_contact", "height", "intersection_number",
+    "Section", "assemble_ns", "certify", "determine_contact", "height", "intersection_number",
     "ns_discriminant", "pairing", "section_sum", "verify_section",
     "Family",
     "CountCache", "algebraic_trace", "count_surface", "count_weierstrass",

@@ -25,11 +25,24 @@ def _load_family(spec: str):
         return family_from_text(fh.read())
 
 
-def _load_surface_file(path: str):
-    from k3cm.fixtures import registry, surface_fixture_from_text
+def _load_fixture(args):
+    """(fixture, surface, section fixtures) for --surface NAME|FILE and --sections FILE.
 
-    with open(path) as fh:
-        return registry(), surface_fixture_from_text(fh.read())
+    The sections are the fixture's own, or the `[sections]` blocks of the file.
+    """
+    from k3cm.fixtures import parse_blocks, registry, section_fixture_from_block, surface_fixture_from_text
+
+    reg = registry()
+    fx = reg.surfaces.get(args.surface)
+    if fx is None:
+        with open(args.surface) as fh:
+            fx = surface_fixture_from_text(fh.read())
+    section_fixtures = fx.sections
+    if args.sections:
+        with open(args.sections) as fh:
+            blocks = parse_blocks(fh.read())
+        section_fixtures = [section_fixture_from_block(kv) for name, kv in blocks if name == "sections"]
+    return fx, fx.build_surface(reg), section_fixtures
 
 
 def cmd_discs(args) -> int:
@@ -154,33 +167,9 @@ def _parse_multipoly(text: str, nvars: int):
 
 
 def cmd_verify(args) -> int:
-    from k3cm.fixtures import registry
+    from k3cm.sections import build_sections, certify, height
 
-    reg = registry()
-    if args.surface in reg.surfaces:
-        fx = reg.surfaces[args.surface]
-    else:
-        reg, fx = _load_surface_file(args.surface)
-    return _verify_fixture(reg, fx, args.sections)
-
-
-def _section_fixtures(fx, sections_path=None):
-    """The fixture's sections, or the `[sections]` blocks of `sections_path`."""
-    if not sections_path:
-        return fx.sections
-    from k3cm.fixtures import parse_blocks, section_fixture_from_block
-
-    with open(sections_path) as fh:
-        blocks = parse_blocks(fh.read())
-    return [section_fixture_from_block(kv) for name, kv in blocks if name == "sections"]
-
-
-def _verify_fixture(reg, fx, sections_path=None) -> int:
-    from k3cm.lattices import match_transcendental
-    from k3cm.sections import assemble_ns, build_sections, height, ns_discriminant
-
-    surf = fx.build_surface(reg)
-    section_fixtures = _section_fixtures(fx, sections_path)
+    fx, surf, section_fixtures = _load_fixture(args)
     secs = build_sections(surf, section_fixtures)
     mismatch = False
     for sf, sec in zip(section_fixtures, secs):
@@ -191,13 +180,10 @@ def _verify_fixture(reg, fx, sections_path=None) -> int:
                 print(f"  contact {c.fiber}: {c.kind} k={c.k}")
         if sf.expected_height is not None and h != sf.expected_height:
             mismatch = True
-    d = ns_discriminant(surf, secs) if secs else None
-    lat = assemble_ns(surf, secs)
-    d = lat.det if d is None else d
-    T = match_transcendental(lat)
-    print(f"disc NS = {d}")
+    lat, T = certify(surf, secs)
+    print(f"disc NS = {lat.det}")
     print(f"T(X) = {T}")
-    if fx.expected_disc is not None and d != fx.expected_disc:
+    if fx.expected_disc is not None and lat.det != fx.expected_disc:
         mismatch = True
     if fx.working_T is not None and T != fx.working_T:
         mismatch = True
@@ -205,17 +191,11 @@ def _verify_fixture(reg, fx, sections_path=None) -> int:
 
 
 def cmd_tlattice(args) -> int:
-    from k3cm.fixtures import registry
-    from k3cm.lattices import match_transcendental
-    from k3cm.sections import assemble_ns, build_sections
+    from k3cm.sections import build_sections, certify
 
-    reg = registry()
-    fx = reg.surfaces.get(args.surface)
-    if fx is None:
-        reg, fx = _load_surface_file(args.surface)
-    surf = fx.build_surface(reg)
-    lat = assemble_ns(surf, build_sections(surf, _section_fixtures(fx, args.sections)))
-    print(f"{lat.det}\t{match_transcendental(lat)}")
+    _, surf, section_fixtures = _load_fixture(args)
+    lat, T = certify(surf, build_sections(surf, section_fixtures))
+    print(f"{lat.det}\t{T}")
     return 0
 
 

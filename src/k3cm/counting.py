@@ -75,23 +75,6 @@ class FpFiber:
         raise CountingError("I_m* fibers are outside the counting tables")
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    family: str
-    p: int
-    lam: int
-    count: int      # smooth-model count #X(F_p)
-    t_alg: int
-
-    def __post_init__(self):
-        p = self.p
-        resid = self.count - 1 - p * p - p * self.t_alg
-        if abs(resid) > 3 * p:
-            raise CountingError(
-                f"count {self.count} violates the Weil window at p={p}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # mod-p fiber analysis
 # ---------------------------------------------------------------------------
@@ -117,7 +100,7 @@ def _fp_fiber(surface, t0: int, chi) -> FpFiber:
     p = surface.domain.p
     where = f"{surface.name or 'surface'} mod {p} at t={t0}"
     try:
-        fib = classify_at(surface, Cusp.finite(t0))
+        fib = classify_at(surface, Cusp.finite(t0), surface.delta.valuation_at(t0))
     except (SurfaceError, UnsupportedFiberError) as exc:
         raise CountingError(f"{where}: {exc}") from exc
     if fib.kind == "I":

@@ -284,7 +284,8 @@ class QuadNum:
         return self.a == 0 and self.b == 0
 
     def __str__(self):
-        return f"{format_rational(self.a)}+{format_rational(self.b)}*sqrt({self.m})"
+        sign = "-" if self.b < 0 else "+"
+        return f"{format_rational(self.a)}{sign}{format_rational(abs(self.b))}*sqrt({self.m})"
 
 
 def _quad(a: Fraction, b: Fraction, m: int) -> QuadNum:

@@ -10,18 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from k3cm.fixtures import parse_ratfun, registry
-from k3cm.lattices import match_transcendental
+from k3cm.fixtures import SectionFixture, registry
 from k3cm.newforms import NewformOracle
 from k3cm.quadforms import reduce_form
-from k3cm.sections import (
-    assemble_ns,
-    build_sections,
-    height,
-    ns_discriminant,
-    pairing,
-    verify_section,
-)
+from k3cm.sections import build_sections, certify, height, pairing
 
 
 @dataclass
@@ -51,6 +43,18 @@ class Report:
         )
 
 
+def _check_certificate(rep, tag, surf, secs, disc, T, derived_T):
+    """The disc NS and T(X) checks of one surface, both read off `certify`.
+
+    T(X) is compared with `derived_T` where an erratum replaces the printed T.
+    """
+    lat, got = certify(surf, secs)
+    rep.add(lat.det == disc, f"{tag} disc {lat.det} = {disc}")
+    want = T if derived_T is None else derived_T
+    suffix = "" if derived_T is None else " [erratum: printed T differs, see notes]"
+    rep.add(got == want, f"{tag} T {got} = {want}{suffix}")
+
+
 def run_table1() -> Report:
     rep = Report()
     reg = registry()
@@ -61,15 +65,10 @@ def run_table1() -> Report:
             rep.note(f"{tag}: defective printed row, excluded ({row.note[:80]}...)")
             continue
         surf = fam.specialize(row.lam, name=f"t1_{row.lam}")
-        sec = verify_section(surf, parse_ratfun(row.u_text))
-        h = height(sec)
-        d = ns_discriminant(surf, [sec])
-        T = match_transcendental(assemble_ns(surf, [sec]))
-        exp_T = row.derived_T if row.derived_T is not None else row.T
+        secs = build_sections(surf, [SectionFixture("P", None, row.u_text)])
+        h = height(secs[0])
         rep.add(h == row.height, f"{tag} height {h} = {row.height}")
-        rep.add(d == row.disc, f"{tag} disc {d} = {row.disc}")
-        suffix = " [erratum: printed T differs, see notes]" if row.derived_T else ""
-        rep.add(T == exp_T, f"{tag} T {T} = {exp_T}{suffix}")
+        _check_certificate(rep, tag, surf, secs, row.disc, row.T, row.derived_T)
     return rep
 
 
@@ -87,11 +86,7 @@ def run_examples() -> Report:
                 h = height(sec)
                 rep.add(h == sf.expected_height,
                         f"{name} height({sf.name}) {h} = {sf.expected_height}")
-        d = ns_discriminant(surf, ordered)
-        rep.add(d == fx.expected_disc, f"{name} disc {d} = {fx.expected_disc}")
-        T = match_transcendental(assemble_ns(surf, ordered))
-        suffix = " [erratum: printed T differs, see notes]" if fx.derived_T else ""
-        rep.add(T == fx.working_T, f"{name} T {T} = {fx.working_T}{suffix}")
+        _check_certificate(rep, name, surf, ordered, fx.expected_disc, fx.expected_T, fx.derived_T)
         secs = {sec.name.lower(): sec for sec in ordered}
         for (a, b), val in fx.expected_pairings.items():
             got = pairing(surf, secs[a], secs[b])
@@ -107,11 +102,7 @@ def run_extremal() -> Report:
         surf = fx.build_surface(reg)
         euler = sum(f.euler * f.cusp.degree for f in surf.fibers)
         rep.add(euler == 24, f"{fx.name} euler {euler} = 24")
-        lat = assemble_ns(surf, [])
-        det = lat.det
-        rep.add(det == fx.expected_disc, f"{fx.name} disc {det} = {fx.expected_disc}")
-        T = match_transcendental(lat)
-        rep.add(T == fx.expected_T, f"{fx.name} T {T} = {fx.expected_T}")
+        _check_certificate(rep, fx.name, surf, [], fx.expected_disc, fx.expected_T, fx.derived_T)
     # semistable table: arithmetic consistency of each printed row
     for row in reg.semistable:
         prod = 1

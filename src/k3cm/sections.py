@@ -4,8 +4,9 @@ A section is stored through its x-coordinate u(t) plus the square class m
 and cofactor w(t) with y = sqrt(m) w.  Contact depths at reducible fibers
 are single exact valuations, and the tangent branch of a node contact is
 the sign of one exact slope; no local series is expanded.  Heights and
-pairings follow from the standard correction tables, and the Neron-Severi
-discriminant from the Mordell-Weil determinant formula.
+pairings follow from the standard correction tables.  `certify` assembles
+the Neron-Severi lattice once and reads disc NS and T(X) off it;
+`ns_discriminant` is the independent Mordell-Weil determinant route.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from k3cm.exact import (
     rational_sqrt,
     squarefree_part,
 )
-from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram
+from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram, match_transcendental
+from k3cm.quadforms import BinaryQuadraticForm
 from k3cm.surfaces import Cusp, FiberDescriptor, SurfaceError, WeierstrassSurface
 
 
@@ -448,11 +450,12 @@ def pairing(surface, p: Section, q: Section) -> Fraction:
     return 2 + p.pO + q.pO - pq - corr
 
 
-def ns_discriminant(surface, sections, torsion_order: int = 1) -> int:
-    """disc NS(X) = -(det of the height-pairing Gram) * prod disc(F_v) / tors^2.
+def ns_discriminant(surface, sections) -> int:
+    """disc NS(X) = -(det of the height-pairing Gram) * prod disc(F_v).
 
     The sign is forced by the signature (1, 19); sections are declared
-    generators of the Mordell-Weil group modulo torsion.
+    generators of the Mordell-Weil group, taken to be torsion-free.  This is
+    the route independent of `certify`, which reads disc NS off the lattice.
     """
     sections = normalize_sections(surface, sections)
     k = len(sections)
@@ -469,7 +472,7 @@ def ns_discriminant(surface, sections, torsion_order: int = 1) -> int:
     for f in surface.fibers:
         if f.reducible:
             prod *= f.root_disc ** f.cusp.degree
-    disc = -det * prod / (torsion_order * torsion_order)
+    disc = -det * prod
     if disc.denominator != 1:
         raise SectionError(f"non-integral Neron-Severi discriminant {disc}")
     return int(disc)
@@ -614,7 +617,7 @@ def _infinity_contribution(p: Section, q: Section) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Neron-Severi assembly (Gram route, cross-checked against ns_discriminant)
+# Neron-Severi assembly and certification (cross-checked against ns_discriminant)
 # ---------------------------------------------------------------------------
 
 def assemble_ns(surface, sections) -> GramLattice:
@@ -648,6 +651,14 @@ def assemble_ns(surface, sections) -> GramLattice:
             contacts.append(_oriented_contact(sections, s_i, f_idx, c))
         sec_rows.append({"pO": sec.pO, "contacts": contacts, "pq": pq})
     return assemble_ns_gram(blocks, sec_rows)
+
+
+def certify(surface, sections) -> tuple[GramLattice, BinaryQuadraticForm]:
+    """The NS lattice, assembled once, and T(X) matched on it; disc NS is its det."""
+    lattice = assemble_ns(surface, sections)
+    if lattice.det == 0:
+        raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
+    return lattice, match_transcendental(lattice)
 
 
 def _oriented_contact(sections, s_i, f_idx, c: Contact):

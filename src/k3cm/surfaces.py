@@ -327,21 +327,21 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     # each squarefree factor of Delta: its rational roots, and the rest of it,
     # of the same multiplicity, as an orbit factor
     finite_points, orbits = [], []
-    for g, _ in squarefree_decomposition(surface.delta)[1]:
+    for g, mult in squarefree_decomposition(surface.delta)[1]:
         roots = _roots_of_squarefree(g)
-        finite_points += roots
+        finite_points += [(t0, mult) for t0 in roots]
         for t0 in roots:
             g = g // Polynomial(d, [d.neg(t0), d.one])
         if g.degree > 0:
-            orbits.append(g)
-    fibers = [classify_at(surface, Cusp.finite(t0))
-              for t0 in sorted(finite_points, key=lambda r: (abs(r), r))]
-    fibers += [classify_at(surface, Cusp.orbit(g)) for g in orbits]
+            orbits.append((g, mult))
+    fibers = [classify_at(surface, Cusp.finite(t0), vd)
+              for t0, vd in sorted(finite_points, key=lambda r: (abs(r[0]), r[0]))]
+    fibers += [classify_at(surface, Cusp.orbit(g), vd) for g, vd in orbits]
     # infinity
     v_inf = 24 - surface.delta.degree
     if v_inf > 0:
         flip = surface.flipped()
-        fib = classify_at(flip, Cusp.finite(d.zero))
+        fib = classify_at(flip, Cusp.finite(d.zero), v_inf)
         fibers.append(FiberDescriptor(
             Cusp.infinity(), fib.kind, fib.n, fib.split_class,
             fib.node_x, fib.residual_cubic, fib.double_root,
@@ -352,9 +352,12 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     return fibers
 
 
-def classify_at(surface: WeierstrassSurface, cusp: Cusp) -> FiberDescriptor:
-    """The Kodaira type at one zero of Delta, over Q or over GF(p) with p >= 5."""
-    vd = _valuation_along(surface.delta, cusp)
+def classify_at(surface: WeierstrassSurface, cusp: Cusp, vd: int) -> FiberDescriptor:
+    """The Kodaira type at one zero of Delta, over Q or over GF(p) with p >= 5.
+
+    vd = v(Delta) at the cusp comes from the caller, which already knows it
+    (over Q, from its one squarefree decomposition of Delta).
+    """
     vc4 = _valuation_along(surface.c4, cusp) if not surface.c4.is_zero() else 99
     vc6 = _valuation_along(surface.c6, cusp) if not surface.c6.is_zero() else 99
     if vd == 0:

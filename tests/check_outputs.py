@@ -9,6 +9,8 @@ Runs, in-process unless noted:
   example fixtures, plus surface files for the 25 non-defective Table 1 rows
   and the 5 extremal rows, written by `perfbench/workloads.certify`
 * `k3cm tlattice` for the 9 example fixtures
+* `k3cm search --disc -88 --primes 4` and `--disc -1540 --primes 4`
+* `k3cm count --prime 19` for every lambda (the GF(p) fiber classifier)
 * the 4 demos (each in a subprocess that imports the same k3cm)
 * `k3cm lift --system` on the one-variable system of `test_cli`
 
@@ -57,6 +59,9 @@ def commands(workdir: str):
         yield f"verify_{stem}", lambda t=target: run_cli(["verify", "--surface", t])
     for name in examples:
         yield f"tlattice_{name}", lambda n=name: run_cli(["tlattice", "--surface", n])
+    for disc in ("-88", "-1540"):
+        yield f"search_{disc}", lambda d=disc: run_cli(["search", "--disc", d, "--primes", "4"])
+    yield "count_19", lambda: run_cli(["count", "--prime", "19"])
     for demo in sorted((REPO / "demos").glob("demo_*.py")):
         yield demo.stem, lambda d=demo: run_demo(d)
     system = Path(workdir) / "sq.system"

@@ -124,6 +124,25 @@ def test_verify_lifts_sections_once(monkeypatch):
     assert len(classified) == 1
 
 
+def test_verify_rejects_dependent_sections(tmp_path):
+    # P, Q and P + Q of ex_3003, written over Q(sqrt 21) and read back by --sections
+    from k3cm.sections import build_sections, section_sum
+
+    reg = registry()
+    fx = reg.surfaces["ex_3003"]
+    surf = fx.build_surface(reg)
+    P, Q = build_sections(surf, fx.sections)
+    path = tmp_path / "dependent.sections"
+    path.write_text("".join(
+        f"[sections]\nname = {name}\nfield = quadratic:21\nu = {u.to_text()}\n\n"
+        for name, u in (("P", P.u), ("Q", Q.u), ("S", section_sum(surf, P, Q)))))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run(["verify", "--surface", "ex_3003", "--sections", str(path)])
+    assert code == 2
+    assert "sections are dependent" in err.getvalue()
+
+
 def test_tlattice_output():
     code, out = run(["tlattice", "--surface", "ex_715"])
     assert code == 0

@@ -115,14 +115,6 @@ def test_closed_loop_disc88(reg, fam):
         assert any(abs(c) in vals for c in cands), (p, cands, vals)
 
 
-def test_supersingular_pattern_flagged():
-    # Weil-window integrity check on the record type
-    from k3cm.counting import CountRecord
-
-    with pytest.raises(CountingError):
-        CountRecord("f", 7, 0, count=10**6, t_alg=0)
-
-
 def test_count_cache_semantics(tmp_path):
     path = tmp_path / "counts.cache"
     c = CountCache(str(path))

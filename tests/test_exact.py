@@ -332,6 +332,22 @@ def test_quadnum_parse():
     assert str(parse_quadnum("1/3+2*sqrt(5)", 5)) == "1/3+2*sqrt(5)"
 
 
+def test_quadnum_format_parse_roundtrip():
+    # negative, zero and fractional parts, alone and as polynomial coefficients
+    rng = random.Random(14)
+    for m in (21, -7, 2, -1):
+        K = QuadField(m)
+        parts = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(40)]
+        parts += [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-5, 3)]
+        xs = [QuadNum(a, b, m) for a in parts[:12] for b in parts[-16:]]
+        xs += [QuadNum(parts[i], parts[i + 1], m) for i in range(0, 40, 2)]
+        for x in xs:
+            assert K.parse(K.format(x)) == x, K.format(x)
+        f = Polynomial(K, xs[:9])
+        assert Polynomial.from_text(K, f.to_text()) == f
+    assert str(QuadNum(1, -2, 21)) == "1-2*sqrt(21)"
+
+
 def test_quad_polynomials():
     K = QuadField(5)
     f = Polynomial(K, [K.one, K.embed(QuadNum(0, 1, 5))])  # 1 + sqrt5 t

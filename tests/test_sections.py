@@ -22,6 +22,7 @@ from k3cm.sections import (
     _star_contact,
     assemble_ns,
     build_sections,
+    certify,
     height,
     intersection_number,
     normalize_sections,
@@ -191,18 +192,31 @@ def test_ns_discriminant_rejects_dependent_sections(disc88):
         ns_discriminant(surf, [sec, sec])
 
 
-def test_assemble_matches_mwl_route_on_table1(reg, fam):
-    # dual-route check: Gram determinant equals the MWL product formula
-    for row in reg.table1[:8]:
-        if row.status == "defective":
-            continue
-        surf = fam.specialize(row.lam)
-        sec = verify_section(surf, parse_ratfun(row.u_text))
-        assert assemble_ns(surf, [sec]).det == ns_discriminant(surf, [sec])
-    # Mordell-Weil rank 0: the empty height Gram has determinant 1
-    for fx in reg.extremal:
-        surf = fx.build_surface(reg)
-        assert assemble_ns(surf, []).det == ns_discriminant(surf, []) == fx.expected_disc
+def test_assemble_matches_mwl_route_on_table1(reg, certified):
+    # dual-route check: the disc NS `certify` reads off the Gram lattice equals
+    # the Mordell-Weil product formula on every certified surface: all
+    # non-defective Table 1 rows, the 9 examples (3 with two sections) and,
+    # at Mordell-Weil rank 0 (empty height Gram, determinant 1), the extremal rows
+    expected = {name: fx.expected_disc for name, fx in reg.surfaces.items()}
+    expected.update((f"table1_{-row.disc}", row.disc) for row in reg.table1)
+    expected.update((fx.name, fx.expected_disc) for fx in reg.extremal)
+    for name, surf, secs in certified:
+        lat, _ = certify(surf, secs)
+        assert lat.det == ns_discriminant(surf, secs) == expected[name], name
+    assert len(certified) == 39
+    assert sum(len(secs) == 2 for _, _, secs in certified) == 3
+
+
+def test_certify_rejects_dependent_sections(reg):
+    # P, Q and P + Q: the lattice is degenerate, and both routes say why
+    fx = reg.surfaces["ex_3003"]
+    surf = fx.build_surface(reg)
+    P, Q = build_sections(surf, fx.sections)
+    S = verify_section(surf, section_sum(surf, P, Q), name="S")
+    assert assemble_ns(surf, [P, Q, S]).det == 0
+    for route in (certify, ns_discriminant):
+        with pytest.raises(SectionError, match="sections are dependent"):
+            route(surf, [P, Q, S])
 
 
 def test_two_adic_height_integrality(reg, fam):
