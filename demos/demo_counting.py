@@ -7,13 +7,13 @@ newform at every split prime.  A brute-force count per prime settles it.
 
 from fractions import Fraction
 
-from k3cm import NewformOracle, count_surface, registry
+from k3cm import NewformOracle, count_surface, registry, usable_primes
 
 reg = registry()
 fam = reg.family("xlm")
 surf = fam.specialize(Fraction(5, 32), name="disc88")
 oracle = NewformOracle(-88)
-good = [p for p in oracle.split_primes(60) if p not in fam.bad_primes(60)]
+good = usable_primes(fam, oracle, 60)
 
 print("p   #X(F_p)  t_alg  candidates      |a_p|  match")
 for p in good:

@@ -14,6 +14,7 @@ from k3cm import (
     recover_section,
     registry,
     search,
+    usable_primes,
 )
 from k3cm.counting import CountCache
 
@@ -22,7 +23,7 @@ fam = reg.family("xlm")
 oracle = NewformOracle(-88)
 cache = CountCache()
 
-primes = [p for p in oracle.split_primes(100) if p not in fam.bad_primes(100)][:4]
+primes = usable_primes(fam, oracle, 100)[:4]
 print(f"scanning split primes {primes} for the field of discriminant -88")
 reports = search(fam, -88, primes, cache=cache)
 for rep in reports[:3]:

@@ -60,7 +60,14 @@ from k3cm.counting import (
     lefschetz_candidates,
     smooth_correction,
 )
-from k3cm.search import CandidateReport, corroborate, lift_candidates, scan_prime, search
+from k3cm.search import (
+    CandidateReport,
+    corroborate,
+    lift_candidates,
+    scan_prime,
+    search,
+    usable_primes,
+)
 from k3cm.lift import (
     MultiPoly,
     PolySystem,
@@ -88,6 +95,7 @@ __all__ = [
     "CountCache", "algebraic_trace", "count_surface", "count_weierstrass",
     "lefschetz_candidates", "smooth_correction",
     "CandidateReport", "corroborate", "lift_candidates", "scan_prime", "search",
+    "usable_primes",
     "MultiPoly", "PolySystem", "SectionAnsatz", "build_ansatz", "lift_and_verify",
     "newton_double", "recover_section", "solve_mod_p",
     "registry",

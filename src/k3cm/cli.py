@@ -105,16 +105,13 @@ def cmd_count(args) -> int:
 
 def cmd_search(args) -> int:
     from k3cm.counting import CountCache
-    from k3cm.newforms import SPLIT, NewformOracle
-    from k3cm.search import search
+    from k3cm.newforms import NewformOracle
+    from k3cm.search import search, usable_primes
 
     fam = _load_family(args.family)
     oracle = NewformOracle(args.disc)
     cache = CountCache(args.cache)
-    primes = [
-        p for p in primes_up_to(200)
-        if p > 5 and oracle.prime_kind(p) == SPLIT and p not in fam.bad_primes(200)
-    ][: args.primes]
+    primes = usable_primes(fam, oracle, 200)[: args.primes]
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)
         return 2

@@ -50,26 +50,24 @@ class Family:
 
     # -- construction helpers -------------------------------------------------
 
-    def _coeff_poly(self, coeffs, mu: Fraction) -> Polynomial:
-        return Polynomial(QQ, [c(mu) for c in coeffs])
+    def _assemble(self, block, pre, lam, mu, domain) -> Polynomial:
+        """t^i (t-1)^j (t-lambda)^k times the block at mu, over Q or GF(p).
 
-    def _assemble(self, block, pre, lam, mu) -> Polynomial:
-        base = self._coeff_poly(block, mu)
-        t = Polynomial.x(QQ)
-        one = Polynomial.constant(QQ, Fraction(1))
-        i, j, k = pre
-        out = base
-        for _ in range(i):
-            out = out * t
-        for _ in range(j):
-            out = out * (t - one)
-        if lam == INFINITY:
-            sign = Polynomial.constant(QQ, Fraction(-1) ** k)
-            out = out * sign
+        At lambda = INFINITY (over Q only) the factor (t-lambda)^k is (-1)^k.
+        """
+        t = Polynomial.x(domain)
+        one = Polynomial.constant(domain, domain.one)
+        if lam != INFINITY:
+            lin = t - Polynomial.constant(domain, domain.from_fraction(Fraction(lam)))
+        elif domain == QQ:
+            lin = -one
         else:
-            lin = t - Polynomial.constant(QQ, Fraction(lam))
-            for _ in range(k):
-                out = out * lin
+            raise ValueError(f"the member at lambda = {INFINITY} is defined over Q only")
+        i, j, k = pre
+        out = Polynomial(domain, [domain.from_fraction(c(mu)) for c in block])
+        for factor, e in ((t, i), (t - one, j), (lin, k)):
+            for _ in range(e):
+                out = out * factor
         return out
 
     def specialize(self, lam, mu=None, name=None) -> WeierstrassSurface:
@@ -79,9 +77,7 @@ class Family:
             raise ValueError("family has no fixed mu; pass one explicitly")
         if lam != INFINITY:
             lam = Fraction(lam)
-        a2 = self._assemble(self.A, self.pre_a2, lam, mu)
-        a4 = self._assemble(self.B, self.pre_a4, lam, mu)
-        a6 = self._assemble(self.C, self.pre_a6, lam, mu)
+        a2, a4, a6 = (self._assemble(block, pre, lam, mu, QQ) for block, pre in self._blocks())
         label = name or f"{self.name}_lam_{lam}"
         return WeierstrassSurface(a2, a4, a6, name=label)
 
@@ -90,9 +86,7 @@ class Family:
     def specialize_mod(self, p: int, lam: int) -> WeierstrassSurface:
         """Member over GF(p) at lambda in F_p; p must be a good prime."""
         F, mu = self._mod_setup(p)
-        a2 = self._assemble_mod(self.A, self.pre_a2, lam, mu, F)
-        a4 = self._assemble_mod(self.B, self.pre_a4, lam, mu, F)
-        a6 = self._assemble_mod(self.C, self.pre_a6, lam, mu, F)
+        a2, a4, a6 = (self._assemble(block, pre, lam, mu, F) for block, pre in self._blocks())
         return WeierstrassSurface(a2, a4, a6, name=f"{self.name}@p{p}l{lam}")
 
     @property
@@ -107,10 +101,11 @@ class Family:
         (a2, a4, a6) = ((t-lambda) a2', (t-lambda)^2 a4', (t-lambda)^3 a6').
         """
         F, mu = self._mod_setup(p)
-        return tuple(
-            self._assemble_mod(block, pre[:2] + (0,), 0, mu, F)
-            for block, pre in ((self.A, self.pre_a2), (self.B, self.pre_a4), (self.C, self.pre_a6))
-        )
+        return tuple(self._assemble(block, pre[:2] + (0,), 0, mu, F)
+                     for block, pre in self._blocks())
+
+    def _blocks(self):
+        return ((self.A, self.pre_a2), (self.B, self.pre_a4), (self.C, self.pre_a6))
 
     def _mod_setup(self, p: int):
         if p in self.bad_primes(p):
@@ -118,21 +113,6 @@ class Family:
         if self.mu is None:
             raise ValueError("mod-p specialization needs a fixed mu")
         return GF(p), self.mu
-
-    def _assemble_mod(self, block, pre, lam, mu, F) -> Polynomial:
-        base = Polynomial(F, [F.from_fraction(c(mu)) for c in block])
-        t = Polynomial.x(F)
-        one = Polynomial.constant(F, F.one)
-        lin = t - Polynomial.constant(F, lam % F.p)
-        i, j, k = pre
-        out = base
-        for _ in range(i):
-            out = out * t
-        for _ in range(j):
-            out = out * (t - one)
-        for _ in range(k):
-            out = out * lin
-        return out
 
     # -- bad primes ------------------------------------------------------------
 

@@ -452,102 +452,40 @@ def match_transcendental(ns: GramLattice) -> BinaryQuadraticForm:
 
 
 # ---------------------------------------------------------------------------
-# Neron-Severi assembly from fiber blocks and section data
+# Neron-Severi assembly from fiber root blocks and section rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberBlock:
-    """Reducible-fiber root block: kind "I" with n >= 2, or "I*" with m >= 0."""
-
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind == "I":
-            if self.n < 2:
-                raise ValueError("I_n block needs n >= 2")
-        elif self.kind == "I*":
-            if self.n < 0:
-                raise ValueError("I_m* block needs m >= 0")
-        else:
-            raise ValueError(f"unknown block kind {self.kind}")
-
-    @property
-    def rank(self) -> int:
-        return self.n - 1 if self.kind == "I" else self.n + 4
-
-    @property
-    def root_disc(self) -> int:
-        """|discriminant| of the root lattice: n for A_{n-1}, 4 for D."""
-        return self.n if self.kind == "I" else 4
-
-    def adjacency(self):
-        """Edges of the block's Dynkin graph over local vertex indices.
-
-        I_n: path 0..n-2 (component Theta_i at local index i-1).
-        I_m*: [near, c_1..c_{m+1}, far1, far2]; near-c1, chain, c_last-far1/2.
-        """
-        if self.kind == "I":
-            return [(i, i + 1) for i in range(self.n - 2)]
-        m = self.n
-        edges = [(0, 1)]
-        edges += [(1 + i, 2 + i) for i in range(m)]
-        last_c = m + 1
-        edges += [(last_c, m + 2), (last_c, m + 3)]
-        return edges
-
-    def contact_vertex(self, contact) -> int | None:
-        """Local vertex hit by a section; None for the identity component."""
-        if contact in (None, 0, "identity"):
-            return None
-        if self.kind == "I":
-            i = int(contact)
-            if not 1 <= i <= self.n - 1:
-                raise ValueError(f"I_{self.n} component index {i} out of range")
-            return i - 1
-        m = self.n
-        if contact == "near":
-            return 0
-        if contact in ("far", "far1"):
-            return m + 2
-        if contact == "far2":
-            return m + 3
-        raise ValueError(f"bad I_m* contact {contact!r}")
-
-
-def assemble_ns_gram(blocks, sections) -> GramLattice:
+def assemble_ns_gram(blocks, rows) -> GramLattice:
     """Gram matrix on {O, F, non-identity fiber components, sections}.
 
-    blocks: FiberBlock list; sections: list of dicts with keys
-      pO (int), contacts (list aligned with blocks), and pq (dict
-      (i, j) -> intersection number between section i and j).
+    blocks: one fiber descriptor per root block (`rank`, `edges`, `vertex`),
+    an orbit fiber once per conjugate.  rows: one (P.O, components, P.Q) per
+    section: the component met in each block (None for the identity one) and
+    the intersection numbers with the earlier sections.
     """
     offs = []
     pos = 2
     for b in blocks:
         offs.append(pos)
         pos += b.rank
-    nsec = len(sections)
-    size = pos + nsec
+    size = pos + len(rows)
     g = [[0] * size for _ in range(size)]
     g[0][0] = -2          # O.O
     g[0][1] = g[1][0] = 1  # O.F
     for b, off in zip(blocks, offs):
         for i in range(b.rank):
             g[off + i][off + i] = -2
-        for i, j in b.adjacency():
+        for i, j in b.edges:
             g[off + i][off + j] = g[off + j][off + i] = 1
-    for s_idx, sec in enumerate(sections):
+    for s_idx, (pO, components, pq) in enumerate(rows):
         r = pos + s_idx
         g[r][r] = -2
-        g[r][1] = g[1][r] = 1              # P.F
-        g[r][0] = g[0][r] = int(sec["pO"])  # P.O
-        for b, off, contact in zip(blocks, offs, sec["contacts"]):
-            v = b.contact_vertex(contact)
-            if v is not None:
-                g[r][off + v] = g[off + v][r] = 1
-        for (i, j), val in sec.get("pq", {}).items():
-            if i == s_idx and j != s_idx:
-                rr = pos + j
-                g[r][rr] = g[rr][r] = int(val)
+        g[r][1] = g[1][r] = 1    # P.F
+        g[r][0] = g[0][r] = pO   # P.O
+        for b, off, comp in zip(blocks, offs, components, strict=True):
+            if comp is not None:
+                v = off + b.vertex(comp)
+                g[r][v] = g[v][r] = 1
+        for j, val in enumerate(pq):
+            g[r][pos + j] = g[pos + j][r] = val
     return GramLattice(g)

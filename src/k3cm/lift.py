@@ -26,7 +26,7 @@ from k3cm.exact import (
     row_reduce,
 )
 from k3cm.sections import verify_section
-from k3cm.surfaces import WeierstrassSurface, node_series
+from k3cm.surfaces import WeierstrassSurface, node_series, root_disc_product
 
 
 class LiftError(ValueError):
@@ -186,7 +186,6 @@ class SectionAnsatz:
     n_u_free: int
     n_w_free: int
     system: PolySystem
-    expected_height: Fraction
     pin_index: int | None = None
 
     def u_for(self, values, domain=QQ) -> Polynomial:
@@ -210,7 +209,6 @@ class SectionAnsatz:
                 [e.pin(var) for e in self.system.equations],
                 [g.pin(var) for g in self.system.guards],
             ),
-            expected_height=self.expected_height,
             pin_index=j,
         )
 
@@ -226,27 +224,17 @@ def build_ansatz(surface: WeierstrassSurface, fibers, plan: dict, expected_disc:
     corr = Fraction(0)
     for idx, spec in plan.items():
         f = fibers[idx]
-        if f.kind == "I":
-            k = int(spec)
-            corr += Fraction(k * (f.n - k), f.n)
-        elif f.n == 0:
-            corr += 1
-        else:
+        if f.kind == "I*" and f.n:
             raise LiftError("I_m* contacts are not part of the ansatz builder")
+        corr += f.correction(int(spec) if f.kind == "I" else "near")
     hgt = 4 - corr
     if hgt <= 0:
         raise LiftError(f"infeasible plan: implied height {hgt} <= 0")
     if (2 * hgt).denominator % 2 == 0:
         raise LiftError(f"plan violates 2-adic integrality: 2h = {2 * hgt}")
-    if expected_disc is not None:
-        prod = 1
-        for f in fibers:
-            if f.reducible:
-                prod *= f.root_disc ** f.cusp.degree
-        if -hgt * prod != expected_disc:
-            raise LiftError(
-                f"plan implies disc {-hgt * prod}, not the target {expected_disc}"
-            )
+    implied = -hgt * root_disc_product(fibers)
+    if expected_disc is not None and implied != expected_disc:
+        raise LiftError(f"plan implies disc {implied}, not the target {expected_disc}")
 
     rows_u, rhs_u = [], []
     rows_w, rhs_w = [], []
@@ -288,7 +276,7 @@ def build_ansatz(surface: WeierstrassSurface, fibers, plan: dict, expected_disc:
             eqs.append(e)
     names = [f"z{i+1}" for i in range(nu + nw)] + ["m"]
     system = PolySystem(names, eqs)
-    return SectionAnsatz(surface, plan, u_aff, w_aff, nu, nw, system, hgt)
+    return SectionAnsatz(surface, plan, u_aff, w_aff, nu, nw, system)
 
 
 def _contact_rows(surface, fiber, k, width, rows, rhs, node: bool):
@@ -297,8 +285,6 @@ def _contact_rows(surface, fiber, k, width, rows, rhs, node: bool):
     For u the target is the node drift series (x = 0 line for star fibers);
     for w the target is zero.
     """
-    from k3cm.exact import poly_series
-
     cusp = fiber.cusp
     if cusp.kind == "orbit":
         raise LiftError("ansatz contacts at orbit cusps are unsupported")

@@ -86,15 +86,6 @@ class NewformOracle:
             raise ArithmeticError(f"no norm equation solution at split p={p}, d'={self.field_disc}")
         return out
 
-    def matches(self, p: int, value: int) -> bool:
-        """Is |value| an admissible |a_p| at the split prime p?"""
-        vals = self.eigenvalue_abs(p)
-        if vals == RAMIFIED:
-            raise ValueError(f"p={p} ramified; caller must skip")
-        if vals == 0:
-            return value == 0
-        return abs(value) in vals
-
     def split_primes(self, bound: int) -> list[int]:
         from k3cm.exact import primes_up_to
 

@@ -117,7 +117,7 @@ def run_extremal() -> Report:
 
 def run_corroboration(prime_count: int = 4) -> Report:
     from k3cm.counting import CountCache
-    from k3cm.search import corroborate
+    from k3cm.search import corroborate, usable_primes
 
     rep = Report()
     reg = registry()
@@ -125,10 +125,7 @@ def run_corroboration(prime_count: int = 4) -> Report:
     cache = CountCache()
     for row in reg.corroboration:
         oracle = NewformOracle(row.disc)
-        primes = [
-            p for p in oracle.split_primes(200)
-            if p not in fam.bad_primes(200)
-        ][:prime_count]
+        primes = usable_primes(fam, oracle, 200)[:prime_count]
         rows = corroborate(fam, row.lam, oracle, primes, cache)
         bad = [p for p, s in rows if s == "mismatch"]
         rep.add(not bad, f"corroborate lam={row.lam} disc={row.disc}: "

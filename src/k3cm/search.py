@@ -28,7 +28,6 @@ class CandidateReport:
     lam: Fraction
     height: int
     matched: list = field(default_factory=list)   # (p, residue) pairs
-    evidence: list = field(default_factory=list)  # (p, candidates, admissible)
 
     @property
     def primes_matched(self) -> int:
@@ -38,6 +37,11 @@ class CandidateReport:
         from k3cm.exact import format_rational
 
         return f"{format_rational(self.lam)}\t{self.height}\t{self.primes_matched}"
+
+
+def usable_primes(family, oracle: NewformOracle, bound: int) -> list[int]:
+    """The primes up to bound that are good for the family and split in the field."""
+    return [p for p in family.good_primes(bound) if oracle.prime_kind(p) == SPLIT]
 
 
 def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None = None) -> set[int]:
@@ -153,9 +157,4 @@ def search(family, target_disc: int, primes, height_bound: int = 10**6, cache=No
             residue_sets[p] = scan_prime(family, p, oracle, cache)
         except SearchError:
             continue
-    reports = lift_candidates(residue_sets, target_disc, height_bound)
-    for rep in reports:
-        rep.evidence = [
-            (p, sorted(rs)) for p, rs in sorted(residue_sets.items())
-        ]
-    return reports
+    return lift_candidates(residue_sets, target_disc, height_bound)

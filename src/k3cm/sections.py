@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 
 from k3cm.exact import (
     QQ,
@@ -26,9 +25,15 @@ from k3cm.exact import (
     rational_sqrt,
     squarefree_part,
 )
-from k3cm.lattices import FiberBlock, GramLattice, assemble_ns_gram, match_transcendental
+from k3cm.lattices import GramLattice, assemble_ns_gram, match_transcendental
 from k3cm.quadforms import BinaryQuadraticForm
-from k3cm.surfaces import Cusp, FiberDescriptor, SurfaceError, WeierstrassSurface
+from k3cm.surfaces import (
+    Cusp,
+    FiberDescriptor,
+    SurfaceError,
+    WeierstrassSurface,
+    root_disc_product,
+)
 
 
 class SectionError(ValueError):
@@ -55,15 +60,18 @@ class Contact:
     def nonidentity(self) -> bool:
         return self.kind != "identity"
 
+    @property
+    def component(self):
+        """The component met, None for the identity one, up to the fiber's symmetry.
+
+        Which cycle branch, I_0* leg or far end it is depends on the other
+        sections (`_fiber_components`); the correction does not.
+        """
+        return {"identity": None, "star-near": "near", "star-far": "far1",
+                "star-leg": "far1"}.get(self.kind, self.k)
+
     def correction(self) -> Fraction:
-        f = self.fiber
-        if self.kind == "identity":
-            return Fraction(0)
-        if f.kind == "I":
-            return Fraction(self.k * (f.n - self.k), f.n)
-        if f.n == 0 or self.kind == "star-near":
-            return Fraction(1)
-        return 1 + Fraction(f.n, 4)
+        return self.fiber.correction(self.component)
 
 
 @dataclass
@@ -468,11 +476,7 @@ def ns_discriminant(surface, sections) -> int:
     det = Fraction(GramLattice([[int(x * scale) for x in row] for row in gram]).det, scale ** k)
     if det <= 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
-    prod = 1
-    for f in surface.fibers:
-        if f.reducible:
-            prod *= f.root_disc ** f.cusp.degree
-    disc = -det * prod
+    disc = -det * root_disc_product(surface.fibers)
     if disc.denominator != 1:
         raise SectionError(f"non-integral Neron-Severi discriminant {disc}")
     return int(disc)
@@ -623,34 +627,44 @@ def _infinity_contribution(p: Section, q: Section) -> int:
 def assemble_ns(surface, sections) -> GramLattice:
     """Gram matrix of NS(X) on {O, F, fiber components, sections}."""
     sections = normalize_sections(surface, sections)
-    fibers = surface.fibers
-    blocks = []
-    block_fiber_idx = []
-    for idx, f in enumerate(fibers):
-        if not f.reducible:
-            continue
-        for _ in range(f.cusp.degree):
-            blocks.append(FiberBlock(f.kind, f.n))
-            block_fiber_idx.append(idx)
-    pq = {}
-    for s_i, s_j in combinations(range(len(sections)), 2):
-        pq[s_i, s_j] = pq[s_j, s_i] = intersection_number(surface, sections[s_i], sections[s_j])
-    sec_rows = []
-    for s_i, sec in enumerate(sections):
-        contacts = []
-        for b_i, f_idx in enumerate(block_fiber_idx):
-            c = sec.contacts.get(f_idx)
-            f = fibers[f_idx]
-            if c is None or not c.nonidentity:
-                contacts.append(None)
-                continue
-            if f.cusp.degree > 1:
-                # orbit fiber: the section meets each conjugate copy alike
-                contacts.append(c.k if f.kind == "I" else "far")
-                continue
-            contacts.append(_oriented_contact(sections, s_i, f_idx, c))
-        sec_rows.append({"pO": sec.pO, "contacts": contacts, "pq": pq})
-    return assemble_ns_gram(blocks, sec_rows)
+    blocks, columns = [], []
+    for idx, f in enumerate(surface.fibers):
+        if f.reducible:
+            components = _fiber_components(f, [sec.contacts.get(idx) for sec in sections])
+            # an orbit fiber: one block per conjugate, each met alike
+            blocks += [f] * f.cusp.degree
+            columns += [components] * f.cusp.degree
+    rows = [
+        (sec.pO, [col[s_i] for col in columns],
+         [intersection_number(surface, sections[s_j], sec) for s_j in range(s_i)])
+        for s_i, sec in enumerate(sections)
+    ]
+    return assemble_ns_gram(blocks, rows)
+
+
+def _fiber_components(fiber: FiberDescriptor, contacts) -> list:
+    """The component of the fiber each section meets (None: the identity one).
+
+    Cycles are oriented by the first cycle contact's tangent branch; I_0*
+    legs take far1, far2, near in the order their residual-cubic roots first
+    occur.  Which far end of an I_m* a star-far contact meets is not known,
+    so two of them on one fiber are refused.
+    """
+    out, first_cycle, legs = [], None, []
+    for c in contacts:
+        kind, comp = ("identity", None) if c is None else (c.kind, c.component)
+        if kind == "cycle":
+            first_cycle = first_cycle if first_cycle is not None else c
+            comp = c.k if _same_branch(first_cycle, c) else fiber.n - c.k
+        elif kind == "star-leg":
+            if c.leg_root not in legs:
+                legs.append(c.leg_root)
+            comp = ("far1", "far2", "near")[legs.index(c.leg_root)]
+        elif kind == "star-far" and "far1" in out:
+            raise SectionError(f"two sections meet a far end of {fiber}; "
+                               "which end each one meets is not determined")
+        out.append(comp)
+    return out
 
 
 def certify(surface, sections) -> tuple[GramLattice, BinaryQuadraticForm]:
@@ -659,24 +673,6 @@ def certify(surface, sections) -> tuple[GramLattice, BinaryQuadraticForm]:
     if lattice.det == 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
     return lattice, match_transcendental(lattice)
-
-
-def _oriented_contact(sections, s_i, f_idx, c: Contact):
-    f = c.fiber
-    if f.kind == "I*":
-        if c.kind == "star-near":
-            return "near"
-        if c.kind == "star-far":
-            return "far"
-        return "far"  # I_0* legs are symmetric; distinct legs of one fiber
-    if c.kind == "far-cycle":
-        return f.n // 2
-    # orient the cycle by the first non-identity section's branch
-    for s_j in range(s_i):
-        other = sections[s_j].contacts.get(f_idx)
-        if other is not None and other.kind == "cycle":
-            return c.k if _same_branch(other, c) else f.n - c.k
-    return c.k
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ point counting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -92,22 +93,67 @@ class FiberDescriptor:
         return self.n if self.kind == "I" else self.n + 6
 
     @property
-    def components(self) -> int:
-        return self.n if self.kind == "I" else self.n + 5
-
-    @property
     def reducible(self) -> bool:
         return self.kind == "I*" or self.n >= 2
 
+    # -- the root block: the non-identity components, A_{n-1} or D_{m+4} ----------
+
+    @property
+    def rank(self) -> int:
+        return self.n - 1 if self.kind == "I" else self.n + 4
+
     @property
     def root_disc(self) -> int:
+        """|discriminant| of the root lattice: n for A_{n-1}, 4 for D_{m+4}."""
         return self.n if self.kind == "I" else 4
+
+    @property
+    def edges(self) -> list:
+        """The Dynkin edges over the block's vertices (see `vertex`).
+
+        I_n: the path Theta_1..Theta_{n-1}.  I_m*: near - c_1 - ... - c_{m+1},
+        with far1 and far2 both on c_{m+1}.
+        """
+        if self.kind == "I":
+            return [(i, i + 1) for i in range(self.n - 2)]
+        m = self.n
+        return [(i, i + 1) for i in range(m + 2)] + [(m + 1, m + 3)]
+
+    def vertex(self, component) -> int:
+        """The block vertex of a non-identity component.
+
+        I_n: Theta_k, 1 <= k <= n-1, at vertex k-1.  I_m*: "near" (the
+        simple component next to the identity one) at 0, then the double
+        chain c_1..c_{m+1}, then "far1" and "far2".  The three legs of an
+        I_0* other than the identity are near, far1 and far2.
+        """
+        if self.kind == "I":
+            if isinstance(component, int) and 1 <= component < self.n:
+                return component - 1
+        elif component in ("near", "far1", "far2"):
+            return {"near": 0, "far1": self.n + 2, "far2": self.n + 3}[component]
+        raise ValueError(f"{self.label()} has no component {component!r}")
+
+    def correction(self, component) -> Fraction:
+        """Shioda's height correction at a component (None: the identity one)."""
+        if component is None:
+            return Fraction(0)
+        self.vertex(component)   # rejects a component the block does not have
+        if self.kind == "I":
+            return Fraction(component * (self.n - component), self.n)
+        return Fraction(1) if component == "near" else 1 + Fraction(self.n, 4)
 
     def label(self) -> str:
         return f"I{self.n}" if self.kind == "I" else f"I{self.n}*"
 
     def __str__(self):
         return f"{self.label()}@{self.cusp}"
+
+
+def root_disc_product(fibers) -> int:
+    """prod |disc| of the root blocks, an orbit fiber once per conjugate:
+    |disc| of the trivial lattice U + roots."""
+    return math.prod(f.root_disc ** f.cusp.degree for f in fibers)
 
 
 # ---------------------------------------------------------------------------

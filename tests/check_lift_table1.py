@@ -15,10 +15,12 @@ with (P.O) = 1 are out of scope, since `build_ansatz` models only
 import sys
 import time
 
-from test_lift import good_split_primes, table1_case
+from test_lift import table1_case
 
 from k3cm import lift
 from k3cm.fixtures import registry
+from k3cm.newforms import NewformOracle
+from k3cm.search import usable_primes
 
 
 def main() -> int:
@@ -42,7 +44,7 @@ def main() -> int:
             continue
         ansatz = lift.build_ansatz(surf, surf.fibers, plan, row.disc)
         nu, nw = ansatz.n_u_free, ansatz.n_w_free
-        p = next(p for p in good_split_primes(fam, row.disc, 200) if p ** nu <= 2 * 10**6)
+        p = next(p for p in usable_primes(fam, NewformOracle(row.disc), 200) if p ** nu <= 2 * 10**6)
         choices.clear()
         start = time.perf_counter()
         lift._independent_rows = recording

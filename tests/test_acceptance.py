@@ -105,7 +105,8 @@ def test_criterion_3_examples():
 
 def test_criterion_4_lefschetz_closed_loop():
     from k3cm.counting import count_surface
-    from k3cm.newforms import SPLIT, NewformOracle
+    from k3cm.newforms import NewformOracle
+    from k3cm.search import usable_primes
 
     reg = registry()
     fam = reg.family("xlm")
@@ -117,9 +118,7 @@ def test_criterion_4_lefschetz_closed_loop():
     checked = mismatches = 0
     for disc, surf in fixtures:
         oracle = NewformOracle(disc)
-        primes = [
-            p for p in oracle.split_primes(100) if p not in fam.bad_primes(100)
-        ][:5]
+        primes = usable_primes(fam, oracle, 100)[:5]
         assert len(primes) >= 5, (disc, primes)
         for p in primes:
             _, _, cands = count_surface(surf, p)
@@ -141,7 +140,7 @@ def test_criterion_4_lefschetz_closed_loop():
 def test_criterion_5_search_rediscovery():
     from k3cm.counting import CountCache
     from k3cm.newforms import NewformOracle
-    from k3cm.search import search
+    from k3cm.search import search, usable_primes
 
     reg = registry()
     fam = reg.family("xlm")
@@ -150,9 +149,7 @@ def test_criterion_5_search_rediscovery():
     results = {}
     for disc, expect in ((-88, Fraction(5, 32)), (-1540, Fraction(539, 512))):
         oracle = NewformOracle(disc)
-        primes = [
-            p for p in oracle.split_primes(100) if p not in fam.bad_primes(100)
-        ][:4]
+        primes = usable_primes(fam, oracle, 100)[:4]
         assert len(primes) >= 3
         reports = search(fam, disc, primes, cache=cache)
         results[disc] = reports[0].lam if reports else None

@@ -12,7 +12,8 @@ import pytest
 
 from k3cm.fixtures import FixtureError, parse_poly, parse_ratfun, registry
 from k3cm.quadforms import BinaryQuadraticForm
-from k3cm.lattices import FiberBlock, MatchError, assemble_ns_gram, match_transcendental
+from k3cm.lattices import MatchError, assemble_ns_gram, match_transcendental
+from k3cm.surfaces import Cusp, FiberDescriptor
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +112,9 @@ def test_defective_row_certificate(reg):
     assert Fraction(15, 14) not in sums
     # (iii) the only contact pattern with height 15/14 and the printed
     # determinant -900 violates the K3 embedding: no rank-2 partner exists
-    blocks = [FiberBlock("I", 5), FiberBlock("I", 3), FiberBlock("I", 2),
-              FiberBlock("I", 7), FiberBlock("I*", 0)]
-    sec = {"pO": 0, "contacts": [None, None, 1, 2, "far"], "pq": {}}
+    blocks = [FiberDescriptor(Cusp.infinity(), kind, n)
+              for kind, n in (("I", 5), ("I", 3), ("I", 2), ("I", 7), ("I*", 0))]
+    sec = (0, [None, None, 1, 2, "far1"], [])
     lat = assemble_ns_gram(blocks, [sec])
     assert lat.det == -900
     with pytest.raises(MatchError):

@@ -6,7 +6,6 @@ import pytest
 
 from k3cm.lattices import (
     DiscriminantForm,
-    FiberBlock,
     GramLattice,
     MatchError,
     assemble_ns_gram,
@@ -18,6 +17,7 @@ from k3cm.lattices import (
 )
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 from k3cm.sections import assemble_ns
+from k3cm.surfaces import Cusp, FiberDescriptor
 from oracles import det_bareiss
 
 
@@ -113,23 +113,37 @@ def test_match_transcendental_catches_wrong_signature():
         match_transcendental(GramLattice([[2, 0], [0, 2]]))
 
 
+def root_blocks(*labels):
+    """Descriptor root blocks of fibers given as (kind, n); the cusp plays no part."""
+    return [FiberDescriptor(Cusp.infinity(), kind, n) for kind, n in labels]
+
+
 def test_assemble_ns_u_plus_blocks():
     # U + A1 + A2 + A4 + A6 + D4 is the rank-19 generic family lattice;
     # signature (1, 18) forces a positive determinant 2*3*5*7*4
-    blocks = [FiberBlock("I", 2), FiberBlock("I", 3), FiberBlock("I", 5),
-              FiberBlock("I", 7), FiberBlock("I*", 0)]
+    blocks = root_blocks(("I", 2), ("I", 3), ("I", 5), ("I", 7), ("I*", 0))
     lat = assemble_ns_gram(blocks, [])
     assert lat.rank == 19
     assert lat.signature() == (1, 18)
     assert lat.det == 840
 
 
+def test_root_block_vertices_and_corrections():
+    i5, i1s = root_blocks(("I", 5), ("I*", 1))
+    assert [i5.vertex(k) for k in range(1, 5)] == [0, 1, 2, 3]
+    assert [i1s.vertex(c) for c in ("near", "far1", "far2")] == [0, 3, 4]
+    for block, bad in ((i5, 0), (i5, 5), (i5, "near"), (i1s, "far"), (i1s, 1), (i1s, "identity")):
+        with pytest.raises(ValueError):
+            block.vertex(bad)
+    assert [i5.correction(c) for c in (None, 1, 2, 4)] == [0, Fraction(4, 5), Fraction(6, 5), Fraction(4, 5)]
+    assert [i1s.correction(c) for c in ("near", "far1", "far2")] == [1, Fraction(5, 4), Fraction(5, 4)]
+
+
 def test_assemble_ns_with_section_det_equals_mwl_formula():
     # section with pO=0 meeting I5 on component 1, I3 on 1, I7 on 2, I0* leg:
     # disc = -840 * (4 - 4/5 - 2/3 - 10/7 - 1) = -88
-    blocks = [FiberBlock("I", 5), FiberBlock("I", 3), FiberBlock("I", 2),
-              FiberBlock("I", 7), FiberBlock("I*", 0)]
-    sec = {"pO": 0, "contacts": [1, 1, None, 2, "far"], "pq": {}}
+    blocks = root_blocks(("I", 5), ("I", 3), ("I", 2), ("I", 7), ("I*", 0))
+    sec = (0, [1, 1, None, 2, "far1"], [])
     lat = assemble_ns_gram(blocks, [sec])
     assert lat.rank == 20
     assert lat.det == -88
@@ -138,8 +152,7 @@ def test_assemble_ns_with_section_det_equals_mwl_formula():
 
 def test_assemble_im_star_block_disc():
     # D_5 from I_1*: fibers I5, I3, I2, I7, I1* with no section: det -840
-    blocks = [FiberBlock("I", 5), FiberBlock("I", 3), FiberBlock("I", 2),
-              FiberBlock("I", 7), FiberBlock("I*", 1)]
+    blocks = root_blocks(("I", 5), ("I", 3), ("I", 2), ("I", 7), ("I*", 1))
     lat = assemble_ns_gram(blocks, [])
     assert lat.rank == 20
     assert lat.det == -840
@@ -298,8 +311,7 @@ def _reduced_forms(d):
 def _split_examples():
     """Reduced forms of SPLIT_DISCS and the rank-19 family lattice, whose
     group (Z/2)^3 x Z/105 has three invariant factors."""
-    blocks = [FiberBlock("I", 2), FiberBlock("I", 3), FiberBlock("I", 5),
-              FiberBlock("I", 7), FiberBlock("I*", 0)]
+    blocks = root_blocks(("I", 2), ("I", 3), ("I", 5), ("I", 7), ("I*", 0))
     forms = [df for d in SPLIT_DISCS for df in _reduced_forms(d)]
     return forms + [discriminant_form(assemble_ns_gram(blocks, []))]
 

@@ -21,6 +21,7 @@ from k3cm.lift import (
     solve_mod_p,
 )
 from k3cm.newforms import NewformOracle
+from k3cm.search import usable_primes
 from k3cm.sections import height, ns_discriminant, verify_section
 from k3cm.surfaces import classify_fibers
 
@@ -122,11 +123,6 @@ def table1_case(fam, row):
     return surf, plan, sec0
 
 
-def good_split_primes(fam, disc, bound):
-    """The split primes of the field of discriminant disc below bound, bad primes excluded."""
-    return [p for p in NewformOracle(disc).split_primes(bound) if p not in fam.bad_primes(bound)]
-
-
 def low_height_lifts(reg, fam):
     """(row, surface, fibers, plan, p, printed section) for five low-height rows.
 
@@ -139,7 +135,7 @@ def low_height_lifts(reg, fam):
         if row.disc not in targets or row.status == "defective":
             continue
         surf, plan, sec0 = table1_case(fam, row)
-        p = good_split_primes(fam, row.disc, 60)[0]
+        p = usable_primes(fam, NewformOracle(row.disc), 60)[0]
         yield row, surf, classify_fibers(surf), plan, p, sec0
 
 

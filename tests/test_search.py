@@ -11,6 +11,7 @@ from k3cm.search import (
     lift_candidates,
     scan_prime,
     search,
+    usable_primes,
 )
 
 
@@ -24,12 +25,6 @@ def cache():
     return CountCache()
 
 
-def good_split_primes(fam, disc, bound=100):
-    oracle = NewformOracle(disc)
-    bad = fam.bad_primes(bound)
-    return [p for p in oracle.split_primes(bound) if p not in bad]
-
-
 def test_scan_rejects_inert_prime(fam):
     oracle = NewformOracle(-88)
     with pytest.raises(SearchError):
@@ -38,21 +33,21 @@ def test_scan_rejects_inert_prime(fam):
 
 def test_scan_contains_true_residue(fam, cache):
     oracle = NewformOracle(-88)
-    for p in good_split_primes(fam, -88)[:4]:
+    for p in usable_primes(fam, oracle, 100)[:4]:
         residues = scan_prime(fam, p, oracle, cache)
         want = 5 * pow(32, -1, p) % p
         assert want in residues, (p, residues)
 
 
 def test_lift_ranks_true_parameter_first(fam, cache):
-    primes = good_split_primes(fam, -88)[:3]
+    primes = usable_primes(fam, NewformOracle(-88), 100)[:3]
     sets = {p: scan_prime(fam, p, NewformOracle(-88), cache) for p in primes}
     reports = lift_candidates(sets, -88)
     assert reports[0].lam == Fraction(5, 32)
 
 
 def test_search_rediscovers_1540(fam, cache):
-    primes = good_split_primes(fam, -1540)[:4]
+    primes = usable_primes(fam, NewformOracle(-1540), 100)[:4]
     reports = search(fam, -1540, primes, cache=cache)
     assert reports[0].lam == Fraction(539, 512)
 
@@ -65,7 +60,7 @@ def test_inconsistent_residues_do_not_lift(fam):
 
 def test_corroborate_matches_and_refutes(fam, cache):
     oracle = NewformOracle(-88)
-    primes = good_split_primes(fam, -88)[:6]
+    primes = usable_primes(fam, oracle, 100)[:6]
     rows = corroborate(fam, Fraction(5, 32), oracle, primes, cache)
     assert all(status == "match" for _, status in rows)
     rows_bad = corroborate(fam, Fraction(7, 32), oracle, primes, cache)
@@ -78,7 +73,7 @@ def test_table1_lambdas_survive_scan(fam, cache):
     sample = [r for r in reg.table1 if r.disc in (-228, -312, -660)]
     for row in sample:
         oracle = NewformOracle(row.disc)
-        for p in good_split_primes(fam, row.disc)[:3]:
+        for p in usable_primes(fam, oracle, 100)[:3]:
             if row.lam.denominator % p == 0:
                 continue
             res = scan_prime(fam, p, oracle, cache)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,43 @@ def test_star_far_contact_heights(reg):
         star = [c for c in sec.contacts.values() if c.fiber.kind == "I*"]
         assert len(star) == 1 and star[0].kind == "star-far"
         assert height(sec) == expect
+
+
+def _block_columns(surf, label):
+    """The Gram columns of the root block of the one fiber with this label:
+    A_{n-1} for I_n, D_{m+4} for I_m*, after O and F."""
+    pos = 2
+    for f in surf.fibers:
+        if f.reducible:
+            rank = f.n - 1 if f.kind == "I" else f.n + 4
+            if f.label() == label:
+                return range(pos, pos + rank)
+            pos += rank * f.cusp.degree
+    raise LookupError(label)
+
+
+def test_i0_star_legs_take_distinct_vertices(disc88):
+    # a synthetic Q: P's u + 1, meeting the I0* at another leg (or the same one)
+    surf, P, _ = disc88
+    idx, leg = next((i, c) for i, c in P.contacts.items() if c.kind == "star-leg")
+    cols = _block_columns(surf, "I0*")
+    for root, same in ((leg.leg_root + 1, False), (leg.leg_root, True)):
+        Q = replace(P, u=P.u + RationalFunction(Polynomial.constant(QQ, Fraction(1))), name="Q",
+                    contacts={**P.contacts, idx: replace(leg, leg_root=root)})
+        g = assemble_ns(surf, [P, Q]).gram
+        p_row, q_row = ([g[r][c] for c in cols] for r in (len(g) - 2, len(g) - 1))
+        assert sorted(p_row) == sorted(q_row) == [0, 0, 0, 1]
+        assert (p_row == q_row) is same
+
+
+def test_two_star_far_contacts_on_one_fiber_are_refused(reg):
+    # which far end of the I1* each section meets is not known
+    fx = reg.surfaces["ex_1155"]
+    surf = fx.build_surface(reg)
+    (P,) = build_sections(surf, fx.sections)
+    Q = replace(P, u=P.u + RationalFunction(Polynomial.constant(QQ, Fraction(1))), name="Q")
+    with pytest.raises(SectionError, match=r"I1\*@585/242"):
+        assemble_ns(surf, [P, Q])
 
 
 def test_pairing_specializes_to_height(disc88):
