@@ -13,14 +13,19 @@ ever enumerates a group of order p^k, never the whole group of order |d|.
 Only candidates whose genus characters at the odd p || d, read in closed
 form, agree with those of -q_ns (Conway-Sloane, Ch. 15) get that search:
 on the paper's fields (one class per genus) one candidate is left.
+
+L^v/L is read off an elimination on unit entries that records only the
+column transform; a Smith normal form runs on the block left, at most 2 x 2
+on the NS lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from k3cm.exact import kronecker, prime_divisors
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
@@ -29,11 +34,6 @@ from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 # ---------------------------------------------------------------------------
 # integer matrix helpers
 # ---------------------------------------------------------------------------
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
 
 def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -204,10 +204,6 @@ class GramLattice:
 # discriminant forms
 # ---------------------------------------------------------------------------
 
-def _mod2(x: Fraction) -> Fraction:
-    return Fraction(x.numerator % (2 * x.denominator), x.denominator)
-
-
 def _mod1(x: Fraction) -> Fraction:
     return Fraction(x.numerator % x.denominator, x.denominator)
 
@@ -223,23 +219,6 @@ class DiscriminantForm:
 
     orders: tuple
     qmat: tuple  # tuple of tuples of Fraction
-
-    @property
-    def group_order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
-
-    def q_value(self, coeffs) -> Fraction:
-        """q(sum coeffs[i] * g_i) mod 2Z."""
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            total += coeffs[i] * coeffs[i] * self.qmat[i][i]
-            for j in range(i + 1, k):
-                total += 2 * coeffs[i] * coeffs[j] * self.qmat[i][j]
-        return _mod2(total)
 
     def pairing(self, x, y) -> Fraction:
         total = Fraction(0)
@@ -369,32 +348,91 @@ def _generates(orders, images) -> bool:
     return index == 1
 
 
+def _unit_pivot_elimination(G) -> tuple[list[list[int]], list[list[int]]]:
+    """Eliminate G on entries +-1; (the block left, the columns of V on it).
+
+    Where no entry is +-1, `_make_unit` may make one.  Each step clears a
+    unit entry's column by row operations, which are not
+    recorded, and its row by column operations, which V records.  Then
+    G = U^-1 (+-1 ... (+) block) V^-1 with U, V unimodular, so Z^n / G Z^n
+    is the cokernel of the block.
+    """
+    n = len(G)
+    a = [list(row) for row in G]
+    V = mat_identity(n)  # V[c] is column c of the transform
+    rows, cols = list(range(n)), list(range(n))
+    while True:
+        pivot = next(((i, j) for i in rows for j in cols if a[i][j] in (1, -1)), None)
+        if pivot is None and (pivot := _make_unit(a, V, rows, cols)) is None:
+            return [[a[r][c] for c in cols] for r in rows], [V[c] for c in cols]
+        i, j = pivot
+        rows.remove(i)
+        cols.remove(j)
+        s = a[i][j]
+        pivot_row = [(c, s * a[i][c]) for c in cols if a[i][c]]
+        for r in rows:
+            if f := a[r][j]:
+                for c, q in pivot_row:
+                    a[r][c] -= f * q
+        for c, q in pivot_row:
+            V[c] = [x - q * y for x, y in zip(V[c], V[j])]
+
+
+def _make_unit(a, V, rows, cols):
+    """Where no entry is +-1, make one by Euclid on the rows of a column
+    whose entries are coprime, maybe once another column is added to it
+    (as two fibers' blocks leave coprime diagonal entries); its (row,
+    column), or None."""
+    def column(j, k):  # column j, plus column k unless k == j
+        return [a[r][j] + a[r][k] * (k != j) for r in rows]
+
+    j, k = next(((j, k) for j in cols for k in cols if gcd(*column(j, k)) == 1), (None, None))
+    if j is None:
+        return None
+    if k != j:
+        for r in rows:
+            a[r][j] += a[r][k]
+        V[j] = [x + y for x, y in zip(V[j], V[k])]
+    while True:
+        i = min((r for r in rows if a[r][j]), key=lambda r: abs(a[r][j]))
+        if a[i][j] in (1, -1):
+            return i, j
+        for r in rows:
+            if r != i and a[r][j]:
+                q = a[r][j] // a[i][j]
+                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
+
+
 def discriminant_form(lattice: GramLattice) -> DiscriminantForm:
-    """Nikulin's finite quadratic form on L^v/L for an even lattice."""
+    """Nikulin's finite quadratic form on L^v/L for an even lattice.
+
+    L^v = G^-1 Z^n is spanned by the columns of V D^-1 for unimodular
+    U G V = D diagonal; V is the unit pivots' transform times the SNF's W.
+    """
     if not lattice.is_even():
         raise ValueError("discriminant form needs an even lattice")
-    n = lattice.rank
-    G = [list(r) for r in lattice.gram]
     if lattice.det == 0:
         raise ValueError("degenerate lattice")
-    D, U, V = smith_normal_form(G)
-    # generators of L^v/L: columns of V scaled by 1/d_i, for d_i > 1.
+    G = lattice.gram
+    block, vcols = _unit_pivot_elimination(G)
+    D, _, W = smith_normal_form(block)
+    # generators of L^v/L: columns of V W scaled by 1/d_i, for d_i > 1.
     # Translating a generator by a lattice vector changes q by an even
     # integer, so the integer parts of the coordinates can be dropped.
     gens = []
     orders = []
-    for i in range(n):
+    for i in range(len(block)):
         d = D[i][i]
         if d > 1:
             orders.append(d)
-            gens.append([V[r][i] % d for r in range(n)])
+            gens.append([sum(row[i] * v[r] for row, v in zip(W, vcols)) % d
+                         for r in range(lattice.rank)])
     k = len(gens)
     qmat = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
-        Gw = [sum(G[r][c] * gens[i][c] for c in range(n)) for r in range(n)]
+        Gg = [sum(map(mul, row, gens[i])) for row in G]
         for j in range(i, k):
-            val = sum(Gw[r] * gens[j][r] for r in range(n))
-            qmat[i][j] = qmat[j][i] = Fraction(val, orders[i] * orders[j])
+            qmat[i][j] = qmat[j][i] = Fraction(sum(map(mul, Gg, gens[j])), orders[i] * orders[j])
     return DiscriminantForm(tuple(orders), tuple(tuple(row) for row in qmat))
 
 

@@ -22,8 +22,8 @@ from k3cm.exact import (
     Polynomial,
     RationalFunction,
     Series,
+    is_prime,
     poly_series,
-    primes_up_to,
     rational_reconstruct,
     GF,
     roots_mod_p,
@@ -292,9 +292,11 @@ def rational_roots(f: Polynomial) -> dict:
 def _roots_of_squarefree(g: Polynomial) -> list:
     """Rational roots of a squarefree Q-polynomial by Hensel lifting.
 
-    Roots are found mod one good prime, Newton-lifted p-adically until the
-    modulus dominates twice the square of any plausible height, then
-    recognized by rational reconstruction and verified exactly.
+    The roots mod the smallest good prime p >= 5 (p does not divide the
+    leading coefficient and g mod p is squarefree) are Newton-lifted until
+    the modulus M exceeds 2 max(|c|, |lc|)^2, with c the lowest nonzero
+    coefficient.  A rational root a/b has a | c and b | lc, so it is the one
+    reconstruction of its residue mod M; each candidate is checked exactly.
     """
     if g.degree == 0:
         return []
@@ -308,32 +310,30 @@ def _roots_of_squarefree(g: Polynomial) -> list:
             acc = (acc * x + c) % mod
         return acc
 
+    p = _good_prime(gz)
+    bound = 2 * max(abs(next(c for c in gz if c)), abs(gz[-1])) ** 2
     dgz = [i * c for i, c in enumerate(gz)][1:]
-    for p in primes_up_to(3000)[::-1]:
-        if gz[-1] % p == 0:
-            continue
-        gp = Polynomial(GF(p), [c % p for c in gz])
-        if gp.gcd(gp.derivative()).degree != 0:
-            continue  # need simple roots mod p for clean lifting
-        base_roots = roots_mod_p(gp)
-        break
-    else:
-        raise SurfaceError("no good prime for rational root finding")
     found = []
-    for r in sorted(base_roots):
+    for x in sorted(roots_mod_p(Polynomial(GF(p), [c % p for c in gz]))):
         mod = p
-        x = r
-        for _ in range(7):  # lift to p^128: far beyond any fixture height
+        while mod <= bound:
             mod = mod * mod
-            fx = eval_mod(gz, x, mod)
-            dfx = eval_mod(dgz, x, mod)
-            x = (x - fx * pow(dfx, -1, mod)) % mod
-            cand = rational_reconstruct(x % mod, mod)
-            if cand is not None and g(cand) == 0:
-                if cand not in found:
-                    found.append(cand)
-                break
+            x = (x - eval_mod(gz, x, mod) * pow(eval_mod(dgz, x, mod), -1, mod)) % mod
+        cand = rational_reconstruct(x, mod)
+        if cand is not None and g(cand) == 0:
+            found.append(cand)
     return found
+
+
+def _good_prime(gz: list) -> int:
+    """The smallest prime p >= 5 with p not dividing gz[-1] and gz mod p squarefree."""
+    p = 5
+    while True:
+        if is_prime(p) and gz[-1] % p:
+            gp = Polynomial(GF(p), [c % p for c in gz])
+            if gp.gcd(gp.derivative()).degree == 0:
+                return p
+        p += 2
 
 
 # ---------------------------------------------------------------------------

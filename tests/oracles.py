@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from k3cm.exact import QQ, Polynomial, RationalFunction, Series, poly_series, rational_sqrt, squarefree_part
+from k3cm.lattices import DiscriminantForm, smith_normal_form
 from k3cm.surfaces import squarefree_decomposition
 
 
@@ -159,3 +160,56 @@ def reference_square_cofactor(R: RationalFunction):
         wn = wn.scale(rational_sqrt(m0 / kernel))
         m = Fraction(kernel)
     return m, RationalFunction(wn, wd)
+
+
+# ---------------------------------------------------------------------------
+# lattice helpers the package does not need, and L^v/L from one whole-matrix SNF
+# ---------------------------------------------------------------------------
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+def group_order(df: DiscriminantForm) -> int:
+    """|L^v / L|: the product of the invariant factors."""
+    out = 1
+    for d in df.orders:
+        out *= d
+    return out
+
+
+def q_value(df: DiscriminantForm, coeffs) -> Fraction:
+    """q(sum coeffs[i] * g_i) mod 2Z."""
+    total = Fraction(0)
+    k = len(df.orders)
+    for i in range(k):
+        total += coeffs[i] * coeffs[i] * df.qmat[i][i]
+        for j in range(i + 1, k):
+            total += 2 * coeffs[i] * coeffs[j] * df.qmat[i][j]
+    return Fraction(total.numerator % (2 * total.denominator), total.denominator)
+
+
+def reference_discriminant_form(lattice) -> DiscriminantForm:
+    """L^v/L with generators read off the column transform of the whole Gram matrix's SNF."""
+    if not lattice.is_even():
+        raise ValueError("discriminant form needs an even lattice")
+    n = lattice.rank
+    G = [list(r) for r in lattice.gram]
+    if lattice.det == 0:
+        raise ValueError("degenerate lattice")
+    D, _, V = smith_normal_form(G)
+    gens, orders = [], []
+    for i in range(n):
+        d = D[i][i]
+        if d > 1:
+            orders.append(d)
+            gens.append([V[r][i] % d for r in range(n)])
+    k = len(gens)
+    qmat = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        Gw = [sum(G[r][c] * gens[i][c] for c in range(n)) for r in range(n)]
+        for j in range(i, k):
+            val = sum(Gw[r] * gens[j][r] for r in range(n))
+            qmat[i][j] = qmat[j][i] = Fraction(val, orders[i] * orders[j])
+    return DiscriminantForm(tuple(orders), tuple(tuple(row) for row in qmat))

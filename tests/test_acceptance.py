@@ -201,8 +201,8 @@ def test_criterion_7_property_suites():
     from math import gcd
 
     from k3cm.exact import rational_reconstruct
-    from k3cm.lattices import mat_mul, smith_normal_form
-    from oracles import det_bareiss
+    from k3cm.lattices import smith_normal_form
+    from oracles import det_bareiss, mat_mul
     from k3cm.quadforms import BinaryQuadraticForm, reduce_form
     from k3cm.sections import assemble_ns, build_sections
     from k3cm.surfaces import classify_fibers

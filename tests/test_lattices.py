@@ -12,13 +12,12 @@ from k3cm.lattices import (
     discriminant_form,
     form_lattice,
     match_transcendental,
-    mat_mul,
     smith_normal_form,
 )
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 from k3cm.sections import assemble_ns
 from k3cm.surfaces import Cusp, FiberDescriptor
-from oracles import det_bareiss
+from oracles import det_bareiss, group_order, mat_mul, q_value, reference_discriminant_form
 
 
 def test_smith_examples():
@@ -59,7 +58,7 @@ def test_gram_lattice_basics():
 def test_discriminant_form_unimodular_trivial():
     U = GramLattice([[0, 1], [1, 0]])
     df = discriminant_form(U)
-    assert df.orders == () and df.group_order == 1
+    assert df.orders == () and group_order(df) == 1
 
 
 def test_discriminant_form_a2():
@@ -67,9 +66,9 @@ def test_discriminant_form_a2():
     a2 = GramLattice([[-2, 1], [1, -2]])
     df = discriminant_form(a2)
     assert df.orders == (3,)
-    assert df.q_value((1,)) in (Fraction(4, 3), Fraction(2, 3))
+    assert q_value(df, (1,)) in (Fraction(4, 3), Fraction(2, 3))
     # the generator or its double realizes -2/3 mod 2Z
-    assert Fraction(4, 3) in {df.q_value((1,)), df.q_value((2,))}
+    assert Fraction(4, 3) in {q_value(df, (1,)), q_value(df, (2,))}
 
 
 def test_discriminant_form_group_order_random():
@@ -90,7 +89,7 @@ def test_discriminant_form_group_order_random():
             continue
         done += 1
         df = discriminant_form(lat)
-        assert df.group_order == abs(d)
+        assert group_order(df) == abs(d)
 
 
 def test_match_transcendental_rank2_selfcheck():
@@ -340,8 +339,8 @@ def test_primary_part_orders_multiply_to_group_order():
         total = 1
         for p, part in parts.items():
             assert part.orders and all(_is_power_of(o, p) for o in part.orders)
-            total *= part.group_order
-        assert total == df.group_order
+            total *= group_order(part)
+        assert total == group_order(df)
 
 
 def test_primary_parts_are_orthogonal():
@@ -362,7 +361,7 @@ def test_primary_part_values_match_the_whole_form():
             assert len(gens) == len(part.orders)
             units = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
             for a, x in zip(units, gens):
-                assert part.q_value(a) == df.q_value(x)
+                assert q_value(part, a) == q_value(df, x)
                 for b, y in zip(units, gens):
                     assert part.pairing(a, b) == df.pairing(x, y)
 
@@ -461,3 +460,66 @@ def test_prefilter_matches_reference_on_u_plus_rank_two_forms():
             outcomes.append((f, want))
     assert any(f == want for f, want in outcomes)
     assert any(isinstance(want, str) and "several classes" in want for _, want in outcomes)
+
+
+# -- unit-pivot discriminant form against the whole-matrix Smith normal form ----------
+
+def assert_same_form(lat, name):
+    mine, ref = discriminant_form(lat), reference_discriminant_form(lat)
+    assert mine.orders == ref.orders, name
+    assert mine._isometric_to(ref), name
+    assert group_order(mine) == abs(lat.det), name
+
+
+def random_even_lattices():
+    """60 nondegenerate even Gram matrices of rank 1 to 8 with |det| <= 600;
+    every third is an even Gram matrix scaled by 2, which has no unit entry."""
+    rng = random.Random(16)
+    out = []
+    while len(out) < 60:
+        scaled = len(out) % 3 == 2
+        n = rng.randint(1, 3 if scaled else 8)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.choice((-4, -2, -2, 2, 2, 4))
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.choice((0, 0, 0, -1, 1, rng.randint(-2, 2)))
+        if scaled:
+            g = [[2 * x for x in row] for row in g]
+        lat = GramLattice(g)
+        if lat.det and abs(lat.det) <= 600:
+            out.append(lat)
+    return out
+
+
+def test_discriminant_form_matches_whole_snf_on_certified_lattices(certified):
+    for name, surf, secs in certified:
+        assert_same_form(assemble_ns(surf, secs), name)
+
+
+def test_discriminant_form_matches_whole_snf_on_random_even_lattices():
+    lattices = random_even_lattices()
+    for lat in lattices:
+        assert_same_form(lat, lat.gram)
+    assert {lat.rank for lat in lattices} == set(range(1, 9))
+    assert sum(all(x not in (1, -1) for row in lat.gram for x in row) for lat in lattices) >= 20
+
+
+def test_ns_match_runs_no_large_smith_form(certified, monkeypatch):
+    # unit pivots leave at most a 2 x 2 block of the rank-20 NS Gram matrix, and
+    # the isometry search's generation checks are r x 2r for r <= 2 generators
+    import k3cm.lattices as lattices
+
+    sizes = []
+    snf = lattices.smith_normal_form
+
+    def counted(m):
+        sizes.append(len(m))
+        return snf(m)
+
+    monkeypatch.setattr(lattices, "smith_normal_form", counted)
+    for name, surf, secs in certified:
+        ns = assemble_ns(surf, secs)
+        sizes.clear()
+        match_transcendental(ns)
+        assert sizes and max(sizes) <= 4, (name, sizes)

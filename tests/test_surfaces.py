@@ -9,6 +9,7 @@ from k3cm.surfaces import (
     UnsupportedFiberError,
     WeierstrassSurface,
     _discriminant_polys,
+    _good_prime,
     classify_fibers,
     node_series,
     rational_roots,
@@ -160,6 +161,21 @@ def test_rational_roots_with_huge_coefficients():
     f = (P(-5, 1024) ** 2) * P(Fraction(3), 1) * P(1, 0, 1)
     roots = rational_roots(f)
     assert roots == {Fraction(5, 1024): 2, Fraction(-3): 1}
+
+
+def test_rational_root_beyond_any_fixed_lift():
+    # a has 800 bits: no fixed lift to p^128 with p < 3000 (under 1480 bits)
+    # reconstructs it; the lift bound 2 max(|c|, |lc|)^2 is read off g
+    a = Fraction(2**800 + 1, 3)
+    assert rational_roots(P(-a, 1) * P(1, 0, 1)) == {a: 1}
+
+
+def test_root_prime_skips_bad_reductions():
+    # 1 = 6 mod 5 and 7t^2 + 11 = 7t^2 mod 11 give double roots, and 7 | lc;
+    # at 13, the first good prime, 7t^2 + 11 has two roots that lift to no rational
+    f = P(-1, 1) * P(-6, 1) * P(11, 0, 7)
+    assert _good_prime(f.int_coeffs[0]) == 13
+    assert rational_roots(f) == {Fraction(1): 1, Fraction(6): 1}
 
 
 def test_squarefree_decomposition_roundtrip():
