@@ -48,7 +48,6 @@ from k3cm.sections import (
     intersection_number,
     ns_discriminant,
     pairing,
-    section_sum,
     verify_section,
 )
 from k3cm.families import Family
@@ -90,7 +89,7 @@ __all__ = [
     "smith_normal_form",
     "FiberDescriptor", "UnsupportedFiberError", "WeierstrassSurface", "classify_fibers",
     "Section", "assemble_ns", "certify", "determine_contact", "height", "intersection_number",
-    "ns_discriminant", "pairing", "section_sum", "verify_section",
+    "ns_discriminant", "pairing", "verify_section",
     "Family",
     "CountCache", "algebraic_trace", "count_surface", "count_weierstrass",
     "lefschetz_candidates", "smooth_correction",

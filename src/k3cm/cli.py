@@ -94,12 +94,13 @@ def cmd_count(args) -> int:
         print(f"{on_cusp(args.lam % p)}; its member is degenerate", file=sys.stderr)
         return 2
     lams = [args.lam % p] if args.lam is not None else range(p)
-    for lam in lams:
-        if lam in degenerate:
-            print(f"skipped {on_cusp(lam)}", file=sys.stderr)
-            continue
-        n, t_alg, (c1, c2) = count_family_member(fam, p, lam, cache)
-        print(f"{lam}\t{n}\t{t_alg}\t{c1}\t{c2}")
+    with cache.batch():
+        for lam in lams:
+            if lam in degenerate:
+                print(f"skipped {on_cusp(lam)}", file=sys.stderr)
+                continue
+            n, t_alg, (c1, c2) = count_family_member(fam, p, lam, cache)
+            print(f"{lam}\t{n}\t{t_alg}\t{c1}\t{c2}")
     return 0
 
 
@@ -111,7 +112,11 @@ def cmd_search(args) -> int:
     fam = _load_family(args.family)
     oracle = NewformOracle(args.disc)
     cache = CountCache(args.cache)
-    primes = usable_primes(fam, oracle, 200)[: args.primes]
+    usable = usable_primes(fam, oracle, 200)
+    if len(usable) < args.primes:
+        print(f"only {len(usable)} usable split primes below 200 (asked for {args.primes})",
+              file=sys.stderr)
+    primes = usable[: args.primes]
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)
         return 2

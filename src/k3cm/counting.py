@@ -23,7 +23,11 @@ at infinity with its point count; then each member costs O(p):
   so r3 = Z(lambda);
 * at infinity the twist factor (1 - lambda s) is 1 at s = 0, so the fiber and
   its count are g's, read off the chart (a2'.reverse(3), a4'.reverse(6),
-  a6'.reverse(9)).
+  a6'.reverse(9)), whose c4, c6, Delta are g's reversed.
+
+So a member's Frobenius-fixed non-identity components are one integer,
+`TwistTable.fixed(lambda)`: smooth count = raw + p * fixed and
+t_alg = 2 + fixed, with no fiber list built per member.
 
 The twist path needs Delta_g(lambda) != 0; a member with lambda on a cusp of
 g is counted the general way (specialize, `analyze_fibers_mod_p`,
@@ -36,10 +40,16 @@ ones that classify fibers over Q, run over GF(p) at the roots of Delta mod p.
 A fiber those rules reject (an additive type other than I_0*, a model that
 is not normalized there) or an I_m* fiber with m >= 1 raises CountingError,
 so that a scan skips the member.
+
+`CountCache` keys each count on the family's coefficient digest, so two
+families with the same name and other data never share a count; a scan
+appends its new counts to the file in one `batch()`.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import mul
 
@@ -151,7 +161,12 @@ def _cubic_values(c2, c4, c6, p: int) -> list[int]:
 
 @dataclass(frozen=True)
 class TwistTable:
-    """Member-independent counting data of a (1, 2, 3)-twist family at p."""
+    """Member-independent counting data of a (1, 2, 3)-twist family at p.
+
+    A member off the cusps of g is read off it in O(p): `raw_count` is its
+    Weierstrass count and `fixed` its Frobenius-fixed non-identity
+    components, an integer, with no per-member fiber list.
+    """
 
     p: int
     chi: list          # chi[x] = (x|p), twice over, so chi[p + d] = (d|p) for -p < d < p
@@ -160,6 +175,7 @@ class TwistTable:
     cusps: dict        # finite cusp t0 of g -> g's FpFiber there (all of kind "I")
     inf_fiber: FpFiber | None
     inf_count: int     # points on the fiber at infinity, its point at infinity included
+    inf_fixed: int     # fixed components of the fiber at infinity, the same for every member
 
     @staticmethod
     def build(family, p: int) -> "TwistTable":
@@ -168,11 +184,15 @@ class TwistTable:
         chi = _character_table(p)
         S, Z = [], []
         for t in range(p):
-            vals = _cubic_values(a2(t), a4(t), a6(t), p)
-            S.append(sum(map(chi.__getitem__, vals)))
+            c2, c4, c6 = a2(t), a4(t), a6(t)
+            vals = [chi[(((x + c2) * x + c4) * x + c6) % p] for x in range(p)]
+            S.append(sum(vals))
             Z.append(vals.count(0))
         cusps = {t0: _fp_fiber(g, t0, chi) for t0 in sorted(roots_mod_p(g.delta))}
-        chart = WeierstrassSurface(a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf")
+        chart = WeierstrassSurface(   # s = 1/t, X' = X/t^3: g has degrees (3, 6, 9)
+            a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf",
+            _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
+        )
         inf_fiber = None
         if g.delta.degree < 18:   # the member's 24 - deg Delta > 0, Delta = (t-lambda)^6 Delta_g
             inf_fiber = replace(_fp_fiber(chart, 0, chi), t0=None)
@@ -180,18 +200,22 @@ class TwistTable:
             raise CountingError(f"twist table at p = {p} covers I_n fibers of g only")
         inf_vals = _cubic_values(chart.a2(0), chart.a4(0), chart.a6(0), p)
         inf_count = p + 1 + sum(map(chi.__getitem__, inf_vals))
-        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count)
+        inf_fixed = inf_fiber.fixed_components if inf_fiber is not None else 0
+        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count, inf_fixed)
 
-    def fibers(self, lam: int) -> list[FpFiber]:
-        """The member's reducible fibers, ordered as `analyze_fibers_mod_p` lists them."""
-        out = []
+    def fixed(self, lam: int) -> int:
+        """The member's Frobenius-fixed non-identity components, summed over its fibers.
+
+        1 + Z[lambda] at the I0* fiber, the fiber at infinity's constant
+        share, and at each I_n cusp t0 of g with n >= 2: n - 1 if the node
+        is split after the flip by chi(t0 - lambda), else 1 - n mod 2.
+        """
+        chi, p = self.chi, self.p
+        out = 1 + self.Z[lam] + self.inf_fixed
         for t0, f in self.cusps.items():
-            flip = f.n >= 2 and self.chi[self.p + t0 - lam] == -1
-            out.append(FpFiber(t0, "I", f.n, f.split != flip))
-        out.append(FpFiber(lam, "I*", 0, r3=self.Z[lam]))
-        out.sort(key=lambda f: f.t0)
-        if self.inf_fiber is not None:
-            out.append(self.inf_fiber)
+            n = f.n
+            if n >= 2:
+                out += n - 1 if f.split != (chi[p + t0 - lam] == -1) else 1 - n % 2
         return out
 
     def raw_count(self, lam: int) -> int:
@@ -250,40 +274,38 @@ def count_surface(surface_q: WeierstrassSurface, p: int, sections: int = 0):
 # ---------------------------------------------------------------------------
 
 class CountCache:
-    """Append-only store of raw smooth counts keyed by (family, p, lambda)."""
+    """Append-only store of raw smooth counts keyed by (family digest, p, lambda).
+
+    Puts made inside `batch()` reach the file in one append when the block
+    ends; outside a batch each put appends at once.
+    """
 
     def __init__(self, path=None):
         self.path = path
         self.data: dict[tuple[str, int, int], int] = {}
+        self._pending: list[str] | None = None   # lines of the open batch
         if path is not None:
             self._load()
 
     def _load(self):
-        import os
-
-        if not os.path.exists(self.path):
+        try:
+            with open(self.path) as fh:
+                lines = fh.read().splitlines()
+        except FileNotFoundError:
             return
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    import sys
-
-                    print(f"cache: skipping corrupt line {line!r}", file=sys.stderr)
-                    continue
-                fam, p, lam, n = parts[0], int(parts[1]), int(parts[2]), int(parts[3])
-                self._insert(fam, p, lam, n)
-
-    def _insert(self, fam, p, lam, n):
-        key = (fam, p, lam)
-        if key in self.data and self.data[key] != n:
-            raise CountingError(
-                f"cache conflict for {key}: {self.data[key]} vs {n} (determinism breach)"
-            )
-        self.data[key] = n
+        data = self.data
+        for line in lines:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 4:
+                print(f"cache: skipping corrupt line {line.strip()!r}", file=sys.stderr)
+                continue
+            key, n = (parts[0], int(parts[1]), int(parts[2])), int(parts[3])
+            if data.setdefault(key, n) != n:
+                raise CountingError(
+                    f"cache conflict for {key}: {data[key]} vs {n} (determinism breach)"
+                )
 
     def get(self, fam: str, p: int, lam: int):
         return self.data.get((fam, p, lam))
@@ -297,33 +319,56 @@ class CountCache:
                     f"cache conflict for {key}: {known} vs {count} (determinism breach)"
                 )
             return
-        self._insert(fam, p, lam, count)
+        self.data[key] = count
         if self.path is not None:
-            with open(self.path, "a") as fh:
-                fh.write(f"{fam} {p} {lam} {count}\n")
+            line = f"{fam} {p} {lam} {count}\n"
+            if self._pending is not None:
+                self._pending.append(line)
+            else:
+                with open(self.path, "a") as fh:
+                    fh.write(line)
+
+    @contextmanager
+    def batch(self):
+        """Collect the puts of the block and append them in one write, also on error.
+
+        A nested batch writes with the outermost one.
+        """
+        if self._pending is not None:
+            yield self
+            return
+        self._pending = []
+        try:
+            yield self
+        finally:
+            lines, self._pending = self._pending, None
+            if lines and self.path is not None:
+                with open(self.path, "a") as fh:
+                    fh.write("".join(lines))
 
 
 def count_family_member(family, p: int, lam: int, cache: CountCache | None = None):
     """(smooth count, t_alg, candidates) for the family member at lambda mod p.
 
     Read off the family's twist table in O(p) where it applies; otherwise
-    the member is specialized and counted by brute force.
+    the member is specialized and counted by brute force.  The cache keys
+    on the family's coefficient digest.
     """
     table = twist_table(family, p)
     lam_p = lam % p
     if table is not None and lam_p not in table.cusps:
-        fibers = table.fibers(lam_p)
+        fixed = table.fixed(lam_p)
         raw_count = lambda: table.raw_count(lam_p)
     else:
         surf = family.specialize_mod(p, lam)
-        fibers = analyze_fibers_mod_p(surf)
+        fixed = sum(f.fixed_components for f in analyze_fibers_mod_p(surf))
         raw_count = lambda: count_weierstrass(surf)
-    cached = cache.get(family.name, p, lam) if cache is not None else None
+    cached = cache.get(family.digest, p, lam) if cache is not None else None
     if cached is None:
-        smooth = raw_count() + smooth_correction(fibers, p)
+        smooth = raw_count() + p * fixed
         if cache is not None:
-            cache.put(family.name, p, lam, smooth)
+            cache.put(family.digest, p, lam, smooth)
     else:
         smooth = cached
-    t_alg = algebraic_trace(fibers, 0)
+    t_alg = 2 + fixed
     return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)

@@ -19,8 +19,10 @@ prime.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from k3cm.exact import GF, QQ, Polynomial, parse_rational, prime_divisors, primes_up_to, resultant
 from k3cm.surfaces import WeierstrassSurface
@@ -47,6 +49,17 @@ class Family:
     splitting: dict = field(default_factory=dict)    # label -> square-class data
     # p -> counting.TwistTable (or None where it does not apply), filled lazily
     twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def digest(self) -> str:
+        """A short digest of the coefficient data (A, B, C, prefactors, mu): the count cache's key.
+
+        Families with the same data share counts whatever their names; a
+        family file that reuses a name with other data gets keys of its own.
+        """
+        blocks = "|".join(",".join(c.to_text() for c in block) for block in (self.A, self.B, self.C))
+        text = f"{blocks}|{self.pre_a2}{self.pre_a4}{self.pre_a6}|{self.mu}"
+        return hashlib.blake2s(text.encode(), digest_size=6).hexdigest()
 
     # -- construction helpers -------------------------------------------------
 

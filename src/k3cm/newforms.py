@@ -86,11 +86,6 @@ class NewformOracle:
             raise ArithmeticError(f"no norm equation solution at split p={p}, d'={self.field_disc}")
         return out
 
-    def split_primes(self, bound: int) -> list[int]:
-        from k3cm.exact import primes_up_to
-
-        return [p for p in primes_up_to(bound) if p != 2 and self.prime_kind(p) == SPLIT]
-
 
 def exponent_two_table(max_abs: int) -> dict[int, list[int]]:
     """Fundamental discriminants with exponent-2 class group, |d| <= max_abs,

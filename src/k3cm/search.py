@@ -10,6 +10,7 @@ the output is necessary evidence only, never a proof of rank 20.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,15 +54,16 @@ def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None =
     admissible = oracle.eigenvalue_abs(p)
     out = set()
     skip = family.degenerate_lambdas(p)
-    for lam in range(p):
-        if lam in skip:
-            continue
-        try:
-            _, _, cands = count_family_member(family, p, lam, cache)
-        except CountingError:
-            continue
-        if any(abs(c) in admissible for c in cands):
-            out.add(lam)
+    with cache.batch() if cache is not None else nullcontext():   # one append per prime
+        for lam in range(p):
+            if lam in skip:
+                continue
+            try:
+                _, _, cands = count_family_member(family, p, lam, cache)
+            except CountingError:
+                continue
+            if any(abs(c) in admissible for c in cands):
+                out.add(lam)
     return out
 
 

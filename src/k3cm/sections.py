@@ -673,49 +673,3 @@ def certify(surface, sections) -> tuple[GramLattice, BinaryQuadraticForm]:
     if lattice.det == 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
     return lattice, match_transcendental(lattice)
-
-
-# ---------------------------------------------------------------------------
-# the group law (independent oracle for the pairing formula)
-# ---------------------------------------------------------------------------
-
-def section_sum(surface: WeierstrassSurface, p: Section, q: Section) -> RationalFunction:
-    """x-coordinate of P + Q on y^2 = x^3 + a2 x^2 + a4 x + a6.
-
-    Returns a rational function over the smallest field containing the
-    slope; used as an independent cross-check of the height pairing via
-    <P,Q> = (h(P+Q) - h(P) - h(Q)) / 2.
-    """
-    dom = p.domain
-    scale = _same_square_class(dom, q.msq, p.msq)
-    if scale is not None:
-        wq = q.w * Polynomial.constant(dom, scale)
-        if p.u == q.u:
-            raise SectionError("doubling not needed by the oracle")
-        lam_w = (p.w - wq) / (p.u - q.u)  # slope = sqrt(m) * lam_w
-        m = p.msq
-        a2 = RationalFunction(surface.a2.map_domain(dom) if surface.domain != dom else surface.a2)
-        mconst = Polynomial.constant(dom, dom.from_fraction(Fraction(m)) if isinstance(m, Fraction) else m)
-        x3 = lam_w * lam_w * mconst - a2 - p.u - q.u
-        return x3
-    # different square classes: slope lives in Q(sqrt(m_p m_q))
-    if dom != QQ:
-        raise SectionError("mixed quadratic classes over a quadratic field")
-    m1, m2 = Fraction(p.msq), Fraction(q.msq)
-    mprod = squarefree_part((m1 * m2).numerator * (m1 * m2).denominator)
-    K = QuadField(mprod)
-    ru = lambda f: RationalFunction(f.num.map_domain(K), f.den.map_domain(K))
-    up, uq, wp, wq = ru(p.u), ru(q.u), ru(p.w), ru(q.w)
-    # y_p y_q = sqrt(m1 m2) w_p w_q ; sqrt(m1 m2) = r sqrt(mprod)
-    r0 = rational_sqrt((m1 * m2) / mprod)
-    assert r0 is not None
-    r = K.embed(r0) * QuadNum(Fraction(0), Fraction(1), mprod)
-    # slope^2 = (y_p - y_q)^2/(u_p-u_q)^2 = (m1 w_p^2 + m2 w_q^2 - 2 r sqrt? ...)
-    num = (
-        wp * wp * Polynomial.constant(K, K.from_fraction(m1))
-        + wq * wq * Polynomial.constant(K, K.from_fraction(m2))
-        - wp * wq * Polynomial.constant(K, r) * Polynomial.constant(K, K.from_fraction(Fraction(2)))
-    )
-    den = (up - uq) * (up - uq)
-    a2 = RationalFunction(surface.a2.map_domain(K))
-    return num / den - a2 - up - uq

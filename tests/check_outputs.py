@@ -10,6 +10,8 @@ Runs, in-process unless noted:
   and the 5 extremal rows, written by `perfbench/workloads.certify`
 * `k3cm tlattice` for the 9 example fixtures
 * `k3cm search --disc -88 --primes 4` and `--disc -1540 --primes 4`
+* `k3cm --cache FILE search --disc -88 --primes 4` twice on one new cache
+  file, cold and then warm; the two stdouts must be equal
 * `k3cm count --prime 19` for every lambda (the GF(p) fiber classifier)
 * the 4 demos (each in a subprocess that imports the same k3cm)
 * `k3cm lift --system` on the one-variable system of `test_cli`
@@ -35,6 +37,7 @@ from k3cm.fixtures import registry  # noqa: E402
 import workloads  # noqa: E402
 
 LIFT_SYSTEM = "[system]\nvars = x\neq1 = 1:2 + -4/9:0\n"
+CACHED_SEARCH = ("search_-88_cache_cold", "search_-88_cache_warm")
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -61,6 +64,9 @@ def commands(workdir: str):
         yield f"tlattice_{name}", lambda n=name: run_cli(["tlattice", "--surface", n])
     for disc in ("-88", "-1540"):
         yield f"search_{disc}", lambda d=disc: run_cli(["search", "--disc", d, "--primes", "4"])
+    cache = str(Path(workdir) / "counts.cache")
+    for stem in CACHED_SEARCH:
+        yield stem, lambda: run_cli(["--cache", cache, "search", "--disc", "-88", "--primes", "4"])
     yield "count_19", lambda: run_cli(["count", "--prime", "19"])
     for demo in sorted((REPO / "demos").glob("demo_*.py")):
         yield demo.stem, lambda d=demo: run_demo(d)
@@ -84,6 +90,10 @@ def main(argv) -> int:
             print(f"{stem}: exit {code}", file=sys.stderr)
     (outdir / "exit_codes.txt").write_text("\n".join(codes) + "\n")
     print(f"{len(codes)} outputs written to {outdir}", file=sys.stderr)
+    cold, warm = ((outdir / f"{stem}.txt").read_text() for stem in CACHED_SEARCH)
+    if cold != warm:
+        print("the warm cached search printed other lines than the cold one", file=sys.stderr)
+        return 1
     return 0
 
 

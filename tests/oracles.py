@@ -1,11 +1,28 @@
 """Reference implementations that the package no longer carries, kept as test oracles."""
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from k3cm.exact import QQ, Polynomial, RationalFunction, Series, poly_series, rational_sqrt, squarefree_part
+from k3cm.counting import FpFiber, TwistTable
+from k3cm.exact import (
+    QQ,
+    Polynomial,
+    QuadField,
+    QuadNum,
+    RationalFunction,
+    Series,
+    poly_series,
+    primes_up_to,
+    rational_sqrt,
+    squarefree_part,
+    xgcd,
+)
 from k3cm.lattices import DiscriminantForm, smith_normal_form
-from k3cm.surfaces import squarefree_decomposition
+from k3cm.newforms import SPLIT, NewformOracle
+from k3cm.quadforms import BinaryQuadraticForm, principal_form, reduce_form
+from k3cm.sections import Section, SectionError, _same_square_class
+from k3cm.surfaces import WeierstrassSurface, squarefree_decomposition
 
 
 def from_fractions(domain, fracs) -> Polynomial:
@@ -213,3 +230,148 @@ def reference_discriminant_form(lattice) -> DiscriminantForm:
             val = sum(Gw[r] * gens[j][r] for r in range(n))
             qmat[i][j] = qmat[j][i] = Fraction(val, orders[i] * orders[j])
     return DiscriminantForm(tuple(orders), tuple(tuple(row) for row in qmat))
+
+
+# ---------------------------------------------------------------------------
+# the group law (independent oracle for the pairing formula)
+# ---------------------------------------------------------------------------
+
+def section_sum(surface: WeierstrassSurface, p: Section, q: Section) -> RationalFunction:
+    """x-coordinate of P + Q on y^2 = x^3 + a2 x^2 + a4 x + a6.
+
+    Returns a rational function over the smallest field containing the
+    slope; used as an independent cross-check of the height pairing via
+    <P,Q> = (h(P+Q) - h(P) - h(Q)) / 2.
+    """
+    dom = p.domain
+    scale = _same_square_class(dom, q.msq, p.msq)
+    if scale is not None:
+        wq = q.w * Polynomial.constant(dom, scale)
+        if p.u == q.u:
+            raise SectionError("doubling not needed by the oracle")
+        lam_w = (p.w - wq) / (p.u - q.u)  # slope = sqrt(m) * lam_w
+        m = p.msq
+        a2 = RationalFunction(surface.a2.map_domain(dom) if surface.domain != dom else surface.a2)
+        mconst = Polynomial.constant(dom, dom.from_fraction(Fraction(m)) if isinstance(m, Fraction) else m)
+        x3 = lam_w * lam_w * mconst - a2 - p.u - q.u
+        return x3
+    # different square classes: slope lives in Q(sqrt(m_p m_q))
+    if dom != QQ:
+        raise SectionError("mixed quadratic classes over a quadratic field")
+    m1, m2 = Fraction(p.msq), Fraction(q.msq)
+    mprod = squarefree_part((m1 * m2).numerator * (m1 * m2).denominator)
+    K = QuadField(mprod)
+    ru = lambda f: RationalFunction(f.num.map_domain(K), f.den.map_domain(K))
+    up, uq, wp, wq = ru(p.u), ru(q.u), ru(p.w), ru(q.w)
+    # y_p y_q = sqrt(m1 m2) w_p w_q ; sqrt(m1 m2) = r sqrt(mprod)
+    r0 = rational_sqrt((m1 * m2) / mprod)
+    assert r0 is not None
+    r = K.embed(r0) * QuadNum(Fraction(0), Fraction(1), mprod)
+    # slope^2 = (y_p - y_q)^2/(u_p-u_q)^2 = (m1 w_p^2 + m2 w_q^2 - 2 r sqrt? ...)
+    num = (
+        wp * wp * Polynomial.constant(K, K.from_fraction(m1))
+        + wq * wq * Polynomial.constant(K, K.from_fraction(m2))
+        - wp * wq * Polynomial.constant(K, r) * Polynomial.constant(K, K.from_fraction(Fraction(2)))
+    )
+    den = (up - uq) * (up - uq)
+    a2 = RationalFunction(surface.a2.map_domain(K))
+    return num / den - a2 - up - uq
+
+
+# ---------------------------------------------------------------------------
+# class-group composition (independent oracle for the exponent-2 predicate)
+# ---------------------------------------------------------------------------
+
+def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """Composition of classes via concordant representatives (reduced output).
+
+    Used as the independent group-law oracle for the exponent-2 tests.
+    """
+    if f.discriminant != g.discriminant:
+        raise ValueError("composition needs equal discriminants")
+    return _compose_concordant(f, g)
+
+
+def _find_represented_coprime(f: BinaryQuadraticForm, m: int) -> tuple[int, int, int]:
+    """Find (x, y, value) with value = f(x,y) coprime to m."""
+    for x in range(1, 40):
+        for y in range(-40, 40):
+            val = f.a * x * x + f.b * x * y + f.c * y * y
+            if val != 0 and math.gcd(val, m) == 1:
+                return x, y, val
+    raise ValueError("no coprime represented value found")
+
+
+def _equivalent_with_leading(f: BinaryQuadraticForm, x: int, y: int) -> BinaryQuadraticForm:
+    """SL2(Z)-translate of f whose leading coefficient is f(x, y)."""
+    g = math.gcd(x, y) if (x, y) != (0, 0) else 0
+    assert g == 1, "primitive representation required"
+    g_signed, u, v = xgcd(x, y)
+    if g_signed < 0:
+        u, v = -u, -v
+    # matrix [[x, -v], [y, u]] has det 1
+    a, b, c = f.a, f.b, f.c
+    p, q, r, s = x, -v, y, u
+    na = a * p * p + b * p * r + c * r * r
+    nb = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
+    nc = a * q * q + b * q * s + c * s * s
+    out = BinaryQuadraticForm(na, nb, nc)
+    assert out.discriminant == f.discriminant
+    return out
+
+
+def _compose_concordant(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """Compose by moving to concordant representatives (a1, b, a2 c')."""
+    d = f.discriminant
+    # choose a representative of g whose leading coefficient is coprime to a1
+    x, y, val = _find_represented_coprime(g, f.a)
+    gg = math.gcd(x, y)
+    x, y = x // gg, y // gg
+    g2 = _equivalent_with_leading(g, x, y)
+    a1, a2 = f.a, g2.a
+    assert math.gcd(a1, a2) == 1
+    # align middle coefficients: find b = f.b mod 2a1, = g2.b mod 2a2
+    g_, u, v = xgcd(2 * a1, 2 * a2)
+    diff = g2.b - f.b
+    assert diff % g_ == 0
+    b = (f.b + 2 * a1 * (diff // g_) * u) % (4 * a1 * a2 // g_)
+    # (b^2 - d) divisible by 4 a1 a2 for concordant pairs
+    assert (b * b - d) % (4 * a1 * a2) == 0
+    c = (b * b - d) // (4 * a1 * a2)
+    return reduce_form(BinaryQuadraticForm(a1 * a2, b, c))
+
+
+def form_class_order(f: BinaryQuadraticForm) -> int:
+    """Order of the class of f in the class group (by repeated composition)."""
+    d = f.discriminant
+    one = reduce_form(principal_form(d))
+    acc = reduce_form(f)
+    n = 1
+    while acc != one:
+        acc = _compose_concordant(acc, f)
+        n += 1
+        if n > 10000:
+            raise RuntimeError("runaway class order")
+    return n
+
+
+def split_primes(oracle: NewformOracle, bound: int) -> list[int]:
+    """The odd primes up to bound that split in the oracle's field."""
+    return [p for p in primes_up_to(bound) if p != 2 and oracle.prime_kind(p) == SPLIT]
+
+
+# ---------------------------------------------------------------------------
+# a twist family member's reducible fibers, as `analyze_fibers_mod_p` lists them
+# ---------------------------------------------------------------------------
+
+def twist_fibers(table: TwistTable, lam: int) -> list[FpFiber]:
+    """The member's reducible fibers read off the twist table, infinity last."""
+    out = []
+    for t0, f in table.cusps.items():
+        flip = f.n >= 2 and table.chi[table.p + t0 - lam] == -1
+        out.append(FpFiber(t0, "I", f.n, f.split != flip))
+    out.append(FpFiber(lam, "I*", 0, r3=table.Z[lam]))
+    out.sort(key=lambda f: f.t0)
+    if table.inf_fiber is not None:
+        out.append(table.inf_fiber)
+    return out

@@ -42,7 +42,8 @@ def test_count_single_lambda(tmp_path):
     assert lam == "15"
     # 5/32 = 15 mod 19 is the disc -88 member: one candidate is +-|a_19| = 6
     assert "6" in (c1.lstrip("-"), c2.lstrip("-"))
-    assert cache.exists() and "xlm 19 15" in cache.read_text()
+    key = registry().family("xlm").digest
+    assert cache.exists() and cache.read_text().startswith(f"{key} 19 15 ")
 
 
 def test_count_reads_a_family_file(tmp_path):
@@ -58,6 +59,27 @@ def test_count_reads_a_family_file(tmp_path):
     assert path.read_text() != text
     member = ["--prime", "19", "--lambda", "15"]
     assert run(["count", "--family", str(path)] + member) == run(["count", "--family", "xlm"] + member)
+
+
+def test_cache_keys_on_the_family_data_not_its_name(tmp_path):
+    # a family file named xlm with another mu shares a cache with the registry's xlm
+    from importlib import resources
+
+    text = resources.files("k3cm").joinpath("data/family_xlm.fam").read_text()
+    assert "mu = 243/10" in text
+    path = tmp_path / "other.fam"
+    path.write_text(text.replace("mu = 243/10", "mu = 81/10"))
+    cache = tmp_path / "shared.cache"
+    member = ["count", "--prime", "19", "--lambda", "15"]
+    own = run(member[:1] + ["--family", str(path)] + member[1:])
+    assert own[0] == 0 and own != run(member)
+    registry_count = run(["--cache", str(cache)] + member)
+    assert registry_count == run(member)
+    assert run(["--cache", str(cache), "count", "--family", str(path)] + member[1:]) == own
+    assert run(["--cache", str(cache), "count", "--family", str(path)] + member[1:]) == own
+    assert run(["--cache", str(cache)] + member) == registry_count
+    keys = [line.split()[0] for line in cache.read_text().splitlines()]
+    assert len(keys) == 2 and len(set(keys)) == 2 and "xlm" not in keys
 
 
 def test_count_skips_degenerate_lambdas():
@@ -126,7 +148,8 @@ def test_verify_lifts_sections_once(monkeypatch):
 
 def test_verify_rejects_dependent_sections(tmp_path):
     # P, Q and P + Q of ex_3003, written over Q(sqrt 21) and read back by --sections
-    from k3cm.sections import build_sections, section_sum
+    from k3cm.sections import build_sections
+    from oracles import section_sum
 
     reg = registry()
     fx = reg.surfaces["ex_3003"]
@@ -204,6 +227,19 @@ def test_search_small():
     assert out.splitlines()[0].startswith("5/32\t32\t3")
 
 
+def test_search_says_when_the_prime_cap_gives_fewer_primes():
+    # -1540 has 17 usable split primes below 200; asking for 20 scans those 17
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["search", "--disc", "-1540", "--primes", "20"])
+    assert err.getvalue() == "only 17 usable split primes below 200 (asked for 20)\n"
+    assert code == 0 and out.splitlines()[0].startswith("539/512\t539\t17")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run(["search", "--disc", "-1540", "--primes", "17"])[0] == 0
+    assert err.getvalue() == ""
+
+
 def test_lift_system_file(tmp_path):
     system = tmp_path / "sq.system"
     system.write_text("[system]\nvars = x\neq1 = 1:2 + -4/9:0\n")
@@ -224,8 +260,9 @@ def test_main_parses_each_call_on_its_own(tmp_path):
     assert code == 0 and out.startswith("15\t")
     code, out = run(["--cache", str(second), "count", "--prime", "23", "--lambda", "3"])
     assert code == 0 and out.startswith("3\t")
-    assert first.read_text().split()[:3] == ["xlm", "19", "15"]
-    assert second.read_text().split()[:3] == ["xlm", "23", "3"]
+    key = registry().family("xlm").digest
+    assert first.read_text().split()[:3] == [key, "19", "15"]
+    assert second.read_text().split()[:3] == [key, "23", "3"]
     assert len(first.read_text().splitlines()) == len(second.read_text().splitlines()) == 1
     code, out = run(["discs", "--max", "20"])
     assert code == 0 and out.startswith("h(d)\tdiscriminants")

@@ -20,7 +20,14 @@ from k3cm.counting import (
 from k3cm.exact import GF, Polynomial
 from k3cm.fixtures import registry
 from k3cm.newforms import NewformOracle
-from k3cm.surfaces import SurfaceError, UnsupportedFiberError, WeierstrassSurface, classify_fibers
+from k3cm.surfaces import (
+    SurfaceError,
+    UnsupportedFiberError,
+    WeierstrassSurface,
+    _discriminant_polys,
+    classify_fibers,
+)
+from oracles import twist_fibers
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +135,58 @@ def test_count_cache_semantics(tmp_path):
     assert c2.get("fam", 7, 3) == 120
 
 
+PUTS = [("fam", 7, 3, 120), ("fam", 7, 5, 98), ("other", 11, 2, 150), ("fam", 7, 3, 120)]
+
+
+def test_batch_writes_the_lines_of_separate_puts(tmp_path):
+    one, batched = tmp_path / "one.cache", tmp_path / "batched.cache"
+    c = CountCache(str(one))
+    for put in PUTS:
+        c.put(*put)
+    b = CountCache(str(batched))
+    with b.batch():
+        for put in PUTS:
+            b.put(*put)
+        assert b.get("fam", 7, 5) == 98 and not batched.exists()   # in data, not yet on disk
+        with pytest.raises(CountingError):
+            b.put("fam", 7, 5, 99)
+    assert batched.read_text() == one.read_text()
+    assert len(one.read_text().splitlines()) == 3
+    assert CountCache(str(batched)).data == b.data == c.data
+
+
+def test_batch_writes_its_puts_when_an_error_ends_it(tmp_path, monkeypatch):
+    path = tmp_path / "counts.cache"
+    c = CountCache(str(path))
+    opens = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda f, *a, **k: opens.append(f) or real_open(f, *a, **k))
+    with pytest.raises(RuntimeError):
+        with c.batch():
+            c.put(*PUTS[0])
+            with c.batch():                      # nested: written with the outer batch
+                c.put(*PUTS[1])
+            assert opens == []
+            raise RuntimeError("member loop interrupted")
+    assert opens == [str(path)]
+    assert path.read_text() == "fam 7 3 120\nfam 7 5 98\n"
+    with c.batch():                             # a batch with no new put writes nothing
+        c.put(*PUTS[0])
+    assert opens == [str(path)]
+
+
+def test_load_skips_corrupt_lines_and_rejects_conflicts(tmp_path, capsys):
+    path = tmp_path / "counts.cache"
+    path.write_text("# comment\n\nfam 7 3 120\n  fam 7 3 120  \nfam 7 4\nfam 7 5 98\n")
+    c = CountCache(str(path))
+    assert c.data == {("fam", 7, 3): 120, ("fam", 7, 5): 98}
+    assert capsys.readouterr().err == "cache: skipping corrupt line 'fam 7 4'\n"
+    with open(path, "a") as fh:
+        fh.write("fam 7 5 97\n")
+    with pytest.raises(CountingError, match=r"cache conflict for \('fam', 7, 5\): 98 vs 97"):
+        CountCache(str(path))
+
+
 def test_family_member_counts_bounded(fam):
     p = 23
     for lam in range(1, p):
@@ -189,7 +248,7 @@ def test_twist_path_matches_brute_force(fam):
                 continue
             want, want_fibers = brute_force_member(fam, p, lam)
             assert count_family_member(fam, p, lam) == want, (p, lam)
-            assert table.fibers(lam) == want_fibers, (p, lam)
+            assert twist_fibers(table, lam) == want_fibers, (p, lam)
 
 
 def test_lambdas_on_cusps_of_g_take_the_general_path(fam, monkeypatch):
@@ -221,3 +280,36 @@ def test_non_twist_family_takes_the_general_path(fam, monkeypatch):
     assert other.twist_tables == {p: None}
     assert spy.calls["analyze"] == p          # every member went through the general path
     assert fam.twist_tables.get(p, "unbuilt") is not None
+
+
+def test_fixed_components_in_closed_form(fam):
+    # the integer off the table equals the per-fiber sum, on the oracle fibers and the general path
+    for p in fam.good_primes(61):
+        table = twist_table(fam, p)
+        for lam in range(p):
+            if lam in table.cusps:
+                continue
+            fixed = table.fixed(lam)
+            assert fixed == sum(f.fixed_components for f in twist_fibers(table, lam)), (p, lam)
+            general = analyze_fibers_mod_p(fam.specialize_mod(p, lam))
+            assert fixed == sum(f.fixed_components for f in general), (p, lam)
+
+
+def test_twist_chart_takes_its_invariants_from_g(fam, monkeypatch):
+    # the chart at infinity is given c4, c6, Delta reversed from g, not recomputed
+    charts = []
+
+    class Spy(WeierstrassSurface):
+        def __init__(self, a2, a4, a6, name="", _invariants=None):
+            if name.endswith("~untwisted~inf"):
+                charts.append(((a2, a4, a6), _invariants))
+            super().__init__(a2, a4, a6, name, _invariants)
+
+    monkeypatch.setattr(counting, "WeierstrassSurface", Spy)
+    primes = fam.good_primes(199)
+    for p in primes:
+        counting.TwistTable.build(fam, p)
+    assert len(charts) == len(primes)
+    for coeffs, invariants in charts:
+        assert invariants is not None
+        assert invariants == _discriminant_polys(*coeffs)

@@ -8,6 +8,7 @@ from k3cm.newforms import (
     exponent_two_table,
     fundamental_discriminant,
 )
+from oracles import split_primes
 
 # the sixty-five exponent-2 field discriminants, grouped by class number
 EXPECTED_TABLE = {
@@ -93,6 +94,6 @@ def test_weil_bound_and_square_complement():
 
 def test_split_primes_helper():
     o = NewformOracle(-88)
-    sp = o.split_primes(50)
+    sp = split_primes(o, 50)
     # (-88|p) = 1 checked by hand via quadratic residues for each entry
     assert sp == [13, 19, 23, 29, 31, 43, 47]

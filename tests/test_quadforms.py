@@ -6,14 +6,13 @@ import pytest
 from k3cm.quadforms import (
     BinaryQuadraticForm,
     class_number,
-    compose,
     enumerate_reduced,
-    form_class_order,
     is_exponent_two,
     is_fundamental,
     principal_form,
     reduce_form,
 )
+from oracles import compose, form_class_order
 
 F = BinaryQuadraticForm
 

@@ -79,3 +79,22 @@ def test_table1_lambdas_survive_scan(fam, cache):
             res = scan_prime(fam, p, oracle, cache)
             want = row.lam.numerator * pow(row.lam.denominator, -1, p) % p
             assert want in res, (row.disc, p)
+
+
+def test_scan_prime_appends_to_the_cache_once(fam, tmp_path, monkeypatch):
+    path = tmp_path / "counts.cache"
+    cache = CountCache(str(path))
+    oracle = NewformOracle(-88)
+    opens = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda f, *a, **k: opens.append(f) or real_open(f, *a, **k))
+    p, q = usable_primes(fam, oracle, 100)[:2]
+    first = scan_prime(fam, p, oracle, cache)
+    assert opens == [str(path)]
+    counted = len(path.read_text().splitlines())
+    assert counted == p - len(fam.degenerate_lambdas(p))
+    assert scan_prime(fam, p, oracle, cache) == first        # all hits: nothing to append
+    assert opens == [str(path)]
+    scan_prime(fam, q, oracle, cache)
+    assert opens == [str(path)] * 2
+    assert len(path.read_text().splitlines()) == counted + q - len(fam.degenerate_lambdas(q))

@@ -29,11 +29,10 @@ from k3cm.sections import (
     normalize_sections,
     ns_discriminant,
     pairing,
-    section_sum,
     verify_section,
 )
 
-from oracles import from_fractions, ratfun_series, reference_rhs, reference_square_cofactor
+from oracles import from_fractions, ratfun_series, reference_rhs, reference_square_cofactor, section_sum
 
 
 @pytest.fixture(scope="module")
