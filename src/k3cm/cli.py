@@ -107,7 +107,7 @@ def cmd_count(args) -> int:
 def cmd_search(args) -> int:
     from k3cm.counting import CountCache
     from k3cm.newforms import NewformOracle
-    from k3cm.search import search, usable_primes
+    from k3cm.search import SearchError, search, usable_primes
 
     fam = _load_family(args.family)
     oracle = NewformOracle(args.disc)
@@ -120,10 +120,18 @@ def cmd_search(args) -> int:
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)
         return 2
-    reports = search(fam, args.disc, primes, args.height_bound, cache)
+    try:
+        reports = search(fam, args.disc, primes, args.height_bound, cache)
+    except SearchError as e:   # the scans ran; their residues cannot be lifted
+        print(f"no candidate: {e}", file=sys.stderr)
+        return 1
+    if not reports:
+        print(f"no candidate: scanned p = {', '.join(map(str, primes))}; no lambda of "
+              f"height <= {args.height_bound} (--height-bound) lifted", file=sys.stderr)
+        return 1
     for rep in reports:
         print(rep.line())
-    return 0 if reports else 1
+    return 0
 
 
 def cmd_lift(args) -> int:

@@ -11,9 +11,13 @@ Family members are counted through a quadratic twist when lambda enters
 only as (t-lambda)^(1,2,3) on (a2, a4, a6).  Substituting x = (t-lambda) X
 gives x^3 + a2 x^2 + a4 x + a6 = (t-lambda)^3 g_t(X), where g_t is the
 untwisted model and does not depend on lambda.  A `TwistTable`, built once
-per (family, p) in O(p^2), holds S(t) = sum_X chi(g_t(X)) and
-Z(t) = #{X : g_t(X) = 0}, the fibers of g at its finite cusps and the fiber
-at infinity with its point count; then each member costs O(p):
+per (family, p), holds S(t) = sum_X chi(g_t(X)) and Z(t) = #{X : g_t(X) = 0},
+the fibers of g at its finite cusps and the fiber at infinity with its point
+count.  S and Z come from isomorphism classes, not from the p^2 pairs
+(t, X): shifting X by c2/3 depresses g_t to X^3 + A X + B, and X -> aX
+moves (A, B) to a class with A in {0, 1, n} (n the least non-residue), whose
+character sums for every B are one big-integer correlation
+(`depressed_cubic_sums`).  Then each member costs O(p):
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
   the fiber y^2 = x^3 at t = lambda having p+1 points;
@@ -156,8 +160,86 @@ def _cubic_values(c2, c4, c6, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# twist table: one O(p^2) pass per (family, p), O(p) per member
+# twist table: O(p) Python steps per (family, p), O(p) per member
 # ---------------------------------------------------------------------------
+
+def depressed_cubic_sums(p: int, chi: list, A: list, B: list) -> tuple[list, list]:
+    """S[i] = sum_X chi(X^3 + A[i] X + B[i]) and Z[i] = #{X : X^3 + A[i] X + B[i] = 0}.
+
+    X = aY turns X^3 + c a^2 X + B into a^3 (Y^3 + cY + B/a^3), so writing
+    A = c a^2 with c in {0, 1, n}, n the least non-residue (a = 1 when A = 0):
+    S = chi(a) F_c(B/a^3) and Z = N_c(-B/a^3), where N_c(v) = #{Y : Y^3 + cY = v}
+    and F_c(b) = sum_v N_c(v) chi(v + b).  Three O(p) tables, then O(1) per pair.
+    """
+    n = chi.index(-1)
+    N = [_cubic_value_counts(c, p) for c in (0, 1, n)]
+    F = [_correlate_with_chi(counts, chi, p) for counts in N]
+    cls = [(0, 1, 1)] * p           # cls[A] = (index of c, chi(a), a^-3 mod p)
+    for a in range(1, (p + 1) // 2):
+        aa, entry = a * a % p, (chi[a], pow(a, -3, p))
+        cls[aa] = (1, *entry)
+        cls[aa * n % p] = (2, *entry)
+    S, Z = [], []
+    for A_i, B_i in zip(A, B):
+        k, s, inv_a3 = cls[A_i]
+        b = B_i * inv_a3 % p
+        S.append(s * F[k][b])
+        Z.append(N[k][-b])          # N_c(-b mod p): index -b is p - b for b > 0
+    return S, Z
+
+
+def _cubic_value_counts(c: int, p: int) -> list[int]:
+    """counts[v] = #{Y in F_p : Y^3 + cY = v}, each at most 3."""
+    counts = [0] * p
+    for y in range(p):
+        counts[(y * y + c) * y % p] += 1
+    return counts
+
+
+def _correlate_with_chi(counts: list, chi: list, p: int) -> list[int]:
+    """F[b] = sum_v counts[v] chi(v + b) for b in F_p, from one big-integer product.
+
+    counts reversed and chi + 1 over two periods fill fixed-width byte slots
+    of two integers (Kronecker substitution); slot p - 1 + b of the product
+    is sum_v counts[v] (chi(v + b) + 1) = F[b] + p.  No slot exceeds 2p, so
+    a slot of bytes holding 2p never carries into the next.
+    """
+    width = ((2 * p).bit_length() + 7) // 8
+    slot = [v.to_bytes(width, "little") for v in range(4)]
+    u = int.from_bytes(b"".join([slot[k] for k in reversed(counts)]), "little")
+    w = int.from_bytes(b"".join([slot[x + 1] for x in chi + chi]), "little")
+    raw = (u * w).to_bytes(3 * p * width, "little")
+    start = (p - 1) * width
+    return [int.from_bytes(raw[i:i + width], "little") - p
+            for i in range(start, start + p * width, width)]
+
+
+def _depressed_coefficients(a2, a4, a6, p: int) -> tuple[list, list]:
+    """A, B with g_t(X - c2/3) = X^3 + A[t] X + B[t] at t = 0, ..., p - 1.
+
+    (c2, c4, c6) = (a2, a4, a6)(t) by integer Horner on the coefficients;
+    with s = c2/3, A = c4 - 3s^2 and B = c6 - s c4 + 2s^3.
+    """
+    third = pow(3, -1, p)
+    A, B = [], []
+    for c2, c4, c6 in zip(*(_values_mod(poly, p) for poly in (a2, a4, a6))):
+        s = c2 * third % p
+        A.append((c4 - 3 * s * s) % p)
+        B.append((c6 - s * c4 + 2 * s * s * s) % p)
+    return A, B
+
+
+def _values_mod(poly, p: int) -> list[int]:
+    """poly(t) mod p at t = 0, ..., p - 1, by integer Horner, reduced once."""
+    cs = poly.coeffs[::-1]
+    out = []
+    for t in range(p):
+        v = 0
+        for c in cs:
+            v = v * t + c
+        out.append(v % p)
+    return out
+
 
 @dataclass(frozen=True)
 class TwistTable:
@@ -179,15 +261,12 @@ class TwistTable:
 
     @staticmethod
     def build(family, p: int) -> "TwistTable":
+        if p <= 3:
+            raise CountingError(f"twist table at p = {p}: the cubic is depressed by X -> X - c2/3")
         a2, a4, a6 = family.untwisted_mod(p)
         g = WeierstrassSurface(a2, a4, a6, name=f"{family.name}@p{p}~untwisted")
         chi = _character_table(p)
-        S, Z = [], []
-        for t in range(p):
-            c2, c4, c6 = a2(t), a4(t), a6(t)
-            vals = [chi[(((x + c2) * x + c4) * x + c6) % p] for x in range(p)]
-            S.append(sum(vals))
-            Z.append(vals.count(0))
+        S, Z = depressed_cubic_sums(p, chi, *_depressed_coefficients(a2, a4, a6, p))
         cusps = {t0: _fp_fiber(g, t0, chi) for t0 in sorted(roots_mod_p(g.delta))}
         chart = WeierstrassSurface(   # s = 1/t, X' = X/t^3: g has degrees (3, 6, 9)
             a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf",

@@ -89,7 +89,11 @@ def lift_candidates(
         raise SearchError("need residues at >= 2 primes to lift")
     usable = {p: rs for p, rs in residue_sets.items() if 0 < len(rs) <= max_residues_per_prime}
     if len(usable) < 2:
-        raise SearchError("not enough primes with small residue sets")
+        sizes = ", ".join(f"{len(rs)} at p = {p}" for p, rs in sorted(residue_sets.items()))
+        raise SearchError(
+            f"not enough primes with small residue sets (a prime lifts with 1 to "
+            f"{max_residues_per_prime} residues): {sizes}"
+        )
     primes = sorted(usable)
     total = 1
     for p in primes:

@@ -4,14 +4,15 @@
 
 Compares `count_family_member` (twist path) with specialize + analyze +
 brute-force count on every lambda at every good prime of the `xlm` family up
-to BOUND (default 199) and at the extra primes (default 307).  Prints one
-line per prime and a total; exits 1 on any mismatch.
+to BOUND (default 199) and at the extra primes (default 307), and at each
+prime the table's S and Z with the p^2 reference loop.  Prints one line per
+prime and a total; exits 1 on any mismatch.
 """
 
 import sys
 import time
 
-from oracles import twist_fibers
+from oracles import twist_fibers, twist_sums
 from test_counting import brute_force_member, count_or_error
 
 from k3cm.counting import twist_table
@@ -23,7 +24,7 @@ def main(argv):
     extra = [int(a) for a in argv[1:]] if len(argv) > 1 else [307]
     fam = registry().family("xlm")
     primes = fam.good_primes(bound) + [p for p in extra if p not in fam.bad_primes(p)]
-    compared = fallbacks = mismatches = 0
+    compared = fallbacks = mismatches = sums_differ = 0
     for p in primes:
         start = time.perf_counter()
         table = twist_table(fam, p)
@@ -39,12 +40,17 @@ def main(argv):
             compared += 1
             bad += not same
         mismatches += bad
+        sums = "-"
+        if table is not None:
+            same_sums = (table.S, table.Z) == twist_sums(fam, p)
+            sums_differ += not same_sums
+            sums = "equal" if same_sums else "DIFFER"
         print(f"p = {p}: {p} lambda, table {'built' if table else 'none'}, "
-              f"{len(table.cusps) if table else p} fallback, {bad} mismatch, "
+              f"{len(table.cusps) if table else p} fallback, {bad} mismatch, S/Z {sums}, "
               f"{time.perf_counter() - start:.1f} s", flush=True)
     print(f"{len(primes)} primes, {compared} lambda compared, "
-          f"{fallbacks} fallback, {mismatches} mismatch")
-    return 1 if mismatches else 0
+          f"{fallbacks} fallback, {mismatches} mismatch, S/Z differ at {sums_differ} primes")
+    return 1 if mismatches or sums_differ else 0
 
 
 if __name__ == "__main__":

@@ -375,3 +375,16 @@ def twist_fibers(table: TwistTable, lam: int) -> list[FpFiber]:
     if table.inf_fiber is not None:
         out.append(table.inf_fiber)
     return out
+
+
+def twist_sums(family, p: int) -> tuple[list, list]:
+    """S[t] = sum_X chi(g_t(X)) and Z[t] = #{X : g_t(X) = 0}, walking all p^2 pairs (t, X)."""
+    a2, a4, a6 = family.untwisted_mod(p)
+    chi = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+    S, Z = [], []
+    for t in range(p):
+        c2, c4, c6 = a2(t), a4(t), a6(t)
+        vals = [chi[(((x + c2) * x + c4) * x + c6) % p] for x in range(p)]
+        S.append(sum(vals))
+        Z.append(vals.count(0))
+    return S, Z

@@ -240,6 +240,37 @@ def test_search_says_when_the_prime_cap_gives_fewer_primes():
     assert err.getvalue() == ""
 
 
+def run_with_stderr(args):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(args)
+    return code, out, err.getvalue()
+
+
+def test_search_without_small_residue_sets_says_so_and_exits_1():
+    # -132: at five of its first six usable primes no lambda matches, so no
+    # two primes have 1 to 5 residues; that is a search outcome, not an input error
+    from k3cm.newforms import NewformOracle
+    from k3cm.search import scan_prime, usable_primes
+
+    fam, oracle = registry().family("xlm"), NewformOracle(-132)
+    primes = usable_primes(fam, oracle, 200)[:6]
+    sizes = ", ".join(f"{len(scan_prime(fam, p, oracle))} at p = {p}" for p in primes)
+    code, out, err = run_with_stderr(["search", "--disc", "-132", "--primes", "6"])
+    assert (code, out) == (1, "")
+    assert err == ("no candidate: not enough primes with small residue sets "
+                   f"(a prime lifts with 1 to 5 residues): {sizes}\n")
+
+
+def test_search_without_a_candidate_says_what_it_scanned():
+    code, out, err = run_with_stderr(["search", "--disc", "-7"])
+    assert (code, out) == (1, "")
+    assert err == ("no candidate: scanned p = 23, 29, 37, 43; no lambda of height "
+                   "<= 1000000 (--height-bound) lifted\n")
+    code, _, err = run_with_stderr(["search", "--disc", "-7", "--height-bound", "50"])
+    assert code == 1 and "height <= 50 (--height-bound)" in err
+
+
 def test_lift_system_file(tmp_path):
     system = tmp_path / "sq.system"
     system.write_text("[system]\nvars = x\neq1 = 1:2 + -4/9:0\n")

@@ -8,11 +8,13 @@ from k3cm.counting import (
     CountCache,
     CountingError,
     FpFiber,
+    TwistTable,
     algebraic_trace,
     analyze_fibers_mod_p,
     count_family_member,
     count_surface,
     count_weierstrass,
+    depressed_cubic_sums,
     lefschetz_candidates,
     smooth_correction,
     twist_table,
@@ -27,7 +29,7 @@ from k3cm.surfaces import (
     _discriminant_polys,
     classify_fibers,
 )
-from oracles import twist_fibers
+from oracles import twist_fibers, twist_sums
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +315,30 @@ def test_twist_chart_takes_its_invariants_from_g(fam, monkeypatch):
     for coeffs, invariants in charts:
         assert invariants is not None
         assert invariants == _discriminant_polys(*coeffs)
+
+
+def test_twist_sums_match_the_reference_loop(fam):
+    # S and Z themselves, not only the counts: a constant added to every S(t)
+    # leaves each member count unchanged, since sum_t chi(t - lambda) = 0
+    for p in fam.good_primes(113):
+        table = twist_table(fam, p)
+        assert table is not None, p
+        assert (table.S, table.Z) == twist_sums(fam, p), p
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
+def test_class_tables_match_direct_sums(p):
+    # every (A, B) in F_p^2, the A = 0 and B = 0 rows included; the primes
+    # cover p = 1 and 3 mod 4, p = 1 and 2 mod 3, and 2 a residue or not
+    chi = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    S, Z = depressed_cubic_sums(p, chi, [a for a, _ in pairs], [b for _, b in pairs])
+    for (a, b), s, z in zip(pairs, S, Z):
+        vals = [chi[(x * x * x + a * x + b) % p] for x in range(p)]
+        assert (s, z) == (sum(vals), vals.count(0)), (p, a, b)
+
+
+def test_build_needs_p_above_3(fam):
+    for p in (2, 3):
+        with pytest.raises(CountingError, match=f"p = {p}"):
+            TwistTable.build(fam, p)
