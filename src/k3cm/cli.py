@@ -87,8 +87,8 @@ def cmd_count(args) -> int:
     degenerate = fam.degenerate_lambdas(p)
 
     def on_cusp(lam):
-        label = degenerate[lam]   # fixture keys are read lower-cased; fiber labels print as I<n>
-        return f"lambda = {lam} lies on the cusp {label.upper()} = {fam.cusp_table[label]} mod {p}"
+        fib = degenerate[lam]
+        return f"lambda = {lam} lies on the cusp {fib.label()} = {fib.cusp} mod {p}"
 
     if args.lam is not None and args.lam % p in degenerate:
         print(f"{on_cusp(args.lam % p)}; its member is degenerate", file=sys.stderr)

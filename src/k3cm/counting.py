@@ -7,12 +7,12 @@ F_p.  The algebraic trace collects the Frobenius-fixed divisor classes, and
 the two sign choices for the leftover +-p eigenvalue give the candidate
 transcendental traces compared against the newform oracle.
 
-Family members are counted through a quadratic twist when lambda enters
-only as (t-lambda)^(1,2,3) on (a2, a4, a6).  Substituting x = (t-lambda) X
-gives x^3 + a2 x^2 + a4 x + a6 = (t-lambda)^3 g_t(X), where g_t is the
-untwisted model and does not depend on lambda.  A `TwistTable`, built once
-per (family, p), holds S(t) = sum_X chi(g_t(X)) and Z(t) = #{X : g_t(X) = 0},
-the fibers of g at its finite cusps and the fiber at infinity with its point
+Family members are counted through a quadratic twist: lambda enters only
+as (t-lambda)^(1,2,3) on (a2, a4, a6).  Substituting x = (t-lambda) X
+gives x^3 + a2 x^2 + a4 x + a6 = (t-lambda)^3 g_t(X), where g is the
+untwisted model (`Family.untwisted`).  A `TwistTable`, built once per
+(family, p), holds S(t) = sum_X chi(g_t(X)) and Z(t) = #{X : g_t(X) = 0},
+g's fibers at the family's degenerate lambdas and at infinity with its point
 count.  S and Z come from isomorphism classes, not from the p^2 pairs
 (t, X): shifting X by c2/3 depresses g_t to X^3 + A X + B, and X -> aX
 moves (A, B) to a class with A in {0, 1, n} (n the least non-residue), whose
@@ -37,7 +37,7 @@ The twist path needs Delta_g(lambda) != 0; a member with lambda on a cusp of
 g is counted the general way (specialize, `analyze_fibers_mod_p`,
 `count_weierstrass`), and so is every member of a prime where g has a fiber
 the table cannot carry (an I* type at a fixed cusp, or one the counting
-tables reject).  Families of any other shape always take the general path.
+tables reject).
 
 Fibers mod p are typed by the Kodaira rules of `surfaces.classify_at`, the
 ones that classify fibers over Q, run over GF(p) at the roots of Delta mod p.
@@ -103,18 +103,19 @@ def analyze_fibers_mod_p(surface: WeierstrassSurface) -> list[FpFiber]:
     if not (isinstance(F, PadicRing) and F.is_field):
         raise CountingError("analyze_fibers_mod_p expects a GF(p) surface")
     chi = _character_table(F.p)
-    out = [_fp_fiber(surface, t0, chi) for t0 in sorted(roots_mod_p(surface.delta))]
-    if surface.delta.degree < 24:
-        out.append(replace(_fp_fiber(surface.flipped(), 0, chi), t0=None))
+    delta = surface.delta
+    out = [_fp_fiber(surface, t0, delta.valuation_at(t0), chi) for t0 in sorted(roots_mod_p(delta))]
+    if delta.degree < 24:
+        out.append(replace(_fp_fiber(surface.flipped(), 0, 24 - delta.degree, chi), t0=None))
     return out
 
 
-def _fp_fiber(surface, t0: int, chi) -> FpFiber:
-    """The fiber at t0 as `classify_at` types it over GF(p), as counting data."""
+def _fp_fiber(surface, t0: int, vd: int, chi) -> FpFiber:
+    """The fiber at t0, where v(Delta) = vd, as `classify_at` types it over GF(p), as counting data."""
     p = surface.domain.p
     where = f"{surface.name or 'surface'} mod {p} at t={t0}"
     try:
-        fib = classify_at(surface, Cusp.finite(t0), surface.delta.valuation_at(t0))
+        fib = classify_at(surface, Cusp.finite(t0), vd)
     except (SurfaceError, UnsupportedFiberError) as exc:
         raise CountingError(f"{where}: {exc}") from exc
     if fib.kind == "I":
@@ -261,20 +262,22 @@ class TwistTable:
 
     @staticmethod
     def build(family, p: int) -> "TwistTable":
+        """The table of g mod a good prime p; at each cusp v(Delta_g) is g's over Q."""
         if p <= 3:
             raise CountingError(f"twist table at p = {p}: the cubic is depressed by X -> X - c2/3")
-        a2, a4, a6 = family.untwisted_mod(p)
-        g = WeierstrassSurface(a2, a4, a6, name=f"{family.name}@p{p}~untwisted")
+        g = family.untwisted.map_domain(family.residue_field(p))
+        a2, a4, a6 = g.a2, g.a4, g.a6
         chi = _character_table(p)
         S, Z = depressed_cubic_sums(p, chi, *_depressed_coefficients(a2, a4, a6, p))
-        cusps = {t0: _fp_fiber(g, t0, chi) for t0 in sorted(roots_mod_p(g.delta))}
+        cusps = {t0: _fp_fiber(g, t0, fib.euler, chi)
+                 for t0, fib in sorted(family.degenerate_lambdas(p).items())}
         chart = WeierstrassSurface(   # s = 1/t, X' = X/t^3: g has degrees (3, 6, 9)
             a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf",
             _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
         )
         inf_fiber = None
         if g.delta.degree < 18:   # the member's 24 - deg Delta > 0, Delta = (t-lambda)^6 Delta_g
-            inf_fiber = replace(_fp_fiber(chart, 0, chi), t0=None)
+            inf_fiber = replace(_fp_fiber(chart, 0, 18 - g.delta.degree, chi), t0=None)
         if any(f.kind != "I" for f in [*cusps.values(), inf_fiber] if f is not None):
             raise CountingError(f"twist table at p = {p} covers I_n fibers of g only")
         inf_vals = _cubic_values(chart.a2(0), chart.a4(0), chart.a6(0), p)
@@ -307,18 +310,14 @@ class TwistTable:
 def twist_table(family, p: int) -> TwistTable | None:
     """The family's twist table at p, built on first use and kept on the family.
 
-    None when the family is not a (1, 2, 3) twist in (t-lambda), or when g
-    has a fiber at p that the table cannot carry.
+    None when g has a fiber at p that the table cannot carry.
     """
     tables = family.twist_tables
     if p not in tables:
-        table = None
-        if family.twist_exponents == (1, 2, 3):
-            try:
-                table = TwistTable.build(family, p)
-            except CountingError:
-                pass
-        tables[p] = table
+        try:
+            tables[p] = TwistTable.build(family, p)
+        except CountingError:
+            tables[p] = None
     return tables[p]
 
 

@@ -855,10 +855,6 @@ class Polynomial:
             raise DomainError("mixed radicands are rejected")
         raise DomainError(f"no conversion {self.domain!r} -> {target!r}")
 
-    def content_primes(self) -> set[int]:
-        """Primes dividing any coefficient denominator (Q coefficients only)."""
-        return set(prime_divisors(self.int_coeffs[1]))
-
 
 def _from_ints(nums: list[int], den: int = 1) -> Polynomial:
     """sum nums[i] t^i / den over Q, den != 0, made canonical; keeps (does not copy) nums."""

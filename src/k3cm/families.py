@@ -8,24 +8,36 @@ with structural prefactors in t, (t-1) and (t-lambda):
     a4 = t^i4 (t-1)^j4 (t-lambda)^k4 * B
     a6 = t^i6 (t-1)^j6 (t-lambda)^k6 * C
 
+The (t-lambda) exponents must be (1, 2, 3), or the family is refused: every
+member is then the quadratic twist by (t-lambda) of one lambda-free model g
+(`untwisted`), with Delta = (t-lambda)^6 Delta_g.  So g over Q is the one
+source of what all members share: the fixed fibers (g's, at the zeros of
+Delta_g and at infinity), the bad primes (where Delta_g mod p changes shape)
+and, at a good p, the degenerate lambdas (the roots of Delta_g mod p).
+
 Specialization at rational (lambda, mu) produces a WeierstrassSurface over Q;
 lambda = infinity is the x-rescaled limit where the (t-lambda) prefactors
-collapse to constants.  A mod-p specialization fast path serves the
-point-counting scan; when the (t-lambda) exponents are (1, 2, 3), every
-member is the quadratic twist by (t-lambda) of the model assembled with
-those exponents set to 0 (`untwisted_mod`), which the scan counts once per
-prime.
+collapse to constants.  `specialize_mod` and `untwisted_mod` reduce a member
+and g mod a good prime for the point-counting scan.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
-from k3cm.exact import GF, QQ, Polynomial, parse_rational, prime_divisors, primes_up_to, resultant
-from k3cm.surfaces import WeierstrassSurface
+from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, resultant, roots_mod_p
+from k3cm.surfaces import (
+    Cusp,
+    FiberDescriptor,
+    WeierstrassSurface,
+    classify_at,
+    delta_cusps,
+    squarefree_decomposition,
+)
 
 INFINITY = "inf"
 
@@ -45,10 +57,17 @@ class Family:
     pre_a4: tuple
     pre_a6: tuple
     mu: Fraction | None = None      # fixed modulus for one-parameter use
-    cusp_table: dict = field(default_factory=dict)   # label -> cusp value text
     splitting: dict = field(default_factory=dict)    # label -> square-class data
     # p -> counting.TwistTable (or None where it does not apply), filled lazily
     twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shape = (self.pre_a2[2], self.pre_a4[2], self.pre_a6[2])
+        if shape != (1, 2, 3):
+            raise ValueError(
+                f"family {self.name}: the (t-lambda) exponents of (a2, a4, a6) are {shape}; "
+                "only (1, 2, 3), a quadratic twist by (t-lambda), is supported"
+            )
 
     @cached_property
     def digest(self) -> str:
@@ -94,117 +113,97 @@ class Family:
         label = name or f"{self.name}_lam_{lam}"
         return WeierstrassSurface(a2, a4, a6, name=label)
 
-    # -- mod p fast path -------------------------------------------------------
+    # -- the untwisted model g: fixed fibers, bad primes, degenerate lambdas ------
+
+    @cached_property
+    def untwisted(self) -> WeierstrassSurface:
+        """g over Q: the blocks with the (t-lambda) exponent set to 0, at the fixed mu."""
+        if self.mu is None:
+            raise ValueError("family has no fixed mu")
+        a2, a4, a6 = (self._assemble(block, pre[:2] + (0,), 0, self.mu, QQ)
+                      for block, pre in self._blocks())
+        return WeierstrassSurface(a2, a4, a6, name=f"{self.name}~untwisted")
+
+    @cached_property
+    def fixed_fibers(self) -> list[FiberDescriptor]:
+        """g's fibers over Q at the zeros of Delta_g, then at infinity: every member's but the I0*.
+
+        At infinity g is read in the chart s = 1/t, X' = X/t^3 of weights
+        (3, 6, 9), where a member's twist factor (1 - lambda s) is 1.
+        """
+        g = self.untwisted
+        fibers = [classify_at(g, cusp, vd) for cusp, vd in delta_cusps(g.delta)]
+        if g.delta.degree < 18:
+            chart = WeierstrassSurface(
+                g.a2.reverse(3), g.a4.reverse(6), g.a6.reverse(9), name=f"{g.name}~inf",
+                _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
+            )
+            fib = classify_at(chart, Cusp.finite(QQ.zero), 18 - g.delta.degree)
+            fibers.append(replace(fib, cusp=Cusp.infinity()))
+        return fibers
+
+    @cached_property
+    def _reduction_numbers(self) -> tuple[int, int, int]:
+        """g's coefficient denominators, lc(Delta_g) and disc(squarefree part of Delta_g), as integers."""
+        g = self.untwisted
+        den = math.lcm(*(f.int_coeffs[1] for f in (g.a2, g.a4, g.a6)))
+        one = Polynomial.constant(QQ, QQ.one)
+        rad = math.prod((h for h, _ in squarefree_decomposition(g.delta)[1]), start=one)
+        disc = resultant(rad, rad.derivative())
+        return den, Fraction(g.delta.leading()).numerator, Fraction(disc).numerator
+
+    def _is_bad(self, p: int) -> bool:
+        den, lead, disc = self._reduction_numbers
+        return p <= 5 or den % p == 0 or lead % p == 0 or disc % p == 0
+
+    def bad_primes(self, bound: int) -> set[int]:
+        """The primes p <= bound where g does not reduce to its fixed fibers.
+
+        p <= 5, or g is not p-integral, or a cusp goes to infinity (p | lc
+        Delta_g), or two fixed cusps meet or an orbit factor gets a double
+        root (p | the discriminant of Delta_g's squarefree part).  Elsewhere
+        Delta_g mod p keeps its degree and squarefree pattern.
+        """
+        return {p for p in primes_up_to(bound) if self._is_bad(p)}
+
+    def good_primes(self, bound: int) -> list[int]:
+        return [p for p in primes_up_to(bound) if not self._is_bad(p)]
+
+    def degenerate_lambdas(self, p: int) -> dict[int, FiberDescriptor]:
+        """The roots of Delta_g mod a good prime p, each mapped to g's fiber there over Q.
+
+        There the member's I0* fiber at t = lambda meets a fixed fiber.
+        """
+        F = self.residue_field(p)
+        out: dict[int, FiberDescriptor] = {}
+        for fib in self.fixed_fibers:
+            if fib.cusp.kind == "finite":
+                out[fib.cusp.value.numerator * pow(fib.cusp.value.denominator, -1, p) % p] = fib
+            elif fib.cusp.kind == "orbit":
+                out.update(dict.fromkeys(roots_mod_p(fib.cusp.value.map_domain(F)), fib))
+        return out
+
+    # -- mod p ---------------------------------------------------------------------
+
+    def residue_field(self, p: int):
+        """GF(p) for a good prime p; a bad one is a ValueError."""
+        if self._is_bad(p):
+            raise ValueError(f"p = {p} is excluded for family {self.name}")
+        return GF(p)
 
     def specialize_mod(self, p: int, lam: int) -> WeierstrassSurface:
         """Member over GF(p) at lambda in F_p; p must be a good prime."""
-        F, mu = self._mod_setup(p)
-        a2, a4, a6 = (self._assemble(block, pre, lam, mu, F) for block, pre in self._blocks())
+        F = self.residue_field(p)
+        a2, a4, a6 = (self._assemble(block, pre, lam, self.mu, F) for block, pre in self._blocks())
         return WeierstrassSurface(a2, a4, a6, name=f"{self.name}@p{p}l{lam}")
 
-    @property
-    def twist_exponents(self) -> tuple:
-        """The exponents of (t-lambda) in a2, a4, a6."""
-        return (self.pre_a2[2], self.pre_a4[2], self.pre_a6[2])
-
     def untwisted_mod(self, p: int) -> tuple:
-        """(a2', a4', a6') over GF(p): the blocks with the (t-lambda) exponent set to 0.
-
-        With twist exponents (1, 2, 3) the member at lambda is
-        (a2, a4, a6) = ((t-lambda) a2', (t-lambda)^2 a4', (t-lambda)^3 a6').
-        """
-        F, mu = self._mod_setup(p)
-        return tuple(self._assemble(block, pre[:2] + (0,), 0, mu, F)
-                     for block, pre in self._blocks())
+        """(a2', a4', a6'): g's coefficients over GF(p), p a good prime."""
+        F = self.residue_field(p)
+        return tuple(f.map_domain(F) for f in (self.untwisted.a2, self.untwisted.a4, self.untwisted.a6))
 
     def _blocks(self):
         return ((self.A, self.pre_a2), (self.B, self.pre_a4), (self.C, self.pre_a6))
-
-    def _mod_setup(self, p: int):
-        if p in self.bad_primes(p):
-            raise ValueError(f"p = {p} is excluded for family {self.name}")
-        if self.mu is None:
-            raise ValueError("mod-p specialization needs a fixed mu")
-        return GF(p), self.mu
-
-    # -- bad primes ------------------------------------------------------------
-
-    def bad_primes(self, bound: int) -> set[int]:
-        """p <= 5, coefficient-denominator primes, and cusp-collision primes.
-
-        Collisions are detected from the squarefree structure of a reference
-        member's discriminant: primes dividing pairwise resultants or leading
-        coefficients can merge cusps mod p, so the generic fiber table would
-        not reduce cleanly.
-        """
-        if not hasattr(self, "_bad_cache"):
-            bad = {2, 3, 5}
-            for block in (self.A, self.B, self.C):
-                for c in block:
-                    bad |= c.content_primes()
-            if self.mu is not None:
-                bad |= _fraction_primes(self.mu)
-            bad |= self._collision_primes()
-            self._bad_cache = bad
-        return set(self._bad_cache)
-
-    def _collision_primes(self) -> set[int]:
-        """Primes where distinct cusps of a reference member collide."""
-        from k3cm.surfaces import squarefree_decomposition
-
-        probe = Fraction(7, 13)  # generic reference lambda, off every cusp
-        surf = self.specialize(probe)
-        _, sq = squarefree_decomposition(surf.delta)
-        out: set[int] = set()
-        polys = [g for g, _ in sq]
-        for g in polys:
-            out |= _fraction_primes(Fraction(g.leading()))
-            disc = resultant(g, g.derivative())
-            if disc != 0:
-                out |= _small_prime_divisors(disc)
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                r = resultant(polys[i], polys[j])
-                out |= _small_prime_divisors(r)
-        return out
-
-    def degenerate_lambdas(self, p: int) -> dict[int, str]:
-        """lambda in F_p on a fixed finite cusp mod p, mapped to that cusp's label.
-
-        There the moving I0* fiber at t = lambda merges with a fixed fiber, so
-        the member leaves the generic configuration.
-        """
-        out: dict[int, str] = {}
-        for label, text in self.cusp_table.items():
-            if text in ("lambda", INFINITY):
-                continue
-            q = parse_rational(text)
-            if q.denominator % p:
-                out.setdefault(q.numerator * pow(q.denominator, -1, p) % p, label)
-        return out
-
-    def good_primes(self, bound: int) -> list[int]:
-        bad = self.bad_primes(bound)
-        return [p for p in primes_up_to(bound) if p not in bad]
-
-
-def _fraction_primes(q: Fraction) -> set[int]:
-    return set(prime_divisors(q.numerator * q.denominator))
-
-
-def _small_prime_divisors(q, bound: int = 500) -> set[int]:
-    """Prime divisors up to the bound of a rational's numerator/denominator.
-
-    Cusp-collision resultants can be astronomically large; only primes below
-    the scan bound matter for the counting searches.
-    """
-    q = Fraction(q)
-    out = set()
-    for n in (abs(q.numerator), abs(q.denominator)):
-        for p in primes_up_to(bound):
-            if n % p == 0:
-                out.add(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +221,5 @@ def family_from_fields(fields: dict) -> Family:
         pre_a4=pre("pre_a4"),
         pre_a6=pre("pre_a6"),
         mu=parse_rational(fields["mu"]) if "mu" in fields else None,
-        cusp_table=dict(fields.get("cusps", {})),
         splitting=dict(fields.get("splitting", {})),
     )

@@ -325,16 +325,16 @@ def section_fixture_from_block(kv: dict) -> SectionFixture:
 
 
 def family_from_text(text: str) -> Family:
-    """A family from the [family], [cusps] and [splitting] blocks of a fixture file."""
-    fields, cusps, splitting = {}, {}, {}
+    """A family from the [family] and [splitting] blocks of a fixture file.
+
+    The [cusps] block documents the fibers; `Family.fixed_fibers` derives them.
+    """
+    fields, splitting = {}, {}
     for name, kv in parse_blocks(text):
         if name == "family":
             fields.update(kv)
-        elif name == "cusps":
-            cusps.update(kv)
         elif name == "splitting":
             splitting.update(kv)
-    fields["cusps"] = cusps
     fields["splitting"] = splitting
     return family_from_fields(fields)
 

@@ -12,7 +12,7 @@ point counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -360,6 +360,22 @@ def _valuation_along(f: Polynomial, cusp: Cusp) -> int:
 # fiber classification
 # ---------------------------------------------------------------------------
 
+def delta_cusps(delta: Polynomial) -> list[tuple[Cusp, int]]:
+    """(cusp, multiplicity) at the zeros of Delta over Q: the rational roots by (|t0|, t0),
+    then, of each squarefree factor, what is left of it as one orbit cusp."""
+    d = delta.domain
+    finite_points, orbits = [], []
+    for g, mult in squarefree_decomposition(delta)[1]:
+        roots = _roots_of_squarefree(g)
+        finite_points += [(t0, mult) for t0 in roots]
+        for t0 in roots:
+            g = g // Polynomial(d, [d.neg(t0), d.one])
+        if g.degree > 0:
+            orbits.append((Cusp.orbit(g), mult))
+    finite_points.sort(key=lambda r: (abs(r[0]), r[0]))
+    return [(Cusp.finite(t0), mult) for t0, mult in finite_points] + orbits
+
+
 def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     """Kodaira types at every zero of Delta, including the place at infinity.
 
@@ -369,29 +385,11 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     """
     if surface.domain != QQ:
         raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
-    d = surface.domain
-    # each squarefree factor of Delta: its rational roots, and the rest of it,
-    # of the same multiplicity, as an orbit factor
-    finite_points, orbits = [], []
-    for g, mult in squarefree_decomposition(surface.delta)[1]:
-        roots = _roots_of_squarefree(g)
-        finite_points += [(t0, mult) for t0 in roots]
-        for t0 in roots:
-            g = g // Polynomial(d, [d.neg(t0), d.one])
-        if g.degree > 0:
-            orbits.append((g, mult))
-    fibers = [classify_at(surface, Cusp.finite(t0), vd)
-              for t0, vd in sorted(finite_points, key=lambda r: (abs(r[0]), r[0]))]
-    fibers += [classify_at(surface, Cusp.orbit(g), vd) for g, vd in orbits]
-    # infinity
+    fibers = [classify_at(surface, cusp, vd) for cusp, vd in delta_cusps(surface.delta)]
     v_inf = 24 - surface.delta.degree
     if v_inf > 0:
-        flip = surface.flipped()
-        fib = classify_at(flip, Cusp.finite(d.zero), v_inf)
-        fibers.append(FiberDescriptor(
-            Cusp.infinity(), fib.kind, fib.n, fib.split_class,
-            fib.node_x, fib.residual_cubic, fib.double_root,
-        ))
+        fib = classify_at(surface.flipped(), Cusp.finite(QQ.zero), v_inf)
+        fibers.append(replace(fib, cusp=Cusp.infinity()))
     total = sum(f.euler * f.cusp.degree for f in fibers)
     if total != 24:
         raise SurfaceError(f"Euler numbers sum to {total}, not 24: not K3 input")

@@ -1,27 +1,50 @@
 """Full oracle check of the twist counting path, too slow for the test suite.
 
-    PYTHONPATH=src python tests/check_twist_full.py [BOUND] [EXTRA_PRIME ...]
+    PYTHONPATH=src python tests/check_twist_full.py [BOUND] [EXTRA_PRIME ...] [--rule-bound N]
 
 Compares `count_family_member` (twist path) with specialize + analyze +
 brute-force count on every lambda at every good prime of the `xlm` family up
 to BOUND (default 199) and at the extra primes (default 307), and at each
-prime the table's S and Z with the p^2 reference loop.  Prints one line per
-prime and a total; exits 1 on any mismatch.
+prime the table's S and Z with the p^2 reference loop.  Then, at every prime
+up to N (default: the largest prime compared), compares `bad_primes` with
+the per-prime reduction oracle `reduces_cleanly`, and builds the twist table
+at every good prime: a good prime without a table is a bad reduction the
+rule missed.  Prints one line per prime, the rule check and a total; exits
+1 on any mismatch, disagreement or missing table.
 """
 
+import argparse
 import sys
 import time
 
-from oracles import twist_fibers, twist_sums
+from oracles import reduces_cleanly, twist_fibers, twist_sums
 from test_counting import brute_force_member, count_or_error
 
 from k3cm.counting import twist_table
+from k3cm.exact import primes_up_to
 from k3cm.fixtures import registry
 
 
+def check_rule(fam, bound: int) -> int:
+    """Print where `bad_primes` and the reduction oracle disagree up to bound,
+    and the good primes without a twist table; return how many such primes."""
+    primes = primes_up_to(bound)
+    rule = fam.bad_primes(bound)
+    disagree = [p for p in primes if (p in rule) == reduces_cleanly(fam, p)]
+    no_table = [p for p in primes if p not in rule and twist_table(fam, p) is None]
+    print(f"rule up to {bound}: bad primes {sorted(rule)}; {len(primes)} primes, "
+          f"{len(disagree)} disagree with the oracle {disagree}, "
+          f"{len(no_table)} good without a twist table {no_table}")
+    return len(disagree) + len(no_table)
+
+
 def main(argv):
-    bound = int(argv[0]) if argv else 199
-    extra = [int(a) for a in argv[1:]] if len(argv) > 1 else [307]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[1])
+    parser.add_argument("bound", nargs="?", type=int, default=199)
+    parser.add_argument("extra", nargs="*", type=int, default=[307])
+    parser.add_argument("--rule-bound", type=int, default=None)
+    args = parser.parse_args(argv)
+    bound, extra = args.bound, args.extra
     fam = registry().family("xlm")
     primes = fam.good_primes(bound) + [p for p in extra if p not in fam.bad_primes(p)]
     compared = fallbacks = mismatches = sums_differ = 0
@@ -50,7 +73,8 @@ def main(argv):
               f"{time.perf_counter() - start:.1f} s", flush=True)
     print(f"{len(primes)} primes, {compared} lambda compared, "
           f"{fallbacks} fallback, {mismatches} mismatch, S/Z differ at {sums_differ} primes")
-    return 1 if mismatches or sums_differ else 0
+    missed = check_rule(fam, args.rule_bound or max(primes))
+    return 1 if mismatches or sums_differ or missed else 0
 
 
 if __name__ == "__main__":

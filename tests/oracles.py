@@ -6,6 +6,7 @@ from itertools import zip_longest
 
 from k3cm.counting import FpFiber, TwistTable
 from k3cm.exact import (
+    GF,
     QQ,
     Polynomial,
     QuadField,
@@ -22,7 +23,7 @@ from k3cm.lattices import DiscriminantForm, smith_normal_form
 from k3cm.newforms import SPLIT, NewformOracle
 from k3cm.quadforms import BinaryQuadraticForm, principal_form, reduce_form
 from k3cm.sections import Section, SectionError, _same_square_class
-from k3cm.surfaces import WeierstrassSurface, squarefree_decomposition
+from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, squarefree_decomposition
 
 
 def from_fractions(domain, fracs) -> Polynomial:
@@ -388,3 +389,26 @@ def twist_sums(family, p: int) -> tuple[list, list]:
         S.append(sum(vals))
         Z.append(vals.count(0))
     return S, Z
+
+
+# ---------------------------------------------------------------------------
+# a family's bad primes, one reduction at a time
+# ---------------------------------------------------------------------------
+
+def reduces_cleanly(family, p: int) -> bool:
+    """True where g (`Family.untwisted`) keeps its fixed cusps mod p.
+
+    p > 5, g's coefficients are p-integral, and Delta_g mod p, recomputed
+    from g's reduced coefficients, keeps its degree and the (degree,
+    multiplicity) pattern of its squarefree decomposition over GF(p) (Yun's
+    algorithm, sound for multiplicities below p).
+    """
+    g = family.untwisted
+    coeffs = (g.a2, g.a4, g.a6)
+    if p <= 5 or any(f.int_coeffs[1] % p == 0 for f in coeffs):
+        return False
+    delta_p = _discriminant_polys(*(f.map_domain(GF(p)) for f in coeffs))[2]
+    if delta_p.is_zero() or delta_p.degree != g.delta.degree:
+        return False
+    pattern = lambda f: sorted((h.degree, m) for h, m in squarefree_decomposition(f)[1])
+    return pattern(delta_p) == pattern(g.delta)

@@ -105,6 +105,57 @@ def test_count_degenerate_lambda_is_input_error():
     assert "I5 = 0" in err.getvalue() and "19" in err.getvalue()
 
 
+def stale_family_file(tmp_path):
+    """The registry's family file at mu = 81/10, whose [cusps] block no longer holds.
+
+    There Delta_g = c t^5 (t-1)^3 times an irreducible cubic: the declared
+    I2 = 35/32 and I1 = -5/1024 do not exist.
+    """
+    from importlib import resources
+
+    text = resources.files("k3cm").joinpath("data/family_xlm.fam").read_text()
+    path = tmp_path / "stale.fam"
+    path.write_text(text.replace("mu = 243/10", "mu = 81/10"))
+    return path
+
+
+def test_count_skips_the_roots_of_delta_g_not_the_declared_cusps(tmp_path):
+    from k3cm.exact import roots_mod_p
+    from k3cm.fixtures import family_from_text
+    from k3cm.surfaces import _discriminant_polys
+
+    path = stale_family_file(tmp_path)
+    fam = family_from_text(path.read_text())
+    # 4 is a root of the cubic mod 23; 9 and 13 (35/32, -5/1024) and 10 and 12 mod 19 are not cusps
+    for p, cusps in ((23, [0, 1, 4]), (19, [0, 1])):
+        assert sorted(roots_mod_p(_discriminant_polys(*fam.untwisted_mod(p))[2])) == cusps
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(["count", "--family", str(path), "--prime", str(p)])
+        assert code == 0, err.getvalue()
+        assert [int(line.split("\t")[0]) for line in out.splitlines()] == [
+            lam for lam in range(p) if lam not in cusps
+        ]
+        skipped = err.getvalue().splitlines()
+        assert [int(line.split()[3]) for line in skipped] == cusps
+        assert "I5 = 0" in skipped[0] and "I3 = 1" in skipped[1]
+        if p == 23:
+            assert skipped[2].startswith("skipped lambda = 4 lies on the cusp I1 = orbit(")
+
+
+def test_count_refuses_a_family_of_another_shape(tmp_path):
+    from importlib import resources
+
+    text = resources.files("k3cm").joinpath("data/family_xlm.fam").read_text()
+    path = tmp_path / "shape.fam"
+    path.write_text(text.replace("pre_a2 = 0,0,1", "pre_a2 = 1,0,0"))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["count", "--family", str(path), "--prime", "19"])
+    assert (code, out) == (2, "")
+    assert "(0, 2, 3)" in err.getvalue()
+
+
 def test_count_excluded_prime():
     code, _ = run(["count", "--family", "xlm", "--prime", "5"])
     assert code == 2
@@ -265,7 +316,7 @@ def test_search_without_small_residue_sets_says_so_and_exits_1():
 def test_search_without_a_candidate_says_what_it_scanned():
     code, out, err = run_with_stderr(["search", "--disc", "-7"])
     assert (code, out) == (1, "")
-    assert err == ("no candidate: scanned p = 23, 29, 37, 43; no lambda of height "
+    assert err == ("no candidate: scanned p = 11, 23, 29, 37; no lambda of height "
                    "<= 1000000 (--height-bound) lifted\n")
     code, _, err = run_with_stderr(["search", "--disc", "-7", "--height-bound", "50"])
     assert code == 1 and "height <= 50 (--height-bound)" in err

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -267,21 +266,6 @@ def test_lambdas_on_cusps_of_g_take_the_general_path(fam, monkeypatch):
             if general:
                 assert got == CountingError     # the member leaves the fiber tables
                 assert brute_force_member(fam, p, lam) == CountingError
-
-
-def test_non_twist_family_takes_the_general_path(fam, monkeypatch):
-    # a2 = t A: the (t-lambda) exponents become (0, 2, 3), so no twist table
-    other = dataclasses.replace(fam, name="xlm_t", pre_a2=(1, 0, 0))
-    assert other.twist_exponents == (0, 2, 3)
-    spy = CallCounter(monkeypatch)
-    p = other.good_primes(30)[0]
-    for lam in range(p):
-        want = brute_force_member(other, p, lam)
-        got = count_or_error(other, p, lam)
-        assert got == (want if want == CountingError else want[0]), lam
-    assert other.twist_tables == {p: None}
-    assert spy.calls["analyze"] == p          # every member went through the general path
-    assert fam.twist_tables.get(p, "unbuilt") is not None
 
 
 def test_fixed_components_in_closed_form(fam):

@@ -1,0 +1,103 @@
+"""A family's fixed fibers, bad primes and degenerate lambdas, all read off g over Q."""
+
+import dataclasses
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+
+from k3cm.counting import TwistTable
+from k3cm.exact import GF, primes_up_to, roots_mod_p
+from k3cm.families import Family
+from k3cm.fixtures import family_from_text, parse_blocks, registry
+from k3cm.surfaces import _discriminant_polys
+from oracles import reduces_cleanly
+
+FAMILY_TEXT = resources.files("k3cm").joinpath("data/family_xlm.fam").read_text()
+
+
+@pytest.fixture(scope="module")
+def fam():
+    return registry().family("xlm")
+
+
+def fresh(fam, **changes):
+    """A copy of the family with nothing derived yet."""
+    return dataclasses.replace(fam, **changes)
+
+
+def stale(fam):
+    """xlm at mu = 81/10, where Delta_g = c t^5 (t-1)^3 (an irreducible cubic)."""
+    return fresh(fam, mu=Fraction(81, 10))
+
+
+def test_bad_primes_follow_the_reduction_of_g(fam, monkeypatch):
+    def no_member(*args, **kwargs):
+        raise AssertionError("a member was specialized")
+
+    monkeypatch.setattr(Family, "specialize", no_member)
+    for family in (fresh(fam), stale(fam)):
+        want = {p for p in primes_up_to(400) if not reduces_cleanly(family, p)}
+        assert family.bad_primes(400) == want, family.mu
+    assert fresh(fam).bad_primes(400) == {2, 3, 5, 7}
+    assert stale(fam).bad_primes(400) == {2, 3, 5, 7, 11, 13}
+
+
+def test_bad_primes_respect_their_bound(fam):
+    assert fam.bad_primes(2000) == {2, 3, 5, 7}
+    assert fam.bad_primes(7) == {2, 3, 5, 7}
+    assert fam.bad_primes(6) == {2, 3, 5}
+    assert fam.bad_primes(1) == set()
+    good = fam.good_primes(13)
+    assert good == [11, 13]
+
+
+def test_twist_tables_carry_the_fibers_of_g_over_q(fam):
+    for family in (fresh(fam), stale(fam)):
+        g = family.untwisted
+        inf = [f for f in family.fixed_fibers if f.cusp.kind == "infinity"]
+        for p in family.good_primes(199):
+            table = TwistTable.build(family, p)
+            degenerate = family.degenerate_lambdas(p)
+            # the cusps are the roots of Delta_g mod p, recomputed from g's reduced coefficients
+            delta_p = _discriminant_polys(*family.untwisted_mod(p))[2]
+            assert set(table.cusps) == set(degenerate) == roots_mod_p(delta_p), (family.mu, p)
+            for t0, f in table.cusps.items():
+                over_q = degenerate[t0]
+                assert (f.kind, f.n) == (over_q.kind, over_q.n), (family.mu, p, t0)
+                assert delta_p.valuation_at(t0) == over_q.n, (family.mu, p, t0)
+            assert (table.inf_fiber.kind, table.inf_fiber.n) == (inf[0].kind, inf[0].n)
+            assert 18 - g.delta.degree == inf[0].n
+
+
+def test_the_declared_cusp_block_matches_the_derived_fibers(fam):
+    declared = dict(kv for name, block in parse_blocks(FAMILY_TEXT) if name == "cusps" for kv in block.items())
+    assert declared == {"i5": "0", "i3": "1", "i2": "35/32", "i1": "-5/1024", "i7": "inf", "i0*": "lambda"}
+    derived = {f.label().lower(): str(f.cusp) for f in fam.fixed_fibers}
+    assert declared == {**derived, "i0*": "lambda"}
+    # a member has the fixed fibers and the I0* at t = lambda, and nothing else
+    lam = Fraction(7, 13)
+    member = {(f.label(), str(f.cusp)) for f in fam.specialize(lam).fibers}
+    assert member == {(f.label(), str(f.cusp)) for f in fam.fixed_fibers} | {("I0*", "7/13")}
+
+
+def test_a_family_of_another_shape_is_refused(fam):
+    # a2 = t A: the (t-lambda) exponents become (0, 2, 3), so lambda no longer enters as a twist
+    with pytest.raises(ValueError, match=r"\(0, 2, 3\)"):
+        dataclasses.replace(fam, pre_a2=(1, 0, 0))
+    text = FAMILY_TEXT.replace("pre_a2 = 0,0,1", "pre_a2 = 1,0,0")
+    assert text != FAMILY_TEXT
+    with pytest.raises(ValueError, match=r"\(0, 2, 3\)"):
+        family_from_text(text)
+
+
+def test_degenerate_lambdas_name_orbit_cusps(fam):
+    # at p = 23 the cubic factor of the stale family's Delta_g has the root 4
+    family = stale(fam)
+    degenerate = family.degenerate_lambdas(23)
+    cubic = [f for f in family.fixed_fibers if f.cusp.kind == "orbit"]
+    assert len(cubic) == 1 and cubic[0].cusp.value.degree == 3 and cubic[0].label() == "I1"
+    assert degenerate[4] is cubic[0]
+    assert set(degenerate) == {0, 1} | roots_mod_p(cubic[0].cusp.value.map_domain(GF(23)))
+    assert 9 not in degenerate and 13 not in degenerate
+    assert set(family.degenerate_lambdas(19)) == {0, 1}
