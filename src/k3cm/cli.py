@@ -76,7 +76,7 @@ def cmd_ap(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from k3cm.counting import CountCache, count_family_member
+    from k3cm.counting import CountCache, count_family_member, on_cusp
 
     fam = _load_family(args.family)
     cache = CountCache(args.cache)
@@ -85,19 +85,14 @@ def cmd_count(args) -> int:
         print(f"p = {p} is excluded for this family", file=sys.stderr)
         return 2
     degenerate = fam.degenerate_lambdas(p)
-
-    def on_cusp(lam):
-        fib = degenerate[lam]
-        return f"lambda = {lam} lies on the cusp {fib.label()} = {fib.cusp} mod {p}"
-
     if args.lam is not None and args.lam % p in degenerate:
-        print(f"{on_cusp(args.lam % p)}; its member is degenerate", file=sys.stderr)
+        print(f"{on_cusp(fam, p, args.lam % p)}; its member is degenerate", file=sys.stderr)
         return 2
     lams = [args.lam % p] if args.lam is not None else range(p)
     with cache.batch():
         for lam in lams:
             if lam in degenerate:
-                print(f"skipped {on_cusp(lam)}", file=sys.stderr)
+                print(f"skipped {on_cusp(fam, p, lam)}", file=sys.stderr)
                 continue
             n, t_alg, (c1, c2) = count_family_member(fam, p, lam, cache)
             print(f"{lam}\t{n}\t{t_alg}\t{c1}\t{c2}")
@@ -112,10 +107,9 @@ def cmd_search(args) -> int:
     fam = _load_family(args.family)
     oracle = NewformOracle(args.disc)
     cache = CountCache(args.cache)
-    usable = usable_primes(fam, oracle, 200)
-    if len(usable) < args.primes:
-        print(f"only {len(usable)} usable split primes below 200 (asked for {args.primes})",
-              file=sys.stderr)
+    bound = 200
+    while len(usable := usable_primes(fam, oracle, bound)) < args.primes:
+        bound *= 2
     primes = usable[: args.primes]
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)

@@ -21,8 +21,10 @@ character sums for every B are one big-integer correlation
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
   the fiber y^2 = x^3 at t = lambda having p+1 points;
-* at a finite cusp t0 of g the member has g's fiber, an I_n (n >= 2) node
-  split flipping when chi(t0-lambda) = -1;
+* at a finite cusp t0 of g the member has g's fiber twisted by the constant
+  t0 - lambda: an I_n (n >= 2) node split flips when chi(t0-lambda) = -1,
+  while an I_1 or I_0* fiber (whose residual cubic only scales) keeps its
+  fixed components;
 * at t = lambda the member has an I0* fiber whose residual cubic is g_lambda,
   so r3 = Z(lambda);
 * at infinity the twist factor (1 - lambda s) is 1 at s = 0, so the fiber and
@@ -30,20 +32,19 @@ character sums for every B are one big-integer correlation
   a6'.reverse(9)), whose c4, c6, Delta are g's reversed.
 
 So a member's Frobenius-fixed non-identity components are one integer,
-`TwistTable.fixed(lambda)`: smooth count = raw + p * fixed and
-t_alg = 2 + fixed, with no fiber list built per member.
+`TwistTable.fixed(lambda)`: a build-time constant for the fibers no lambda
+changes, a kept or flipped share per node, and 1 + Z(lambda); smooth count =
+raw + p * fixed and t_alg = 2 + fixed, with no fiber list built per member.
 
-The twist path needs Delta_g(lambda) != 0; a member with lambda on a cusp of
-g is counted the general way (specialize, `analyze_fibers_mod_p`,
-`count_weierstrass`), and so is every member of a prime where g has a fiber
-the table cannot carry (an I* type at a fixed cusp, or one the counting
-tables reject).
+The twist table is the only way a family member is counted.  A lambda on a
+cusp of g (Delta_g(lambda) = 0, where the I0* meets a fixed fiber) raises
+CountingError naming the cusp and p, and so does a prime where g has a
+fiber the counting tables reject, naming g, p and the cusp.
 
 Fibers mod p are typed by the Kodaira rules of `surfaces.classify_at`, the
 ones that classify fibers over Q, run over GF(p) at the roots of Delta mod p.
 A fiber those rules reject (an additive type other than I_0*, a model that
-is not normalized there) or an I_m* fiber with m >= 1 raises CountingError,
-so that a scan skips the member.
+is not normalized there) or an I_m* fiber with m >= 1 raises CountingError.
 
 `CountCache` keys each count on the family's coefficient digest, so two
 families with the same name and other data never share a count; a scan
@@ -255,14 +256,18 @@ class TwistTable:
     chi: list          # chi[x] = (x|p), twice over, so chi[p + d] = (d|p) for -p < d < p
     S: list            # S[t] = sum_X chi(g_t(X))
     Z: list            # Z[t] = #{X : g_t(X) = 0}
-    cusps: dict        # finite cusp t0 of g -> g's FpFiber there (all of kind "I")
+    cusps: dict        # finite cusp t0 of g -> g's FpFiber there
     inf_fiber: FpFiber | None
     inf_count: int     # points on the fiber at infinity, its point at infinity included
-    inf_fixed: int     # fixed components of the fiber at infinity, the same for every member
+    shared: int        # fixed components of the fibers no lambda changes: I_1, I_0*, infinity
+    nodes: tuple       # (t0, kept, flipped): an I_n cusp's fixed components by chi(t0 - lambda) = 1, -1
 
     @staticmethod
     def build(family, p: int) -> "TwistTable":
-        """The table of g mod a good prime p; at each cusp v(Delta_g) is g's over Q."""
+        """The table of g mod a good prime p; at each cusp v(Delta_g) is g's over Q.
+
+        A fiber of g that the counting tables reject raises CountingError naming g, p and the cusp.
+        """
         if p <= 3:
             raise CountingError(f"twist table at p = {p}: the cubic is depressed by X -> X - c2/3")
         g = family.untwisted.map_domain(family.residue_field(p))
@@ -275,29 +280,28 @@ class TwistTable:
             a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf",
             _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
         )
+        is_node = lambda f: f.kind == "I" and f.n >= 2
+        nodes = tuple((t0, f.fixed_components, replace(f, split=not f.split).fixed_components)
+                      for t0, f in cusps.items() if is_node(f))
+        shared = sum(f.fixed_components for f in cusps.values() if not is_node(f))
         inf_fiber = None
         if g.delta.degree < 18:   # the member's 24 - deg Delta > 0, Delta = (t-lambda)^6 Delta_g
             inf_fiber = replace(_fp_fiber(chart, 0, 18 - g.delta.degree, chi), t0=None)
-        if any(f.kind != "I" for f in [*cusps.values(), inf_fiber] if f is not None):
-            raise CountingError(f"twist table at p = {p} covers I_n fibers of g only")
+            shared += inf_fiber.fixed_components
         inf_vals = _cubic_values(chart.a2(0), chart.a4(0), chart.a6(0), p)
         inf_count = p + 1 + sum(map(chi.__getitem__, inf_vals))
-        inf_fixed = inf_fiber.fixed_components if inf_fiber is not None else 0
-        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count, inf_fixed)
+        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count, shared, nodes)
 
     def fixed(self, lam: int) -> int:
         """The member's Frobenius-fixed non-identity components, summed over its fibers.
 
-        1 + Z[lambda] at the I0* fiber, the fiber at infinity's constant
-        share, and at each I_n cusp t0 of g with n >= 2: n - 1 if the node
-        is split after the flip by chi(t0 - lambda), else 1 - n mod 2.
+        The shared constant, each node's share after the flip by chi(t0 - lambda),
+        and 1 + Z[lambda] at the I0* fiber over t = lambda.
         """
         chi, p = self.chi, self.p
-        out = 1 + self.Z[lam] + self.inf_fixed
-        for t0, f in self.cusps.items():
-            n = f.n
-            if n >= 2:
-                out += n - 1 if f.split != (chi[p + t0 - lam] == -1) else 1 - n % 2
+        out = self.shared + 1 + self.Z[lam]
+        for t0, kept, flipped in self.nodes:
+            out += flipped if chi[p + t0 - lam] == -1 else kept
         return out
 
     def raw_count(self, lam: int) -> int:
@@ -307,18 +311,21 @@ class TwistTable:
         return p * (p + 1) + self.inf_count + twisted
 
 
-def twist_table(family, p: int) -> TwistTable | None:
+def twist_table(family, p: int) -> TwistTable:
     """The family's twist table at p, built on first use and kept on the family.
 
-    None when g has a fiber at p that the table cannot carry.
+    Where g has a fiber the counting tables reject, each call raises CountingError.
     """
     tables = family.twist_tables
     if p not in tables:
-        try:
-            tables[p] = TwistTable.build(family, p)
-        except CountingError:
-            tables[p] = None
+        tables[p] = TwistTable.build(family, p)
     return tables[p]
+
+
+def on_cusp(family, p: int, lam: int) -> str:
+    """The words for a lambda mod p on a cusp of g, where the member is degenerate."""
+    fib = family.degenerate_lambdas(p)[lam]
+    return f"lambda = {lam} lies on the cusp {fib.label()} = {fib.cusp} mod {p}"
 
 
 def smooth_correction(fibers: list[FpFiber], p: int) -> int:
@@ -428,25 +435,18 @@ class CountCache:
 def count_family_member(family, p: int, lam: int, cache: CountCache | None = None):
     """(smooth count, t_alg, candidates) for the family member at lambda mod p.
 
-    Read off the family's twist table in O(p) where it applies; otherwise
-    the member is specialized and counted by brute force.  The cache keys
-    on the family's coefficient digest.
+    Read off the family's twist table in O(p); a lambda on a cusp of g
+    raises CountingError.  The cache keys on the family's coefficient digest.
     """
     table = twist_table(family, p)
     lam_p = lam % p
-    if table is not None and lam_p not in table.cusps:
-        fixed = table.fixed(lam_p)
-        raw_count = lambda: table.raw_count(lam_p)
-    else:
-        surf = family.specialize_mod(p, lam)
-        fixed = sum(f.fixed_components for f in analyze_fibers_mod_p(surf))
-        raw_count = lambda: count_weierstrass(surf)
-    cached = cache.get(family.digest, p, lam) if cache is not None else None
-    if cached is None:
-        smooth = raw_count() + p * fixed
+    if lam_p in table.cusps:
+        raise CountingError(f"{on_cusp(family, p, lam_p)}; its member is degenerate")
+    fixed = table.fixed(lam_p)
+    smooth = cache.get(family.digest, p, lam) if cache is not None else None
+    if smooth is None:
+        smooth = table.raw_count(lam_p) + p * fixed
         if cache is not None:
             cache.put(family.digest, p, lam, smooth)
-    else:
-        smooth = cached
     t_alg = 2 + fixed
     return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)

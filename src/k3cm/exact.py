@@ -488,14 +488,6 @@ class QuadField(Domain):
     def from_fraction(self, q: Fraction):
         return _quad(Fraction(q), Fraction(0), self.m)
 
-    def embed(self, x):
-        """Lift a Fraction or QuadNum into this field."""
-        if isinstance(x, QuadNum):
-            if x.m != self.m:
-                raise DomainError(f"mixed radicands {x.m} and {self.m}")
-            return x
-        return self.from_fraction(Fraction(x))
-
     def parse(self, text: str):
         return parse_quadnum(text, self.m)
 

@@ -17,8 +17,9 @@ and, at a good p, the degenerate lambdas (the roots of Delta_g mod p).
 
 Specialization at rational (lambda, mu) produces a WeierstrassSurface over Q;
 lambda = infinity is the x-rescaled limit where the (t-lambda) prefactors
-collapse to constants.  `specialize_mod` and `untwisted_mod` reduce a member
-and g mod a good prime for the point-counting scan.
+collapse to constants.  Members are counted mod p off g alone
+(`counting.TwistTable`); `specialize_mod` reduces one member mod a good
+prime, for the brute-force oracle that checks those counts.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class Family:
     pre_a6: tuple
     mu: Fraction | None = None      # fixed modulus for one-parameter use
     splitting: dict = field(default_factory=dict)    # label -> square-class data
-    # p -> counting.TwistTable (or None where it does not apply), filled lazily
+    # p -> counting.TwistTable, filled lazily; a prime whose table raises keeps no entry
     twist_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -196,11 +197,6 @@ class Family:
         F = self.residue_field(p)
         a2, a4, a6 = (self._assemble(block, pre, lam, self.mu, F) for block, pre in self._blocks())
         return WeierstrassSurface(a2, a4, a6, name=f"{self.name}@p{p}l{lam}")
-
-    def untwisted_mod(self, p: int) -> tuple:
-        """(a2', a4', a6'): g's coefficients over GF(p), p a good prime."""
-        F = self.residue_field(p)
-        return tuple(f.map_domain(F) for f in (self.untwisted.a2, self.untwisted.a4, self.untwisted.a6))
 
     def _blocks(self):
         return ((self.A, self.pre_a2), (self.B, self.pre_a4), (self.C, self.pre_a6))

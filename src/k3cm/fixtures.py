@@ -121,7 +121,6 @@ class SurfaceFixture:
     expected_T: BinaryQuadraticForm | None = None
     derived_T: BinaryQuadraticForm | None = None
     expected_pairings: dict = field(default_factory=dict)
-    expected_config: str | None = None
     status: str = "ok"
     note: str = ""
 
@@ -358,8 +357,6 @@ def surface_fixture_from_text(text: str) -> SurfaceFixture:
             )
         elif name == "sections":
             fx.sections.append(section_fixture_from_block(kv))
-        elif name == "fibers":
-            fx.expected_config = kv.get("config")
         elif name == "expect":
             if "disc" in kv:
                 fx.expected_disc = int(kv["disc"])

@@ -106,9 +106,3 @@ def is_fundamental(d: int) -> bool:
         return squarefree_part(d) == d
     m = d // 4
     return squarefree_part(m) == m and m % 4 in (2, 3)
-
-
-def principal_form(d: int) -> BinaryQuadraticForm:
-    _check_discriminant(d)
-    k = d % 2
-    return BinaryQuadraticForm(1, k, (k * k - d) // 4)

@@ -115,7 +115,10 @@ def run_extremal() -> Report:
     return rep
 
 
-def run_corroboration(prime_count: int = 4) -> Report:
+CORROBORATION_PRIMES = 4   # the first usable split primes each corroboration row is replayed at
+
+
+def run_corroboration() -> Report:
     from k3cm.counting import CountCache
     from k3cm.search import corroborate, usable_primes
 
@@ -125,7 +128,7 @@ def run_corroboration(prime_count: int = 4) -> Report:
     cache = CountCache()
     for row in reg.corroboration:
         oracle = NewformOracle(row.disc)
-        primes = usable_primes(fam, oracle, 200)[:prime_count]
+        primes = usable_primes(fam, oracle, 200)[:CORROBORATION_PRIMES]
         rows = corroborate(fam, row.lam, oracle, primes, cache)
         bad = [p for p, s in rows if s == "mismatch"]
         rep.add(not bad, f"corroborate lam={row.lam} disc={row.disc}: "

@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from k3cm.counting import CountCache, CountingError, count_family_member
+from k3cm.counting import CountCache, count_family_member
 from k3cm.exact import crt_combine, prime_divisors, rational_reconstruct
 from k3cm.newforms import SPLIT, NewformOracle
 
@@ -46,7 +46,10 @@ def usable_primes(family, oracle: NewformOracle, bound: int) -> list[int]:
 
 
 def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None = None) -> set[int]:
-    """All lambda in F_p whose candidate traces match the newform at p."""
+    """All lambda in F_p off the cusps of g whose candidate traces match the newform at p.
+
+    Where g has a fiber at p that the counting tables reject, CountingError.
+    """
     if oracle.prime_kind(p) != SPLIT:
         raise SearchError(f"p = {p} is not split for discriminant {oracle.field_disc}")
     if p in family.bad_primes(p):
@@ -58,10 +61,7 @@ def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None =
         for lam in range(p):
             if lam in skip:
                 continue
-            try:
-                _, _, cands = count_family_member(family, p, lam, cache)
-            except CountingError:
-                continue
+            _, _, cands = count_family_member(family, p, lam, cache)
             if any(abs(c) in admissible for c in cands):
                 out.add(lam)
     return out

@@ -1,6 +1,7 @@
 """Reference implementations that the package no longer carries, kept as test oracles."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -21,7 +22,7 @@ from k3cm.exact import (
 )
 from k3cm.lattices import DiscriminantForm, smith_normal_form
 from k3cm.newforms import SPLIT, NewformOracle
-from k3cm.quadforms import BinaryQuadraticForm, principal_form, reduce_form
+from k3cm.quadforms import BinaryQuadraticForm, _check_discriminant, reduce_form
 from k3cm.sections import Section, SectionError, _same_square_class
 from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, squarefree_decomposition
 
@@ -267,7 +268,7 @@ def section_sum(surface: WeierstrassSurface, p: Section, q: Section) -> Rational
     # y_p y_q = sqrt(m1 m2) w_p w_q ; sqrt(m1 m2) = r sqrt(mprod)
     r0 = rational_sqrt((m1 * m2) / mprod)
     assert r0 is not None
-    r = K.embed(r0) * QuadNum(Fraction(0), Fraction(1), mprod)
+    r = K.from_fraction(r0) * QuadNum(Fraction(0), Fraction(1), mprod)
     # slope^2 = (y_p - y_q)^2/(u_p-u_q)^2 = (m1 w_p^2 + m2 w_q^2 - 2 r sqrt? ...)
     num = (
         wp * wp * Polynomial.constant(K, K.from_fraction(m1))
@@ -342,6 +343,13 @@ def _compose_concordant(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> Binar
     return reduce_form(BinaryQuadraticForm(a1 * a2, b, c))
 
 
+def principal_form(d: int) -> BinaryQuadraticForm:
+    """The form x^2 + kxy + ((k^2 - d)/4) y^2, k = d mod 2: the identity class of discriminant d."""
+    _check_discriminant(d)
+    k = d % 2
+    return BinaryQuadraticForm(1, k, (k * k - d) // 4)
+
+
 def form_class_order(f: BinaryQuadraticForm) -> int:
     """Order of the class of f in the class group (by repeated composition)."""
     d = f.discriminant
@@ -369,8 +377,8 @@ def twist_fibers(table: TwistTable, lam: int) -> list[FpFiber]:
     """The member's reducible fibers read off the twist table, infinity last."""
     out = []
     for t0, f in table.cusps.items():
-        flip = f.n >= 2 and table.chi[table.p + t0 - lam] == -1
-        out.append(FpFiber(t0, "I", f.n, f.split != flip))
+        flip = f.kind == "I" and f.n >= 2 and table.chi[table.p + t0 - lam] == -1
+        out.append(replace(f, split=f.split != flip))
     out.append(FpFiber(lam, "I*", 0, r3=table.Z[lam]))
     out.sort(key=lambda f: f.t0)
     if table.inf_fiber is not None:
@@ -378,9 +386,15 @@ def twist_fibers(table: TwistTable, lam: int) -> list[FpFiber]:
     return out
 
 
+def untwisted_mod(family, p: int) -> tuple:
+    """(a2', a4', a6'): g's coefficients over GF(p), p a good prime."""
+    F = family.residue_field(p)
+    return tuple(f.map_domain(F) for f in (family.untwisted.a2, family.untwisted.a4, family.untwisted.a6))
+
+
 def twist_sums(family, p: int) -> tuple[list, list]:
     """S[t] = sum_X chi(g_t(X)) and Z[t] = #{X : g_t(X) = 0}, walking all p^2 pairs (t, X)."""
-    a2, a4, a6 = family.untwisted_mod(p)
+    a2, a4, a6 = untwisted_mod(family, p)
     chi = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
     S, Z = [], []
     for t in range(p):

@@ -123,12 +123,13 @@ def test_count_skips_the_roots_of_delta_g_not_the_declared_cusps(tmp_path):
     from k3cm.exact import roots_mod_p
     from k3cm.fixtures import family_from_text
     from k3cm.surfaces import _discriminant_polys
+    from oracles import untwisted_mod
 
     path = stale_family_file(tmp_path)
     fam = family_from_text(path.read_text())
     # 4 is a root of the cubic mod 23; 9 and 13 (35/32, -5/1024) and 10 and 12 mod 19 are not cusps
     for p, cusps in ((23, [0, 1, 4]), (19, [0, 1])):
-        assert sorted(roots_mod_p(_discriminant_polys(*fam.untwisted_mod(p))[2])) == cusps
+        assert sorted(roots_mod_p(_discriminant_polys(*untwisted_mod(fam, p))[2])) == cusps
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run(["count", "--family", str(path), "--prime", str(p)])
@@ -278,17 +279,13 @@ def test_search_small():
     assert out.splitlines()[0].startswith("5/32\t32\t3")
 
 
-def test_search_says_when_the_prime_cap_gives_fewer_primes():
-    # -1540 has 17 usable split primes below 200; asking for 20 scans those 17
+def test_search_takes_as_many_usable_primes_as_asked():
+    # -1540 has 17 usable split primes below 200; asking for 20 scans 20, the last three above 200
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run(["search", "--disc", "-1540", "--primes", "20"])
-    assert err.getvalue() == "only 17 usable split primes below 200 (asked for 20)\n"
-    assert code == 0 and out.splitlines()[0].startswith("539/512\t539\t17")
-    err = io.StringIO()
-    with redirect_stderr(err):
-        assert run(["search", "--disc", "-1540", "--primes", "17"])[0] == 0
     assert err.getvalue() == ""
+    assert code == 0 and out.splitlines()[0] == "539/512\t539\t20"
 
 
 def run_with_stderr(args):

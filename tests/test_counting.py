@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,10 @@ from k3cm.counting import (
     twist_table,
 )
 from k3cm.exact import GF, Polynomial
-from k3cm.fixtures import registry
+from k3cm.families import Family
+from k3cm.fixtures import family_from_text, registry
 from k3cm.newforms import NewformOracle
+from k3cm.search import scan_prime
 from k3cm.surfaces import (
     SurfaceError,
     UnsupportedFiberError,
@@ -39,6 +42,25 @@ def reg():
 @pytest.fixture(scope="module")
 def fam(reg):
     return reg.family("xlm")
+
+
+def twist_family(name, A, B, C, pre=("1,0,1", "2,0,2", "3,0,3")):
+    """A (1, 2, 3)-twist family at mu = 1 with the given blocks and (t, t-1, t-lambda) exponents."""
+    return family_from_text(f"[family]\nname = {name}\nA = {A}\nB = {B}\nC = {C}\n"
+                            f"pre_a2 = {pre[0]}\npre_a4 = {pre[1]}\npre_a6 = {pre[2]}\nmu = 1\n")
+
+
+# g with an I0* fiber at t = 0, at infinity, and an I1* fiber at t = 0; the rest of Delta_g is I1 orbits
+I0_STAR_AT_0 = twist_family("i0star_at_0", "1|2|-1", "-3|1|0|2|1", "5|-1|3|0|1|-2|1")
+I0_STAR_AT_INF = twist_family("i0star_at_inf", "-1|2|1", "1|2|0|1|-3", "1|-2|1|0|3|-1|5",
+                              pre=("0,0,1", "0,0,2", "0,0,3"))
+I1_STAR_AT_0 = twist_family("i1star_at_0", "0|2|-1", "-3|1|0|2|1", "2|-1|3|0|1|-2|1")
+
+
+@pytest.fixture(scope="module")
+def families(fam):
+    """xlm (I_n nodes at its cusps of g) and the two families whose g has an I0* fiber."""
+    return [fam, I0_STAR_AT_0, I0_STAR_AT_INF]
 
 
 def test_single_fiber_brute_force():
@@ -225,12 +247,14 @@ def count_or_error(fam, p, lam):
 
 
 class CallCounter:
-    """Counts calls of the general path's counting functions."""
+    """Counts calls of the brute-force counting functions."""
 
     def __init__(self, monkeypatch):
-        self.calls = {"analyze": 0, "count": 0}
-        for key, name in (("analyze", "analyze_fibers_mod_p"), ("count", "count_weierstrass")):
-            monkeypatch.setattr(counting, name, self._wrap(key, getattr(counting, name)))
+        self.calls = {"specialize": 0, "analyze": 0, "count": 0}
+        for key, owner, name in (("specialize", Family, "specialize_mod"),
+                                 ("analyze", counting, "analyze_fibers_mod_p"),
+                                 ("count", counting, "count_weierstrass")):
+            monkeypatch.setattr(owner, name, self._wrap(key, getattr(owner, name)))
 
     def _wrap(self, key, fn):
         def wrapped(*args, **kwargs):
@@ -240,45 +264,61 @@ class CallCounter:
         return wrapped
 
 
-def test_twist_path_matches_brute_force(fam):
-    for p in fam.good_primes(61):
-        table = twist_table(fam, p)
-        assert table is not None, p
-        for lam in range(p):
-            if lam in table.cusps:
-                continue
-            want, want_fibers = brute_force_member(fam, p, lam)
-            assert count_family_member(fam, p, lam) == want, (p, lam)
-            assert twist_fibers(table, lam) == want_fibers, (p, lam)
+def test_twist_path_matches_brute_force(families):
+    for fam in families:
+        for p in fam.good_primes(61):
+            table = twist_table(fam, p)
+            for lam in range(p):
+                if lam in table.cusps:
+                    continue
+                want, want_fibers = brute_force_member(fam, p, lam)
+                assert count_family_member(fam, p, lam) == want, (fam.name, p, lam)
+                assert twist_fibers(table, lam) == want_fibers, (fam.name, p, lam)
 
 
-def test_lambdas_on_cusps_of_g_take_the_general_path(fam, monkeypatch):
+def test_lambdas_on_cusps_of_g_raise_naming_the_cusp(families, monkeypatch):
+    degenerate = []
     spy = CallCounter(monkeypatch)
-    for p in fam.good_primes(61):
-        table = twist_table(fam, p)
-        # Delta_g(lambda) = 0 exactly on the family's degenerate lambdas
-        assert set(table.cusps) == set(fam.degenerate_lambdas(p)), p
-        for lam in range(p):
-            before = dict(spy.calls)
-            got = count_or_error(fam, p, lam)
-            general = spy.calls["analyze"] > before["analyze"]
-            assert general == (lam in table.cusps), (p, lam)
-            if general:
-                assert got == CountingError     # the member leaves the fiber tables
-                assert brute_force_member(fam, p, lam) == CountingError
+    for fam in families:
+        for p in fam.good_primes(61):
+            table = twist_table(fam, p)
+            # Delta_g(lambda) = 0 exactly on the family's degenerate lambdas
+            assert set(table.cusps) == set(fam.degenerate_lambdas(p)), (fam.name, p)
+            for lam, fib in fam.degenerate_lambdas(p).items():
+                words = f"lambda = {lam} lies on the cusp {fib.label()} = {fib.cusp} mod {p}"
+                with pytest.raises(CountingError, match=re.escape(words)):
+                    count_family_member(fam, p, lam)
+                degenerate.append((fam, p, lam))
+    assert spy.calls == {"specialize": 0, "analyze": 0, "count": 0}
+    monkeypatch.undo()
+    # brute force leaves the fiber tables there too: both raise
+    for fam, p, lam in degenerate:
+        assert brute_force_member(fam, p, lam) == CountingError, (fam.name, p, lam)
 
 
-def test_fixed_components_in_closed_form(fam):
+def test_fixed_components_in_closed_form(families):
     # the integer off the table equals the per-fiber sum, on the oracle fibers and the general path
-    for p in fam.good_primes(61):
-        table = twist_table(fam, p)
-        for lam in range(p):
-            if lam in table.cusps:
-                continue
-            fixed = table.fixed(lam)
-            assert fixed == sum(f.fixed_components for f in twist_fibers(table, lam)), (p, lam)
-            general = analyze_fibers_mod_p(fam.specialize_mod(p, lam))
-            assert fixed == sum(f.fixed_components for f in general), (p, lam)
+    for fam in families:
+        for p in fam.good_primes(61):
+            table = twist_table(fam, p)
+            for lam in range(p):
+                if lam in table.cusps:
+                    continue
+                fixed = table.fixed(lam)
+                assert fixed == sum(f.fixed_components for f in twist_fibers(table, lam)), (p, lam)
+                general = analyze_fibers_mod_p(fam.specialize_mod(p, lam))
+                assert fixed == sum(f.fixed_components for f in general), (fam.name, p, lam)
+
+
+def test_scan_raises_once_where_g_has_a_fiber_outside_the_tables(monkeypatch):
+    # g's I1* fiber at t = 0 has no twist table at any good prime: the scan names g, p and
+    # the cusp instead of counting each member another way and dropping it
+    oracle = NewformOracle(-88)
+    spy = CallCounter(monkeypatch)
+    for p in (13, 19):
+        with pytest.raises(CountingError, match=f"i1star_at_0~untwisted mod {p} at t=0: I1\\*"):
+            scan_prime(I1_STAR_AT_0, p, oracle)
+    assert spy.calls == {"specialize": 0, "analyze": 0, "count": 0}
 
 
 def test_twist_chart_takes_its_invariants_from_g(fam, monkeypatch):
@@ -306,7 +346,6 @@ def test_twist_sums_match_the_reference_loop(fam):
     # leaves each member count unchanged, since sum_t chi(t - lambda) = 0
     for p in fam.good_primes(113):
         table = twist_table(fam, p)
-        assert table is not None, p
         assert (table.S, table.Z) == twist_sums(fam, p), p
 
 

@@ -11,7 +11,7 @@ from k3cm.exact import GF, primes_up_to, roots_mod_p
 from k3cm.families import Family
 from k3cm.fixtures import family_from_text, parse_blocks, registry
 from k3cm.surfaces import _discriminant_polys
-from oracles import reduces_cleanly
+from oracles import reduces_cleanly, untwisted_mod
 
 FAMILY_TEXT = resources.files("k3cm").joinpath("data/family_xlm.fam").read_text()
 
@@ -60,7 +60,7 @@ def test_twist_tables_carry_the_fibers_of_g_over_q(fam):
             table = TwistTable.build(family, p)
             degenerate = family.degenerate_lambdas(p)
             # the cusps are the roots of Delta_g mod p, recomputed from g's reduced coefficients
-            delta_p = _discriminant_polys(*family.untwisted_mod(p))[2]
+            delta_p = _discriminant_polys(*untwisted_mod(family, p))[2]
             assert set(table.cusps) == set(degenerate) == roots_mod_p(delta_p), (family.mu, p)
             for t0, f in table.cusps.items():
                 over_q = degenerate[t0]

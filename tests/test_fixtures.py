@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.fixtures import FixtureError, parse_poly, parse_ratfun, registry
+from k3cm.fixtures import FixtureError, parse_blocks, parse_poly, parse_ratfun, registry
 from k3cm.quadforms import BinaryQuadraticForm
 from k3cm.lattices import MatchError, assemble_ns_gram, match_transcendental
 from k3cm.surfaces import Cusp, FiberDescriptor
@@ -53,6 +53,23 @@ def test_every_expectation_is_attributed(reg):
         assert fx_.source
     for row in reg.corroboration:
         assert row.source
+
+
+def test_the_config_line_of_each_example_names_fibers_of_its_surface(reg):
+    # each label@cusp of a [fibers] config line is a fiber the built surface derives;
+    # "I2@pair" is an I2 over a conjugate pair of cusps, an orbit of degree 2
+    checked = 0
+    for name, fx_ in reg.surfaces.items():
+        for block, kv in parse_blocks(reg._read(f"{name}.surf")):
+            if block != "fibers":
+                continue
+            fibers = fx_.build_surface(reg).fibers
+            derived = {f"{f.label()}@pair" if f.cusp.kind == "orbit" and f.cusp.degree == 2 else str(f)
+                       for f in fibers}
+            for entry in kv["config"].split(","):
+                assert entry.strip() in derived, (name, entry, sorted(derived))
+            checked += 1
+    assert checked == 7
 
 
 EXPECTED_ERRATA = {

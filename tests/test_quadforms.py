@@ -9,10 +9,9 @@ from k3cm.quadforms import (
     enumerate_reduced,
     is_exponent_two,
     is_fundamental,
-    principal_form,
     reduce_form,
 )
-from oracles import compose, form_class_order
+from oracles import compose, form_class_order, principal_form
 
 F = BinaryQuadraticForm
 
