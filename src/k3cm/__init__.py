@@ -53,11 +53,9 @@ from k3cm.sections import (
 from k3cm.families import Family
 from k3cm.counting import (
     CountCache,
-    algebraic_trace,
     count_surface,
     count_weierstrass,
     lefschetz_candidates,
-    smooth_correction,
 )
 from k3cm.search import (
     CandidateReport,
@@ -91,8 +89,7 @@ __all__ = [
     "Section", "assemble_ns", "certify", "determine_contact", "height", "intersection_number",
     "ns_discriminant", "pairing", "verify_section",
     "Family",
-    "CountCache", "algebraic_trace", "count_surface", "count_weierstrass",
-    "lefschetz_candidates", "smooth_correction",
+    "CountCache", "count_surface", "count_weierstrass", "lefschetz_candidates",
     "CandidateReport", "corroborate", "lift_candidates", "scan_prime", "search",
     "usable_primes",
     "MultiPoly", "PolySystem", "SectionAnsatz", "build_ansatz", "lift_and_verify",

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: discs, ap, count, search, lift, verify, tlattice, regression.
-Exit codes: 0 success, 1 mismatch/refuted, 2 input error.
+Exit codes: 0 success, 1 mismatch/refuted, 2 input error, 3 unsupported fiber type.
 """
 
 from __future__ import annotations
@@ -269,10 +269,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
+    except (FileNotFoundError, ValueError, KeyError) as e:
+        from k3cm.surfaces import UnsupportedFiberError
+
+        if isinstance(e.__cause__, UnsupportedFiberError):   # counting names g, p and the cusp
+            print(f"unsupported fiber type: {e}", file=sys.stderr)
+            return 3
         print(f"input error: {e}", file=sys.stderr)
         return 2
 

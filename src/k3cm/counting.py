@@ -1,50 +1,45 @@
 """Point counts of elliptic K3 fibrations over F_p and Lefschetz matching.
 
-The raw count walks the (singular) Weierstrass model fiberwise with a
-precomputed quadratic-character table; smooth-model corrections add the
-component count of every resolved reducible fiber that is rational over
-F_p.  The algebraic trace collects the Frobenius-fixed divisor classes, and
-the two sign choices for the leftover +-p eigenvalue give the candidate
-transcendental traces compared against the newform oracle.
+The raw count of a Weierstrass model over F_p is p + 1 + S(t) on the fiber
+at each t, S(t) = sum_X chi(cubic_t(X)), plus the fiber at infinity off the
+chart `flipped()`.  S comes from isomorphism classes, not from the p^2 pairs
+(t, X): shifting X by c2/3 depresses the cubic to X^3 + A X + B, and X -> aX
+moves (A, B) to a class with A in {0, 1, n} (n the least non-residue), whose
+character sums for every B are one big-integer correlation
+(`depressed_cubic_sums`).  The smooth count adds p per Frobenius-fixed
+non-identity component of the reducible fibers, t_alg = 2 + those
+components, and the two sign choices for the leftover +-p eigenvalue give
+the candidate transcendental traces compared against the newform oracle.
+`count_surface` counts a surface over Q this way, at good primes of its
+model only; `count_weierstrass`, O(p^2), is the brute-force reference.
+
+Fibers mod p are typed by `surfaces.classify_at`, the Kodaira rules over Q,
+run over GF(p) at the roots of Delta mod p, and `fixed_components` reads
+the fixed components off the `FiberDescriptor`.  A fiber outside those
+rules or tables raises CountingError naming the surface, p and the cusp;
+where the fiber type is the reason, its cause is UnsupportedFiberError.
 
 Family members are counted through a quadratic twist: lambda enters only
 as (t-lambda)^(1,2,3) on (a2, a4, a6).  Substituting x = (t-lambda) X
 gives x^3 + a2 x^2 + a4 x + a6 = (t-lambda)^3 g_t(X), where g is the
 untwisted model (`Family.untwisted`).  A `TwistTable`, built once per
-(family, p), holds S(t) = sum_X chi(g_t(X)) and Z(t) = #{X : g_t(X) = 0},
-g's fibers at the family's degenerate lambdas and at infinity with its point
-count.  S and Z come from isomorphism classes, not from the p^2 pairs
-(t, X): shifting X by c2/3 depresses g_t to X^3 + A X + B, and X -> aX
-moves (A, B) to a class with A in {0, 1, n} (n the least non-residue), whose
-character sums for every B are one big-integer correlation
-(`depressed_cubic_sums`).  Then each member costs O(p):
+(family, p), holds g's S(t) and Z(t) = #{X : g_t(X) = 0}, and g's fibers at
+the family's degenerate lambdas and at infinity.  Then each member costs O(p):
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
   the fiber y^2 = x^3 at t = lambda having p+1 points;
 * at a finite cusp t0 of g the member has g's fiber twisted by the constant
-  t0 - lambda: an I_n (n >= 2) node split flips when chi(t0-lambda) = -1,
-  while an I_1 or I_0* fiber (whose residual cubic only scales) keeps its
-  fixed components;
-* at t = lambda the member has an I0* fiber whose residual cubic is g_lambda,
-  so r3 = Z(lambda);
+  t0 - lambda: an I_n node's split class is multiplied by it, while an I_1 or
+  I_0* fiber (whose residual cubic only scales) keeps its fixed components;
+* at t = lambda the member has an I0* fiber whose residual cubic g_lambda has
+  Z(lambda) roots;
 * at infinity the twist factor (1 - lambda s) is 1 at s = 0, so the fiber and
-  its count are g's, read off the chart (a2'.reverse(3), a4'.reverse(6),
-  a6'.reverse(9)), whose c4, c6, Delta are g's reversed.
+  its count are g's, read off `Family.chart_at_infinity`.
 
-So a member's Frobenius-fixed non-identity components are one integer,
-`TwistTable.fixed(lambda)`: a build-time constant for the fibers no lambda
-changes, a kept or flipped share per node, and 1 + Z(lambda); smooth count =
-raw + p * fixed and t_alg = 2 + fixed, with no fiber list built per member.
-
-The twist table is the only way a family member is counted.  A lambda on a
-cusp of g (Delta_g(lambda) = 0, where the I0* meets a fixed fiber) raises
-CountingError naming the cusp and p, and so does a prime where g has a
-fiber the counting tables reject, naming g, p and the cusp.
-
-Fibers mod p are typed by the Kodaira rules of `surfaces.classify_at`, the
-ones that classify fibers over Q, run over GF(p) at the roots of Delta mod p.
-A fiber those rules reject (an additive type other than I_0*, a model that
-is not normalized there) or an I_m* fiber with m >= 1 raises CountingError.
+So a member's fixed components are one integer, `TwistTable.fixed(lambda)`,
+with no fiber list built per member.  A lambda on a cusp of g
+(Delta_g(lambda) = 0, where the I0* meets a fixed fiber) raises
+CountingError naming the cusp and p.
 
 `CountCache` keys each count on the family's coefficient digest, so two
 families with the same name and other data never share a count; a scan
@@ -59,71 +54,77 @@ from dataclasses import dataclass, replace
 from operator import mul
 
 from k3cm.exact import GF, PadicRing, roots_mod_p
-from k3cm.surfaces import Cusp, SurfaceError, UnsupportedFiberError, WeierstrassSurface, classify_at
+from k3cm.surfaces import (
+    Cusp,
+    FiberDescriptor,
+    SurfaceError,
+    UnsupportedFiberError,
+    WeierstrassSurface,
+    classify_at,
+)
 
 
 class CountingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FpFiber:
-    """A reducible fiber of the reduced surface at one F_p-rational cusp."""
-
-    t0: int | None        # None encodes the cusp at infinity
-    kind: str             # "I" or "I*"
-    n: int
-    split: bool = True    # I_n: node tangents rational over F_p
-    r3: int = 0           # I_0*: rational roots of the residual cubic
-
-    @property
-    def fixed_components(self) -> int:
-        """Frobenius-fixed non-identity components."""
-        if self.kind == "I":
-            if self.n < 2:
-                return 0
-            if self.split:
-                return self.n - 1
-            return 1 if self.n % 2 == 0 else 0
-        if self.n == 0:
-            return 1 + self.r3
-        raise CountingError("I_m* fibers are outside the counting tables")
-
-
 # ---------------------------------------------------------------------------
-# mod-p fiber analysis
+# mod-p fibers
 # ---------------------------------------------------------------------------
 
-def analyze_fibers_mod_p(surface: WeierstrassSurface) -> list[FpFiber]:
-    """Classify the singular fibers of a surface over GF(p), infinity last.
+def fixed_components(fib: FiberDescriptor, p: int) -> int:
+    """Frobenius-fixed non-identity components of a fiber over GF(p), as `classify_at` types it.
+
+    I_n: all n - 1 when the node's split class is a square mod p, else the
+    middle one of an even n.  I_0*: the double component and one leg per root
+    of the residual cubic.
+    """
+    if fib.kind == "I":
+        return _node_fixed(fib.n, 1 if fib.n < 2 else pow(fib.split_class, (p - 1) // 2, p))
+    if fib.n:
+        raise UnsupportedFiberError(f"I{fib.n}* fibers are outside the counting tables")
+    return 1 + len(roots_mod_p(fib.residual_cubic))
+
+
+def _node_fixed(n: int, s: int) -> int:
+    """An I_n fiber's fixed components: all n - 1 if split (s = 1); else Frobenius reflects
+    the cycle and fixes only the middle component of an even n."""
+    return n - 1 if s == 1 else 1 - n % 2
+
+
+def analyze_fibers_mod_p(surface: WeierstrassSurface) -> list[FiberDescriptor]:
+    """The singular fibers of a surface over GF(p), infinity last.
 
     Valid at good primes only: the caller guarantees that the generic
     configuration reduces cleanly (no cusp collisions, no denominators).
+    A fiber outside the counting tables raises CountingError naming the
+    surface, p and the cusp.
     """
     F = surface.domain
     if not (isinstance(F, PadicRing) and F.is_field):
         raise CountingError("analyze_fibers_mod_p expects a GF(p) surface")
-    chi = _character_table(F.p)
+    return [fib for fib, _ in _fibers_mod_p(surface)]
+
+
+def _fibers_mod_p(surface) -> list[tuple[FiberDescriptor, int]]:
+    """(fiber, fixed components) at each root of Delta mod p, then at infinity."""
     delta = surface.delta
-    out = [_fp_fiber(surface, t0, delta.valuation_at(t0), chi) for t0 in sorted(roots_mod_p(delta))]
+    out = [_fiber_mod_p(surface, t0, delta.valuation_at(t0)) for t0 in sorted(roots_mod_p(delta))]
     if delta.degree < 24:
-        out.append(replace(_fp_fiber(surface.flipped(), 0, 24 - delta.degree, chi), t0=None))
+        fib, fixed = _fiber_mod_p(surface.flipped(), 0, 24 - delta.degree)
+        out.append((replace(fib, cusp=Cusp.infinity()), fixed))
     return out
 
 
-def _fp_fiber(surface, t0: int, vd: int, chi) -> FpFiber:
-    """The fiber at t0, where v(Delta) = vd, as `classify_at` types it over GF(p), as counting data."""
+def _fiber_mod_p(surface, t0: int, vd: int) -> tuple[FiberDescriptor, int]:
+    """The fiber at t0, where v(Delta) = vd, as `classify_at` types it over GF(p), and its fixed
+    components; an error names the surface, p and t0."""
     p = surface.domain.p
-    where = f"{surface.name or 'surface'} mod {p} at t={t0}"
     try:
         fib = classify_at(surface, Cusp.finite(t0), vd)
+        return fib, fixed_components(fib, p)
     except (SurfaceError, UnsupportedFiberError) as exc:
-        raise CountingError(f"{where}: {exc}") from exc
-    if fib.kind == "I":
-        return FpFiber(t0, "I", fib.n, split=fib.n < 2 or chi[fib.split_class] == 1)
-    if fib.n:
-        raise CountingError(f"{where}: I{fib.n}* fibers are outside the counting tables")
-    return FpFiber(t0, "I*", 0, r3=len(roots_mod_p(fib.residual_cubic)))
+        raise CountingError(f"{surface.name or 'surface'} mod {p} at t={t0}: {exc}") from exc
 
 
 def _character_table(p: int) -> list[int]:
@@ -139,30 +140,46 @@ def _character_table(p: int) -> list[int]:
 # counting
 # ---------------------------------------------------------------------------
 
+def _fiber_count(surface, t: int, chi: list) -> int:
+    """Points of the model's fiber at t over GF(p), its point at infinity included."""
+    p = surface.domain.p
+    c2, c4, c6 = surface.a2(t), surface.a4(t), surface.a6(t)
+    return p + 1 + sum(map(chi.__getitem__, [(((x + c2) * x + c4) * x + c6) % p for x in range(p)]))
+
+
 def count_weierstrass(surface: WeierstrassSurface) -> int:
-    """Raw point count of the Weierstrass model over GF(p), brute force.
-
-    Per fiber: sum over x of 1 + chi(RHS), plus the point at infinity.
-    """
-    F = surface.domain
-    p = F.p
+    """Raw point count of the Weierstrass model over GF(p), brute force, fiber by fiber."""
+    p = surface.domain.p
     chi = _character_table(p)
-    total = 0
-    for chart in (surface, surface.flipped()):
-        ts = range(p) if chart is surface else (0,)
-        for t in ts:
-            vals = _cubic_values(chart.a2(t), chart.a4(t), chart.a6(t), p)
-            total += p + 1 + sum(map(chi.__getitem__, vals))
-    return total
+    finite = sum(_fiber_count(surface, t, chi) for t in range(p))
+    return finite + _fiber_count(surface.flipped(), 0, chi)
 
 
-def _cubic_values(c2, c4, c6, p: int) -> list[int]:
-    """x^3 + c2 x^2 + c4 x + c6 mod p at x = 0, ..., p - 1."""
-    return [(((x + c2) * x + c4) * x + c6) % p for x in range(p)]
+def lefschetz_candidates(count: int, p: int, t_alg: int) -> tuple[int, int]:
+    """The two sign choices for the transcendental trace alpha + beta."""
+    r = count - 1 - p * p - p * t_alg
+    return r - p, r + p
+
+
+def count_surface(surface_q: WeierstrassSurface, p: int):
+    """(smooth count, t_alg, candidates) for a Q-surface reduced mod a good prime p.
+
+    raw = p(p+1) + (fiber at infinity) + sum_t S(t), the S sums of its own
+    cubic as a twist table takes them.  A bad prime of the model
+    (`WeierstrassSurface.is_bad_prime`) raises CountingError.
+    """
+    if surface_q.is_bad_prime(p):
+        raise CountingError(f"{surface_q.name or 'surface'}: p = {p} is a bad prime of its model")
+    surf = surface_q.map_domain(GF(p))
+    chi = _character_table(p)
+    S, _ = depressed_cubic_sums(p, chi, *_depressed_coefficients(surf.a2, surf.a4, surf.a6, p))
+    fixed = sum(n for _, n in _fibers_mod_p(surf))
+    smooth = p * (p + 1) + _fiber_count(surf.flipped(), 0, chi) + sum(S) + p * fixed
+    return smooth, 2 + fixed, lefschetz_candidates(smooth, p, 2 + fixed)
 
 
 # ---------------------------------------------------------------------------
-# twist table: O(p) Python steps per (family, p), O(p) per member
+# S sums: O(p) Python steps per model and p
 # ---------------------------------------------------------------------------
 
 def depressed_cubic_sums(p: int, chi: list, A: list, B: list) -> tuple[list, list]:
@@ -256,8 +273,8 @@ class TwistTable:
     chi: list          # chi[x] = (x|p), twice over, so chi[p + d] = (d|p) for -p < d < p
     S: list            # S[t] = sum_X chi(g_t(X))
     Z: list            # Z[t] = #{X : g_t(X) = 0}
-    cusps: dict        # finite cusp t0 of g -> g's FpFiber there
-    inf_fiber: FpFiber | None
+    cusps: dict        # finite cusp t0 of g -> g's fiber there over GF(p)
+    inf_fiber: FiberDescriptor | None
     inf_count: int     # points on the fiber at infinity, its point at infinity included
     shared: int        # fixed components of the fibers no lambda changes: I_1, I_0*, infinity
     nodes: tuple       # (t0, kept, flipped): an I_n cusp's fixed components by chi(t0 - lambda) = 1, -1
@@ -271,26 +288,23 @@ class TwistTable:
         if p <= 3:
             raise CountingError(f"twist table at p = {p}: the cubic is depressed by X -> X - c2/3")
         g = family.untwisted.map_domain(family.residue_field(p))
-        a2, a4, a6 = g.a2, g.a4, g.a6
+        chart = family.chart_at_infinity.map_domain(g.domain)
         chi = _character_table(p)
-        S, Z = depressed_cubic_sums(p, chi, *_depressed_coefficients(a2, a4, a6, p))
-        cusps = {t0: _fp_fiber(g, t0, fib.euler, chi)
-                 for t0, fib in sorted(family.degenerate_lambdas(p).items())}
-        chart = WeierstrassSurface(   # s = 1/t, X' = X/t^3: g has degrees (3, 6, 9)
-            a2.reverse(3), a4.reverse(6), a6.reverse(9), name=f"{g.name}~inf",
-            _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
-        )
-        is_node = lambda f: f.kind == "I" and f.n >= 2
-        nodes = tuple((t0, f.fixed_components, replace(f, split=not f.split).fixed_components)
-                      for t0, f in cusps.items() if is_node(f))
-        shared = sum(f.fixed_components for f in cusps.values() if not is_node(f))
-        inf_fiber = None
+        S, Z = depressed_cubic_sums(p, chi, *_depressed_coefficients(g.a2, g.a4, g.a6, p))
+        cusps, nodes, shared = {}, [], 0
+        for t0, over_q in sorted(family.degenerate_lambdas(p).items()):
+            fib, fixed = _fiber_mod_p(g, t0, over_q.euler)
+            cusps[t0] = fib
+            if fib.kind == "I" and fib.n >= 2:   # the twist multiplies the split class by t0 - lambda
+                s = chi[fib.split_class]
+                nodes.append((t0, _node_fixed(fib.n, s), _node_fixed(fib.n, -s)))
+            else:
+                shared += fixed
+        inf_fiber, inf_count = None, _fiber_count(chart, 0, chi)
         if g.delta.degree < 18:   # the member's 24 - deg Delta > 0, Delta = (t-lambda)^6 Delta_g
-            inf_fiber = replace(_fp_fiber(chart, 0, 18 - g.delta.degree, chi), t0=None)
-            shared += inf_fiber.fixed_components
-        inf_vals = _cubic_values(chart.a2(0), chart.a4(0), chart.a6(0), p)
-        inf_count = p + 1 + sum(map(chi.__getitem__, inf_vals))
-        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count, shared, nodes)
+            fib, fixed = _fiber_mod_p(chart, 0, 18 - g.delta.degree)
+            inf_fiber, shared = replace(fib, cusp=Cusp.infinity()), shared + fixed
+        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count, shared, tuple(nodes))
 
     def fixed(self, lam: int) -> int:
         """The member's Frobenius-fixed non-identity components, summed over its fibers.
@@ -326,32 +340,6 @@ def on_cusp(family, p: int, lam: int) -> str:
     """The words for a lambda mod p on a cusp of g, where the member is degenerate."""
     fib = family.degenerate_lambdas(p)[lam]
     return f"lambda = {lam} lies on the cusp {fib.label()} = {fib.cusp} mod {p}"
-
-
-def smooth_correction(fibers: list[FpFiber], p: int) -> int:
-    """Sum of p * (fixed non-identity components) over F_p-rational cusps."""
-    return sum(p * f.fixed_components for f in fibers)
-
-
-def algebraic_trace(fibers: list[FpFiber], rational_sections: int = 0) -> int:
-    """2 (for O and F) + per-fiber fixed components + fixed sections."""
-    return 2 + sum(f.fixed_components for f in fibers) + rational_sections
-
-
-def lefschetz_candidates(count: int, p: int, t_alg: int) -> tuple[int, int]:
-    """The two sign choices for the transcendental trace alpha + beta."""
-    r = count - 1 - p * p - p * t_alg
-    return r - p, r + p
-
-
-def count_surface(surface_q: WeierstrassSurface, p: int, sections: int = 0):
-    """(smooth count, t_alg, candidates) for a Q-surface reduced mod p."""
-    surf_p = surface_q.map_domain(GF(p))
-    fibers = analyze_fibers_mod_p(surf_p)
-    raw = count_weierstrass(surf_p)
-    smooth = raw + smooth_correction(fibers, p)
-    t_alg = algebraic_trace(fibers, sections)
-    return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)
 
 
 # ---------------------------------------------------------------------------

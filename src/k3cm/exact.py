@@ -842,6 +842,10 @@ class Polynomial:
         if self.domain == target:
             return self
         if isinstance(self.domain, RationalField):
+            if isinstance(target, PadicRing):   # one inverse of the common denominator
+                nums, den = self.int_coeffs
+                inv = target.from_fraction(Fraction(1, den))
+                return Polynomial(target, [c * inv % target.modulus for c in nums])
             return Polynomial(target, [target.from_fraction(c) for c in self.coeffs])
         if isinstance(self.domain, QuadField) and isinstance(target, QuadField):
             raise DomainError("mixed radicands are rejected")

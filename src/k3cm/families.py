@@ -25,19 +25,17 @@ prime, for the brute-force oracle that checks those counts.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
-from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, resultant, roots_mod_p
+from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, roots_mod_p
 from k3cm.surfaces import (
     Cusp,
     FiberDescriptor,
     WeierstrassSurface,
     classify_at,
     delta_cusps,
-    squarefree_decomposition,
 )
 
 INFINITY = "inf"
@@ -126,49 +124,31 @@ class Family:
         return WeierstrassSurface(a2, a4, a6, name=f"{self.name}~untwisted")
 
     @cached_property
-    def fixed_fibers(self) -> list[FiberDescriptor]:
-        """g's fibers over Q at the zeros of Delta_g, then at infinity: every member's but the I0*.
+    def chart_at_infinity(self) -> WeierstrassSurface:
+        """g in the chart s = 1/t, X' = X/t^3 of weights (3, 6, 9), where a member's twist
+        factor (1 - lambda s) is 1; its c4, c6, Delta are g's reversed."""
+        g = self.untwisted
+        return WeierstrassSurface(
+            g.a2.reverse(3), g.a4.reverse(6), g.a6.reverse(9), name=f"{g.name}~inf",
+            _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
+        )
 
-        At infinity g is read in the chart s = 1/t, X' = X/t^3 of weights
-        (3, 6, 9), where a member's twist factor (1 - lambda s) is 1.
-        """
+    @cached_property
+    def fixed_fibers(self) -> list[FiberDescriptor]:
+        """g's fibers over Q at the zeros of Delta_g, then at infinity: every member's but the I0*."""
         g = self.untwisted
         fibers = [classify_at(g, cusp, vd) for cusp, vd in delta_cusps(g.delta)]
         if g.delta.degree < 18:
-            chart = WeierstrassSurface(
-                g.a2.reverse(3), g.a4.reverse(6), g.a6.reverse(9), name=f"{g.name}~inf",
-                _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
-            )
-            fib = classify_at(chart, Cusp.finite(QQ.zero), 18 - g.delta.degree)
+            fib = classify_at(self.chart_at_infinity, Cusp.finite(QQ.zero), 18 - g.delta.degree)
             fibers.append(replace(fib, cusp=Cusp.infinity()))
         return fibers
 
-    @cached_property
-    def _reduction_numbers(self) -> tuple[int, int, int]:
-        """g's coefficient denominators, lc(Delta_g) and disc(squarefree part of Delta_g), as integers."""
-        g = self.untwisted
-        den = math.lcm(*(f.int_coeffs[1] for f in (g.a2, g.a4, g.a6)))
-        one = Polynomial.constant(QQ, QQ.one)
-        rad = math.prod((h for h, _ in squarefree_decomposition(g.delta)[1]), start=one)
-        disc = resultant(rad, rad.derivative())
-        return den, Fraction(g.delta.leading()).numerator, Fraction(disc).numerator
-
-    def _is_bad(self, p: int) -> bool:
-        den, lead, disc = self._reduction_numbers
-        return p <= 5 or den % p == 0 or lead % p == 0 or disc % p == 0
-
     def bad_primes(self, bound: int) -> set[int]:
-        """The primes p <= bound where g does not reduce to its fixed fibers.
-
-        p <= 5, or g is not p-integral, or a cusp goes to infinity (p | lc
-        Delta_g), or two fixed cusps meet or an orbit factor gets a double
-        root (p | the discriminant of Delta_g's squarefree part).  Elsewhere
-        Delta_g mod p keeps its degree and squarefree pattern.
-        """
-        return {p for p in primes_up_to(bound) if self._is_bad(p)}
+        """The primes p <= bound where g does not reduce to its fixed fibers (`is_bad_prime`)."""
+        return {p for p in primes_up_to(bound) if self.untwisted.is_bad_prime(p)}
 
     def good_primes(self, bound: int) -> list[int]:
-        return [p for p in primes_up_to(bound) if not self._is_bad(p)]
+        return [p for p in primes_up_to(bound) if not self.untwisted.is_bad_prime(p)]
 
     def degenerate_lambdas(self, p: int) -> dict[int, FiberDescriptor]:
         """The roots of Delta_g mod a good prime p, each mapped to g's fiber there over Q.
@@ -188,7 +168,7 @@ class Family:
 
     def residue_field(self, p: int):
         """GF(p) for a good prime p; a bad one is a ValueError."""
-        if self._is_bad(p):
+        if self.untwisted.is_bad_prime(p):
             raise ValueError(f"p = {p} is excluded for family {self.name}")
         return GF(p)
 

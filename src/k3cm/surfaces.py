@@ -26,6 +26,7 @@ from k3cm.exact import (
     poly_series,
     rational_reconstruct,
     GF,
+    resultant,
     roots_mod_p,
 )
 
@@ -181,7 +182,8 @@ class WeierstrassSurface:
 
     Degree bounds deg a2 <= 4, deg a4 <= 8, deg a6 <= 12 certify the K3
     property together with the Euler-number check done at classification.
-    The chart at infinity and the fiber list are derived once, on first use.
+    The chart at infinity, the fiber list and the integers of the bad-prime
+    rule (`is_bad_prime`) are derived once, on first use.
     The chart at infinity and a mapped model take c4, c6, Delta from the parent.
     """
 
@@ -203,6 +205,26 @@ class WeierstrassSurface:
     def fibers(self) -> list[FiberDescriptor]:
         """The singular fibers, as `classify_fibers` finds them."""
         return classify_fibers(self)
+
+    @cached_property
+    def _reduction_numbers(self) -> tuple[int, int, int]:
+        """The coefficient denominators, lc(Delta) and disc(squarefree part of Delta), as integers."""
+        den = math.lcm(*(f.int_coeffs[1] for f in (self.a2, self.a4, self.a6)))
+        one = Polynomial.constant(QQ, QQ.one)
+        rad = math.prod((h for h, _ in squarefree_decomposition(self.delta)[1]), start=one)
+        disc = resultant(rad, rad.derivative())
+        return den, Fraction(self.delta.leading()).numerator, Fraction(disc).numerator
+
+    def is_bad_prime(self, p: int) -> bool:
+        """True where the model over Q does not reduce to its fibers mod p.
+
+        p <= 5, or a coefficient is not p-integral, or a cusp goes to infinity
+        (p | lc Delta), or two cusps meet or an orbit factor gets a double root
+        (p | the discriminant of Delta's squarefree part).  Elsewhere Delta mod
+        p keeps its degree and squarefree pattern.
+        """
+        den, lead, disc = self._reduction_numbers
+        return p <= 5 or den % p == 0 or lead % p == 0 or disc % p == 0
 
     def rhs(self, u):
         """u^3 + a2 u^2 + a4 u + a6 as a rational function of t.

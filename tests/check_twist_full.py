@@ -11,9 +11,14 @@ cusp of g agrees when both paths raise.  Then, for each family at every
 prime up to N (default: the largest prime compared), compares `bad_primes`
 with the per-prime reduction oracle `reduces_cleanly`, and builds the twist
 table at every good prime: a good prime whose table raises is a bad
-reduction the rule missed, or a fiber the table cannot carry.  Prints one
-line per family and prime, the rule checks and a total; exits 1 on any
-mismatch, disagreement or good prime without a table.
+reduction the rule missed, or a fiber the table cannot carry.  Last, a
+surface pass compares `count_surface` with the brute-force count (plus p per
+fixed component of `analyze_fibers_mod_p`) on the 39 fixture surfaces at
+every prime up to BOUND and at the extra primes: a bad prime of a surface
+is skipped, and so is a prime where both paths raise, each with its reason.
+Prints one line per family and prime, the rule checks, one line per
+surface and a total; exits 1 on any mismatch, disagreement or good prime
+without a table.
 """
 
 import argparse
@@ -21,16 +26,17 @@ import sys
 import time
 
 from oracles import reduces_cleanly, twist_fibers, twist_sums
-from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF, brute_force_member, count_or_error
+from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF, brute_force, brute_force_member, count_or_error
 
-from k3cm.counting import CountingError, twist_table
-from k3cm.exact import primes_up_to
+from k3cm.counting import CountingError, count_surface, twist_table
+from k3cm.exact import GF, primes_up_to
 from k3cm.fixtures import registry
 
 
-def table_or_error(fam, p):
+def result_or_error(fn, *args):
+    """fn(*args), or the CountingError it raises."""
     try:
-        return twist_table(fam, p)
+        return fn(*args)
     except CountingError as e:
         return e
 
@@ -41,11 +47,47 @@ def check_rule(fam, bound: int) -> int:
     primes = primes_up_to(bound)
     rule = fam.bad_primes(bound)
     disagree = [p for p in primes if (p in rule) == reduces_cleanly(fam, p)]
-    no_table = [p for p in primes if p not in rule and isinstance(table_or_error(fam, p), Exception)]
+    no_table = [p for p in primes if p not in rule and isinstance(result_or_error(twist_table, fam, p), Exception)]
     print(f"{fam.name} rule up to {bound}: bad primes {sorted(rule)}; {len(primes)} primes, "
           f"{len(disagree)} disagree with the oracle {disagree}, "
           f"{len(no_table)} good without a twist table {no_table}")
     return len(disagree) + len(no_table)
+
+
+def fixture_surfaces() -> list:
+    """The 39 surfaces `verify` certifies: the 9 examples, the non-defective Table 1 rows, the 5 extremal rows."""
+    reg = registry()
+    fam = reg.family("xlm")
+    out = [fx.build_surface(reg) for _, fx in sorted(reg.surfaces.items())]
+    out += [fam.specialize(row.lam, name=f"table1_{-row.disc}") for row in reg.table1 if row.status != "defective"]
+    return out + [fx.build_surface(reg) for fx in reg.extremal]
+
+
+def check_surfaces(primes) -> int:
+    """Print, per fixture surface, the primes compared, the mismatches and the skips
+    with their reasons; return how many mismatches."""
+    surfaces, mismatches, compared = fixture_surfaces(), 0, 0
+    for surf in surfaces:
+        skipped, bad = {}, []
+        for p in primes:
+            if surf.is_bad_prime(p):
+                skipped.setdefault("bad prime", []).append(p)
+                continue
+            got = result_or_error(count_surface, surf, p)
+            want = result_or_error(lambda: brute_force(surf.map_domain(GF(p)), p)[0])
+            if isinstance(got, Exception) and isinstance(want, Exception):
+                skipped.setdefault(f"both raise: {got.__cause__ or got}", []).append(p)
+                continue
+            compared += 1
+            if got != want:
+                bad.append(p)
+                print(f"{surf.name} p = {p}: MISMATCH count_surface {got} vs brute force {want}")
+        mismatches += len(bad)
+        skips = "; ".join(f"{reason} at {ps}" for reason, ps in skipped.items()) or "none"
+        print(f"{surf.name}: {len(primes) - sum(map(len, skipped.values()))} primes compared, "
+              f"{len(bad)} mismatch, skipped: {skips}", flush=True)
+    print(f"{len(surfaces)} surfaces, {compared} (surface, prime) pairs compared, {mismatches} mismatch")
+    return mismatches
 
 
 def main(argv):
@@ -63,7 +105,7 @@ def main(argv):
         largest = max(largest, *primes)
         for p in primes:
             start = time.perf_counter()
-            table = table_or_error(fam, p)
+            table = result_or_error(twist_table, fam, p)
             if isinstance(table, Exception):
                 no_table += 1
                 print(f"{fam.name} p = {p}: NO TABLE ({table})", flush=True)
@@ -88,7 +130,8 @@ def main(argv):
     print(f"{len(families)} families, {compared} lambda compared ({both_raise} on cusps of g), "
           f"{mismatches} mismatch, S/Z differ at {sums_differ} primes, {no_table} primes without a table")
     missed = sum(check_rule(fam, args.rule_bound or largest) for fam in families)
-    return 1 if mismatches or sums_differ or no_table or missed else 0
+    surface_mismatches = check_surfaces(primes_up_to(bound) + [p for p in extra if p > bound])
+    return 1 if mismatches or sums_differ or no_table or missed or surface_mismatches else 0
 
 
 if __name__ == "__main__":

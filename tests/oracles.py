@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
-from k3cm.counting import FpFiber, TwistTable
+from k3cm.counting import TwistTable, fixed_components
 from k3cm.exact import (
     GF,
     QQ,
@@ -370,20 +370,32 @@ def split_primes(oracle: NewformOracle, bound: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# a twist family member's reducible fibers, as `analyze_fibers_mod_p` lists them
+# a twist family member's fibers, row by row, as `analyze_fibers_mod_p` lists them
 # ---------------------------------------------------------------------------
 
-def twist_fibers(table: TwistTable, lam: int) -> list[FpFiber]:
-    """The member's reducible fibers read off the twist table, infinity last."""
-    out = []
+def fiber_rows(fibers, p: int) -> list[tuple]:
+    """(t0, or None at infinity, label, fixed components) of each fiber over GF(p)."""
+    return [(f.cusp.value if f.cusp.kind == "finite" else None, f.label(), fixed_components(f, p))
+            for f in fibers]
+
+
+def twist_fibers(table: TwistTable, lam: int) -> list[tuple]:
+    """The member's fibers read off the twist table as `fiber_rows`, infinity last.
+
+    At a cusp t0 of g the member has g's fiber twisted by t0 - lambda, which
+    multiplies a node's split class by t0 - lambda; at t = lambda it has an
+    I0* fiber with Z[lambda] roots of its residual cubic.
+    """
+    p, fibers = table.p, []
     for t0, f in table.cusps.items():
-        flip = f.kind == "I" and f.n >= 2 and table.chi[table.p + t0 - lam] == -1
-        out.append(replace(f, split=f.split != flip))
-    out.append(FpFiber(lam, "I*", 0, r3=table.Z[lam]))
-    out.sort(key=lambda f: f.t0)
+        if f.kind == "I" and f.n >= 2:
+            f = replace(f, split_class=f.split_class * (t0 - lam) % p)
+        fibers.append(f)
+    rows = fiber_rows(fibers, p) + [(lam, "I0*", 1 + table.Z[lam])]
+    rows.sort(key=lambda row: row[0])
     if table.inf_fiber is not None:
-        out.append(table.inf_fiber)
-    return out
+        rows += fiber_rows([table.inf_fiber], p)
+    return rows
 
 
 def untwisted_mod(family, p: int) -> tuple:

@@ -319,6 +319,21 @@ def test_search_without_a_candidate_says_what_it_scanned():
     assert code == 1 and "height <= 50 (--height-bound)" in err
 
 
+I1_STAR_FAMILY = ("[family]\nname = i1star_at_0\nA = 0|2|-1\nB = -3|1|0|2|1\nC = 2|-1|3|0|1|-2|1\n"
+                  "pre_a2 = 1,0,1\npre_a4 = 2,0,2\npre_a6 = 3,0,3\nmu = 1\n")
+
+
+def test_an_unsupported_fiber_has_its_own_exit_status(tmp_path):
+    # g has an I1* fiber at t = 0, which the counting tables do not carry: that is not bad input
+    path = tmp_path / "i1star.fam"
+    path.write_text(I1_STAR_FAMILY)
+    for args, p in ((["search", "--disc", "-88"], 13), (["count", "--prime", "19", "--lambda", "2"], 19)):
+        code, out, err = run_with_stderr(args[:1] + ["--family", str(path)] + args[1:])
+        assert (code, out) == (3, ""), args
+        assert err == (f"unsupported fiber type: i1star_at_0~untwisted mod {p} at t=0: "
+                       "I1* fibers are outside the counting tables\n")
+
+
 def test_lift_system_file(tmp_path):
     system = tmp_path / "sq.system"
     system.write_text("[system]\nvars = x\neq1 = 1:2 + -4/9:0\n")

@@ -1,37 +1,39 @@
+import dataclasses
 import re
 from fractions import Fraction
 
 import pytest
 
 import k3cm.counting as counting
+import k3cm.families as families_module
 from k3cm.counting import (
     CountCache,
     CountingError,
-    FpFiber,
     TwistTable,
-    algebraic_trace,
     analyze_fibers_mod_p,
     count_family_member,
     count_surface,
     count_weierstrass,
     depressed_cubic_sums,
+    fixed_components,
     lefschetz_candidates,
-    smooth_correction,
     twist_table,
 )
-from k3cm.exact import GF, Polynomial
+from k3cm.exact import GF, Polynomial, primes_up_to
 from k3cm.families import Family
 from k3cm.fixtures import family_from_text, registry
 from k3cm.newforms import NewformOracle
 from k3cm.search import scan_prime
 from k3cm.surfaces import (
+    Cusp,
+    FiberDescriptor,
     SurfaceError,
     UnsupportedFiberError,
     WeierstrassSurface,
     _discriminant_polys,
     classify_fibers,
 )
-from oracles import twist_fibers, twist_sums
+from oracles import fiber_rows, twist_fibers, twist_sums
 
 
 @pytest.fixture(scope="module")
@@ -77,28 +79,34 @@ def test_single_fiber_brute_force():
     assert fiber0 == 8  # 7 affine + infinity
 
 
+P13 = 13           # 3 is a square mod 13, 2 is not
+THREE_ROOTS = Polynomial(GF(P13), [-6 % P13, 11, -6 % P13, 1])   # (x - 1)(x - 2)(x - 3)
+
+
+def fiber_mod_13(t0, kind, n, **data) -> FiberDescriptor:
+    return FiberDescriptor(Cusp.infinity() if t0 is None else Cusp.finite(t0), kind, n, **data)
+
+
 def test_fixed_component_tables():
-    p = 13
-    assert FpFiber(0, "I", 5, split=True).fixed_components == 4
-    assert FpFiber(0, "I", 3, split=False).fixed_components == 0
-    assert FpFiber(0, "I", 4, split=False).fixed_components == 1
-    assert FpFiber(0, "I*", 0, r3=3).fixed_components == 4
-    assert smooth_correction([FpFiber(0, "I", 5, True)], p) == 4 * p
-    with pytest.raises(CountingError):
-        FpFiber(0, "I*", 2).fixed_components
+    assert fixed_components(fiber_mod_13(0, "I", 5, split_class=3), P13) == 4       # split
+    assert fixed_components(fiber_mod_13(0, "I", 3, split_class=2), P13) == 0       # non-split, odd
+    assert fixed_components(fiber_mod_13(0, "I", 4, split_class=2), P13) == 1       # non-split, even
+    assert fixed_components(fiber_mod_13(0, "I*", 0, residual_cubic=THREE_ROOTS), P13) == 4
+    with pytest.raises(UnsupportedFiberError, match="I2\\*"):
+        fixed_components(fiber_mod_13(0, "I*", 2), P13)
 
 
 def test_algebraic_trace_generic_member():
     # all fibers split, three rational I0* legs, no extra section: 19
     fibers = [
-        FpFiber(0, "I", 5, True),
-        FpFiber(1, "I", 3, True),
-        FpFiber(2, "I", 2, True),
-        FpFiber(3, "I", 1, True),
-        FpFiber(None, "I", 7, True),
-        FpFiber(4, "I*", 0, r3=3),
+        fiber_mod_13(0, "I", 5, split_class=1),
+        fiber_mod_13(1, "I", 3, split_class=3),
+        fiber_mod_13(2, "I", 2, split_class=4),
+        fiber_mod_13(3, "I", 1),
+        fiber_mod_13(None, "I", 7, split_class=9),
+        fiber_mod_13(4, "I*", 0, residual_cubic=THREE_ROOTS),
     ]
-    assert algebraic_trace(fibers, 0) == 19
+    assert 2 + sum(fixed_components(f, P13) for f in fibers) == 19
 
 
 def test_lefschetz_candidates_algebra():
@@ -125,15 +133,13 @@ def test_fibers_outside_the_tables_are_counting_errors():
     cases = [
         (P(), P(), P(0, 1), UnsupportedFiberError),           # y^2 = x^3 + t: type II at t = 0
         (P(-3), P(3, 0, 1), P(-1, 0, -1, 1), SurfaceError),    # I_0* at t = 0, node at x = 1
-        (P(0, 1), P(), P(0, 0, 0, 0, 1), None),                # I_1* at t = 0
+        (P(0, 1), P(), P(0, 0, 0, 0, 1), UnsupportedFiberError),   # I_1* at t = 0
     ]
     for a2, a4, a6, cause in cases:
         with pytest.raises(CountingError, match="t=0") as info:
             analyze_fibers_mod_p(WeierstrassSurface(a2, a4, a6, name="additive"))
-        if cause is None:
-            assert "I1*" in str(info.value)
-        else:
-            assert isinstance(info.value.__cause__, cause)
+        assert isinstance(info.value.__cause__, cause)
+    assert "I1* fibers are outside the counting tables" in str(info.value)
 
 
 def test_closed_loop_disc88(reg, fam):
@@ -143,6 +149,41 @@ def test_closed_loop_disc88(reg, fam):
         smooth, t_alg, cands = count_surface(surf, p)
         vals = oracle.eigenvalue_abs(p)
         assert any(abs(c) in vals for c in cands), (p, cands, vals)
+
+
+def test_surface_count_matches_brute_force(reg, fam):
+    # count_surface off the S sums against the O(p^2) count plus p per fixed component of the
+    # surface's fiber list, at every good prime <= 61; fibers the tables reject raise on both sides
+    rows = {row.disc: row for row in reg.table1}
+    surfaces = [fam.specialize(rows[disc].lam, name=f"d{disc}") for disc in (-88, -660)]
+    surfaces += [reg.surfaces[name].build_surface(reg) for name in ("ex_5460", "ex_1155")]
+    surfaces.append(reg.extremal[0].build_surface(reg))
+    counted = raised = 0
+    for surf in surfaces:
+        for p in primes_up_to(61):
+            if surf.is_bad_prime(p):
+                continue
+            try:
+                want = brute_force(surf.map_domain(GF(p)), p)[0]
+            except CountingError:
+                with pytest.raises(CountingError, match=f"mod {p} at t=") as info:
+                    count_surface(surf, p)
+                assert isinstance(info.value.__cause__, UnsupportedFiberError), (surf.name, p)
+                raised += 1
+                continue
+            assert count_surface(surf, p) == want, (surf.name, p)
+            counted += 1
+    assert (counted, raised) == (34, 25)    # ex_1155 and the extremal row have an I1* fiber
+
+
+def test_count_surface_refuses_a_bad_prime(reg):
+    # Delta of ex_5460 changes shape mod these primes: the count there is not the surface's
+    surf = reg.surfaces["ex_5460"].build_surface(reg)
+    for p in (11, 13, 23, 41, 61):
+        with pytest.raises(CountingError, match=f"ex_5460: p = {p} is a bad prime"):
+            count_surface(surf, p)
+    assert [p for p in primes_up_to(113) if surf.is_bad_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 23, 41, 61]
+    assert count_surface(surf, 19)[1] >= 2
 
 
 def test_count_cache_semantics(tmp_path):
@@ -226,17 +267,20 @@ def test_family_member_counts_bounded(fam):
 # twist path against the brute-force path (the oracle)
 # ---------------------------------------------------------------------------
 
+def brute_force(surf, p):
+    """((smooth, t_alg, candidates), fiber rows) of a GF(p) surface by analyze + brute-force count."""
+    rows = fiber_rows(analyze_fibers_mod_p(surf), p)
+    fixed = sum(row[2] for row in rows)
+    smooth = count_weierstrass(surf) + p * fixed
+    return (smooth, 2 + fixed, lefschetz_candidates(smooth, p, 2 + fixed)), rows
+
+
 def brute_force_member(fam, p, lam):
-    """((smooth, t_alg, candidates), fibers) by specialize + analyze + count,
-    or the type of the error that path raises."""
+    """`brute_force` of the member specialized mod p, or the type of the error that path raises."""
     try:
-        surf = fam.specialize_mod(p, lam)
-        fibers = analyze_fibers_mod_p(surf)
+        return brute_force(fam.specialize_mod(p, lam), p)
     except CountingError as e:
         return type(e)
-    smooth = count_weierstrass(surf) + smooth_correction(fibers, p)
-    t_alg = algebraic_trace(fibers, 0)
-    return (smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)), fibers
 
 
 def count_or_error(fam, p, lam):
@@ -305,9 +349,9 @@ def test_fixed_components_in_closed_form(families):
                 if lam in table.cusps:
                     continue
                 fixed = table.fixed(lam)
-                assert fixed == sum(f.fixed_components for f in twist_fibers(table, lam)), (p, lam)
+                assert fixed == sum(row[2] for row in twist_fibers(table, lam)), (p, lam)
                 general = analyze_fibers_mod_p(fam.specialize_mod(p, lam))
-                assert fixed == sum(f.fixed_components for f in general), (fam.name, p, lam)
+                assert fixed == sum(fixed_components(f, p) for f in general), (fam.name, p, lam)
 
 
 def test_scan_raises_once_where_g_has_a_fiber_outside_the_tables(monkeypatch):
@@ -322,7 +366,8 @@ def test_scan_raises_once_where_g_has_a_fiber_outside_the_tables(monkeypatch):
 
 
 def test_twist_chart_takes_its_invariants_from_g(fam, monkeypatch):
-    # the chart at infinity is given c4, c6, Delta reversed from g, not recomputed
+    # the chart at infinity is given c4, c6, Delta reversed from g, not recomputed,
+    # and built once per family: its fixed fibers and every twist table read the one chart
     charts = []
 
     class Spy(WeierstrassSurface):
@@ -331,14 +376,15 @@ def test_twist_chart_takes_its_invariants_from_g(fam, monkeypatch):
                 charts.append(((a2, a4, a6), _invariants))
             super().__init__(a2, a4, a6, name, _invariants)
 
-    monkeypatch.setattr(counting, "WeierstrassSurface", Spy)
-    primes = fam.good_primes(199)
-    for p in primes:
-        counting.TwistTable.build(fam, p)
-    assert len(charts) == len(primes)
-    for coeffs, invariants in charts:
-        assert invariants is not None
-        assert invariants == _discriminant_polys(*coeffs)
+    monkeypatch.setattr(families_module, "WeierstrassSurface", Spy)
+    family = dataclasses.replace(fam)   # nothing derived yet
+    assert family.fixed_fibers[-1].cusp.kind == "infinity"
+    for p in family.good_primes(199):
+        counting.TwistTable.build(family, p)
+    assert len(charts) == 1
+    coeffs, invariants = charts[0]
+    assert invariants is not None
+    assert invariants == _discriminant_polys(*coeffs)
 
 
 def test_twist_sums_match_the_reference_loop(fam):
