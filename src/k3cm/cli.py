@@ -76,7 +76,7 @@ def cmd_ap(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from k3cm.counting import CountCache, count_family_member, on_cusp
+    from k3cm.counting import CountCache, count_family_member, count_members, on_cusp
 
     fam = _load_family(args.family)
     cache = CountCache(args.cache)
@@ -84,18 +84,19 @@ def cmd_count(args) -> int:
     if p in fam.bad_primes(p):
         print(f"p = {p} is excluded for this family", file=sys.stderr)
         return 2
-    degenerate = fam.degenerate_lambdas(p)
-    if args.lam is not None and args.lam % p in degenerate:
-        print(f"{on_cusp(fam, p, args.lam % p)}; its member is degenerate", file=sys.stderr)
+    if args.lam is None:
+        lams, members = range(p), count_members(fam, p, cache)
+    elif (lam := args.lam % p) in fam.degenerate_lambdas(p):
+        print(f"{on_cusp(fam, p, lam)}; its member is degenerate", file=sys.stderr)
         return 2
-    lams = [args.lam % p] if args.lam is not None else range(p)
-    with cache.batch():
-        for lam in lams:
-            if lam in degenerate:
-                print(f"skipped {on_cusp(fam, p, lam)}", file=sys.stderr)
-                continue
-            n, t_alg, (c1, c2) = count_family_member(fam, p, lam, cache)
-            print(f"{lam}\t{n}\t{t_alg}\t{c1}\t{c2}")
+    else:
+        lams, members = [lam], {lam: count_family_member(fam, p, lam, cache)}
+    for lam in lams:
+        if lam not in members:
+            print(f"skipped {on_cusp(fam, p, lam)}", file=sys.stderr)
+            continue
+        n, t_alg, (c1, c2) = members[lam]
+        print(f"{lam}\t{n}\t{t_alg}\t{c1}\t{c2}")
     return 0
 
 

@@ -24,10 +24,12 @@ as (t-lambda)^(1,2,3) on (a2, a4, a6).  Substituting x = (t-lambda) X
 gives x^3 + a2 x^2 + a4 x + a6 = (t-lambda)^3 g_t(X), where g is the
 untwisted model (`Family.untwisted`).  A `TwistTable`, built once per
 (family, p), holds g's S(t) and Z(t) = #{X : g_t(X) = 0}, and g's fibers at
-the family's degenerate lambdas and at infinity.  Then each member costs O(p):
+the family's degenerate lambdas and at infinity.  Then a member is read off it:
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
-  the fiber y^2 = x^3 at t = lambda having p+1 points;
+  the fiber y^2 = x^3 at t = lambda having p+1 points.  That sum is O(p) for
+  one member (`count_family_member`); for all p members (`count_members`) it
+  is one cyclic correlation of chi with S + p, one big-integer product;
 * at a finite cusp t0 of g the member has g's fiber twisted by the constant
   t0 - lambda: an I_n node's split class is multiplied by it, while an I_1 or
   I_0* fiber (whose residual cubic only scales) keeps its fixed components;
@@ -42,15 +44,18 @@ with no fiber list built per member.  A lambda on a cusp of g
 CountingError naming the cusp and p.
 
 `CountCache` keys each count on the family's coefficient digest, so two
-families with the same name and other data never share a count; a scan
-appends its new counts to the file in one `batch()`.
+families with the same name and other data never share a count.  It is a
+conflict-checked log, never a source of counts: every count is computed and
+then put, a count that differs from the log's is a determinism breach, and
+a scan appends its new counts to the file in one `batch()`.
 """
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import mul
 
 from k3cm.exact import GF, PadicRing, roots_mod_p
@@ -215,22 +220,28 @@ def _cubic_value_counts(c: int, p: int) -> list[int]:
     return counts
 
 
-def _correlate_with_chi(counts: list, chi: list, p: int) -> list[int]:
-    """F[b] = sum_v counts[v] chi(v + b) for b in F_p, from one big-integer product.
+def _correlate_with_chi(values: list, chi: list, p: int) -> list[int]:
+    """F[b] = sum_v values[v] chi(v + b) for b in F_p, values[v] >= 0, from one big-integer product.
 
-    counts reversed and chi + 1 over two periods fill fixed-width byte slots
-    of two integers (Kronecker substitution); slot p - 1 + b of the product
-    is sum_v counts[v] (chi(v + b) + 1) = F[b] + p.  No slot exceeds 2p, so
-    a slot of bytes holding 2p never carries into the next.
+    values reversed and chi + 1 fill fixed-width byte slots of two integers
+    (Kronecker substitution).  Slot k of the product is the linear
+    correlation L[k] = sum_v values[v] (chi(v + k - p + 1) + 1) over
+    0 <= v + k - p + 1 < p, and the cyclic one is L[p - 1 + b] + L[b - 1] =
+    F[b] + sum(values), folded in one shift-and-add.  No slot exceeds
+    2 sum(values), so a slot of bytes holding that (and chi + 1 <= 2) never
+    carries into the next.
     """
-    width = ((2 * p).bit_length() + 7) // 8
-    slot = [v.to_bytes(width, "little") for v in range(4)]
-    u = int.from_bytes(b"".join([slot[k] for k in reversed(counts)]), "little")
-    w = int.from_bytes(b"".join([slot[x + 1] for x in chi + chi]), "little")
-    raw = (u * w).to_bytes(3 * p * width, "little")
-    start = (p - 1) * width
-    return [int.from_bytes(raw[i:i + width], "little") - p
-            for i in range(start, start + p * width, width)]
+    total = sum(values)
+    width = ((2 * max(total, 1)).bit_length() + 7) // 8
+    bits = 8 * width
+    slot = [v.to_bytes(width, "little") for v in range(max(2, *values) + 1)]
+    u = int.from_bytes(b"".join(map(slot.__getitem__, reversed(values))), "little")
+    w = int.from_bytes(b"".join([slot[x + 1] for x in chi]), "little")
+    linear = u * w
+    low = (p - 1) * bits
+    folded = (linear >> low) + ((linear & ((1 << low) - 1)) << bits)
+    raw = folded.to_bytes(p * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - total for i in range(0, p * width, width)]
 
 
 def _depressed_coefficients(a2, a4, a6, p: int) -> tuple[list, list]:
@@ -264,9 +275,10 @@ def _values_mod(poly, p: int) -> list[int]:
 class TwistTable:
     """Member-independent counting data of a (1, 2, 3)-twist family at p.
 
-    A member off the cusps of g is read off it in O(p): `raw_count` is its
-    Weierstrass count and `fixed` its Frobenius-fixed non-identity
-    components, an integer, with no per-member fiber list.
+    A member off the cusps of g is read off it: `raw_count` is its
+    Weierstrass count in O(p), `raw_counts` every member's from one
+    correlation, and `fixed` its Frobenius-fixed non-identity components,
+    an integer, with no per-member fiber list.
     """
 
     p: int
@@ -319,10 +331,22 @@ class TwistTable:
         return out
 
     def raw_count(self, lam: int) -> int:
-        """The member's raw Weierstrass count, equal to `count_weierstrass`."""
+        """The member's raw Weierstrass count, equal to `count_weierstrass`; one O(p) sum."""
         p = self.p
         twisted = sum(map(mul, self.chi[p - lam:2 * p - lam], self.S))
         return p * (p + 1) + self.inf_count + twisted
+
+    @cached_property
+    def raw_counts(self) -> list[int]:
+        """`raw_count` of every lambda in F_p, from one correlation of chi with S + p.
+
+        S(t) + p >= 0 since |S(t)| <= p, and the shift adds p sum_t chi(t - lambda) = 0.
+        Taken once per table: a search scans the same (family, p) for each field.
+        """
+        p = self.p
+        corr = _correlate_with_chi([s + p for s in self.S], self.chi[:p], p)
+        base = p * (p + 1) + self.inf_count
+        return [base + corr[-lam] for lam in range(p)]
 
 
 def twist_table(family, p: int) -> TwistTable:
@@ -347,8 +371,11 @@ def on_cusp(family, p: int, lam: int) -> str:
 # ---------------------------------------------------------------------------
 
 class CountCache:
-    """Append-only store of raw smooth counts keyed by (family digest, p, lambda).
+    """Append-only, conflict-checked log of smooth counts keyed by (family digest, p, lambda).
 
+    The counting functions compute every count and `put` it; they never read
+    a count from the log.  A put that differs from a logged count, or two
+    logged counts that differ, raise CountingError (a determinism breach).
     Puts made inside `batch()` reach the file in one append when the block
     ends; outside a batch each put appends at once.
     """
@@ -424,17 +451,33 @@ def count_family_member(family, p: int, lam: int, cache: CountCache | None = Non
     """(smooth count, t_alg, candidates) for the family member at lambda mod p.
 
     Read off the family's twist table in O(p); a lambda on a cusp of g
-    raises CountingError.  The cache keys on the family's coefficient digest.
+    raises CountingError.  The count is always computed; the cache, keyed on
+    the family's coefficient digest, only checks it against earlier runs.
     """
     table = twist_table(family, p)
     lam_p = lam % p
     if lam_p in table.cusps:
         raise CountingError(f"{on_cusp(family, p, lam_p)}; its member is degenerate")
-    fixed = table.fixed(lam_p)
-    smooth = cache.get(family.digest, p, lam) if cache is not None else None
-    if smooth is None:
-        smooth = table.raw_count(lam_p) + p * fixed
-        if cache is not None:
-            cache.put(family.digest, p, lam, smooth)
-    t_alg = 2 + fixed
+    return _member(family, table, lam_p, table.raw_count(lam_p), cache)
+
+
+def count_members(family, p: int, cache: CountCache | None = None) -> dict[int, tuple]:
+    """lambda -> (smooth count, t_alg, candidates) for every lambda in F_p off the cusps of g.
+
+    One twist table and one correlation (`TwistTable.raw_counts`) for all
+    members; the counts reach the cache in one `batch()`.  Where g has a
+    fiber the counting tables reject, CountingError before any member.
+    """
+    table = twist_table(family, p)
+    with cache.batch() if cache is not None else nullcontext():
+        return {lam: _member(family, table, lam, raw, cache)
+                for lam, raw in enumerate(table.raw_counts) if lam not in table.cusps}
+
+
+def _member(family, table: TwistTable, lam: int, raw: int, cache: CountCache | None):
+    """(smooth count, t_alg, candidates) from a member's raw count; the cache checks the count."""
+    p, fixed = table.p, table.fixed(lam)
+    smooth, t_alg = raw + p * fixed, 2 + fixed
+    if cache is not None:
+        cache.put(family.digest, p, lam, smooth)
     return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)

@@ -10,11 +10,10 @@ the output is necessary evidence only, never a proof of rank 20.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from k3cm.counting import CountCache, count_family_member
+from k3cm.counting import CountCache, count_family_member, count_members
 from k3cm.exact import crt_combine, prime_divisors, rational_reconstruct
 from k3cm.newforms import SPLIT, NewformOracle
 
@@ -55,16 +54,8 @@ def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None =
     if p in family.bad_primes(p):
         raise SearchError(f"p = {p} is a bad prime for family {family.name}")
     admissible = oracle.eigenvalue_abs(p)
-    out = set()
-    skip = family.degenerate_lambdas(p)
-    with cache.batch() if cache is not None else nullcontext():   # one append per prime
-        for lam in range(p):
-            if lam in skip:
-                continue
-            _, _, cands = count_family_member(family, p, lam, cache)
-            if any(abs(c) in admissible for c in cands):
-                out.add(lam)
-    return out
+    return {lam for lam, (_, _, cands) in count_members(family, p, cache).items()
+            if any(abs(c) in admissible for c in cands)}
 
 
 def _degenerate_lambdas(family, p: int) -> set[int]:

@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/check_twist_full.py [BOUND] [EXTRA_PRIME ...] [--rule-bound N]
 
-Compares `count_family_member` (the twist table) with specialize + analyze +
+Compares `count_family_member` (the twist table, one O(p) sum per lambda) and
+`count_members` (one correlation for all lambda) with specialize + analyze +
 brute-force count on every lambda at every good prime up to BOUND (default
 199) and at the extra primes (default 307), for the `xlm` family and the two
 test families whose g has an I0* fiber (at t = 0 and at infinity), and at
@@ -28,7 +29,7 @@ import time
 from oracles import reduces_cleanly, twist_fibers, twist_sums
 from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF, brute_force, brute_force_member, count_or_error
 
-from k3cm.counting import CountingError, count_surface, twist_table
+from k3cm.counting import CountingError, count_members, count_surface, twist_table
 from k3cm.exact import GF, primes_up_to
 from k3cm.fixtures import registry
 
@@ -110,15 +111,16 @@ def main(argv):
                 no_table += 1
                 print(f"{fam.name} p = {p}: NO TABLE ({table})", flush=True)
                 continue
-            bad = 0
+            bad, members = 0, count_members(fam, p)
             for lam in range(p):
                 want = brute_force_member(fam, p, lam)
                 got = count_or_error(fam, p, lam)
                 if lam in table.cusps:
                     both_raise += 1
-                    same = got == want == CountingError
+                    same = got == want == CountingError and lam not in members
                 else:
-                    same = not isinstance(want, type) and (got, twist_fibers(table, lam)) == want
+                    same = (not isinstance(want, type) and (got, twist_fibers(table, lam)) == want
+                            and members[lam] == got)
                 compared += 1
                 bad += not same
             mismatches += bad

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
-from k3cm.counting import TwistTable, fixed_components
+from k3cm.counting import TwistTable, count_family_member, fixed_components
 from k3cm.exact import (
     GF,
     QQ,
@@ -396,6 +396,19 @@ def twist_fibers(table: TwistTable, lam: int) -> list[tuple]:
     if table.inf_fiber is not None:
         rows += fiber_rows([table.inf_fiber], p)
     return rows
+
+
+def scan_by_member(family, p: int, oracle: NewformOracle) -> set[int]:
+    """The lambda `scan_prime` keeps at a good split prime, one O(p) `count_family_member` each."""
+    admissible = oracle.eigenvalue_abs(p)
+    out = set()
+    for lam in range(p):
+        if lam in family.degenerate_lambdas(p):
+            continue
+        _, _, cands = count_family_member(family, p, lam)
+        if any(abs(c) in admissible for c in cands):
+            out.add(lam)
+    return out
 
 
 def untwisted_mod(family, p: int) -> tuple:

@@ -327,11 +327,31 @@ def test_an_unsupported_fiber_has_its_own_exit_status(tmp_path):
     # g has an I1* fiber at t = 0, which the counting tables do not carry: that is not bad input
     path = tmp_path / "i1star.fam"
     path.write_text(I1_STAR_FAMILY)
-    for args, p in ((["search", "--disc", "-88"], 13), (["count", "--prime", "19", "--lambda", "2"], 19)):
+    # without --lambda the table is built before any lambda: no skip line for lambda = 0 on I1*
+    for args, p in ((["search", "--disc", "-88"], 13), (["count", "--prime", "19", "--lambda", "2"], 19),
+                    (["count", "--prime", "19"], 19)):
         code, out, err = run_with_stderr(args[:1] + ["--family", str(path)] + args[1:])
         assert (code, out) == (3, ""), args
         assert err == (f"unsupported fiber type: i1star_at_0~untwisted mod {p} at t=0: "
                        "I1* fibers are outside the counting tables\n")
+
+
+def test_a_wrong_count_in_the_cache_stops_a_search(tmp_path):
+    # the cache is a conflict-checked log: every count is computed, and one that
+    # differs from the file's is a determinism breach, not a hit that changes the search
+    cache = tmp_path / "counts.cache"
+    search = ["--cache", str(cache), "search", "--disc", "-88", "--primes", "4"]
+    code, out, err = run_with_stderr(search)
+    assert code == 0 and out.startswith("5/32\t32\t")
+    key = registry().family("xlm").digest
+    lines = cache.read_text().splitlines()
+    assert f"{key} 13 3 240" in lines
+    cache.write_text("".join(line.replace(" 13 3 240", " 13 3 331") + "\n" for line in lines))
+    code, out, err = run_with_stderr(search)
+    assert (code, out) == (2, "")
+    assert err == f"input error: cache conflict for ('{key}', 13, 3): 331 vs 240 (determinism breach)\n"
+    code, out, err = run_with_stderr(search[:2] + ["count", "--prime", "13", "--lambda", "3"])
+    assert (code, out) == (2, "") and "331 vs 240 (determinism breach)" in err
 
 
 def test_lift_system_file(tmp_path):

@@ -12,6 +12,7 @@ from k3cm.counting import (
     TwistTable,
     analyze_fibers_mod_p,
     count_family_member,
+    count_members,
     count_surface,
     count_weierstrass,
     depressed_cubic_sums,
@@ -202,6 +203,20 @@ def test_count_cache_semantics(tmp_path):
 PUTS = [("fam", 7, 3, 120), ("fam", 7, 5, 98), ("other", 11, 2, 150), ("fam", 7, 3, 120)]
 
 
+def test_a_member_count_is_checked_against_the_cache_not_read_from_it(fam, tmp_path):
+    # a wrong count already in the cache file is a conflict, never the member's count
+    path = tmp_path / "counts.cache"
+    smooth = count_family_member(fam, 13, 3)[0]
+    path.write_text(f"{fam.digest} 13 3 {smooth + 91}\n")
+    cache = CountCache(str(path))
+    with pytest.raises(CountingError, match=f"{smooth + 91} vs {smooth} \\(determinism breach\\)"):
+        count_family_member(fam, 13, 3, cache)
+    with pytest.raises(CountingError, match="determinism breach"):
+        count_members(fam, 13, cache)
+    assert count_family_member(fam, 13, 4 + 13, cache) == count_family_member(fam, 13, 4)
+    assert cache.get(fam.digest, 13, 4) is not None    # keyed on lambda mod p
+
+
 def test_batch_writes_the_lines_of_separate_puts(tmp_path):
     one, batched = tmp_path / "one.cache", tmp_path / "batched.cache"
     c = CountCache(str(one))
@@ -320,6 +335,25 @@ def test_twist_path_matches_brute_force(families):
                 assert twist_fibers(table, lam) == want_fibers, (fam.name, p, lam)
 
 
+def test_all_members_from_one_correlation(families):
+    # count_members (one product for every lambda) against the O(p) sum per member and brute force
+    for fam in families:
+        for p in fam.good_primes(31):
+            table = twist_table(fam, p)
+            members = count_members(fam, p)
+            assert set(members) == set(range(p)) - set(table.cusps), (fam.name, p)
+            for lam, got in members.items():
+                assert got == count_family_member(fam, p, lam), (fam.name, p, lam)
+                assert got == brute_force_member(fam, p, lam)[0], (fam.name, p, lam)
+
+
+def test_raw_counts_equal_the_sum_per_member(families):
+    for fam in families:
+        for p in (199, 307):
+            table = twist_table(fam, p)
+            assert table.raw_counts == [table.raw_count(lam) for lam in range(p)], (fam.name, p)
+
+
 def test_lambdas_on_cusps_of_g_raise_naming_the_cusp(families, monkeypatch):
     degenerate = []
     spy = CallCounter(monkeypatch)
@@ -362,6 +396,8 @@ def test_scan_raises_once_where_g_has_a_fiber_outside_the_tables(monkeypatch):
     for p in (13, 19):
         with pytest.raises(CountingError, match=f"i1star_at_0~untwisted mod {p} at t=0: I1\\*"):
             scan_prime(I1_STAR_AT_0, p, oracle)
+        with pytest.raises(CountingError, match=f"i1star_at_0~untwisted mod {p} at t=0: I1\\*"):
+            count_members(I1_STAR_AT_0, p)
     assert spy.calls == {"specialize": 0, "analyze": 0, "count": 0}
 
 
@@ -405,6 +441,16 @@ def test_class_tables_match_direct_sums(p):
     for (a, b), s, z in zip(pairs, S, Z):
         vals = [chi[(x * x * x + a * x + b) % p] for x in range(p)]
         assert (s, z) == (sum(vals), vals.count(0)), (p, a, b)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101])
+def test_correlation_kernel_on_any_non_negative_values(p):
+    # values far above the point counts' 3 widen the slots; zeros and one lone large value
+    # check the fold of the linear product's two halves into the cyclic correlation
+    chi = counting._character_table(p)
+    for values in ([0] * p, [0] * (p - 1) + [10**6], [(7 * v * v + 3) % 1000 for v in range(p)]):
+        want = [sum(values[v] * chi[(v + b) % p] for v in range(p)) for b in range(p)]
+        assert counting._correlate_with_chi(values, chi, p) == want, (p, values[:3])
 
 
 def test_build_needs_p_above_3(fam):

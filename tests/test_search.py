@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.counting import CountCache
+from k3cm.counting import CountCache, twist_table
 from k3cm.fixtures import registry
 from k3cm.newforms import NewformOracle
 from k3cm.search import (
@@ -13,6 +13,8 @@ from k3cm.search import (
     search,
     usable_primes,
 )
+from oracles import scan_by_member
+from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +100,17 @@ def test_scan_prime_appends_to_the_cache_once(fam, tmp_path, monkeypatch):
     scan_prime(fam, q, oracle, cache)
     assert opens == [str(path)] * 2
     assert len(path.read_text().splitlines()) == counted + q - len(fam.degenerate_lambdas(q))
+
+
+def test_scan_equals_the_member_by_member_oracle(fam):
+    # one correlation for all lambda against one O(p) count per lambda; xlm's g has
+    # I_n nodes (I5, I3, I2) at finite cusps, whose share flips with chi(t0 - lambda)
+    for disc in (-88, -1540):
+        oracle = NewformOracle(disc)
+        for p in usable_primes(fam, oracle, 200)[:4] + [usable_primes(fam, oracle, 400)[-1]]:
+            assert twist_table(fam, p).nodes, p
+            assert scan_prime(fam, p, oracle) == scan_by_member(fam, p, oracle), (disc, p)
+    oracle = NewformOracle(-88)
+    for other in (I0_STAR_AT_0, I0_STAR_AT_INF):
+        for p in usable_primes(other, oracle, 100)[:3]:
+            assert scan_prime(other, p, oracle) == scan_by_member(other, p, oracle), (other.name, p)
