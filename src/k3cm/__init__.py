@@ -40,6 +40,7 @@ from k3cm.surfaces import (
     classify_fibers,
 )
 from k3cm.sections import (
+    Certificate,
     Section,
     assemble_ns,
     certify,
@@ -86,8 +87,8 @@ __all__ = [
     "DiscriminantForm", "GramLattice", "discriminant_form", "match_transcendental",
     "smith_normal_form",
     "FiberDescriptor", "UnsupportedFiberError", "WeierstrassSurface", "classify_fibers",
-    "Section", "assemble_ns", "certify", "determine_contact", "height", "intersection_number",
-    "ns_discriminant", "pairing", "verify_section",
+    "Certificate", "Section", "assemble_ns", "certify", "determine_contact", "height",
+    "intersection_number", "ns_discriminant", "pairing", "verify_section",
     "Family",
     "CountCache", "count_surface", "count_weierstrass", "lefschetz_candidates",
     "CandidateReport", "corroborate", "lift_candidates", "scan_prime", "search",

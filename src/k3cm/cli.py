@@ -26,23 +26,21 @@ def _load_family(spec: str):
 
 
 def _load_fixture(args):
-    """(fixture, surface, section fixtures) for --surface NAME|FILE and --sections FILE.
+    """The fixture for --surface NAME|FILE, with the `[sections]` blocks of --sections FILE
+    in place of its own sections."""
+    from dataclasses import replace
 
-    The sections are the fixture's own, or the `[sections]` blocks of the file.
-    """
     from k3cm.fixtures import parse_blocks, registry, section_fixture_from_block, surface_fixture_from_text
 
-    reg = registry()
-    fx = reg.surfaces.get(args.surface)
+    fx = registry().surfaces.get(args.surface)
     if fx is None:
         with open(args.surface) as fh:
             fx = surface_fixture_from_text(fh.read())
-    section_fixtures = fx.sections
     if args.sections:
         with open(args.sections) as fh:
             blocks = parse_blocks(fh.read())
-        section_fixtures = [section_fixture_from_block(kv) for name, kv in blocks if name == "sections"]
-    return fx, fx.build_surface(reg), section_fixtures
+        fx = replace(fx, sections=[section_fixture_from_block(kv) for name, kv in blocks if name == "sections"])
+    return fx
 
 
 def cmd_discs(args) -> int:
@@ -103,15 +101,12 @@ def cmd_count(args) -> int:
 def cmd_search(args) -> int:
     from k3cm.counting import CountCache
     from k3cm.newforms import NewformOracle
-    from k3cm.search import SearchError, search, usable_primes
+    from k3cm.search import SearchError, first_usable_primes, search
 
     fam = _load_family(args.family)
     oracle = NewformOracle(args.disc)
     cache = CountCache(args.cache)
-    bound = 200
-    while len(usable := usable_primes(fam, oracle, bound)) < args.primes:
-        bound *= 2
-    primes = usable[: args.primes]
+    primes = first_usable_primes(fam, oracle, args.primes)
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)
         return 2
@@ -130,11 +125,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    from k3cm.lift import LiftError, MultiPoly, PolySystem, lift_system
+    from k3cm.fixtures import parse_blocks
+    from k3cm.lift import LiftError, PolySystem, lift_system
 
     with open(args.system) as fh:
-        from k3cm.fixtures import parse_blocks
-
         blocks = parse_blocks(fh.read())
     variables, equations, guards = [], [], []
     for name, kv in blocks:
@@ -172,35 +166,26 @@ def _parse_multipoly(text: str, nvars: int):
 
 
 def cmd_verify(args) -> int:
-    from k3cm.sections import build_sections, certify, height
+    from k3cm.fixtures import registry
+    from k3cm.regression import check_certificate
 
-    fx, surf, section_fixtures = _load_fixture(args)
-    secs = build_sections(surf, section_fixtures)
-    mismatch = False
-    for sf, sec in zip(section_fixtures, secs):
-        h = height(sec)
-        print(f"section {sf.name}: height {h}, (P.O) = {sec.pO}")
+    fx = _load_fixture(args)
+    cert = fx.certify(registry())
+    for sec, h in zip(cert.sections, cert.heights):
+        print(f"section {sec.name}: height {h}, (P.O) = {sec.pO}")
         for idx, c in sorted(sec.contacts.items()):
             if c.nonidentity:
                 print(f"  contact {c.fiber}: {c.kind} k={c.k}")
-        if sf.expected_height is not None and h != sf.expected_height:
-            mismatch = True
-    lat, T = certify(surf, secs)
-    print(f"disc NS = {lat.det}")
-    print(f"T(X) = {T}")
-    if fx.expected_disc is not None and lat.det != fx.expected_disc:
-        mismatch = True
-    if fx.working_T is not None and T != fx.working_T:
-        mismatch = True
-    return 1 if mismatch else 0
+    print(f"disc NS = {cert.disc}")
+    print(f"T(X) = {cert.T}")
+    return 0 if all(ok for ok, _ in check_certificate(fx, cert)) else 1
 
 
 def cmd_tlattice(args) -> int:
-    from k3cm.sections import build_sections, certify
+    from k3cm.fixtures import registry
 
-    _, surf, section_fixtures = _load_fixture(args)
-    lat, T = certify(surf, build_sections(surf, section_fixtures))
-    print(f"{lat.det}\t{T}")
+    cert = _load_fixture(args).certify(registry())
+    print(f"{cert.disc}\t{cert.T}")
     return 0
 
 

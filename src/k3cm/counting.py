@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -66,6 +66,7 @@ from k3cm.surfaces import (
     UnsupportedFiberError,
     WeierstrassSurface,
     classify_at,
+    walk_fibers,
 )
 
 
@@ -114,22 +115,19 @@ def analyze_fibers_mod_p(surface: WeierstrassSurface) -> list[FiberDescriptor]:
 def _fibers_mod_p(surface) -> list[tuple[FiberDescriptor, int]]:
     """(fiber, fixed components) at each root of Delta mod p, then at infinity."""
     delta = surface.delta
-    out = [_fiber_mod_p(surface, t0, delta.valuation_at(t0)) for t0 in sorted(roots_mod_p(delta))]
-    if delta.degree < 24:
-        fib, fixed = _fiber_mod_p(surface.flipped(), 0, 24 - delta.degree)
-        out.append((replace(fib, cusp=Cusp.infinity()), fixed))
-    return out
+    cusps = [(Cusp.finite(t0), delta.valuation_at(t0)) for t0 in sorted(roots_mod_p(delta))]
+    return walk_fibers(surface, cusps, surface.flipped(), 24, _fiber_mod_p)
 
 
-def _fiber_mod_p(surface, t0: int, vd: int) -> tuple[FiberDescriptor, int]:
-    """The fiber at t0, where v(Delta) = vd, as `classify_at` types it over GF(p), and its fixed
-    components; an error names the surface, p and t0."""
+def _fiber_mod_p(surface, cusp: Cusp, vd: int, place: Cusp | None = None) -> tuple[FiberDescriptor, int]:
+    """`classify_at` over GF(p), with the fiber's fixed components; an error names the
+    surface, p and the cusp."""
     p = surface.domain.p
     try:
-        fib = classify_at(surface, Cusp.finite(t0), vd)
+        fib = classify_at(surface, cusp, vd, place)
         return fib, fixed_components(fib, p)
     except (SurfaceError, UnsupportedFiberError) as exc:
-        raise CountingError(f"{surface.name or 'surface'} mod {p} at t={t0}: {exc}") from exc
+        raise CountingError(f"{surface.name or 'surface'} mod {p} at t={cusp}: {exc}") from exc
 
 
 def _character_table(p: int) -> list[int]:
@@ -303,20 +301,21 @@ class TwistTable:
         chart = family.chart_at_infinity.map_domain(g.domain)
         chi = _character_table(p)
         S, Z = depressed_cubic_sums(p, chi, *_depressed_coefficients(g.a2, g.a4, g.a6, p))
-        cusps, nodes, shared = {}, [], 0
-        for t0, over_q in sorted(family.degenerate_lambdas(p).items()):
-            fib, fixed = _fiber_mod_p(g, t0, over_q.euler)
+        at = [(Cusp.finite(t0), over_q.euler) for t0, over_q in sorted(family.degenerate_lambdas(p).items())]
+        cusps, nodes, shared, inf_fiber = {}, [], 0, None
+        for fib, fixed in walk_fibers(g, at, chart, 18, _fiber_mod_p):
+            t0 = fib.cusp.value
+            if fib.cusp.kind == "infinity":
+                inf_fiber, shared = fib, shared + fixed
+                continue
             cusps[t0] = fib
             if fib.kind == "I" and fib.n >= 2:   # the twist multiplies the split class by t0 - lambda
                 s = chi[fib.split_class]
                 nodes.append((t0, _node_fixed(fib.n, s), _node_fixed(fib.n, -s)))
             else:
                 shared += fixed
-        inf_fiber, inf_count = None, _fiber_count(chart, 0, chi)
-        if g.delta.degree < 18:   # the member's 24 - deg Delta > 0, Delta = (t-lambda)^6 Delta_g
-            fib, fixed = _fiber_mod_p(chart, 0, 18 - g.delta.degree)
-            inf_fiber, shared = replace(fib, cusp=Cusp.infinity()), shared + fixed
-        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, inf_count, shared, tuple(nodes))
+        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, _fiber_count(chart, 0, chi), shared,
+                          tuple(nodes))
 
     def fixed(self, lam: int) -> int:
         """The member's Frobenius-fixed non-identity components, summed over its fibers.

@@ -25,18 +25,12 @@ prime, for the brute-force oracle that checks those counts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, roots_mod_p
-from k3cm.surfaces import (
-    Cusp,
-    FiberDescriptor,
-    WeierstrassSurface,
-    classify_at,
-    delta_cusps,
-)
+from k3cm.surfaces import FiberDescriptor, WeierstrassSurface, delta_cusps, walk_fibers
 
 INFINITY = "inf"
 
@@ -137,11 +131,7 @@ class Family:
     def fixed_fibers(self) -> list[FiberDescriptor]:
         """g's fibers over Q at the zeros of Delta_g, then at infinity: every member's but the I0*."""
         g = self.untwisted
-        fibers = [classify_at(g, cusp, vd) for cusp, vd in delta_cusps(g.delta)]
-        if g.delta.degree < 18:
-            fib = classify_at(self.chart_at_infinity, Cusp.finite(QQ.zero), 18 - g.delta.degree)
-            fibers.append(replace(fib, cusp=Cusp.infinity()))
-        return fibers
+        return walk_fibers(g, delta_cusps(g.delta), self.chart_at_infinity, 18)
 
     def bad_primes(self, bound: int) -> set[int]:
         """The primes p <= bound where g does not reduce to its fixed fibers (`is_bad_prime`)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
 from k3cm.exact import (
@@ -123,11 +124,26 @@ class SurfaceFixture:
     expected_pairings: dict = field(default_factory=dict)
     status: str = "ok"
     note: str = ""
+    group: str = "examples"        # examples | table1 | extremal: a `regression --subset`
 
     @property
     def working_T(self):
         """The lattice the computation must reproduce (printed unless errata)."""
         return self.derived_T if self.derived_T is not None else self.expected_T
+
+    @property
+    def tag(self) -> str:
+        """The surface as regression lines name it: a Table 1 row by its lambda and disc."""
+        if self.group == "table1":
+            return f"table1 lam={self.fields['lambda']} disc={self.expected_disc}"
+        return self.name
+
+    def certify(self, registry):
+        """The `Certificate` of the surface with its declared sections."""
+        from k3cm.sections import build_sections, certify
+
+        surface = self.build_surface(registry)
+        return certify(surface, build_sections(surface, self.sections))
 
     def build_surface(self, registry):
         from k3cm.surfaces import WeierstrassSurface
@@ -169,6 +185,16 @@ class Table1Row:
     note: str = ""
     derived_T: BinaryQuadraticForm | None = None
 
+    def fixture(self) -> SurfaceFixture:
+        """The row as the surface `verify` certifies: table1_<|disc|>, section P."""
+        return SurfaceFixture(
+            name=f"table1_{-self.disc}", source=self.source, kind="family",
+            fields={"family": "xlm", "lambda": str(self.lam)},
+            sections=[SectionFixture("P", None, self.u_text, expected_height=self.height)],
+            expected_disc=self.disc, expected_T=self.T, derived_T=self.derived_T,
+            status=self.status, note=self.note, group="table1",
+        )
+
 
 @dataclass
 class CorroborationRow:
@@ -192,6 +218,11 @@ class SemistableRow:
 # registry
 # ---------------------------------------------------------------------------
 
+# the example surfaces in the order the regression replays them
+EXAMPLES = ("ex_1155", "ex_1995", "ex_627", "ex_715", "ex_1435", "ex_5460",
+            "ex_1012", "ex_3003", "ex_3315")
+
+
 class FixtureRegistry:
     def __init__(self):
         self._families: dict[str, Family] = {}
@@ -201,6 +232,13 @@ class FixtureRegistry:
         self.semistable: list[SemistableRow] = []
         self.corroboration: list[CorroborationRow] = []
         self._load()
+
+    @cached_property
+    def certified(self) -> list[SurfaceFixture]:
+        """The 39 surfaces `verify` certifies, in the regression's order: one per
+        non-defective Table 1 row, the examples, the extremal rows."""
+        rows = [row.fixture() for row in self.table1 if row.status != "defective"]
+        return rows + [self.surfaces[name] for name in EXAMPLES] + self.extremal
 
     # -- loading -------------------------------------------------------------
 
@@ -216,18 +254,16 @@ class FixtureRegistry:
             digest, fname = line.split()
             manifest[fname] = digest
         for fname, digest in manifest.items():
-            data = self._read(fname).encode()
-            got = hashlib.sha256(data).hexdigest()
-            if got != digest:
-                raise FixtureError(
-                    f"fixture {fname} fails its checksum (edited without manifest update?)"
-                )
+            if hashlib.sha256(self._read(fname).encode()).hexdigest() != digest:
+                raise FixtureError(f"fixture {fname} fails its checksum (edited without manifest update?)")
         for fname in manifest:
             if fname.endswith(".fam"):
-                self._load_family(fname)
+                fam = family_from_text(self._read(fname))
+                self._families[fam.name] = fam
         for fname in manifest:
             if fname.endswith(".surf"):
-                self._load_surface(fname)
+                fx = surface_fixture_from_text(self._read(fname))
+                self.surfaces[fx.name] = fx
             elif fname == "table1.rows":
                 self._load_table1(fname)
             elif fname == "extremal.rows":
@@ -237,74 +273,59 @@ class FixtureRegistry:
             elif fname == "corroborate.rows":
                 self._load_corroborate(fname)
 
-    def _load_family(self, fname):
-        fam = family_from_text(self._read(fname))
-        self._families[fam.name] = fam
-
     def family(self, name: str) -> Family:
         return self._families[name]
 
-    def _load_surface(self, fname):
-        fx = surface_fixture_from_text(self._read(fname))
-        self.surfaces[fx.name] = fx
+    def _rows(self, fname) -> list[dict]:
+        return [kv for name, kv in parse_blocks(self._read(fname)) if name == "row"]
 
     def _load_table1(self, fname):
-        for name, kv in parse_blocks(self._read(fname)):
-            if name != "row":
-                continue
-            self.table1.append(
-                Table1Row(
-                    lam=parse_rational(kv["lambda"]),
-                    disc=int(kv["disc"]),
-                    u_text=kv["u"],
-                    height=parse_rational(kv["height"]),
-                    T=parse_form(kv["t"]),
-                    source=kv.get("src", ""),
-                    status=kv.get("status", "ok"),
-                    note=kv.get("note", ""),
-                    derived_T=parse_form(kv["derived_t"]) if "derived_t" in kv else None,
-                )
+        self.table1 = [
+            Table1Row(
+                lam=parse_rational(kv["lambda"]),
+                disc=int(kv["disc"]),
+                u_text=kv["u"],
+                height=parse_rational(kv["height"]),
+                T=parse_form(kv["t"]),
+                source=kv.get("src", ""),
+                status=kv.get("status", "ok"),
+                note=kv.get("note", ""),
+                derived_T=parse_form(kv["derived_t"]) if "derived_t" in kv else None,
             )
+            for kv in self._rows(fname)
+        ]
 
     def _load_extremal(self, fname):
-        for name, kv in parse_blocks(self._read(fname)):
-            if name != "row":
-                continue
-            fx = SurfaceFixture(
+        self.extremal = [
+            SurfaceFixture(
                 name=f"extremal_{kv['lambda'].replace('/', '_')}",
                 source=kv.get("src", ""),
                 kind="family",
                 fields={"family": "xlm", "lambda": kv["lambda"]},
                 expected_disc=int(kv["disc"]),
                 expected_T=parse_form(kv["t"]),
+                group="extremal",
             )
-            self.extremal.append(fx)
+            for kv in self._rows(fname)
+        ]
 
     def _load_semistable(self, fname):
-        for name, kv in parse_blocks(self._read(fname)):
-            if name != "row":
-                continue
-            self.semistable.append(
-                SemistableRow(
-                    disc=int(kv["disc"]),
-                    config=tuple(int(x) for x in kv["config"].split(",")),
-                    torsion=int(kv.get("torsion", 1)),
-                    T=parse_form(kv["t"]),
-                    source=kv.get("src", ""),
-                )
+        self.semistable = [
+            SemistableRow(
+                disc=int(kv["disc"]),
+                config=tuple(int(x) for x in kv["config"].split(",")),
+                torsion=int(kv.get("torsion", 1)),
+                T=parse_form(kv["t"]),
+                source=kv.get("src", ""),
             )
+            for kv in self._rows(fname)
+        ]
 
     def _load_corroborate(self, fname):
-        for name, kv in parse_blocks(self._read(fname)):
-            if name != "row":
-                continue
-            self.corroboration.append(
-                CorroborationRow(
-                    disc=int(kv["disc"]),
-                    lam=parse_rational(kv["lambda"]),
-                    source=kv.get("src", ""),
-                )
-            )
+        self.corroboration = [
+            CorroborationRow(disc=int(kv["disc"]), lam=parse_rational(kv["lambda"]), source=kv.get("src", ""))
+            for kv in self._rows(fname)
+        ]
 
 
 def section_fixture_from_block(kv: dict) -> SectionFixture:

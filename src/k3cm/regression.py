@@ -1,19 +1,22 @@
 """Regression runner: replays every fixture and compares against expectations.
 
 One plain-text line per check; any mismatch flips the run to failing.  The
-documented source-text errata (see the data files' notes) are compared
-against their independently derived values and reported with an `erratum`
-tag so the exceptions stay visible in every run.
+certified surfaces are the registry's one list (`FixtureRegistry.certified`),
+each compared with its expectations by `check_certificate`; the subsets are
+filters over that list.  The documented source-text errata (see the data
+files' notes) are compared against their independently derived values and
+reported with an `erratum` tag so the exceptions stay visible in every run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from k3cm.fixtures import SectionFixture, registry
+from k3cm.fixtures import registry
 from k3cm.newforms import NewformOracle
 from k3cm.quadforms import reduce_form
-from k3cm.sections import build_sections, certify, height, pairing
+from k3cm.sections import pairing
 
 
 @dataclass
@@ -31,11 +34,6 @@ class Report:
     def note(self, text: str):
         self.lines.append(f"note  {text}")
 
-    def extend(self, other: "Report"):
-        self.lines.extend(other.lines)
-        self.failures += other.failures
-        self.checks += other.checks
-
     def text(self) -> str:
         status = "PASS" if self.failures == 0 else "FAIL"
         return "\n".join(
@@ -43,107 +41,75 @@ class Report:
         )
 
 
-def _check_certificate(rep, tag, surf, secs, disc, T, derived_T):
-    """The disc NS and T(X) checks of one surface, both read off `certify`.
-
-    T(X) is compared with `derived_T` where an erratum replaces the printed T.
-    """
-    lat, got = certify(surf, secs)
-    rep.add(lat.det == disc, f"{tag} disc {lat.det} = {disc}")
-    want = T if derived_T is None else derived_T
-    suffix = "" if derived_T is None else " [erratum: printed T differs, see notes]"
-    rep.add(got == want, f"{tag} T {got} = {want}{suffix}")
-
-
-def run_table1() -> Report:
-    rep = Report()
-    reg = registry()
-    fam = reg.family("xlm")
-    for row in reg.table1:
-        tag = f"table1 lam={row.lam} disc={row.disc}"
-        if row.status == "defective":
-            rep.note(f"{tag}: defective printed row, excluded ({row.note[:80]}...)")
-            continue
-        surf = fam.specialize(row.lam, name=f"t1_{row.lam}")
-        secs = build_sections(surf, [SectionFixture("P", None, row.u_text)])
-        h = height(secs[0])
-        rep.add(h == row.height, f"{tag} height {h} = {row.height}")
-        _check_certificate(rep, tag, surf, secs, row.disc, row.T, row.derived_T)
-    return rep
-
-
-def run_examples() -> Report:
-    rep = Report()
-    reg = registry()
-    names = ["ex_1155", "ex_1995", "ex_627", "ex_715", "ex_1435", "ex_5460",
-             "ex_1012", "ex_3003", "ex_3315"]
-    for name in names:
-        fx = reg.surfaces[name]
-        surf = fx.build_surface(reg)
-        ordered = build_sections(surf, fx.sections)
-        for sf, sec in zip(fx.sections, ordered):
-            if sf.expected_height is not None:
-                h = height(sec)
-                rep.add(h == sf.expected_height,
-                        f"{name} height({sf.name}) {h} = {sf.expected_height}")
-        _check_certificate(rep, name, surf, ordered, fx.expected_disc, fx.expected_T, fx.derived_T)
-        secs = {sec.name.lower(): sec for sec in ordered}
-        for (a, b), val in fx.expected_pairings.items():
-            got = pairing(surf, secs[a], secs[b])
-            rep.add(abs(got) == abs(val),
-                    f"{name} |<{a},{b}>| {abs(got)} = {abs(val)}")
-    return rep
-
-
-def run_extremal() -> Report:
-    rep = Report()
-    reg = registry()
-    for fx in reg.extremal:
-        surf = fx.build_surface(reg)
-        euler = sum(f.euler * f.cusp.degree for f in surf.fibers)
-        rep.add(euler == 24, f"{fx.name} euler {euler} = 24")
-        _check_certificate(rep, fx.name, surf, [], fx.expected_disc, fx.expected_T, fx.derived_T)
-    # semistable table: arithmetic consistency of each printed row
-    for row in reg.semistable:
-        prod = 1
-        for n in row.config:
-            prod *= n
-        ok = prod == abs(row.disc) * row.torsion ** 2
-        rep.add(ok, f"semistable {row.disc}: prod(config) {prod} = |disc| * tors^2")
-        ok2 = row.T.discriminant == row.disc and reduce_form(row.T) == row.T
-        rep.add(ok2, f"semistable {row.disc}: printed T reduced with matching disc")
-    return rep
+def check_certificate(fx, cert) -> list[tuple[bool, str]]:
+    """(ok, text) for each expectation the fixture declares: the heights of its
+    sections, disc NS, and T(X) against `working_T`, tagged where an erratum
+    replaces the printed T."""
+    checks = []
+    for sf, h in zip(fx.sections, cert.heights):
+        if sf.expected_height is not None:
+            what = "height" if fx.group == "table1" else f"height({sf.name})"
+            checks.append((h == sf.expected_height, f"{fx.tag} {what} {h} = {sf.expected_height}"))
+    if fx.expected_disc is not None:
+        checks.append((cert.disc == fx.expected_disc, f"{fx.tag} disc {cert.disc} = {fx.expected_disc}"))
+    if fx.working_T is not None:
+        suffix = "" if fx.derived_T is None else " [erratum: printed T differs, see notes]"
+        checks.append((cert.T == fx.working_T, f"{fx.tag} T {cert.T} = {fx.working_T}{suffix}"))
+    return checks
 
 
 CORROBORATION_PRIMES = 4   # the first usable split primes each corroboration row is replayed at
 
 
-def run_corroboration() -> Report:
+def run_corroboration(rep: Report, reg) -> None:
     from k3cm.counting import CountCache
-    from k3cm.search import corroborate, usable_primes
+    from k3cm.search import corroborate, first_usable_primes
 
-    rep = Report()
-    reg = registry()
     fam = reg.family("xlm")
     cache = CountCache()
     for row in reg.corroboration:
         oracle = NewformOracle(row.disc)
-        primes = usable_primes(fam, oracle, 200)[:CORROBORATION_PRIMES]
+        primes = first_usable_primes(fam, oracle, CORROBORATION_PRIMES)
         rows = corroborate(fam, row.lam, oracle, primes, cache)
         bad = [p for p, s in rows if s == "mismatch"]
         rep.add(not bad, f"corroborate lam={row.lam} disc={row.disc}: "
                          f"{len([s for _, s in rows if s == 'match'])} matches, {len(bad)} mismatches")
-    return rep
 
 
 def run_regression(subset: str = "all") -> Report:
-    rep = Report()
-    if subset in ("all", "table1"):
-        rep.extend(run_table1())
-    if subset in ("all", "examples"):
-        rep.extend(run_examples())
-    if subset in ("all", "extremal"):
-        rep.extend(run_extremal())
+    """The checks of the certified surfaces in the subset, in the registry's order.
+
+    An extremal row also checks its Euler number and an example its printed
+    pairings; the extremal subset ends with the semistable table's rows, and
+    `all` with the corroboration rows.
+    """
+    groups = ("table1", "examples", "extremal") if subset == "all" else (subset,)
+    reg, rep = registry(), Report()
+    if "table1" in groups:
+        for row in reg.table1:
+            if row.status == "defective":
+                rep.note(f"table1 lam={row.lam} disc={row.disc}: defective printed row, "
+                         f"excluded ({row.note[:80]}...)")
+    for fx in reg.certified:
+        if fx.group not in groups:
+            continue
+        cert = fx.certify(reg)
+        if fx.group == "extremal":
+            euler = sum(f.euler * f.cusp.degree for f in cert.fibers)
+            rep.add(euler == 24, f"{fx.name} euler {euler} = 24")
+        for ok, text in check_certificate(fx, cert):
+            rep.add(ok, text)
+        secs = {sec.name.lower(): sec for sec in cert.sections}
+        for (a, b), val in fx.expected_pairings.items():
+            got = pairing(cert.surface, secs[a], secs[b])
+            rep.add(abs(got) == abs(val), f"{fx.name} |<{a},{b}>| {abs(got)} = {abs(val)}")
+    if "extremal" in groups:   # the semistable table: arithmetic consistency of each printed row
+        for row in reg.semistable:
+            prod = math.prod(row.config)
+            rep.add(prod == abs(row.disc) * row.torsion ** 2,
+                    f"semistable {row.disc}: prod(config) {prod} = |disc| * tors^2")
+            rep.add(row.T.discriminant == row.disc and reduce_form(row.T) == row.T,
+                    f"semistable {row.disc}: printed T reduced with matching disc")
     if subset == "all":
-        rep.extend(run_corroboration())
+        run_corroboration(rep, reg)
     return rep

@@ -44,6 +44,14 @@ def usable_primes(family, oracle: NewformOracle, bound: int) -> list[int]:
     return [p for p in family.good_primes(bound) if oracle.prime_kind(p) == SPLIT]
 
 
+def first_usable_primes(family, oracle: NewformOracle, k: int) -> list[int]:
+    """The first k `usable_primes`, with no cap: the bound doubles from 200 until k lie below it."""
+    bound = 200
+    while len(usable := usable_primes(family, oracle, bound)) < k:
+        bound *= 2
+    return usable[:k]
+
+
 def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None = None) -> set[int]:
     """All lambda in F_p off the cusps of g whose candidate traces match the newform at p.
 

@@ -5,8 +5,9 @@ and cofactor w(t) with y = sqrt(m) w.  Contact depths at reducible fibers
 are single exact valuations, and the tangent branch of a node contact is
 the sign of one exact slope; no local series is expanded.  Heights and
 pairings follow from the standard correction tables.  `certify` assembles
-the Neron-Severi lattice once and reads disc NS and T(X) off it;
-`ns_discriminant` is the independent Mordell-Weil determinant route.
+the Neron-Severi lattice once and returns one `Certificate`: the sections,
+their heights, disc NS and T(X) read off that lattice.  `ns_discriminant`
+is the independent Mordell-Weil determinant route.
 """
 
 from __future__ import annotations
@@ -667,9 +668,36 @@ def _fiber_components(fiber: FiberDescriptor, contacts) -> list:
     return out
 
 
-def certify(surface, sections) -> tuple[GramLattice, BinaryQuadraticForm]:
+@dataclass(frozen=True)
+class Certificate:
+    """What `certify` establishes for one surface, read by every reporter.
+
+    The sections are normalized to one square class, each carrying its
+    (P.O), square class and contacts, with its height at the same index of
+    `heights`; disc NS is the determinant of the assembled lattice `ns`,
+    and T is matched on that same lattice.
+    """
+
+    surface: WeierstrassSurface
+    sections: tuple
+    heights: tuple
+    ns: GramLattice
+    T: BinaryQuadraticForm
+
+    @property
+    def fibers(self) -> list:
+        return self.surface.fibers
+
+    @property
+    def disc(self) -> int:
+        return self.ns.det
+
+
+def certify(surface, sections) -> Certificate:
     """The NS lattice, assembled once, and T(X) matched on it; disc NS is its det."""
+    sections = tuple(normalize_sections(surface, sections))
     lattice = assemble_ns(surface, sections)
     if lattice.det == 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")
-    return lattice, match_transcendental(lattice)
+    return Certificate(surface, sections, tuple(map(height, sections)), lattice,
+                       match_transcendental(lattice))

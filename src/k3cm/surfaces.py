@@ -295,22 +295,6 @@ def squarefree_decomposition(f: Polynomial):
     return lead, out
 
 
-def rational_roots(f: Polynomial) -> dict:
-    """Roots of f in Q with multiplicities, via mod-p roots + CRT lifting.
-
-    Avoids integer factorization of the (possibly huge) coefficients: roots
-    are matched across several primes, reconstructed, and verified exactly.
-    """
-    if f.domain != QQ:
-        raise DomainError("rational_roots expects Q coefficients")
-    _, sq = squarefree_decomposition(f)
-    out: dict[Fraction, int] = {}
-    for g, mult in sq:
-        for r in _roots_of_squarefree(g):
-            out[r] = mult
-    return out
-
-
 def _roots_of_squarefree(g: Polynomial) -> list:
     """Rational roots of a squarefree Q-polynomial by Hensel lifting.
 
@@ -407,23 +391,36 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     """
     if surface.domain != QQ:
         raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
-    fibers = [classify_at(surface, cusp, vd) for cusp, vd in delta_cusps(surface.delta)]
-    v_inf = 24 - surface.delta.degree
-    if v_inf > 0:
-        fib = classify_at(surface.flipped(), Cusp.finite(QQ.zero), v_inf)
-        fibers.append(replace(fib, cusp=Cusp.infinity()))
+    fibers = walk_fibers(surface, delta_cusps(surface.delta), surface.flipped(), 24)
     total = sum(f.euler * f.cusp.degree for f in fibers)
     if total != 24:
         raise SurfaceError(f"Euler numbers sum to {total}, not 24: not K3 input")
     return fibers
 
 
-def classify_at(surface: WeierstrassSurface, cusp: Cusp, vd: int) -> FiberDescriptor:
+def classify_at(surface: WeierstrassSurface, cusp: Cusp, vd: int, place: Cusp | None = None) -> FiberDescriptor:
     """The Kodaira type at one zero of Delta, over Q or over GF(p) with p >= 5.
 
     vd = v(Delta) at the cusp comes from the caller, which already knows it
-    (over Q, from its one squarefree decomposition of Delta).
+    (over Q, from its one squarefree decomposition of Delta).  The fiber is
+    reported at `place` when given: infinity, for a cusp of a chart there.
     """
+    fib = _classify(surface, cusp, vd)
+    return fib if place is None else replace(fib, cusp=place)
+
+
+def walk_fibers(surface, cusps, chart, weight: int, classify=classify_at) -> list:
+    """`classify(surface, cusp, vd)` at each (cusp, vd) of cusps, then at s = 0 of the chart at
+    infinity, whose Delta is the surface's reversed to weight (24 for `flipped`, 18 for a twist
+    family's g), where vd = weight - deg Delta is positive; that fiber is reported at infinity."""
+    out = [classify(surface, cusp, vd) for cusp, vd in cusps]
+    v_inf = weight - surface.delta.degree
+    if v_inf > 0:
+        out.append(classify(chart, Cusp.finite(chart.domain.zero), v_inf, Cusp.infinity()))
+    return out
+
+
+def _classify(surface: WeierstrassSurface, cusp: Cusp, vd: int) -> FiberDescriptor:
     vc4 = _valuation_along(surface.c4, cusp) if not surface.c4.is_zero() else 99
     vc6 = _valuation_along(surface.c6, cusp) if not surface.c6.is_zero() else 99
     if vd == 0:

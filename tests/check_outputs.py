@@ -4,11 +4,11 @@
 
 Runs, in-process unless noted:
 
-* `k3cm regression --subset all`
-* `k3cm verify` for the 39 surfaces the certify workload checks: the 9
-  example fixtures, plus surface files for the 25 non-defective Table 1 rows
-  and the 5 extremal rows, written by `perfbench/workloads.certify`
-* `k3cm tlattice` for the 9 example fixtures
+* `k3cm regression --subset S` for S = all, table1, examples, extremal
+* `k3cm verify` and `k3cm tlattice` for the 39 surfaces the certify
+  workload checks: the 9 example fixtures, plus surface files for the 25
+  non-defective Table 1 rows and the 5 extremal rows, written by
+  `perfbench/workloads.certify`
 * `k3cm search --disc -88 --primes 4` and `--disc -1540 --primes 4`
 * `k3cm --cache FILE search --disc -88 --primes 4` twice on one new cache
   file, cold and then warm; the two stdouts must be equal
@@ -53,15 +53,14 @@ def run_demo(path: Path) -> tuple[int, str]:
 
 def commands(workdir: str):
     """(file stem, thunk returning (exit code, stdout)) for every command."""
-    yield "regression_all", lambda: run_cli(["regression", "--subset", "all"])
+    for subset in ("all", "table1", "examples", "extremal"):
+        yield f"regression_{subset}", lambda s=subset: run_cli(["regression", "--subset", s])
     examples = sorted(registry().surfaces)
     workloads.certify(0, workdir)   # writes the Table 1 and extremal surface files
     files = sorted(Path(workdir).glob("*.surf"))
-    for target in examples + [str(f) for f in files]:
-        stem = Path(target).stem
-        yield f"verify_{stem}", lambda t=target: run_cli(["verify", "--surface", t])
-    for name in examples:
-        yield f"tlattice_{name}", lambda n=name: run_cli(["tlattice", "--surface", n])
+    for command in ("verify", "tlattice"):
+        for target in examples + [str(f) for f in files]:
+            yield f"{command}_{Path(target).stem}", lambda c=command, t=target: run_cli([c, "--surface", t])
     for disc in ("-88", "-1540"):
         yield f"search_{disc}", lambda d=disc: run_cli(["search", "--disc", d, "--primes", "4"])
     cache = str(Path(workdir) / "counts.cache")

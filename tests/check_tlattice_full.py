@@ -24,11 +24,11 @@ exits 1 on any disagreement.
 import sys
 import time
 
-from k3cm.fixtures import parse_ratfun, registry
+from k3cm.fixtures import registry
 from k3cm.lattices import GramLattice, MatchError, discriminant_form, form_lattice, match_transcendental
 from k3cm.newforms import exponent_two_table
 from k3cm.quadforms import enumerate_reduced
-from k3cm.sections import assemble_ns, build_sections, verify_section
+from k3cm.sections import assemble_ns, build_sections
 
 
 def whole_group_matches(ns):
@@ -40,16 +40,9 @@ def whole_group_matches(ns):
 
 def ns_lattices(reg):
     """(group, name, NS lattice) for every surface `verify` certifies."""
-    fam = reg.family("xlm")
-    for row in reg.table1:
-        if row.status != "defective":
-            surf = fam.specialize(row.lam, name=f"t1_{row.lam}")
-            yield "table1", row.disc, assemble_ns(surf, [verify_section(surf, parse_ratfun(row.u_text))])
-    for name, fx in sorted(reg.surfaces.items()):
+    for fx in reg.certified:
         surf = fx.build_surface(reg)
-        yield "examples", name, assemble_ns(surf, build_sections(surf, fx.sections))
-    for fx in reg.extremal:
-        yield "extremal", fx.name, assemble_ns(fx.build_surface(reg), [])
+        yield fx.group, fx.name, assemble_ns(surf, build_sections(surf, fx.sections))
 
 
 def check_pairs(discs):
@@ -121,9 +114,7 @@ def check_u_plus_forms(discs):
 def main():
     reg = registry()
     discs = {d for ds in exponent_two_table(7000).values() for d in ds}
-    discs |= {r.disc for r in reg.table1 if r.status != "defective"}
-    discs |= {fx.expected_disc for fx in reg.surfaces.values()}
-    discs |= {fx.expected_disc for fx in reg.extremal}
+    discs |= {fx.expected_disc for fx in reg.certified}
     pairs, isometric, bad_pairs = check_pairs(sorted(discs, key=abs))
     lattices, bad_lattices = check_lattices(reg)
     u_forms, bad_u_forms = check_u_plus_forms(sorted(discs, key=abs))

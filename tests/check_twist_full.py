@@ -56,12 +56,9 @@ def check_rule(fam, bound: int) -> int:
 
 
 def fixture_surfaces() -> list:
-    """The 39 surfaces `verify` certifies: the 9 examples, the non-defective Table 1 rows, the 5 extremal rows."""
+    """The 39 surfaces `verify` certifies (`FixtureRegistry.certified`)."""
     reg = registry()
-    fam = reg.family("xlm")
-    out = [fx.build_surface(reg) for _, fx in sorted(reg.surfaces.items())]
-    out += [fam.specialize(row.lam, name=f"table1_{-row.disc}") for row in reg.table1 if row.status != "defective"]
-    return out + [fx.build_surface(reg) for fx in reg.extremal]
+    return [fx.build_surface(reg) for fx in reg.certified]
 
 
 def check_surfaces(primes) -> int:

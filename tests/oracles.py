@@ -24,7 +24,14 @@ from k3cm.lattices import DiscriminantForm, smith_normal_form
 from k3cm.newforms import SPLIT, NewformOracle
 from k3cm.quadforms import BinaryQuadraticForm, _check_discriminant, reduce_form
 from k3cm.sections import Section, SectionError, _same_square_class
-from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, squarefree_decomposition
+from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, _roots_of_squarefree, squarefree_decomposition
+
+
+def rational_roots(f: Polynomial) -> dict:
+    """Roots of f in Q with multiplicities: `_roots_of_squarefree` on each squarefree factor,
+    as `delta_cusps` takes them, with no integer factorization of the coefficients."""
+    assert f.domain == QQ
+    return {r: mult for g, mult in squarefree_decomposition(f)[1] for r in _roots_of_squarefree(g)}
 
 
 def from_fractions(domain, fracs) -> Polynomial:

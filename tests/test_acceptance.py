@@ -66,10 +66,10 @@ def test_criterion_1_disc_table():
 # -- criterion 2: Table 1 regression ------------------------------------------
 
 def test_criterion_2_table1():
-    from k3cm.regression import run_table1
+    from k3cm.regression import run_regression
 
     t0 = time.time()
-    rep = run_table1()
+    rep = run_regression("table1")
     elapsed = time.time() - t0
     errata = sum(1 for line in rep.lines if "erratum" in line)
     ok = rep.failures == 0 and elapsed < 60
@@ -86,10 +86,10 @@ def test_criterion_2_table1():
 # -- criterion 3: the nine example discriminants -------------------------------
 
 def test_criterion_3_examples():
-    from k3cm.regression import run_examples
+    from k3cm.regression import run_regression
 
     t0 = time.time()
-    rep = run_examples()
+    rep = run_regression("examples")
     elapsed = time.time() - t0
     ok = rep.failures == 0
     _line(

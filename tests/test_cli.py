@@ -218,6 +218,27 @@ def test_verify_rejects_dependent_sections(tmp_path):
     assert "sections are dependent" in err.getvalue()
 
 
+def test_verify_exits_1_on_a_wrong_expectation_and_prints_the_same_lines(tmp_path):
+    # the -268 Table 1 row as a surface file; its printed T is an erratum, replaced by derived_t
+    row = next(r for r in registry().table1 if r.disc == -268)
+    form = lambda f: f"{2 * f.a},{f.b},{2 * f.c}"
+    right = {"expected_height": str(row.height), "disc": "-268", "derived_t": form(row.derived_T)}
+
+    def verify(**expect):
+        e = {**right, **expect}
+        path = tmp_path / "table1_268.surf"
+        path.write_text(
+            f"[surface]\nname = table1_268\nfamily = xlm\nlambda = {row.lam}\n\n"
+            f"[sections]\nname = P\nu = {row.u_text}\nexpected_height = {e['expected_height']}\n\n"
+            f"[expect]\ndisc = {e['disc']}\nt = {form(row.T)}\nderived_t = {e['derived_t']}\n")
+        return run(["verify", "--surface", str(path)])
+
+    code, out = verify()
+    assert code == 0 and "disc NS = -268" in out and "T(X) = [4,2,68]" in out
+    for wrong in ({"expected_height": "67/211"}, {"disc": "-272"}, {"derived_t": "4,2,84"}):
+        assert verify(**wrong) == (1, out), wrong
+
+
 def test_tlattice_output():
     code, out = run(["tlattice", "--surface", "ex_715"])
     assert code == 0

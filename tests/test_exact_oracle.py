@@ -14,7 +14,8 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from k3cm.exact import QQ, Polynomial, QuadField, QuadNum, resultant  # noqa: E402
-from k3cm.surfaces import rational_roots, squarefree_decomposition  # noqa: E402
+from k3cm.surfaces import squarefree_decomposition  # noqa: E402
+from oracles import rational_roots  # noqa: E402
 
 T = sp.Symbol("t")
 

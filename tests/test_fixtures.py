@@ -5,12 +5,14 @@ here with an independent certificate, so the exceptions stay visible and
 any drift in either direction fails loudly.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from k3cm.fixtures import FixtureError, parse_blocks, parse_poly, parse_ratfun, registry
+from k3cm.fixtures import EXAMPLES, FixtureError, parse_blocks, parse_poly, parse_ratfun, registry
+from k3cm.regression import check_certificate
 from k3cm.quadforms import BinaryQuadraticForm
 from k3cm.lattices import MatchError, assemble_ns_gram, match_transcendental
 from k3cm.surfaces import Cusp, FiberDescriptor
@@ -27,6 +29,32 @@ def test_registry_loads_everything(reg):
     assert len(reg.semistable) == 10
     assert len(reg.corroboration) == 4
     assert len(reg.surfaces) == 9
+
+
+def test_the_certified_list_is_table1_then_examples_then_extremal(reg):
+    # the 39 surfaces `verify` certifies, in the regression's order, each once
+    groups = [fx.group for fx in reg.certified]
+    assert groups == ["table1"] * 25 + ["examples"] * 9 + ["extremal"] * 5
+    assert len({fx.name for fx in reg.certified}) == 39
+    assert [fx.name for fx in reg.certified[25:34]] == list(EXAMPLES)
+    rows = [row for row in reg.table1 if row.status != "defective"]
+    for fx, row in zip(reg.certified, rows):
+        assert fx.name == f"table1_{-row.disc}" and fx.working_T == (row.derived_T or row.T)
+        assert [(sf.u_text, sf.expected_height) for sf in fx.sections] == [(row.u_text, row.height)]
+
+
+def test_check_certificate_compares_a_table1_row_through_its_erratum(reg):
+    fx = next(fx for fx in reg.certified if fx.name == "table1_268")
+    cert = fx.certify(reg)
+    tag = "table1 lam=125/128 disc=-268"
+    assert check_certificate(fx, cert) == [
+        (True, f"{tag} height 67/210 = 67/210"),
+        (True, f"{tag} disc -268 = -268"),
+        (True, f"{tag} T [4,2,68] = [4,2,68] [erratum: printed T differs, see notes]"),
+    ]
+    # without its erratum the row is held to the printed T, which the computation refutes
+    printed = dataclasses.replace(fx, derived_T=None)
+    assert check_certificate(printed, cert)[-1] == (False, f"{tag} T [4,2,68] = [4,2,84]")
 
 
 def test_checksums_guard_edits(tmp_path, monkeypatch):

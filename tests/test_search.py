@@ -8,6 +8,7 @@ from k3cm.newforms import NewformOracle
 from k3cm.search import (
     SearchError,
     corroborate,
+    first_usable_primes,
     lift_candidates,
     scan_prime,
     search,
@@ -25,6 +26,16 @@ def fam():
 @pytest.fixture(scope="module")
 def cache():
     return CountCache()
+
+
+def test_first_usable_primes_has_no_cap(fam):
+    # -1540 has 17 usable split primes below 200: asking for 20 goes past 200, skipping none
+    oracle = NewformOracle(-1540)
+    below = usable_primes(fam, oracle, 200)
+    got = first_usable_primes(fam, oracle, len(below) + 3)
+    assert len(got) == len(below) + 3 and got[:len(below)] == below
+    assert got == usable_primes(fam, oracle, got[-1]) and got[-1] > 200
+    assert first_usable_primes(fam, oracle, 4) == below[:4]
 
 
 def test_scan_rejects_inert_prime(fam):

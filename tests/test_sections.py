@@ -238,8 +238,7 @@ def test_assemble_matches_mwl_route_on_table1(reg, certified):
     expected.update((f"table1_{-row.disc}", row.disc) for row in reg.table1)
     expected.update((fx.name, fx.expected_disc) for fx in reg.extremal)
     for name, surf, secs in certified:
-        lat, _ = certify(surf, secs)
-        assert lat.det == ns_discriminant(surf, secs) == expected[name], name
+        assert certify(surf, secs).disc == ns_discriminant(surf, secs) == expected[name], name
     assert len(certified) == 39
     assert sum(len(secs) == 2 for _, _, secs in certified) == 3
 

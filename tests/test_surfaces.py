@@ -12,11 +12,10 @@ from k3cm.surfaces import (
     _good_prime,
     classify_fibers,
     node_series,
-    rational_roots,
     squarefree_decomposition,
 )
 
-from oracles import from_fractions
+from oracles import from_fractions, rational_roots
 
 
 @pytest.fixture(scope="module")
