@@ -27,12 +27,14 @@ def _load_family(spec: str):
 
 def _load_fixture(args):
     """The fixture for --surface NAME|FILE, with the `[sections]` blocks of --sections FILE
-    in place of its own sections."""
+    in place of its own sections.  A NAME is an example or one of the certified surfaces
+    (`table1_88`, `extremal_1`, ...)."""
     from dataclasses import replace
 
     from k3cm.fixtures import parse_blocks, registry, section_fixture_from_block, surface_fixture_from_text
 
-    fx = registry().surfaces.get(args.surface)
+    reg = registry()
+    fx = reg.surfaces.get(args.surface) or next((f for f in reg.certified if f.name == args.surface), None)
     if fx is None:
         with open(args.surface) as fh:
             fx = surface_fixture_from_text(fh.read())

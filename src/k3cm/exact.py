@@ -830,8 +830,19 @@ class Polynomial:
         return Polynomial(d, [d.zero] * pad + list(self._coeffs[::-1]))
 
     def shift(self, point) -> "Polynomial":
-        """Taylor shift: returns g with g(t) = f(t + point)."""
+        """Taylor shift: returns g with g(t) = f(t + point).
+
+        Over Q, at point = a/b: b^n f(t + a/b) = h(b t), h(s) = sum nums_i b^(n-i) (s + a)^i,
+        an integer Taylor shift by a of the scaled numerators.
+        """
         d = self.domain
+        if isinstance(d, RationalField) and self.degree > 0:
+            (a, b), (nums, den), n = point.as_integer_ratio(), self.int_coeffs, self.degree
+            cs = [c * b ** (n - i) for i, c in enumerate(nums)]
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    cs[j] += a * cs[j + 1]
+            return _from_ints([c * b ** j for j, c in enumerate(cs)], den * b ** n)
         lin, out = Polynomial(d, [point, d.one]), Polynomial(d, [])
         for c in reversed(self.coeffs):
             out = out * lin + Polynomial.constant(d, c)

@@ -15,7 +15,9 @@ source of what all members share: the fixed fibers (g's, at the zeros of
 Delta_g and at infinity), the bad primes (where Delta_g mod p changes shape)
 and, at a good p, the degenerate lambdas (the roots of Delta_g mod p).
 
-Specialization at rational (lambda, mu) produces a WeierstrassSurface over Q;
+Specialization at rational (lambda, mu) produces a WeierstrassSurface over Q
+built off g at that mu: its c4, c6, Delta and its fibers are g's twisted, and
+only the fiber at t = lambda is classified on the member (`_Member`).
 lambda = infinity is the x-rescaled limit where the (t-lambda) prefactors
 collapse to constants.  Members are counted mod p off g alone
 (`counting.TwistTable`); `specialize_mod` reduces one member mod a good
@@ -25,12 +27,12 @@ prime, for the brute-force oracle that checks those counts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
 from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, roots_mod_p
-from k3cm.surfaces import FiberDescriptor, WeierstrassSurface, delta_cusps, walk_fibers
+from k3cm.surfaces import Cusp, FiberDescriptor, WeierstrassSurface, classify_at, delta_cusps, walk_fibers
 
 INFINITY = "inf"
 
@@ -76,18 +78,10 @@ class Family:
     # -- construction helpers -------------------------------------------------
 
     def _assemble(self, block, pre, lam, mu, domain) -> Polynomial:
-        """t^i (t-1)^j (t-lambda)^k times the block at mu, over Q or GF(p).
-
-        At lambda = INFINITY (over Q only) the factor (t-lambda)^k is (-1)^k.
-        """
+        """t^i (t-1)^j (t-lambda)^k times the block at mu, over Q or GF(p)."""
         t = Polynomial.x(domain)
         one = Polynomial.constant(domain, domain.one)
-        if lam != INFINITY:
-            lin = t - Polynomial.constant(domain, domain.from_fraction(Fraction(lam)))
-        elif domain == QQ:
-            lin = -one
-        else:
-            raise ValueError(f"the member at lambda = {INFINITY} is defined over Q only")
+        lin = t - Polynomial.constant(domain, domain.from_fraction(Fraction(lam)))
         i, j, k = pre
         out = Polynomial(domain, [domain.from_fraction(c(mu)) for c in block])
         for factor, e in ((t, i), (t - one, j), (lin, k)):
@@ -96,15 +90,14 @@ class Family:
         return out
 
     def specialize(self, lam, mu=None, name=None) -> WeierstrassSurface:
-        """Member at lambda (a Fraction, or INFINITY for the limit surface)."""
+        """Member at lambda (a Fraction, or INFINITY for the limit surface): `_Member` of g at mu."""
         mu = Fraction(mu) if mu is not None else self.mu
         if mu is None:
             raise ValueError("family has no fixed mu; pass one explicitly")
         if lam != INFINITY:
             lam = Fraction(lam)
-        a2, a4, a6 = (self._assemble(block, pre, lam, mu, QQ) for block, pre in self._blocks())
-        label = name or f"{self.name}_lam_{lam}"
-        return WeierstrassSurface(a2, a4, a6, name=label)
+        family = self if mu == self.mu else replace(self, mu=mu)
+        return _Member(family, lam, name or f"{self.name}_lam_{lam}")
 
     # -- the untwisted model g: fixed fibers, bad primes, degenerate lambdas ------
 
@@ -170,6 +163,40 @@ class Family:
 
     def _blocks(self):
         return ((self.A, self.pre_a2), (self.B, self.pre_a4), (self.C, self.pre_a6))
+
+
+class _Member(WeierstrassSurface):
+    """The member at lambda: g twisted by d = t - lambda (d = -1 at INFINITY).
+
+    a2, a4, a6 are g's times d, d^2, d^3, and c4, c6, Delta g's times d^2, d^3, d^6.
+    The fibers, in `classify_fibers`' order, are g's fixed fibers twisted by
+    c = t0 - lambda (-1 at INFINITY; the fiber at infinity keeps c = 1), and
+    the one classified on the member, at t = lambda (at INFINITY, at s = 0 of
+    its chart at infinity) with v(Delta) = 6 + v_g(lambda); it replaces g's
+    fiber there when lambda is a cusp of g.
+    """
+
+    def __init__(self, family: Family, lam, name: str):
+        g = family.untwisted
+        d = Polynomial(QQ, [-lam, 1]) if lam != INFINITY else Polynomial.constant(QQ, Fraction(-1))
+        d2 = d * d
+        d3 = d2 * d
+        super().__init__(g.a2 * d, g.a4 * d2, g.a6 * d3, name=name,
+                         _invariants=(g.c4 * d2, g.c6 * d3, g.delta * d3 * d3))
+        self.family, self.lam = family, lam
+
+    @cached_property
+    def fibers(self) -> list[FiberDescriptor]:
+        family, lam = self.family, self.lam
+        delta_g = family.untwisted.delta
+        if lam == INFINITY:   # v_g(infinity) = 18 - deg Delta_g
+            at_lam = classify_at(self.flipped(), Cusp.finite(QQ.zero), 24 - delta_g.degree, Cusp.infinity())
+            return [f.twisted(-1) for f in family.fixed_fibers if f.cusp.kind != "infinity"] + [at_lam]
+        finite = [f.twisted(f.cusp.value - lam) for f in family.fixed_fibers
+                  if f.cusp.kind == "finite" and f.cusp.value != lam]
+        finite.append(classify_at(self, Cusp.finite(lam), 6 + delta_g.valuation_at(lam)))
+        finite.sort(key=lambda f: (abs(f.cusp.value), f.cusp.value))
+        return finite + [f for f in family.fixed_fibers if f.cusp.kind != "finite"]
 
 
 # ---------------------------------------------------------------------------

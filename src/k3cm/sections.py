@@ -360,8 +360,8 @@ def _scaled_section(q: Section, scale, new_m) -> Section:
 def normalize_sections(surface, sections) -> list:
     """The sections with w rescaled to the first one's square class.
 
-    Over Q, sections of different classes are all verified again, once, over
-    the quadratic field joining the classes (meetings at quadratic points are
+    Over Q, sections of different classes are all carried into the quadratic
+    field joining the classes (`_carried`; meetings at quadratic points are
     invisible over Q); over a quadratic field incompatible classes are out of
     scope.  A list that is already normalized comes back as it is.
     """
@@ -384,9 +384,29 @@ def normalize_sections(surface, sections) -> list:
     if len(kernels) > 1:
         raise SectionError("more than two incompatible square classes")
     K = QuadField(kernels.pop())
-    lift = lambda f: RationalFunction(f.num.map_domain(K), f.den.map_domain(K))
-    return normalize_sections(
-        surface, [verify_section(surface, lift(sec.u), name=sec.name) for sec in sections]
+    return normalize_sections(surface, [_carried(sec, K) for sec in sections])
+
+
+def _carried(sec: Section, K) -> Section:
+    """A section verified over Q, as `verify_section` finds it over K, without verifying again.
+
+    Over K, w's numerator is monic: w and each cycle slope are divided by
+    lc(w.num), and msq = kernel * lc(w.num)^2.  u, the contacts and their
+    leg roots are the same, embedded in K.
+    """
+    lc = sec.w.num.leading()
+    lift = lambda f: f.map_domain(K)
+    embed = lambda x: None if x is None else K.from_fraction(x)
+    contacts = {idx: replace(c, leg_root=embed(c.leg_root), slope=embed(c.slope and c.slope / lc))
+                for idx, c in sec.contacts.items()}
+    return Section(
+        u=RationalFunction(lift(sec.u.num), lift(sec.u.den)),
+        w=RationalFunction(lift(sec.w.num.monic()), lift(sec.w.den)),
+        msq=K.from_fraction(sec.msq * lc * lc),
+        pO=sec.pO,
+        name=sec.name,
+        contacts=contacts,
+        fibers=sec.fibers,
     )
 
 

@@ -144,6 +144,18 @@ class FiberDescriptor:
             return Fraction(component * (self.n - component), self.n)
         return Fraction(1) if component == "near" else 1 + Fraction(self.n, 4)
 
+    def twisted(self, c) -> "FiberDescriptor":
+        """The fiber of the quadratic twist by a constant c != 0 at this cusp, over Q: x scales
+        by c, and so do the node, the split class and the residual cubic's (double) roots."""
+        times = lambda x: None if x is None else c * x
+        cubic = self.residual_cubic
+        return replace(
+            self, node_x=times(self.node_x), double_root=times(self.double_root),
+            split_class=None if self.split_class is None else _square_class(QQ, c * self.split_class),
+            residual_cubic=None if cubic is None else Polynomial(
+                QQ, [c ** (3 - i) * r for i, r in enumerate(cubic.coeffs)]),
+        )
+
     def label(self) -> str:
         return f"I{self.n}" if self.kind == "I" else f"I{self.n}*"
 
@@ -184,7 +196,8 @@ class WeierstrassSurface:
     property together with the Euler-number check done at classification.
     The chart at infinity, the fiber list and the integers of the bad-prime
     rule (`is_bad_prime`) are derived once, on first use.
-    The chart at infinity and a mapped model take c4, c6, Delta from the parent.
+    The chart at infinity and a mapped model take c4, c6, Delta from the parent,
+    and a family member (`families._Member`) takes them and its fibers from g.
     """
 
     def __init__(self, a2: Polynomial, a4: Polynomial, a6: Polynomial, name: str = "",

@@ -194,8 +194,17 @@ def test_verify_lifts_sections_once(monkeypatch):
                         lambda surf: classified.append(surf) or classify(surf))
     code, out = run(["verify", "--surface", "ex_3003"])
     assert code == 0 and "disc NS = -3003" in out
-    assert verified == [QQ, QQ, QuadField(21), QuadField(21)]
+    # verified over Q once each, then carried into Q(sqrt 21) with no second verification
+    assert verified == [QQ, QQ]
     assert len(classified) == 1
+
+
+def test_verify_and_tlattice_take_the_names_of_certified_surfaces():
+    code, out = run(["verify", "--surface", "table1_88"])
+    assert code == 0
+    assert "disc NS = -88" in out.splitlines() and "T(X) = [4,0,22]" in out.splitlines()
+    assert run(["tlattice", "--surface", "extremal_1"]) == (0, "-280\t[4,0,70]\n")
+    assert run(["verify", "--surface", "extremal_inf"])[0] == 0
 
 
 def test_verify_rejects_dependent_sections(tmp_path):

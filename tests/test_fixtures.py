@@ -186,3 +186,17 @@ def test_factored_polynomial_parser():
     assert f.to_text() == "0;0;3/2;-3/2"
     g = parse_poly("7;15360^2")
     assert g.degree == 2 and g.coeffs[0] == 49
+
+
+def test_a_certify_pass_classifies_only_the_direct_surfaces(monkeypatch):
+    import k3cm.fixtures
+    import k3cm.surfaces
+
+    classified = []
+    original = k3cm.surfaces.classify_fibers
+    monkeypatch.setattr(k3cm.surfaces, "classify_fibers", lambda s: classified.append(s.name) or original(s))
+    reg = k3cm.fixtures.FixtureRegistry()   # nothing derived yet, not even g's fibers
+    for fx in reg.certified:
+        fx.certify(reg)
+    direct = [fx.name for fx in reg.certified if fx.kind == "direct"]
+    assert classified == direct and len(direct) == 7

@@ -12,6 +12,7 @@ from k3cm.sections import (
     Contact,
     SectionError,
     _resolved_multiplicity,
+    _carried,
     _conjugate_ratfun,
     _cycle_contact,
     _embed,
@@ -293,11 +294,36 @@ def test_sections_are_lifted_to_the_joining_field_once(reg, monkeypatch):
     surf = fx.build_surface(reg)
     calls = _counting(monkeypatch, k3cm.sections, "verify_section")
     secs = build_sections(surf, fx.sections)
-    assert [args[1].domain for args in calls] == [QQ, QQ, QuadField(21), QuadField(21)]
+    # verified over Q, then carried into Q(sqrt 21) without verifying again
+    assert [args[1].domain for args in calls] == [QQ, QQ]
     assert [s.domain for s in secs] == [QuadField(21)] * 2
     assert normalize_sections(surf, secs) == secs
     assert ns_discriminant(surf, secs) == -3003
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def _lifted(u, K):
+    return RationalFunction(u.num.map_domain(K), u.den.map_domain(K))
+
+
+def test_carried_sections_equal_their_verification_over_the_joining_field(reg, disc88):
+    cases = []
+    for name, m in (("ex_3003", 21), ("ex_3315", 85)):
+        fx = reg.surfaces[name]
+        surf = fx.build_surface(reg)
+        secs = [verify_section(surf, sf.u(), name=sf.name) for sf in fx.sections]
+        assert len({sec.msq for sec in secs}) == 2   # two square classes over Q
+        cases += [(surf, sec, QuadField(m)) for sec in secs]
+    # the -88 section meets an I0* leg: its leg root is carried too
+    surf, sec, _ = disc88
+    cases.append((surf, sec, QuadField(2)))
+    for surf, sec, K in cases:
+        carried, verified = _carried(sec, K), verify_section(surf, _lifted(sec.u, K), name=sec.name)
+        assert carried.domain == K and carried.u == verified.u and carried.w == verified.w
+        assert carried.msq == verified.msq and carried.pO == verified.pO
+        assert carried.contacts == verified.contacts and carried.fibers == verified.fibers
+        assert any(c.slope is not None or c.leg_root is not None for c in carried.contacts.values())
+    assert any(c.leg_root is not None for c in _carried(sec, QuadField(2)).contacts.values())
 
 
 def test_assemble_ns_intersects_each_pair_once(reg, monkeypatch):

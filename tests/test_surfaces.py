@@ -118,10 +118,14 @@ def test_chart_at_infinity_and_fibers_are_derived_once(fam, monkeypatch):
     calls = []
     original = k3cm.surfaces.classify_fibers
     monkeypatch.setattr(k3cm.surfaces, "classify_fibers", lambda s: calls.append(s) or original(s))
-    surf = fam.specialize(Fraction(5, 32))
-    assert surf.flipped() is surf.flipped()
-    assert surf.fibers is surf.fibers
+    member = fam.specialize(Fraction(5, 32))
+    surf = WeierstrassSurface(member.a2, member.a4, member.a6)
+    for model in (member, surf):
+        assert model.flipped() is model.flipped()
+        assert model.fibers is model.fibers
+    # a family member takes its fibers from g, with no classify_fibers of its own
     assert calls == [surf]
+    assert member.fibers == surf.fibers
 
 
 def test_derived_models_carry_their_own_invariants(certified):
