@@ -13,10 +13,10 @@ from k3cm import (
     ns_discriminant,
     recover_section,
     registry,
-    search,
     usable_primes,
 )
 from k3cm.counting import CountCache
+from k3cm.search import search
 
 reg = registry()
 fam = reg.family("xlm")

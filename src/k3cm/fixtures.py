@@ -246,40 +246,41 @@ class FixtureRegistry:
         return resources.files("k3cm").joinpath("data", name).read_text()
 
     def _load(self):
-        manifest = {}
+        """Read each manifest file once: the text whose sha256 is checked is the text parsed."""
+        texts = {}
         for line in self._read("checksums.txt").splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             digest, fname = line.split()
-            manifest[fname] = digest
-        for fname, digest in manifest.items():
-            if hashlib.sha256(self._read(fname).encode()).hexdigest() != digest:
+            texts[fname] = self._read(fname)
+            if hashlib.sha256(texts[fname].encode()).hexdigest() != digest:
                 raise FixtureError(f"fixture {fname} fails its checksum (edited without manifest update?)")
-        for fname in manifest:
+        for fname, text in texts.items():
             if fname.endswith(".fam"):
-                fam = family_from_text(self._read(fname))
+                fam = family_from_text(text)
                 self._families[fam.name] = fam
-        for fname in manifest:
+        for fname, text in texts.items():
             if fname.endswith(".surf"):
-                fx = surface_fixture_from_text(self._read(fname))
+                fx = surface_fixture_from_text(text)
                 self.surfaces[fx.name] = fx
             elif fname == "table1.rows":
-                self._load_table1(fname)
+                self._load_table1(text)
             elif fname == "extremal.rows":
-                self._load_extremal(fname)
+                self._load_extremal(text)
             elif fname == "semistable.rows":
-                self._load_semistable(fname)
+                self._load_semistable(text)
             elif fname == "corroborate.rows":
-                self._load_corroborate(fname)
+                self._load_corroborate(text)
 
     def family(self, name: str) -> Family:
         return self._families[name]
 
-    def _rows(self, fname) -> list[dict]:
-        return [kv for name, kv in parse_blocks(self._read(fname)) if name == "row"]
+    @staticmethod
+    def _rows(text) -> list[dict]:
+        return [kv for name, kv in parse_blocks(text) if name == "row"]
 
-    def _load_table1(self, fname):
+    def _load_table1(self, text):
         self.table1 = [
             Table1Row(
                 lam=parse_rational(kv["lambda"]),
@@ -292,10 +293,10 @@ class FixtureRegistry:
                 note=kv.get("note", ""),
                 derived_T=parse_form(kv["derived_t"]) if "derived_t" in kv else None,
             )
-            for kv in self._rows(fname)
+            for kv in self._rows(text)
         ]
 
-    def _load_extremal(self, fname):
+    def _load_extremal(self, text):
         self.extremal = [
             SurfaceFixture(
                 name=f"extremal_{kv['lambda'].replace('/', '_')}",
@@ -306,10 +307,10 @@ class FixtureRegistry:
                 expected_T=parse_form(kv["t"]),
                 group="extremal",
             )
-            for kv in self._rows(fname)
+            for kv in self._rows(text)
         ]
 
-    def _load_semistable(self, fname):
+    def _load_semistable(self, text):
         self.semistable = [
             SemistableRow(
                 disc=int(kv["disc"]),
@@ -318,13 +319,13 @@ class FixtureRegistry:
                 T=parse_form(kv["t"]),
                 source=kv.get("src", ""),
             )
-            for kv in self._rows(fname)
+            for kv in self._rows(text)
         ]
 
-    def _load_corroborate(self, fname):
+    def _load_corroborate(self, text):
         self.corroboration = [
             CorroborationRow(disc=int(kv["disc"]), lam=parse_rational(kv["lambda"]), source=kv.get("src", ""))
-            for kv in self._rows(fname)
+            for kv in self._rows(text)
         ]
 
 

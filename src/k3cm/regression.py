@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from k3cm.fixtures import registry
-from k3cm.newforms import NewformOracle
 from k3cm.quadforms import reduce_form
 from k3cm.sections import pairing
 
@@ -63,6 +62,7 @@ CORROBORATION_PRIMES = 4   # the first usable split primes each corroboration ro
 
 def run_corroboration(rep: Report, reg) -> None:
     from k3cm.counting import CountCache
+    from k3cm.newforms import NewformOracle
     from k3cm.search import corroborate, first_usable_primes
 
     fam = reg.family("xlm")

@@ -70,8 +70,25 @@ def test_checksums_guard_edits(tmp_path, monkeypatch):
         return text
 
     monkeypatch.setattr(fx.FixtureRegistry, "_read", tampered)
-    with pytest.raises(FixtureError):
+    with pytest.raises(FixtureError, match="fixture table1.rows fails its checksum"):
         fx.FixtureRegistry()
+
+
+def test_each_fixture_file_is_read_once(monkeypatch):
+    import k3cm.fixtures as fx
+
+    real_read, reads = fx.FixtureRegistry._read, []
+
+    def spy(self, name):
+        reads.append(name)
+        return real_read(self, name)
+
+    monkeypatch.setattr(fx.FixtureRegistry, "_read", spy)
+    fx.FixtureRegistry()
+    manifest = [line.split()[1] for line in real_read(None, "checksums.txt").splitlines()
+                if line.strip() and not line.startswith("#")]
+    assert len(manifest) == 14
+    assert sorted(reads) == sorted(["checksums.txt"] + manifest)
 
 
 def test_every_expectation_is_attributed(reg):
