@@ -81,7 +81,7 @@ def cmd_count(args) -> int:
     fam = _load_family(args.family)
     cache = CountCache(args.cache)
     p = args.prime
-    if p in fam.bad_primes(p):
+    if fam.untwisted.is_bad_prime(p):
         print(f"p = {p} is excluded for this family", file=sys.stderr)
         return 2
     if args.lam is None:

@@ -24,7 +24,10 @@ as (t-lambda)^(1,2,3) on (a2, a4, a6).  Substituting x = (t-lambda) X
 gives x^3 + a2 x^2 + a4 x + a6 = (t-lambda)^3 g_t(X), where g is the
 untwisted model (`Family.untwisted`).  A `TwistTable`, built once per
 (family, p), holds g's S(t) and Z(t) = #{X : g_t(X) = 0}, and g's fibers at
-the family's degenerate lambdas and at infinity.  Then a member is read off it:
+the family's degenerate lambdas and at infinity, its fibers over Q
+(`Family.fixed_fibers`, types kept by the bad-prime rule) reduced mod p: a
+node's split class is -2AB of the depressed cubic X^3 + AX + B there
+(f''/2 = -9B/2A at its double root -3B/2A).  Then a member is read off it:
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
   the fiber y^2 = x^3 at t = lambda having p+1 points.  That sum is O(p) for
@@ -36,10 +39,11 @@ the family's degenerate lambdas and at infinity.  Then a member is read off it:
 * at t = lambda the member has an I0* fiber whose residual cubic g_lambda has
   Z(lambda) roots;
 * at infinity the twist factor (1 - lambda s) is 1 at s = 0, so the fiber and
-  its count are g's, read off `Family.chart_at_infinity`.
+  its count are g's, off its t^3, t^6, t^9 coefficients (`Family.chart_at_infinity`).
 
 So a member's fixed components are one integer, `TwistTable.fixed(lambda)`,
-with no fiber list built per member.  A lambda on a cusp of g
+with no fiber list built per member, and `TwistTable.members` keeps every
+member's count for all the scans at p.  A lambda on a cusp of g
 (Delta_g(lambda) = 0, where the I0* meets a fixed fiber) raises
 CountingError naming the cusp and p.
 
@@ -53,10 +57,11 @@ a scan appends its new counts to the file in one `batch()`.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import mul
+from types import MappingProxyType
 
 from k3cm.exact import GF, PadicRing, roots_mod_p
 from k3cm.surfaces import (
@@ -167,17 +172,17 @@ def lefschetz_candidates(count: int, p: int, t_alg: int) -> tuple[int, int]:
 def count_surface(surface_q: WeierstrassSurface, p: int):
     """(smooth count, t_alg, candidates) for a Q-surface reduced mod a good prime p.
 
-    raw = p(p+1) + (fiber at infinity) + sum_t S(t), the S sums of its own
-    cubic as a twist table takes them.  A bad prime of the model
+    raw = p(p+1) + (p+1 + S at s = 0 of `flipped()`) + sum_t S(t), the S sums of
+    its own cubic as a twist table takes them.  A bad prime of the model
     (`WeierstrassSurface.is_bad_prime`) raises CountingError.
     """
     if surface_q.is_bad_prime(p):
         raise CountingError(f"{surface_q.name or 'surface'}: p = {p} is a bad prime of its model")
     surf = surface_q.map_domain(GF(p))
     chi = _character_table(p)
-    S, _ = depressed_cubic_sums(p, chi, *_depressed_coefficients(surf.a2, surf.a4, surf.a6, p))
+    S, _ = depressed_cubic_sums(p, chi, *_depressed_coefficients(surf.a2, surf.a4, surf.a6, 4, p))
     fixed = sum(n for _, n in _fibers_mod_p(surf))
-    smooth = p * (p + 1) + _fiber_count(surf.flipped(), 0, chi) + sum(S) + p * fixed
+    smooth = p * (p + 1) + p + 1 + sum(S) + p * fixed
     return smooth, 2 + fixed, lefschetz_candidates(smooth, p, 2 + fixed)
 
 
@@ -242,15 +247,15 @@ def _correlate_with_chi(values: list, chi: list, p: int) -> list[int]:
     return [int.from_bytes(raw[i:i + width], "little") - total for i in range(0, p * width, width)]
 
 
-def _depressed_coefficients(a2, a4, a6, p: int) -> tuple[list, list]:
-    """A, B with g_t(X - c2/3) = X^3 + A[t] X + B[t] at t = 0, ..., p - 1.
+def _depressed_coefficients(a2, a4, a6, weight: int, p: int) -> tuple[list, list]:
+    """A, B with g_t(X - c2/3) = X^3 + A[t] X + B[t] at t = 0, ..., p - 1, then at infinity.
 
-    (c2, c4, c6) = (a2, a4, a6)(t) by integer Horner on the coefficients;
-    with s = c2/3, A = c4 - 3s^2 and B = c6 - s c4 + 2s^3.
+    (c2, c4, c6) = (a2, a4, a6)(t) by integer Horner, at infinity the t^w, t^2w, t^3w coefficients
+    (s = 0 of the chart of weights (w, 2w, 3w)); with s = c2/3, A = c4 - 3s^2, B = c6 - s c4 + 2s^3.
     """
     third = pow(3, -1, p)
     A, B = [], []
-    for c2, c4, c6 in zip(*(_values_mod(poly, p) for poly in (a2, a4, a6))):
+    for c2, c4, c6 in zip(*(_values_mod(f, p) + [f[k * weight]] for k, f in enumerate((a2, a4, a6), 1))):
         s = c2 * third % p
         A.append((c4 - 3 * s * s) % p)
         B.append((c6 - s * c4 + 2 * s * s * s) % p)
@@ -274,48 +279,54 @@ class TwistTable:
     """Member-independent counting data of a (1, 2, 3)-twist family at p.
 
     A member off the cusps of g is read off it: `raw_count` is its
-    Weierstrass count in O(p), `raw_counts` every member's from one
-    correlation, and `fixed` its Frobenius-fixed non-identity components,
-    an integer, with no per-member fiber list.
+    Weierstrass count in O(p), `raw_counts` and `members` every member's
+    raw and smooth count, and `fixed` its Frobenius-fixed non-identity
+    components, an integer, with no per-member fiber list.
     """
 
     p: int
     chi: list          # chi[x] = (x|p), twice over, so chi[p + d] = (d|p) for -p < d < p
     S: list            # S[t] = sum_X chi(g_t(X))
     Z: list            # Z[t] = #{X : g_t(X) = 0}
-    cusps: dict        # finite cusp t0 of g -> g's fiber there over GF(p)
-    inf_fiber: FiberDescriptor | None
+    cusps: dict        # finite cusp t0 of g -> g's fiber there over GF(p), its fiber over Q reduced
+    inf_fiber: FiberDescriptor | None   # g's fiber at infinity over Q reduced, None if smooth
     inf_count: int     # points on the fiber at infinity, its point at infinity included
     shared: int        # fixed components of the fibers no lambda changes: I_1, I_0*, infinity
     nodes: tuple       # (t0, kept, flipped): an I_n cusp's fixed components by chi(t0 - lambda) = 1, -1
 
     @staticmethod
     def build(family, p: int) -> "TwistTable":
-        """The table of g mod a good prime p; at each cusp v(Delta_g) is g's over Q.
+        """The table of g mod a good prime p, whose fibers are g's over Q (`Family.fixed_fibers`).
 
         A fiber of g that the counting tables reject raises CountingError naming g, p and the cusp.
         """
         if p <= 3:
             raise CountingError(f"twist table at p = {p}: the cubic is depressed by X -> X - c2/3")
-        g = family.untwisted.map_domain(family.residue_field(p))
-        chart = family.chart_at_infinity.map_domain(g.domain)
+        F, g = family.residue_field(p), family.untwisted
+        A, B = _depressed_coefficients(*(f.map_domain(F) for f in (g.a2, g.a4, g.a6)), 3, p)
         chi = _character_table(p)
-        S, Z = depressed_cubic_sums(p, chi, *_depressed_coefficients(g.a2, g.a4, g.a6, p))
-        at = [(Cusp.finite(t0), over_q.euler) for t0, over_q in sorted(family.degenerate_lambdas(p).items())]
-        cusps, nodes, shared, inf_fiber = {}, [], 0, None
-        for fib, fixed in walk_fibers(g, at, chart, 18, _fiber_mod_p):
-            t0 = fib.cusp.value
-            if fib.cusp.kind == "infinity":
-                inf_fiber, shared = fib, shared + fixed
-                continue
-            cusps[t0] = fib
-            if fib.kind == "I" and fib.n >= 2:   # the twist multiplies the split class by t0 - lambda
-                s = chi[fib.split_class]
-                nodes.append((t0, _node_fixed(fib.n, s), _node_fixed(fib.n, -s)))
+        S, Z = depressed_cubic_sums(p, chi, A, B)
+        at = [(t0, Cusp.finite(t0), fib) for t0, fib in sorted(family.degenerate_lambdas(p).items())]
+        at += [(p, fib.cusp, fib) for fib in family.fixed_fibers[-1:] if fib.cusp.kind == "infinity"]
+        fibers, nodes, shared = {}, [], 0
+        for i, cusp, over_q in at:   # index p: the fiber at infinity
+            if over_q.kind == "I*":
+                fib = replace(over_q, cusp=cusp, residual_cubic=over_q.residual_cubic.map_domain(F))
+            else:
+                fib = FiberDescriptor(cusp, "I", over_q.n, split_class=-2 * A[i] * B[i] % p)
+            try:
+                fixed = fixed_components(fib, p)
+            except UnsupportedFiberError as exc:   # in the words of `classify_at` on g or its chart
+                where = g.name if i < p else family.chart_at_infinity.name
+                raise CountingError(f"{where} mod {p} at t={i % p}: {exc}") from exc
+            fibers[i] = fib
+            if i < p and fib.kind == "I" and fib.n >= 2:
+                s = chi[fib.split_class]   # the twist multiplies the split class by t0 - lambda
+                nodes.append((i, _node_fixed(fib.n, s), _node_fixed(fib.n, -s)))
             else:
                 shared += fixed
-        return TwistTable(p, chi + chi, S, Z, cusps, inf_fiber, _fiber_count(chart, 0, chi), shared,
-                          tuple(nodes))
+        inf_fiber = fibers.pop(p, None)
+        return TwistTable(p, chi + chi, S[:p], Z[:p], fibers, inf_fiber, p + 1 + S[p], shared, tuple(nodes))
 
     def fixed(self, lam: int) -> int:
         """The member's Frobenius-fixed non-identity components, summed over its fibers.
@@ -346,6 +357,12 @@ class TwistTable:
         corr = _correlate_with_chi([s + p for s in self.S], self.chi[:p], p)
         base = p * (p + 1) + self.inf_count
         return [base + corr[-lam] for lam in range(p)]
+
+    @cached_property
+    def members(self) -> MappingProxyType:
+        """lambda -> (smooth count, t_alg, candidates) off the cusps of g, read-only, taken once."""
+        return MappingProxyType({lam: _member(self, lam, raw)
+                                 for lam, raw in enumerate(self.raw_counts) if lam not in self.cusps})
 
 
 def twist_table(family, p: int) -> TwistTable:
@@ -457,26 +474,29 @@ def count_family_member(family, p: int, lam: int, cache: CountCache | None = Non
     lam_p = lam % p
     if lam_p in table.cusps:
         raise CountingError(f"{on_cusp(family, p, lam_p)}; its member is degenerate")
-    return _member(family, table, lam_p, table.raw_count(lam_p), cache)
+    member = _member(table, lam_p, table.raw_count(lam_p))
+    if cache is not None:
+        cache.put(family.digest, p, lam_p, member[0])
+    return member
 
 
-def count_members(family, p: int, cache: CountCache | None = None) -> dict[int, tuple]:
+def count_members(family, p: int, cache: CountCache | None = None) -> MappingProxyType:
     """lambda -> (smooth count, t_alg, candidates) for every lambda in F_p off the cusps of g.
 
-    One twist table and one correlation (`TwistTable.raw_counts`) for all
-    members; the counts reach the cache in one `batch()`.  Where g has a
-    fiber the counting tables reject, CountingError before any member.
+    The twist table's read-only `members`, computed once per (family, p);
+    the counts reach the cache in one `batch()`.  Where g has a fiber the
+    counting tables reject, CountingError before any member.
     """
-    table = twist_table(family, p)
-    with cache.batch() if cache is not None else nullcontext():
-        return {lam: _member(family, table, lam, raw, cache)
-                for lam, raw in enumerate(table.raw_counts) if lam not in table.cusps}
+    members = twist_table(family, p).members
+    if cache is not None:
+        with cache.batch():
+            for lam, (smooth, _, _) in members.items():
+                cache.put(family.digest, p, lam, smooth)
+    return members
 
 
-def _member(family, table: TwistTable, lam: int, raw: int, cache: CountCache | None):
-    """(smooth count, t_alg, candidates) from a member's raw count; the cache checks the count."""
+def _member(table: TwistTable, lam: int, raw: int) -> tuple:
+    """(smooth count, t_alg, candidates) from a member's raw count."""
     p, fixed = table.p, table.fixed(lam)
     smooth, t_alg = raw + p * fixed, 2 + fixed
-    if cache is not None:
-        cache.put(family.digest, p, lam, smooth)
     return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)

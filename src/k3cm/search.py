@@ -59,7 +59,7 @@ def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None =
     """
     if oracle.prime_kind(p) != SPLIT:
         raise SearchError(f"p = {p} is not split for discriminant {oracle.field_disc}")
-    if p in family.bad_primes(p):
+    if family.untwisted.is_bad_prime(p):
         raise SearchError(f"p = {p} is a bad prime for family {family.name}")
     admissible = oracle.eigenvalue_abs(p)
     return {lam for lam, (_, _, cands) in count_members(family, p, cache).items()
@@ -134,9 +134,8 @@ def corroborate(family, lam: Fraction, oracle: NewformOracle, primes, cache=None
     one mismatch at a good split prime refutes the candidate.
     """
     out = []
-    bad = family.bad_primes(max(primes) if primes else 2)
     for p in primes:
-        if p in bad or oracle.prime_kind(p) != SPLIT:
+        if family.untwisted.is_bad_prime(p) or oracle.prime_kind(p) != SPLIT:
             out.append((p, "skipped"))
             continue
         if lam.denominator % p == 0:

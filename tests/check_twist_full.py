@@ -5,9 +5,11 @@
 Compares `count_family_member` (the twist table, one O(p) sum per lambda) and
 `count_members` (one correlation for all lambda) with specialize + analyze +
 brute-force count on every lambda at every good prime up to BOUND (default
-199) and at the extra primes (default 307), for the `xlm` family and the two
-test families whose g has an I0* fiber (at t = 0 and at infinity), and at
-each prime the table's S and Z with the p^2 reference loop.  A lambda on a
+199) and at the extra primes (default 307), for the `xlm` family, `xlm` at
+mu = 81/10 (whose g has an orbit cusp, so that the table's cusps include the
+roots of an irreducible factor of Delta_g mod p) and the two test families
+whose g has an I0* fiber (at t = 0 and at infinity), and at each prime the
+table's S and Z with the p^2 reference loop.  A lambda on a
 cusp of g agrees when both paths raise.  Then, for each family at every
 prime up to N (default: the largest prime compared), compares `bad_primes`
 with the per-prime reduction oracle `reduces_cleanly`, and builds the twist
@@ -23,11 +25,19 @@ without a table.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
 from oracles import reduces_cleanly, twist_fibers, twist_sums
-from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF, brute_force, brute_force_member, count_or_error
+from test_counting import (
+    I0_STAR_AT_0,
+    I0_STAR_AT_INF,
+    MU_ORBIT,
+    brute_force,
+    brute_force_member,
+    count_or_error,
+)
 
 from k3cm.counting import CountingError, count_members, count_surface, twist_table
 from k3cm.exact import GF, primes_up_to
@@ -95,7 +105,9 @@ def main(argv):
     parser.add_argument("--rule-bound", type=int, default=None)
     args = parser.parse_args(argv)
     bound, extra = args.bound, args.extra
-    families = [registry().family("xlm"), I0_STAR_AT_0, I0_STAR_AT_INF]
+    xlm = registry().family("xlm")
+    orbit = dataclasses.replace(xlm, mu=MU_ORBIT, name=f"xlm_mu_{MU_ORBIT}")
+    families = [xlm, orbit, I0_STAR_AT_0, I0_STAR_AT_INF]
     compared = both_raise = mismatches = sums_differ = no_table = 0
     largest = 0
     for fam in families:

@@ -5,7 +5,15 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
-from k3cm.counting import TwistTable, count_family_member, fixed_components
+from k3cm.counting import (
+    TwistTable,
+    _character_table,
+    _fiber_count,
+    _fiber_mod_p,
+    _node_fixed,
+    count_family_member,
+    fixed_components,
+)
 from k3cm.exact import (
     GF,
     QQ,
@@ -17,6 +25,7 @@ from k3cm.exact import (
     poly_series,
     primes_up_to,
     rational_sqrt,
+    roots_mod_p,
     squarefree_part,
     xgcd,
 )
@@ -24,7 +33,14 @@ from k3cm.lattices import DiscriminantForm, smith_normal_form
 from k3cm.newforms import SPLIT, NewformOracle
 from k3cm.quadforms import BinaryQuadraticForm, _check_discriminant, reduce_form
 from k3cm.sections import Section, SectionError, _same_square_class
-from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, _roots_of_squarefree, squarefree_decomposition
+from k3cm.surfaces import (
+    Cusp,
+    WeierstrassSurface,
+    _discriminant_polys,
+    _roots_of_squarefree,
+    squarefree_decomposition,
+    walk_fibers,
+)
 
 
 def rational_roots(f: Polynomial) -> dict:
@@ -403,6 +419,40 @@ def twist_fibers(table: TwistTable, lam: int) -> list[tuple]:
     if table.inf_fiber is not None:
         rows += fiber_rows([table.inf_fiber], p)
     return rows
+
+
+def table_fibers(table: TwistTable) -> dict:
+    """What a twist table holds of g's fibers over GF(p), as `classified_fibers_of_g` gives it."""
+    p = table.p
+    return {"cusps": {t0: (f.label(), fixed_components(f, p)) for t0, f in table.cusps.items()},
+            "nodes": table.nodes, "shared": table.shared, "inf_count": table.inf_count,
+            "inf_fiber": table.inf_fiber and table.inf_fiber.label()}
+
+
+def classified_fibers_of_g(family, p: int) -> dict:
+    """`table_fibers` by classifying g mod p: g and its chart at infinity mapped to GF(p), then
+    `walk_fibers` with `_fiber_mod_p` at the roots of Delta_g mod p and at s = 0 of the chart.
+
+    The route the twist table took before it read g's fibers off Q; a fiber outside the
+    counting tables raises the CountingError that route raised.
+    """
+    g = family.untwisted.map_domain(family.residue_field(p))
+    chart = family.chart_at_infinity.map_domain(g.domain)
+    chi = _character_table(p)
+    at = [(Cusp.finite(t0), g.delta.valuation_at(t0)) for t0 in sorted(roots_mod_p(g.delta))]
+    out = {"cusps": {}, "nodes": [], "shared": 0, "inf_count": _fiber_count(chart, 0, chi), "inf_fiber": None}
+    for fib, fixed in walk_fibers(g, at, chart, 18, _fiber_mod_p):
+        if fib.cusp.kind == "infinity":
+            out["inf_fiber"] = fib.label()
+        else:
+            out["cusps"][fib.cusp.value] = (fib.label(), fixed)
+        if fib.cusp.kind == "finite" and fib.kind == "I" and fib.n >= 2:
+            s = chi[fib.split_class]
+            out["nodes"].append((fib.cusp.value, _node_fixed(fib.n, s), _node_fixed(fib.n, -s)))
+        else:
+            out["shared"] += fixed
+    out["nodes"] = tuple(out["nodes"])
+    return out
 
 
 def scan_by_member(family, p: int, oracle: NewformOracle) -> set[int]:

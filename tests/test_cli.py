@@ -325,6 +325,18 @@ def run_with_stderr(args):
     return code, out, err.getvalue()
 
 
+def test_count_refuses_a_bad_prime_alone(monkeypatch):
+    # the rule at p itself: `Family.bad_primes` (a sieve of every prime up to p) is not asked
+    from k3cm.families import Family
+
+    def sieve(*args):
+        raise AssertionError("the primes up to p were sieved")
+
+    monkeypatch.setattr(Family, "bad_primes", sieve)
+    for p in (5, 7):
+        assert run_with_stderr(["count", "--prime", str(p)]) == (2, "", f"p = {p} is excluded for this family\n")
+
+
 def test_search_without_small_residue_sets_says_so_and_exits_1():
     # -132: at five of its first six usable primes no lambda matches, so no
     # two primes have 1 to 5 residues; that is a search outcome, not an input error

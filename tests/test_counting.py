@@ -6,6 +6,7 @@ import pytest
 
 import k3cm.counting as counting
 import k3cm.families as families_module
+import k3cm.surfaces as surfaces
 from k3cm.counting import (
     CountCache,
     CountingError,
@@ -34,7 +35,7 @@ from k3cm.surfaces import (
     _discriminant_polys,
     classify_fibers,
 )
-from oracles import fiber_rows, twist_fibers, twist_sums
+from oracles import classified_fibers_of_g, fiber_rows, table_fibers, twist_fibers, twist_sums
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +54,14 @@ def twist_family(name, A, B, C, pre=("1,0,1", "2,0,2", "3,0,3")):
                             f"pre_a2 = {pre[0]}\npre_a4 = {pre[1]}\npre_a6 = {pre[2]}\nmu = 1\n")
 
 
-# g with an I0* fiber at t = 0, at infinity, and an I1* fiber at t = 0; the rest of Delta_g is I1 orbits
+# g with an I0* fiber at t = 0, at infinity, and an I1* fiber at t = 0, at infinity;
+# the rest of Delta_g is I1 orbits
 I0_STAR_AT_0 = twist_family("i0star_at_0", "1|2|-1", "-3|1|0|2|1", "5|-1|3|0|1|-2|1")
 I0_STAR_AT_INF = twist_family("i0star_at_inf", "-1|2|1", "1|2|0|1|-3", "1|-2|1|0|3|-1|5",
                               pre=("0,0,1", "0,0,2", "0,0,3"))
 I1_STAR_AT_0 = twist_family("i1star_at_0", "0|2|-1", "-3|1|0|2|1", "2|-1|3|0|1|-2|1")
+I1_STAR_AT_INF = twist_family("i1star_at_inf", "-1|2", "1|2|0|1|-3", "1|-2|1|0|3|-1|2",
+                              pre=("0,0,1", "0,0,2", "0,0,3"))
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +425,61 @@ def test_twist_chart_takes_its_invariants_from_g(fam, monkeypatch):
     coeffs, invariants = charts[0]
     assert invariants is not None
     assert invariants == _discriminant_polys(*coeffs)
+
+
+MU_ORBIT = Fraction(81, 10)   # xlm's g at this mu has an orbit cusp, an irreducible cubic factor of Delta_g
+
+
+def test_twist_tables_read_the_fibers_of_g_off_q(fam):
+    # at every good p, g's fibers over Q reduced mod p are g's fibers classified over GF(p):
+    # cusps, labels, fixed components, the node flips, the shared part and the fiber at infinity
+    for family in (fam, dataclasses.replace(fam, mu=MU_ORBIT), I0_STAR_AT_0, I0_STAR_AT_INF):
+        for p in family.good_primes(199):
+            want = classified_fibers_of_g(family, p)
+            assert table_fibers(TwistTable.build(family, p)) == want, (family.name, family.mu, p)
+    for family in (I1_STAR_AT_0, I1_STAR_AT_INF):   # an I1* of g: both routes raise, in the same words
+        for p in family.good_primes(61):
+            with pytest.raises(CountingError) as classified:
+                classified_fibers_of_g(family, p)
+            with pytest.raises(CountingError, match=re.escape(str(classified.value))):
+                TwistTable.build(family, p)
+
+
+def test_twist_tables_build_no_surface_and_classify_no_fiber(fam, monkeypatch):
+    families = [dataclasses.replace(fam), dataclasses.replace(fam, mu=MU_ORBIT), I0_STAR_AT_0, I0_STAR_AT_INF]
+    for family in families:
+        assert family.fixed_fibers   # g, its chart and its fibers over Q, derived once per family
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a twist table built a surface or classified a fiber")
+
+    monkeypatch.setattr(WeierstrassSurface, "__init__", forbidden)
+    for module, name in ((surfaces, "_classify"), (surfaces, "classify_at"), (counting, "classify_at")):
+        monkeypatch.setattr(module, name, forbidden)
+    for family in families:
+        for p in family.good_primes(199):
+            TwistTable.build(family, p)
+
+
+def test_members_are_computed_once_per_table(fam, tmp_path, monkeypatch):
+    family, p, computed = dataclasses.replace(fam), 13, []
+    member = counting._member
+
+    def counted(table, lam, raw):
+        computed.append(lam)
+        return member(table, lam, raw)
+
+    monkeypatch.setattr(counting, "_member", counted)
+    path = tmp_path / "counts.cache"
+    cache = CountCache(path)
+    members = count_members(family, p, cache)
+    assert count_members(family, p, cache) is members
+    assert len(computed) == p - len(twist_table(family, p).cusps) == 9
+    # a fresh file gets the lines the counting wrote before members were kept on the table
+    counts = {2: 296, 3: 240, 4: 248, 5: 314, 7: 282, 9: 222, 10: 270, 11: 298, 12: 226}
+    assert path.read_text().splitlines() == [f"4684c1aa4cde 13 {lam} {n}" for lam, n in counts.items()]
+    with pytest.raises(TypeError):
+        members[2] = members[3]
 
 
 def test_twist_sums_match_the_reference_loop(fam):

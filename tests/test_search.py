@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from k3cm.counting import CountCache, twist_table
+from k3cm.families import Family
 from k3cm.fixtures import registry
 from k3cm.newforms import NewformOracle
 from k3cm.search import (
@@ -42,6 +43,20 @@ def test_scan_rejects_inert_prime(fam):
     oracle = NewformOracle(-88)
     with pytest.raises(SearchError):
         scan_prime(fam, 7, oracle)  # 7 is inert for -88
+
+
+def test_a_scan_asks_the_bad_prime_rule_at_its_prime_alone(fam, monkeypatch):
+    # g's rule at p itself, not a sieve of every prime up to p through `Family.bad_primes`
+    def sieve(*args):
+        raise AssertionError("the primes up to p were sieved")
+
+    monkeypatch.setattr(Family, "bad_primes", sieve)
+    oracle = NewformOracle(-20)
+    for p in (3, 7):   # split for -20, bad for xlm
+        with pytest.raises(SearchError, match=f"^p = {p} is a bad prime for family xlm$"):
+            scan_prime(fam, p, oracle)
+    assert scan_prime(fam, 23, oracle) == scan_by_member(fam, 23, oracle)
+    assert corroborate(fam, Fraction(1, 3), oracle, [7, 23]) == [(7, "skipped"), (23, "mismatch")]
 
 
 def test_scan_contains_true_residue(fam, cache):
