@@ -3,13 +3,15 @@
 The raw count of a Weierstrass model over F_p is p + 1 + S(t) on the fiber
 at each t, S(t) = sum_X chi(cubic_t(X)), plus the fiber at infinity off the
 chart `flipped()`.  S comes from isomorphism classes, not from the p^2 pairs
-(t, X): shifting X by c2/3 depresses the cubic to X^3 + A X + B, and X -> aX
-moves (A, B) to a class with A in {0, 1, n} (n the least non-residue), whose
-character sums for every B are one big-integer correlation
-(`depressed_cubic_sums`).  The smooth count adds p per Frobenius-fixed
-non-identity component of the reducible fibers, t_alg = 2 + those
-components, and the two sign choices for the leftover +-p eigenvalue give
-the candidate transcendental traces compared against the newform oracle.
+(t, X): the cubic depressed by X -> X - a2/3 is X^3 + A X + B with A = -c4/48
+and B = -c6/864, read off the model's c4 and c6 over Q and evaluated mod p at
+every t by running sums (`_depressed_coefficients`); X -> aX moves (A, B) to
+a class with A in {0, 1, n} (n the least non-residue), whose character sums
+for every B are one big-integer correlation packed through `array` slots,
+and each t's S is a list lookup (`depressed_cubic_sums`).  The smooth count
+adds p per Frobenius-fixed non-identity component of the reducible fibers,
+t_alg = 2 + those components, and the two sign choices for the leftover +-p
+eigenvalue give the candidate traces compared against the newform oracle.
 `count_surface` counts a surface over Q this way, at good primes of its
 model only; `count_weierstrass`, O(p^2), is the brute-force reference.
 
@@ -26,8 +28,8 @@ untwisted model (`Family.untwisted`).  A `TwistTable`, built once per
 (family, p), holds g's S(t) and Z(t) = #{X : g_t(X) = 0}, and g's fibers at
 the family's degenerate lambdas and at infinity, its fibers over Q
 (`Family.fixed_fibers`, types kept by the bad-prime rule) reduced mod p: a
-node's split class is -2AB of the depressed cubic X^3 + AX + B there
-(f''/2 = -9B/2A at its double root -3B/2A).  Then a member is read off it:
+node's split class is -2AB there (f''/2 = -9B/2A at the double root -3B/2A).
+Then a member is read off it:
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
   the fiber y^2 = x^3 at t = lambda having p+1 points.  That sum is O(p) for
@@ -42,8 +44,9 @@ node's split class is -2AB of the depressed cubic X^3 + AX + B there
   its count are g's, off its t^3, t^6, t^9 coefficients (`Family.chart_at_infinity`).
 
 So a member's fixed components are one integer, `TwistTable.fixed(lambda)`,
-with no fiber list built per member, and `TwistTable.members` keeps every
-member's count for all the scans at p.  A lambda on a cusp of g
+with no fiber list built per member; `TwistTable.members` takes them for
+every lambda as one list and keeps every member's count for all the scans
+at p.  A lambda on a cusp of g
 (Delta_g(lambda) = 0, where the I0* meets a fixed fiber) raises
 CountingError naming the cusp and p.
 
@@ -57,9 +60,11 @@ a scan appends its new counts to the file in one `batch()`.
 from __future__ import annotations
 
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from operator import mul
 from types import MappingProxyType
 
@@ -178,16 +183,14 @@ def count_surface(surface_q: WeierstrassSurface, p: int):
     """
     if surface_q.is_bad_prime(p):
         raise CountingError(f"{surface_q.name or 'surface'}: p = {p} is a bad prime of its model")
-    surf = surface_q.map_domain(GF(p))
-    chi = _character_table(p)
-    S, _ = depressed_cubic_sums(p, chi, *_depressed_coefficients(surf.a2, surf.a4, surf.a6, 4, p))
-    fixed = sum(n for _, n in _fibers_mod_p(surf))
+    S, _ = depressed_cubic_sums(p, _character_table(p), *_depressed_coefficients(surface_q, 4, p))
+    fixed = sum(n for _, n in _fibers_mod_p(surface_q.map_domain(GF(p))))
     smooth = p * (p + 1) + p + 1 + sum(S) + p * fixed
     return smooth, 2 + fixed, lefschetz_candidates(smooth, p, 2 + fixed)
 
 
 # ---------------------------------------------------------------------------
-# S sums: O(p) Python steps per model and p
+# S sums: O(p) list-level steps per model and p
 # ---------------------------------------------------------------------------
 
 def depressed_cubic_sums(p: int, chi: list, A: list, B: list) -> tuple[list, list]:
@@ -196,23 +199,21 @@ def depressed_cubic_sums(p: int, chi: list, A: list, B: list) -> tuple[list, lis
     X = aY turns X^3 + c a^2 X + B into a^3 (Y^3 + cY + B/a^3), so writing
     A = c a^2 with c in {0, 1, n}, n the least non-residue (a = 1 when A = 0):
     S = chi(a) F_c(B/a^3) and Z = N_c(-B/a^3), where N_c(v) = #{Y : Y^3 + cY = v}
-    and F_c(b) = sum_v N_c(v) chi(v + b).  Three O(p) tables, then O(1) per pair.
+    and F_c(b) = sum_v N_c(v) chi(v + b).  Three O(p) tables, then one index per pair
+    into F_0 F_1 F_2 -F_0 -F_1 -F_2 laid end to end, and into the N_c(-b) likewise.
     """
     n = chi.index(-1)
     N = [_cubic_value_counts(c, p) for c in (0, 1, n)]
     F = [_correlate_with_chi(counts, chi, p) for counts in N]
-    cls = [(0, 1, 1)] * p           # cls[A] = (index of c, chi(a), a^-3 mod p)
+    offset, inv_a3 = [0] * p, [1] * p     # A = c a^2: p (c's place, + 3 if chi(a) = -1), a^-3 mod p
     for a in range(1, (p + 1) // 2):
-        aa, entry = a * a % p, (chi[a], pow(a, -3, p))
-        cls[aa] = (1, *entry)
-        cls[aa * n % p] = (2, *entry)
-    S, Z = [], []
-    for A_i, B_i in zip(A, B):
-        k, s, inv_a3 = cls[A_i]
-        b = B_i * inv_a3 % p
-        S.append(s * F[k][b])
-        Z.append(N[k][-b])          # N_c(-b mod p): index -b is p - b for b > 0
-    return S, Z
+        aa, flip = a * a % p, 3 * p * (chi[a] == -1)
+        offset[aa], offset[aa * n % p] = p + flip, 2 * p + flip
+        inv_a3[aa] = inv_a3[aa * n % p] = pow(a, -3, p)
+    index = [offset[a] + b * inv_a3[a] % p for a, b in zip(A, B)]
+    signed = [v for f in F for v in f] + [-v for f in F for v in f]
+    at_minus_b = [v for counts in N for v in counts[:1] + counts[:0:-1]] * 2
+    return list(map(signed.__getitem__, index)), list(map(at_minus_b.__getitem__, index))
 
 
 def _cubic_value_counts(c: int, p: int) -> list[int]:
@@ -226,52 +227,59 @@ def _cubic_value_counts(c: int, p: int) -> list[int]:
 def _correlate_with_chi(values: list, chi: list, p: int) -> list[int]:
     """F[b] = sum_v values[v] chi(v + b) for b in F_p, values[v] >= 0, from one big-integer product.
 
-    values reversed and chi + 1 fill fixed-width byte slots of two integers
-    (Kronecker substitution).  Slot k of the product is the linear
-    correlation L[k] = sum_v values[v] (chi(v + k - p + 1) + 1) over
-    0 <= v + k - p + 1 < p, and the cyclic one is L[p - 1 + b] + L[b - 1] =
-    F[b] + sum(values), folded in one shift-and-add.  No slot exceeds
-    2 sum(values), so a slot of bytes holding that (and chi + 1 <= 2) never
-    carries into the next.
+    values reversed and chi + 1 fill the slots of two integers (Kronecker
+    substitution), each slot an item of the smallest array type that holds
+    2 sum(values).  Slot k of the product is the linear correlation
+    L[k] = sum_v values[v] (chi(v + k - p + 1) + 1) over 0 <= v + k - p + 1 < p,
+    and the cyclic one is L[p - 1 + b] + L[b - 1] = F[b] + sum(values), folded
+    in one shift-and-add.  No slot exceeds 2 sum(values), so none carries into
+    the next; where that does not fit 8 bytes, CountingError.
     """
     total = sum(values)
-    width = ((2 * max(total, 1)).bit_length() + 7) // 8
-    bits = 8 * width
-    slot = [v.to_bytes(width, "little") for v in range(max(2, *values) + 1)]
-    u = int.from_bytes(b"".join(map(slot.__getitem__, reversed(values))), "little")
-    w = int.from_bytes(b"".join([slot[x + 1] for x in chi]), "little")
-    linear = u * w
+    code = next((c for c in "BHILQ" if 2 * total < 1 << 8 * array(c).itemsize), None)
+    if code is None:
+        raise CountingError(f"correlation at p = {p}: 2 * {total} does not fit a slot of 8 bytes")
+    bits = 8 * array(code).itemsize
+    linear = (int.from_bytes(_little(array(code, values[::-1])), "little")
+              * int.from_bytes(_little(array(code, [x + 1 for x in chi])), "little"))
     low = (p - 1) * bits
     folded = (linear >> low) + ((linear & ((1 << low) - 1)) << bits)
-    raw = folded.to_bytes(p * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - total for i in range(0, p * width, width)]
+    return [v - total for v in _little(array(code, folded.to_bytes(p * bits // 8, "little")))]
 
 
-def _depressed_coefficients(a2, a4, a6, weight: int, p: int) -> tuple[list, list]:
-    """A, B with g_t(X - c2/3) = X^3 + A[t] X + B[t] at t = 0, ..., p - 1, then at infinity.
+def _little(slots: array) -> array:
+    """The array with its items little-endian on any host (an array holds them in sys.byteorder)."""
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
 
-    (c2, c4, c6) = (a2, a4, a6)(t) by integer Horner, at infinity the t^w, t^2w, t^3w coefficients
-    (s = 0 of the chart of weights (w, 2w, 3w)); with s = c2/3, A = c4 - 3s^2, B = c6 - s c4 + 2s^3.
+
+def _depressed_coefficients(surface, weight: int, p: int) -> tuple[list, list]:
+    """A, B with the cubic at t depressed to X^3 + A[t] X + B[t] at t = 0, ..., p - 1, then at infinity.
+
+    A = -c4/48 and B = -c6/864 off the surface's c4 and c6 over Q, reduced mod p;
+    at infinity their t^2w and t^3w coefficients (s = 0 of the chart of weights (w, 2w, 3w)).
     """
-    third = pow(3, -1, p)
-    A, B = [], []
-    for c2, c4, c6 in zip(*(_values_mod(f, p) + [f[k * weight]] for k, f in enumerate((a2, a4, a6), 1))):
-        s = c2 * third % p
-        A.append((c4 - 3 * s * s) % p)
-        B.append((c6 - s * c4 + 2 * s * s * s) % p)
-    return A, B
-
-
-def _values_mod(poly, p: int) -> list[int]:
-    """poly(t) mod p at t = 0, ..., p - 1, by integer Horner, reduced once."""
-    cs = poly.coeffs[::-1]
     out = []
-    for t in range(p):
-        v = 0
-        for c in cs:
-            v = v * t + c
-        out.append(v % p)
-    return out
+    for f, scale, top in ((surface.c4, -48, 2 * weight), (surface.c6, -864, 3 * weight)):
+        nums, den = f.int_coeffs
+        inv = pow(scale * den, -1, p)
+        cs = [c * inv % p for c in nums]
+        out.append(_values_mod(cs, p) + [cs[top] if top < len(cs) else 0])
+    return out[0], out[1]
+
+
+def _values_mod(cs: list, p: int) -> list[int]:
+    """The polynomial with ascending integer coefficients cs at t = 0, ..., p - 1, reduced mod p:
+    from its forward differences at t = 0, each row the running sum of the one above."""
+    row, heads = [sum(c * t ** k for k, c in enumerate(cs)) for t in range(len(cs))] or [0], []
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    values = [heads.pop()] * p
+    for head in reversed(heads):
+        values = list(accumulate(values, initial=head))
+    return [v % p for v in values[:p]]
 
 
 @dataclass(frozen=True)
@@ -303,7 +311,7 @@ class TwistTable:
         if p <= 3:
             raise CountingError(f"twist table at p = {p}: the cubic is depressed by X -> X - c2/3")
         F, g = family.residue_field(p), family.untwisted
-        A, B = _depressed_coefficients(*(f.map_domain(F) for f in (g.a2, g.a4, g.a6)), 3, p)
+        A, B = _depressed_coefficients(g, 3, p)
         chi = _character_table(p)
         S, Z = depressed_cubic_sums(p, chi, A, B)
         at = [(t0, Cusp.finite(t0), fib) for t0, fib in sorted(family.degenerate_lambdas(p).items())]
@@ -356,12 +364,20 @@ class TwistTable:
         p = self.p
         corr = _correlate_with_chi([s + p for s in self.S], self.chi[:p], p)
         base = p * (p + 1) + self.inf_count
-        return [base + corr[-lam] for lam in range(p)]
+        return [base + c for c in corr[:1] + corr[:0:-1]]   # corr[-lambda]
 
     @cached_property
     def members(self) -> MappingProxyType:
-        """lambda -> (smooth count, t_alg, candidates) off the cusps of g, read-only, taken once."""
-        return MappingProxyType({lam: _member(self, lam, raw)
+        """lambda -> (smooth count, t_alg, candidates) off the cusps of g, read-only, taken once.
+
+        Every lambda's `fixed` is one list, one pass per node over chi[p + t0 - lambda].
+        """
+        p, chi = self.p, self.chi
+        fixed = [self.shared + 1 + z for z in self.Z]
+        for t0, kept, flipped in self.nodes:
+            share = (kept, kept, flipped)      # by chi = 0, 1, -1
+            fixed = [f + share[c] for f, c in zip(fixed, chi[p + t0:t0:-1])]
+        return MappingProxyType({lam: _member(p, raw, fixed[lam])
                                  for lam, raw in enumerate(self.raw_counts) if lam not in self.cusps})
 
 
@@ -474,7 +490,7 @@ def count_family_member(family, p: int, lam: int, cache: CountCache | None = Non
     lam_p = lam % p
     if lam_p in table.cusps:
         raise CountingError(f"{on_cusp(family, p, lam_p)}; its member is degenerate")
-    member = _member(table, lam_p, table.raw_count(lam_p))
+    member = _member(p, table.raw_count(lam_p), table.fixed(lam_p))
     if cache is not None:
         cache.put(family.digest, p, lam_p, member[0])
     return member
@@ -495,8 +511,7 @@ def count_members(family, p: int, cache: CountCache | None = None) -> MappingPro
     return members
 
 
-def _member(table: TwistTable, lam: int, raw: int) -> tuple:
-    """(smooth count, t_alg, candidates) from a member's raw count."""
-    p, fixed = table.p, table.fixed(lam)
+def _member(p: int, raw: int, fixed: int) -> tuple:
+    """(smooth count, t_alg, candidates) from a member's raw count and its fixed components."""
     smooth, t_alg = raw + p * fixed, 2 + fixed
     return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)

@@ -124,7 +124,7 @@ class Family:
     def fixed_fibers(self) -> list[FiberDescriptor]:
         """g's fibers over Q at the zeros of Delta_g, then at infinity: every member's but the I0*."""
         g = self.untwisted
-        return walk_fibers(g, delta_cusps(g.delta), self.chart_at_infinity, 18)
+        return walk_fibers(g, delta_cusps(g), self.chart_at_infinity, 18)
 
     def bad_primes(self, bound: int) -> set[int]:
         """The primes p <= bound where g does not reduce to its fixed fibers (`is_bad_prime`)."""

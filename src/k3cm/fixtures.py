@@ -218,20 +218,22 @@ class SemistableRow:
 # registry
 # ---------------------------------------------------------------------------
 
+DATA = resources.files("k3cm").joinpath("data")   # the fixture files, located once
+
 # the example surfaces in the order the regression replays them
 EXAMPLES = ("ex_1155", "ex_1995", "ex_627", "ex_715", "ex_1435", "ex_5460",
             "ex_1012", "ex_3003", "ex_3315")
 
 
 class FixtureRegistry:
+    """The fixture files: each read once and checked against the sha256 manifest at
+    construction, where an edited file raises FixtureError naming it.  Each collection
+    (`_families`, `surfaces`, `table1`, `extremal`, `semistable`, `corroboration`) is
+    parsed from the checked text on first use: a scan parses only the families.
+    """
+
     def __init__(self):
-        self._families: dict[str, Family] = {}
-        self.surfaces: dict[str, SurfaceFixture] = {}
-        self.table1: list[Table1Row] = []
-        self.extremal: list[SurfaceFixture] = []
-        self.semistable: list[SemistableRow] = []
-        self.corroboration: list[CorroborationRow] = []
-        self._load()
+        self._texts = self._load()
 
     @cached_property
     def certified(self) -> list[SurfaceFixture]:
@@ -243,10 +245,10 @@ class FixtureRegistry:
     # -- loading -------------------------------------------------------------
 
     def _read(self, name: str) -> str:
-        return resources.files("k3cm").joinpath("data", name).read_text()
+        return DATA.joinpath(name).read_text()
 
-    def _load(self):
-        """Read each manifest file once: the text whose sha256 is checked is the text parsed."""
+    def _load(self) -> dict[str, str]:
+        """Each manifest file's text, read once: the text whose sha256 is checked is the text parsed."""
         texts = {}
         for line in self._read("checksums.txt").splitlines():
             line = line.strip()
@@ -256,32 +258,28 @@ class FixtureRegistry:
             texts[fname] = self._read(fname)
             if hashlib.sha256(texts[fname].encode()).hexdigest() != digest:
                 raise FixtureError(f"fixture {fname} fails its checksum (edited without manifest update?)")
-        for fname, text in texts.items():
-            if fname.endswith(".fam"):
-                fam = family_from_text(text)
-                self._families[fam.name] = fam
-        for fname, text in texts.items():
-            if fname.endswith(".surf"):
-                fx = surface_fixture_from_text(text)
-                self.surfaces[fx.name] = fx
-            elif fname == "table1.rows":
-                self._load_table1(text)
-            elif fname == "extremal.rows":
-                self._load_extremal(text)
-            elif fname == "semistable.rows":
-                self._load_semistable(text)
-            elif fname == "corroborate.rows":
-                self._load_corroborate(text)
+        return texts
 
     def family(self, name: str) -> Family:
         return self._families[name]
 
-    @staticmethod
-    def _rows(text) -> list[dict]:
-        return [kv for name, kv in parse_blocks(text) if name == "row"]
+    def _rows(self, fname: str) -> list[dict]:
+        return [kv for name, kv in parse_blocks(self._texts[fname]) if name == "row"]
 
-    def _load_table1(self, text):
-        self.table1 = [
+    def _files(self, suffix: str) -> list[str]:
+        return [text for fname, text in self._texts.items() if fname.endswith(suffix)]
+
+    @cached_property
+    def _families(self) -> dict[str, Family]:
+        return {fam.name: fam for fam in map(family_from_text, self._files(".fam"))}
+
+    @cached_property
+    def surfaces(self) -> dict[str, SurfaceFixture]:
+        return {fx.name: fx for fx in map(surface_fixture_from_text, self._files(".surf"))}
+
+    @cached_property
+    def table1(self) -> list[Table1Row]:
+        return [
             Table1Row(
                 lam=parse_rational(kv["lambda"]),
                 disc=int(kv["disc"]),
@@ -293,11 +291,12 @@ class FixtureRegistry:
                 note=kv.get("note", ""),
                 derived_T=parse_form(kv["derived_t"]) if "derived_t" in kv else None,
             )
-            for kv in self._rows(text)
+            for kv in self._rows("table1.rows")
         ]
 
-    def _load_extremal(self, text):
-        self.extremal = [
+    @cached_property
+    def extremal(self) -> list[SurfaceFixture]:
+        return [
             SurfaceFixture(
                 name=f"extremal_{kv['lambda'].replace('/', '_')}",
                 source=kv.get("src", ""),
@@ -307,26 +306,19 @@ class FixtureRegistry:
                 expected_T=parse_form(kv["t"]),
                 group="extremal",
             )
-            for kv in self._rows(text)
+            for kv in self._rows("extremal.rows")
         ]
 
-    def _load_semistable(self, text):
-        self.semistable = [
-            SemistableRow(
-                disc=int(kv["disc"]),
-                config=tuple(int(x) for x in kv["config"].split(",")),
-                torsion=int(kv.get("torsion", 1)),
-                T=parse_form(kv["t"]),
-                source=kv.get("src", ""),
-            )
-            for kv in self._rows(text)
-        ]
+    @cached_property
+    def semistable(self) -> list[SemistableRow]:
+        return [SemistableRow(disc=int(kv["disc"]), config=tuple(int(x) for x in kv["config"].split(",")),
+                              torsion=int(kv.get("torsion", 1)), T=parse_form(kv["t"]), source=kv.get("src", ""))
+                for kv in self._rows("semistable.rows")]
 
-    def _load_corroborate(self, text):
-        self.corroboration = [
-            CorroborationRow(disc=int(kv["disc"]), lam=parse_rational(kv["lambda"]), source=kv.get("src", ""))
-            for kv in self._rows(text)
-        ]
+    @cached_property
+    def corroboration(self) -> list[CorroborationRow]:
+        return [CorroborationRow(disc=int(kv["disc"]), lam=parse_rational(kv["lambda"]), source=kv.get("src", ""))
+                for kv in self._rows("corroborate.rows")]
 
 
 def section_fixture_from_block(kv: dict) -> SectionFixture:

@@ -194,8 +194,8 @@ class WeierstrassSurface:
 
     Degree bounds deg a2 <= 4, deg a4 <= 8, deg a6 <= 12 certify the K3
     property together with the Euler-number check done at classification.
-    The chart at infinity, the fiber list and the integers of the bad-prime
-    rule (`is_bad_prime`) are derived once, on first use.
+    The chart at infinity, the fiber list, Delta's squarefree factors and the
+    integers of the bad-prime rule (`is_bad_prime`) are derived once, on first use.
     The chart at infinity and a mapped model take c4, c6, Delta from the parent,
     and a family member (`families._Member`) takes them and its fibers from g.
     """
@@ -220,11 +220,16 @@ class WeierstrassSurface:
         return classify_fibers(self)
 
     @cached_property
+    def delta_factors(self) -> list[tuple[Polynomial, int]]:
+        """Delta's squarefree factors (g_i, i), from its one `squarefree_decomposition`."""
+        return squarefree_decomposition(self.delta)[1]
+
+    @cached_property
     def _reduction_numbers(self) -> tuple[int, int, int]:
         """The coefficient denominators, lc(Delta) and disc(squarefree part of Delta), as integers."""
         den = math.lcm(*(f.int_coeffs[1] for f in (self.a2, self.a4, self.a6)))
         one = Polynomial.constant(QQ, QQ.one)
-        rad = math.prod((h for h, _ in squarefree_decomposition(self.delta)[1]), start=one)
+        rad = math.prod((h for h, _ in self.delta_factors), start=one)
         disc = resultant(rad, rad.derivative())
         return den, Fraction(self.delta.leading()).numerator, Fraction(disc).numerator
 
@@ -379,12 +384,12 @@ def _valuation_along(f: Polynomial, cusp: Cusp) -> int:
 # fiber classification
 # ---------------------------------------------------------------------------
 
-def delta_cusps(delta: Polynomial) -> list[tuple[Cusp, int]]:
+def delta_cusps(surface: WeierstrassSurface) -> list[tuple[Cusp, int]]:
     """(cusp, multiplicity) at the zeros of Delta over Q: the rational roots by (|t0|, t0),
-    then, of each squarefree factor, what is left of it as one orbit cusp."""
-    d = delta.domain
+    then, of each squarefree factor (`delta_factors`), what is left of it as one orbit cusp."""
+    d = surface.domain
     finite_points, orbits = [], []
-    for g, mult in squarefree_decomposition(delta)[1]:
+    for g, mult in surface.delta_factors:
         roots = _roots_of_squarefree(g)
         finite_points += [(t0, mult) for t0 in roots]
         for t0 in roots:
@@ -404,7 +409,7 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     """
     if surface.domain != QQ:
         raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
-    fibers = walk_fibers(surface, delta_cusps(surface.delta), surface.flipped(), 24)
+    fibers = walk_fibers(surface, delta_cusps(surface), surface.flipped(), 24)
     total = sum(f.euler * f.cusp.degree for f in fibers)
     if total != 24:
         raise SurfaceError(f"Euler numbers sum to {total}, not 24: not K3 input")

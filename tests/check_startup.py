@@ -10,10 +10,11 @@ bytecode is written into either tree):
 * `k3cm search --disc -88 --primes 4`
 
 The order of the two trees flips every round.  For each command and tree it
-prints the median and quartiles of the wall time in ms, and the `k3cm`
-modules the command loaded.  Stdlib only; not collected by pytest.  For
-times that include compiling the package, remove `__pycache__` from both
-trees first.
+prints the median and quartiles of the wall time in ms, the `k3cm` modules
+the command loaded, and the fixture registry's collections it parsed (a
+registry that parses every collection at load lists all six).  Stdlib
+only; not collected by pytest.  For times that include compiling the
+package, remove `__pycache__` from both trees first.
 """
 
 import argparse
@@ -33,6 +34,9 @@ else:
     k3cm.registry().family('xlm').bad_primes(200)
     code = 0
 print(' '.join(sorted(m for m in sys.modules if m == 'k3cm' or m.startswith('k3cm.'))), file=sys.stderr)
+reg = getattr(sys.modules.get('k3cm.fixtures'), '_registry', None)
+collections = ('_families', 'surfaces', 'table1', 'extremal', 'semistable', 'corroboration')
+print(' '.join(name for name in collections if reg is not None and name in vars(reg)), file=sys.stderr)
 sys.exit(code)
 """
 COMMANDS = {
@@ -42,15 +46,17 @@ COMMANDS = {
 }
 
 
-def run(src: str, argv: list) -> tuple[float, str]:
-    """(wall seconds, loaded k3cm modules) of one command in a new interpreter."""
+def run(src: str, argv: list) -> tuple[float, tuple[str, str]]:
+    """(wall seconds, (loaded k3cm modules, parsed registry collections)) of one command
+    in a new interpreter."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-B", "-c", RUNNER, src, *argv],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
     if proc.returncode != 0:
         sys.exit(f"{src}: {' '.join(argv) or 'set-up'} exited {proc.returncode}\n{proc.stderr}")
-    return wall, proc.stderr.splitlines()[-1]
+    modules, parsed = proc.stderr.splitlines()[-2:]
+    return wall, (modules, parsed)
 
 
 def main() -> int:
@@ -59,19 +65,20 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=11)
     args = ap.parse_args()
     times = {(cmd, src): [] for cmd in COMMANDS for src in args.trees}
-    modules = {}
+    loaded = {}
     for r in range(args.rounds):
         for src in args.trees if r % 2 == 0 else reversed(args.trees):
             for cmd, argv in COMMANDS.items():
-                wall, modules[cmd, src] = run(src, argv)
+                wall, loaded[cmd, src] = run(src, argv)
                 times[cmd, src].append(wall)
     for cmd in COMMANDS:
         print(cmd)
         for src in args.trees:
             q1, q2, q3 = statistics.quantiles(times[cmd, src], n=4)
-            loaded = modules[cmd, src].split()
+            modules, parsed = (text.split() for text in loaded[cmd, src])
             print(f"  {src}: median {1000 * q2:.1f} ms (q1 {1000 * q1:.1f}, q3 {1000 * q3:.1f}), "
-                  f"{len(loaded)} modules: {' '.join(loaded)}")
+                  f"{len(modules)} modules: {' '.join(modules)}; "
+                  f"parsed {len(parsed)} collections: {' '.join(parsed) or '-'}")
     return 0
 
 

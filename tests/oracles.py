@@ -468,6 +468,33 @@ def scan_by_member(family, p: int, oracle: NewformOracle) -> set[int]:
     return out
 
 
+def depressed_per_t(surface, weight: int, p: int) -> tuple[list, list]:
+    """A, B of the cubic depressed at t = 0, ..., p - 1, then at infinity, one t at a time.
+
+    a2, a4, a6 mapped to GF(p) and evaluated by integer Horner (at infinity their
+    t^w, t^2w, t^3w coefficients), then X -> X - c2/3: with s = c2/3,
+    A = c4 - 3s^2 and B = c6 - s c4 + 2s^3, as counting took them before it read
+    A and B off the surface's c4 and c6.
+    """
+    third = pow(3, -1, p)
+    columns = []
+    for k, f in enumerate((surface.a2, surface.a4, surface.a6), 1):
+        f = f.map_domain(GF(p))
+        column = []
+        for t in range(p):
+            v = 0
+            for c in reversed(f.coeffs):
+                v = v * t + c
+            column.append(v % p)
+        columns.append(column + [f[k * weight]])
+    A, B = [], []
+    for c2, c4, c6 in zip(*columns):
+        s = c2 * third % p
+        A.append((c4 - 3 * s * s) % p)
+        B.append((c6 - s * c4 + 2 * s * s * s) % p)
+    return A, B
+
+
 def untwisted_mod(family, p: int) -> tuple:
     """(a2', a4', a6'): g's coefficients over GF(p), p a good prime."""
     F = family.residue_field(p)

@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -35,7 +37,7 @@ from k3cm.surfaces import (
     _discriminant_polys,
     classify_fibers,
 )
-from oracles import classified_fibers_of_g, fiber_rows, table_fibers, twist_fibers, twist_sums
+from oracles import classified_fibers_of_g, depressed_per_t, fiber_rows, table_fibers, twist_fibers, twist_sums
 
 
 @pytest.fixture(scope="module")
@@ -516,3 +518,69 @@ def test_build_needs_p_above_3(fam):
     for p in (2, 3):
         with pytest.raises(CountingError, match=f"p = {p}"):
             TwistTable.build(fam, p)
+
+
+# ---------------------------------------------------------------------------
+# the list-level kernels against the per-t and O(p^2) references
+# ---------------------------------------------------------------------------
+
+def test_depressed_coefficients_of_g_match_the_per_t_depression(fam):
+    # A = -c4/48 and B = -c6/864 at every t and, off the t^6 and t^9 coefficients, at infinity
+    for family in (fam, dataclasses.replace(fam, mu=MU_ORBIT), I0_STAR_AT_0, I0_STAR_AT_INF):
+        g = family.untwisted
+        for p in family.good_primes(199):
+            assert counting._depressed_coefficients(g, 3, p) == depressed_per_t(g, 3, p), (family.name, p)
+
+
+def test_depressed_coefficients_of_the_direct_surfaces_match_the_per_t_depression(reg):
+    # the weight-4 chart of `count_surface`: the t^8 and t^12 coefficients at infinity
+    direct = [fx.build_surface(reg) for fx in reg.surfaces.values() if fx.kind == "direct"]
+    assert len(direct) == 7
+    compared = 0
+    for surf in direct:
+        for p in primes_up_to(199):
+            if not surf.is_bad_prime(p):
+                assert counting._depressed_coefficients(surf, 4, p) == depressed_per_t(surf, 4, p), (surf.name, p)
+                compared += 1
+    assert compared == 249
+
+
+@pytest.mark.parametrize("scale, width", [(1, 1), (100, 2), (10**6, 4), (10**12, 8)])
+def test_correlation_slots_of_each_width_match_the_direct_sum(scale, width):
+    # values whose 2 * total needs 1, 2, 4 and 8 bytes, against the O(p^2) sum
+    p = 13
+    chi = counting._character_table(p)
+    values = [scale * ((7 * v * v + 3) % 10) for v in range(p)]
+    assert 8 * width // 2 < (2 * sum(values)).bit_length() <= 8 * width
+    want = [sum(values[v] * chi[(v + b) % p] for v in range(p)) for b in range(p)]
+    assert counting._correlate_with_chi(values, chi, p) == want
+
+
+def test_correlation_refuses_a_total_beyond_8_byte_slots():
+    p = 13
+    chi = counting._character_table(p)
+    fits = [2**63 - 1] + [0] * (p - 1)      # 2 * total = 2^64 - 2, the largest that fits
+    assert counting._correlate_with_chi(fits, chi, p) == [fits[0] * chi[b] for b in range(p)]
+    with pytest.raises(CountingError, match="p = 13"):
+        counting._correlate_with_chi([2**63] + [0] * (p - 1), chi, p)
+
+
+def test_correlation_slots_are_little_endian_on_either_host(monkeypatch):
+    # slot k holds item k, least significant byte first; an array holds its items in
+    # sys.byteorder, so the bytes a host of the other order holds are swapped back
+    want = b"\x01\x00\x02\x01"                 # 1 and 258 = 0x0102 in 2-byte slots
+    assert counting._little(array("H", [1, 258])).tobytes() == want
+    other_host = array("H", [1, 258])
+    other_host.byteswap()
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    assert counting._little(other_host).tobytes() == want
+
+
+def test_vectorized_fixed_counts_equal_the_per_member_formula(fam):
+    # `members` takes every lambda's fixed components as one list; `fixed(lambda)` sums them per member
+    for family in (fam, dataclasses.replace(fam, mu=MU_ORBIT), I0_STAR_AT_0, I0_STAR_AT_INF):
+        for p in family.good_primes(199):
+            table = TwistTable.build(family, p)
+            assert set(table.members) == set(range(p)) - set(table.cusps), (family.name, p)
+            for lam, (_, t_alg, _) in table.members.items():
+                assert t_alg == 2 + table.fixed(lam), (family.name, p, lam)

@@ -34,6 +34,19 @@ def stale(fam):
     return fresh(fam, mu=Fraction(81, 10))
 
 
+def test_delta_of_g_is_decomposed_once(fam, monkeypatch):
+    # the bad-prime rule and the fixed fibers read one squarefree decomposition of Delta_g
+    import k3cm.surfaces as surfaces
+
+    decomposed, real = [], surfaces.squarefree_decomposition
+    monkeypatch.setattr(surfaces, "squarefree_decomposition", lambda f: decomposed.append(f) or real(f))
+    family = fresh(fam)
+    family.bad_primes(200)
+    assert family.fixed_fibers and family.degenerate_lambdas(13)
+    TwistTable.build(family, 13)
+    assert decomposed == [family.untwisted.delta]
+
+
 def test_bad_primes_follow_the_reduction_of_g(fam, monkeypatch):
     def no_member(*args, **kwargs):
         raise AssertionError("a member was specialized")

@@ -7,11 +7,12 @@ any drift in either direction fails loudly.
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from k3cm.fixtures import EXAMPLES, FixtureError, parse_blocks, parse_poly, parse_ratfun, registry
+from k3cm.fixtures import DATA, EXAMPLES, FixtureError, parse_blocks, parse_poly, parse_ratfun, registry
 from k3cm.regression import check_certificate
 from k3cm.quadforms import BinaryQuadraticForm
 from k3cm.lattices import MatchError, assemble_ns_gram, match_transcendental
@@ -89,6 +90,42 @@ def test_each_fixture_file_is_read_once(monkeypatch):
                 if line.strip() and not line.startswith("#")]
     assert len(manifest) == 14
     assert sorted(reads) == sorted(["checksums.txt"] + manifest)
+
+
+MANIFEST = [line.split()[1] for line in DATA.joinpath("checksums.txt").read_text().splitlines()
+            if line.strip() and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("fname", MANIFEST)
+def test_a_tampered_file_fails_at_construction(fname, monkeypatch):
+    # every manifest file is checked when the registry is built, parsed on first use or not
+    import k3cm.fixtures as fx
+
+    real_read = fx.FixtureRegistry._read
+    monkeypatch.setattr(fx.FixtureRegistry, "_read",
+                        lambda self, name: real_read(self, name) + ("# edited\n" if name == fname else ""))
+    with pytest.raises(FixtureError, match=f"fixture {re.escape(fname)} fails its checksum"):
+        fx.FixtureRegistry()
+
+
+COLLECTIONS = ("_families", "surfaces", "table1", "extremal", "semistable", "corroboration")
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    ([], ["_families"]),                                   # the set-up: bad primes of xlm
+    (["search", "--disc", "-88", "--primes", "4"], ["_families"]),
+    (["regression", "--subset", "all"], list(COLLECTIONS)),
+])
+def test_each_command_parses_only_the_collections_it_reads(argv, parsed, monkeypatch, capsys):
+    import k3cm.fixtures as fx
+    from k3cm.cli import main
+
+    monkeypatch.setattr(fx, "_registry", None)
+    if argv:
+        assert main(argv) == 0
+    else:
+        fx.registry().family("xlm").bad_primes(200)
+    assert [name for name in COLLECTIONS if name in vars(fx._registry)] == parsed
 
 
 def test_every_expectation_is_attributed(reg):
