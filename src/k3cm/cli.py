@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from k3cm.exact import format_rational, parse_rational, primes_up_to
+from k3cm.exact import format_rational, is_prime, parse_rational, primes_up_to
 
 
 def _load_family(spec: str):
@@ -78,9 +78,12 @@ def cmd_ap(args) -> int:
 def cmd_count(args) -> int:
     from k3cm.counting import CountCache, count_family_member, count_members, on_cusp
 
+    p = args.prime
+    if not is_prime(p):
+        print(f"p = {p} is not prime", file=sys.stderr)
+        return 2
     fam = _load_family(args.family)
     cache = CountCache(args.cache)
-    p = args.prime
     if fam.untwisted.is_bad_prime(p):
         print(f"p = {p} is excluded for this family", file=sys.stderr)
         return 2

@@ -369,6 +369,8 @@ def surface_fixture_from_text(text: str) -> SurfaceFixture:
                 status=kv.get("status", "ok"),
                 note=kv.get("note", ""),
             )
+        elif name in ("sections", "expect") and fx is None:
+            raise FixtureError(f"[{name}] block before the [surface] block")
         elif name == "sections":
             fx.sections.append(section_fixture_from_block(kv))
         elif name == "expect":

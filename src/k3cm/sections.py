@@ -4,7 +4,13 @@ A section is stored through its x-coordinate u(t) plus the square class m
 and cofactor w(t) with y = sqrt(m) w.  Contact depths at reducible fibers
 are single exact valuations, and the tangent branch of a node contact is
 the sign of one exact slope; no local series is expanded.  Heights and
-pairings follow from the standard correction tables.  `certify` assembles
+pairings follow from the standard correction tables.
+
+A list of sections is normalized to one square class where it is formed,
+by `build_sections` or `normalize_sections`, and nowhere else: `certify`,
+`assemble_ns`, `ns_discriminant`, `pairing` and `intersection_number` take
+it as it is and refuse sections of several classes.  Both routes to disc NS
+read one component assignment (`_fiber_components`).  `certify` assembles
 the Neron-Severi lattice once and returns one `Certificate`: the sections,
 their heights, disc NS and T(X) read off that lattice.  `ns_discriminant`
 is the independent Mordell-Weil determinant route.
@@ -82,20 +88,14 @@ class Section:
     msq: object                  # square class scalar with y^2 = msq * w^2
     pO: int
     name: str = "P"
-    contacts: dict = field(default_factory=dict)   # fiber index -> Contact
-    fibers: list = field(default_factory=list)     # the surface's fiber list
+    contacts: dict = field(default_factory=dict)   # index in the surface's fibers -> Contact
 
     @property
     def domain(self):
         return self.u.domain
 
     def correction_sum(self) -> Fraction:
-        total = Fraction(0)
-        for idx, f in enumerate(self.fibers):
-            c = self.contacts.get(idx)
-            if c is not None:
-                total += c.correction() * f.cusp.degree
-        return total
+        return sum((c.correction() * c.fiber.cusp.degree for c in self.contacts.values()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +165,8 @@ def verify_section(surface: WeierstrassSurface, u: RationalFunction, name: str =
     # deg F = 3 deg N makes deg N - deg D even
     inf_pole = u.num.degree - u.den.degree - 4
     pO = u.den.degree // 2 + max(inf_pole, 0) // 2
-    sec = Section(u=u, w=w, msq=m, pO=pO, name=name, fibers=surface.fibers)
-    for idx, f in enumerate(sec.fibers):
+    sec = Section(u=u, w=w, msq=m, pO=pO, name=name)
+    for idx, f in enumerate(surface.fibers):
         if f.reducible:
             sec.contacts[idx] = determine_contact(chart, sec, f)
     return sec
@@ -329,41 +329,22 @@ def height(sec: Section) -> Fraction:
     return 4 + 2 * sec.pO - sec.correction_sum()
 
 
-def _same_branch(p: Contact, q: Contact) -> bool:
-    """Do two cycle contacts at one fiber hug the same tangent branch?
-
-    m w^2 = f''(x0)/2 (u - x_node)^2 + ... makes slope^2 = 1 / (2 m f''(x0)), so
-    with both sections' w normalized to one square class m the two slopes are
-    equal (same branch) or opposite.
-    """
-    return p.slope == q.slope
-
-
 def _scaled_section(q: Section, scale, new_m) -> Section:
     """Copy of q with w, and the slope of each cycle contact, multiplied by scale."""
     dom = q.domain
     s = _embed(dom, scale)
-    return Section(
-        u=q.u,
-        w=q.w * Polynomial.constant(dom, s),
-        msq=new_m,
-        pO=q.pO,
-        name=q.name,
-        contacts={
-            idx: c if c.slope is None else replace(c, slope=dom.mul(c.slope, s))
-            for idx, c in q.contacts.items()
-        },
-        fibers=q.fibers,
-    )
+    contacts = {idx: c if c.slope is None else replace(c, slope=dom.mul(c.slope, s))
+                for idx, c in q.contacts.items()}
+    return replace(q, w=q.w * Polynomial.constant(dom, s), msq=new_m, contacts=contacts)
 
 
 def normalize_sections(surface, sections) -> list:
     """The sections with w rescaled to the first one's square class.
 
-    Over Q, sections of different classes are all carried into the quadratic
-    field joining the classes (`_carried`; meetings at quadratic points are
-    invisible over Q); over a quadratic field incompatible classes are out of
-    scope.  A list that is already normalized comes back as it is.
+    Over Q, sections of two classes are first carried, once, into the
+    quadratic field joining the classes (`_carried`; meetings at quadratic
+    points are invisible over Q); over a quadratic field incompatible classes
+    are out of scope.  A list that is already normalized comes back as it is.
     """
     if not sections:
         return []
@@ -372,19 +353,27 @@ def normalize_sections(surface, sections) -> list:
     if any(sec.domain != dom for sec in sections):
         raise SectionError("sections must live over one field")
     scales = [_same_square_class(dom, sec.msq, first.msq) for sec in sections]
-    if None not in scales:
-        return [
-            sec if dom.eq(_embed(dom, c), dom.one) else _scaled_section(sec, c, first.msq)
-            for sec, c in zip(sections, scales)
-        ]
-    if dom != QQ:
+    if None in scales and dom == QQ:
+        products = [Fraction(first.msq) * Fraction(sec.msq) for sec, c in zip(sections, scales) if c is None]
+        kernels = {squarefree_part(m.numerator * m.denominator) for m in products}
+        if len(kernels) > 1:
+            raise SectionError("more than two incompatible square classes")
+        dom = QuadField(kernels.pop())
+        sections = [_carried(sec, dom) for sec in sections]
+        first = sections[0]
+        scales = [_same_square_class(dom, sec.msq, first.msq) for sec in sections]
+    if None in scales:
         raise SectionError("sections with incompatible square classes over a quadratic field")
-    products = [Fraction(first.msq) * Fraction(sec.msq) for sec, c in zip(sections, scales) if c is None]
-    kernels = {squarefree_part(m.numerator * m.denominator) for m in products}
-    if len(kernels) > 1:
-        raise SectionError("more than two incompatible square classes")
-    K = QuadField(kernels.pop())
-    return normalize_sections(surface, [_carried(sec, K) for sec in sections])
+    return [
+        sec if dom.eq(_embed(dom, c), dom.one) else _scaled_section(sec, c, first.msq)
+        for sec, c in zip(sections, scales)
+    ]
+
+
+def _one_class(*sections) -> None:
+    """Refuse sections of several fields or square classes: the readers take one class."""
+    if any(sec.domain != sections[0].domain or sec.msq != sections[0].msq for sec in sections[1:]):
+        raise SectionError("sections of several square classes; normalize_sections joins them")
 
 
 def _carried(sec: Section, K) -> Section:
@@ -399,15 +388,9 @@ def _carried(sec: Section, K) -> Section:
     embed = lambda x: None if x is None else K.from_fraction(x)
     contacts = {idx: replace(c, leg_root=embed(c.leg_root), slope=embed(c.slope and c.slope / lc))
                 for idx, c in sec.contacts.items()}
-    return Section(
-        u=RationalFunction(lift(sec.u.num), lift(sec.u.den)),
-        w=RationalFunction(lift(sec.w.num.monic()), lift(sec.w.den)),
-        msq=K.from_fraction(sec.msq * lc * lc),
-        pO=sec.pO,
-        name=sec.name,
-        contacts=contacts,
-        fibers=sec.fibers,
-    )
+    return replace(sec, u=RationalFunction(lift(sec.u.num), lift(sec.u.den)),
+                   w=RationalFunction(lift(sec.w.num.monic()), lift(sec.w.den)),
+                   msq=K.from_fraction(sec.msq * lc * lc), contacts=contacts)
 
 
 def normalized_pair(surface, p: Section, q: Section):
@@ -420,13 +403,17 @@ def build_sections(surface, section_fixtures) -> list:
     """The declared sections, verified in order and normalized to one class.
 
     A fixture with `conjugate_of` is the Galois conjugate of the section it
-    names, taken from that section as verified, before normalization.
+    names, declared before it, taken from that section as verified, before
+    normalization.
     """
     secs = {}
     for sf in section_fixtures:
         if sf.name.lower() in secs:
             raise SectionError(f"section {sf.name} is declared twice")
         if sf.conjugate_of:
+            if sf.conjugate_of.lower() not in secs:
+                raise SectionError(f"section {sf.name} is the conjugate of {sf.conjugate_of}, "
+                                   "which is not declared before it")
             u = _conjugate_ratfun(secs[sf.conjugate_of.lower()].u)
         else:
             u = sf.u()
@@ -440,7 +427,8 @@ def _conjugate_ratfun(f: RationalFunction) -> RationalFunction:
 
 
 def corr_pair(p: Contact, q: Contact) -> Fraction:
-    """Correction term corr_v(P, Q) at one shared fiber."""
+    """Correction term corr_v(P, Q) at one shared fiber: i(n-j)/n at the I_n
+    components i <= j the two sections meet (`_fiber_components`)."""
     f = p.fiber
     if not p.nonidentity or not q.nonidentity:
         return Fraction(0)
@@ -448,19 +436,12 @@ def corr_pair(p: Contact, q: Contact) -> Fraction:
         raise NonSemistableError(
             f"two sections meet non-identity components of {f}; pairing needs I_n"
         )
-    n = f.n
-    i_p = p.k
-    if p.kind == "far-cycle" or q.kind == "far-cycle":
-        # far component (or one far): i(n-j)/n with the far index n/2
-        i, j = sorted((p.k, q.k))
-        return Fraction(i * (n - j), n)
-    i_q = q.k if _same_branch(p, q) else n - q.k
-    i, j = sorted((i_p, i_q))
-    return Fraction(i * (n - j), n)
+    i, j = sorted(_fiber_components(f, [p, q]))
+    return Fraction(i * (f.n - j), f.n)
 
 
 def pairing(surface, p: Section, q: Section) -> Fraction:
-    """Height pairing <P, Q> = 2 + (P.O) + (Q.O) - (P.Q) - sum corr_v(P, Q).
+    """Height pairing <P, Q> = 2 + (P.O) + (Q.O) - (P.Q) - sum corr_v(P, Q), P and Q of one class.
 
     For p is q this returns the height without needing (P.P).  The result
     for distinct sections depends on the chosen y-roots: replacing Q by -Q
@@ -468,25 +449,26 @@ def pairing(surface, p: Section, q: Section) -> Fraction:
     """
     if p is q:
         return height(p)
-    p, q = normalized_pair(surface, p, q)
     pq = intersection_number(surface, p, q)
-    corr = Fraction(0)
-    for idx, f in enumerate(p.fibers):
-        cp, cq = p.contacts.get(idx), q.contacts.get(idx)
-        if cp is None or cq is None:
-            continue
-        corr += corr_pair(cp, cq) * f.cusp.degree
+    corr = sum((corr_pair(cp, cq) * cp.fiber.cusp.degree for cp, cq in _shared(p, q)), Fraction(0))
     return 2 + p.pO + q.pO - pq - corr
+
+
+def _shared(p: Section, q: Section) -> list:
+    """(p's contact, q's contact) at each fiber where both meet a non-identity component."""
+    return [(cp, q.contacts[idx]) for idx, cp in p.contacts.items()
+            if cp.nonidentity and idx in q.contacts and q.contacts[idx].nonidentity]
 
 
 def ns_discriminant(surface, sections) -> int:
     """disc NS(X) = -(det of the height-pairing Gram) * prod disc(F_v).
 
-    The sign is forced by the signature (1, 19); sections are declared
-    generators of the Mordell-Weil group, taken to be torsion-free.  This is
+    The sign is forced by the signature (1, 19); sections, of one square
+    class, are declared generators of the Mordell-Weil group, taken to be
+    torsion-free.  This is
     the route independent of `certify`, which reads disc NS off the lattice.
     """
-    sections = normalize_sections(surface, sections)
+    _one_class(*sections)
     k = len(sections)
     gram = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
@@ -558,10 +540,9 @@ def intersection_number(surface, p: Section, q: Section) -> int:
     poles; and meetings at fiber nodes are re-evaluated on the smooth model
     (different components intersect zero times there).
     """
-    p, q = normalized_pair(surface, p, q)
+    _one_class(p, q)
     if p.u == q.u:
         raise SectionError("(P.Q) needs distinct x-coordinates")
-    fibers = p.fibers
     total = 0
     udiff = p.u - q.u
     wdiff = p.w - q.w
@@ -581,19 +562,13 @@ def intersection_number(surface, p: Section, q: Section) -> int:
             raise SectionError("degenerate pole chart (sections coincide near O)")
         total += _gcd_restricted(chart.num, gpole).degree
     total += base
-    # node corrections at rational reducible cusps met by both sections
-    for idx, f in enumerate(fibers):
-        cp, cq = p.contacts.get(idx), q.contacts.get(idx)
-        if cp is None or cq is None or f.cusp.kind == "orbit":
-            continue
-        if not (cp.nonidentity and cq.nonidentity):
-            continue
-        if f.kind != "I":
-            continue  # star fibers carry at most one section in scope
-        if f.cusp.kind == "infinity":
-            continue  # handled by the chart at infinity below
-        naive = _meeting_order(udiff, wdiff, _embed(p.domain, f.cusp.value))
-        total += _resolved_multiplicity(cp, cq, naive) - naive
+    # node corrections at finite rational I_n cusps met by both sections (star fibers
+    # carry at most one section in scope; infinity is handled by its chart below)
+    for cp, cq in _shared(p, q):
+        f = cp.fiber
+        if f.kind == "I" and f.cusp.kind == "finite":
+            naive = _meeting_order(udiff, wdiff, _embed(p.domain, f.cusp.value))
+            total += _resolved_multiplicity(cp, cq, naive) - naive
     # the place at infinity
     total += _infinity_contribution(p, q)
     return total
@@ -605,12 +580,10 @@ def _meeting_order(udiff: RationalFunction, wdiff: RationalFunction, t0) -> int:
 
 
 def _resolved_multiplicity(cp: Contact, cq: Contact, naive: int) -> int:
-    """The smooth-model multiplicity at a node both sections meet, given the naive one."""
-    if cp.k != cq.k:
-        return 0
-    same_comp = cp.kind == cq.kind == "far-cycle" or (
-        cp.kind == cq.kind == "cycle" and _same_branch(cp, cq))
-    return max(0, naive - cp.k) if same_comp else 0
+    """The smooth-model multiplicity at a node both sections meet, given the naive one:
+    naive - k on one component (`_fiber_components`), 0 on two."""
+    i, j = _fiber_components(cp.fiber, [cp, cq])
+    return max(0, naive - cp.k) if i == j else 0
 
 
 def _infinity_contribution(p: Section, q: Section) -> int:
@@ -629,15 +602,10 @@ def _infinity_contribution(p: Section, q: Section) -> int:
         return 0
     # both finite at s = 0 (w too): the naive count, resolved at a shared node
     naive = _meeting_order(up - uq, wp - wq, zero)
-    inf_fibers = [
-        (idx, f) for idx, f in enumerate(p.fibers) if f.cusp.kind == "infinity"
-    ]
-    if inf_fibers:
-        idx, f = inf_fibers[0]
-        cp, cq = p.contacts.get(idx), q.contacts.get(idx)
-        if cp is not None and cq is not None and cp.nonidentity and cq.nonidentity:
+    for cp, cq in _shared(p, q):
+        if cp.fiber.cusp.kind == "infinity":
             return _resolved_multiplicity(cp, cq, naive)
-        # identity-side meetings at s=0 take the generic count
+    # identity-side meetings at s=0 take the generic count
     return naive
 
 
@@ -646,8 +614,8 @@ def _infinity_contribution(p: Section, q: Section) -> int:
 # ---------------------------------------------------------------------------
 
 def assemble_ns(surface, sections) -> GramLattice:
-    """Gram matrix of NS(X) on {O, F, fiber components, sections}."""
-    sections = normalize_sections(surface, sections)
+    """Gram matrix of NS(X) on {O, F, fiber components, sections} of one square class."""
+    _one_class(*sections)
     blocks, columns = [], []
     for idx, f in enumerate(surface.fibers):
         if f.reducible:
@@ -666,7 +634,9 @@ def assemble_ns(surface, sections) -> GramLattice:
 def _fiber_components(fiber: FiberDescriptor, contacts) -> list:
     """The component of the fiber each section meets (None: the identity one).
 
-    Cycles are oriented by the first cycle contact's tangent branch; I_0*
+    Cycles are oriented by the first cycle contact's tangent branch: m w^2 =
+    f''(x0)/2 (u - x_node)^2 + ... makes slope^2 = 1 / (2 m f''(x0)), so over
+    one square class m two slopes are equal (same branch) or opposite.  I_0*
     legs take far1, far2, near in the order their residual-cubic roots first
     occur.  Which far end of an I_m* a star-far contact meets is not known,
     so two of them on one fiber are refused.
@@ -675,8 +645,8 @@ def _fiber_components(fiber: FiberDescriptor, contacts) -> list:
     for c in contacts:
         kind, comp = ("identity", None) if c is None else (c.kind, c.component)
         if kind == "cycle":
-            first_cycle = first_cycle if first_cycle is not None else c
-            comp = c.k if _same_branch(first_cycle, c) else fiber.n - c.k
+            first_cycle = first_cycle or c
+            comp = c.k if c.slope == first_cycle.slope else fiber.n - c.k
         elif kind == "star-leg":
             if c.leg_root not in legs:
                 legs.append(c.leg_root)
@@ -714,8 +684,9 @@ class Certificate:
 
 
 def certify(surface, sections) -> Certificate:
-    """The NS lattice, assembled once, and T(X) matched on it; disc NS is its det."""
-    sections = tuple(normalize_sections(surface, sections))
+    """The NS lattice of sections of one square class, assembled once, and T(X)
+    matched on it; disc NS is its det."""
+    sections = tuple(sections)
     lattice = assemble_ns(surface, sections)
     if lattice.det == 0:
         raise SectionError("sections are dependent (Mordell-Weil determinant <= 0)")

@@ -297,6 +297,26 @@ def test_section_declared_twice_is_input_error(tmp_path):
     assert "section p is declared twice" in err.getvalue()
 
 
+def test_conjugate_of_an_undeclared_section_is_input_error(tmp_path):
+    # ex_1012's Psigma alone: the P it is the conjugate of is not declared before it
+    only_conjugate = tmp_path / "psigma.sections"
+    only_conjugate.write_text("[sections]\nname = Psigma\nfield = quadratic:23\nconjugate_of = P\n")
+    code, out, err = run_with_stderr(["verify", "--surface", "ex_1012", "--sections", str(only_conjugate)])
+    assert (code, out) == (2, "")
+    assert err == "input error: section Psigma is the conjugate of P, which is not declared before it\n"
+
+
+@pytest.mark.parametrize("block", ["sections", "expect"])
+def test_a_block_before_the_surface_block_is_input_error(tmp_path, block):
+    # the block used to be read into a fixture not yet made: an AttributeError, exit 1
+    first = {"sections": "[sections]\nname = P\nu = 0;1\n", "expect": "[expect]\ndisc = -627\n"}[block]
+    path = tmp_path / "early.surf"
+    path.write_text(f"{first}\n[surface]\nname = early\nfamily = xlm\nlambda = 5/32\n")
+    for command in ("verify", "tlattice"):
+        code, out, err = run_with_stderr([command, "--surface", str(path)])
+        assert (code, out, err) == (2, "", f"input error: [{block}] block before the [surface] block\n")
+
+
 def test_regression_subset():
     code, out = run(["regression", "--subset", "extremal"])
     assert code == 0
@@ -335,6 +355,13 @@ def test_count_refuses_a_bad_prime_alone(monkeypatch):
     monkeypatch.setattr(Family, "bad_primes", sieve)
     for p in (5, 7):
         assert run_with_stderr(["count", "--prime", str(p)]) == (2, "", f"p = {p} is excluded for this family\n")
+
+
+def test_count_refuses_a_non_prime_first():
+    # 49 = 7^2 was called excluded for the family, and 221 = 13 * 17 failed inside GF(p)
+    for p in (49, 221, 1, 0):
+        assert run_with_stderr(["count", "--prime", str(p)]) == (2, "", f"p = {p} is not prime\n")
+        assert run_with_stderr(["count", "--prime", str(p), "--lambda", "3"]) == (2, "", f"p = {p} is not prime\n")
 
 
 def test_search_without_small_residue_sets_says_so_and_exits_1():
