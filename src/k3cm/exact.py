@@ -1094,15 +1094,15 @@ class RationalFunction:
         num._check(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        else:
+        if num.is_zero():
             den = Polynomial.constant(d, d.one)
-        lead_inv = d.inv(den.leading())
-        object.__setattr__(self, "num", num.scale(lead_inv))
-        object.__setattr__(self, "den", den.scale(lead_inv))
+        elif den.degree > 0 and (g := num.gcd(den)).degree > 0:
+            num, den = num // g, den // g
+        if not d.eq(lead := den.leading(), d.one):  # a constant den takes no gcd, 1 no scaling
+            inv = d.inv(lead)
+            num, den = num.scale(inv), den.scale(inv)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")

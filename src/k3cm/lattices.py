@@ -8,11 +8,13 @@ of the contract (single-class genus for surfaces over Q) and is enforced.
 
 A finite quadratic form is the orthogonal sum of its p-primary parts, and an
 isometry maps each part onto the same prime's part (Nikulin 1979), so the
-forms are compared one prime at a time: the brute-force isometry search only
-ever enumerates a group of order p^k, never the whole group of order |d|.
-Only candidates whose genus characters at the odd p || d, read in closed
-form, agree with those of -q_ns (Conway-Sloane, Ch. 15) get that search:
-on the paper's fields (one class per genus) one candidate is left.
+forms are compared one prime at a time: an odd part Z/p by its character,
+any other part by a brute-force search over a group of order p^k, never the
+whole group of order |d|.  Only candidates whose characters at the odd p || d,
+read in closed form, agree with those of -q_ns (Conway-Sloane, Ch. 15) are
+compared: on the paper's fields (one class per genus) one candidate is left.
+det and the signature come from one Bareiss elimination that rescales a row
+which is 0 in the pivot column only when it next reads it.
 
 L^v/L is read off an elimination on unit entries that records only the
 column transform; a Smith normal form runs on the block left, at most 2 x 2
@@ -75,18 +77,13 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
 
     k = 0
     while k < min(rows, cols):
-        # smallest nonzero pivot tames coefficient growth
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    pivot, best = (i, j), v
+        # smallest nonzero pivot tames coefficient growth (the first one, row by row)
+        pivot = min(((abs(a[i][j]), i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j]),
+                    default=None)
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
+        swap_rows(k, pivot[1])
+        swap_cols(k, pivot[2])
         # clear row and column k (balanced remainders keep entries small)
         while True:
             changed = False
@@ -107,15 +104,8 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
             if not changed:
                 break
         # enforce the divisibility chain
-        entry = a[k][k]
-        bad = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % entry:
-                    bad = i
-                    break
-            if bad:
-                break
+        bad = next((i for i in range(k + 1, rows) if any(a[i][j] % a[k][k] for j in range(k + 1, cols))),
+                   None)
         if bad is not None:
             row_op(k, bad, -1)  # adds row `bad` into row k, re-run the pivot
             continue
@@ -137,14 +127,14 @@ class GramLattice:
     gram: tuple  # tuple of tuples, symmetric integers
 
     def __init__(self, gram):
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
-        n = len(rows)
-        for i in range(n):
-            if len(rows[i]) != n:
-                raise ValueError("gram matrix must be square")
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        rows = tuple(tuple(map(int, row)) for row in gram)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("gram matrix must be square")
+        if rows != tuple(map(tuple, gram)):
+            i, j = next((i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x != rows[i][j])
+            raise ValueError(f"gram entry ({i}, {j}) = {gram[i][j]!r} is not an integer")
+        if rows != tuple(zip(*rows)):
+            raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "gram", rows)
 
     @property
@@ -158,29 +148,42 @@ class GramLattice:
         One fraction-free (Bareiss) elimination.  A zero pivot is first replaced
         by congruence, which keeps det: a swap with a later nonzero diagonal
         entry, or adding a row and column that meets row k off the diagonal.
-        It stops short of M_n exactly when the lattice is degenerate.
+        It stops short of M_n exactly when the lattice is degenerate.  A row
+        that is 0 in the pivot column, which step k would only multiply by
+        M_k / M_(k-1), keeps the step of its last update and is rescaled when read.
         """
         n = self.rank
         a = [list(row) for row in self.gram]
-        minors = [1]
+        minors, step = [1], [0] * n
+
+        def read(i):  # row i from the pivot column k on, as of M_k
+            if step[i] != k:
+                m, d = minors[k], minors[step[i]]
+                a[i][k:], step[i] = [x * m // d for x in a[i][k:]], k
+            return a[i]
+
         for k in range(n):
             if a[k][k] == 0:
                 i = next((i for i in range(k + 1, n) if a[i][i]), None)
                 if i is not None:
-                    a[k], a[i] = a[i], a[k]
+                    a[k], a[i], step[k], step[i] = a[i], a[k], step[i], step[k]
                     for row in a:
                         row[k], row[i] = row[i], row[k]
                 else:
                     i = next((i for i in range(k + 1, n) if a[k][i]), None)
                     if i is None:
                         break
-                    a[k] = [x + y for x, y in zip(a[k], a[i])]
+                    a[k] = [x + y for x, y in zip(read(k), read(i))]
                     for row in a:
                         row[k] += row[i]
-            piv = a[k][k]
+            pivot_row = read(k)
+            piv, prev, tail = pivot_row[k], minors[-1], pivot_row[k + 1:]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // minors[-1]
+                if a[i][k]:
+                    row = read(i)
+                    f = row[k]
+                    row[k + 1:] = [(x * piv - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+                    step[i] = k + 1
             minors.append(piv)
         return tuple(minors)
 
@@ -204,10 +207,6 @@ class GramLattice:
 # discriminant forms
 # ---------------------------------------------------------------------------
 
-def _mod1(x: Fraction) -> Fraction:
-    return Fraction(x.numerator % x.denominator, x.denominator)
-
-
 @dataclass(frozen=True)
 class DiscriminantForm:
     """Finite quadratic form on L^v / L presented by cyclic generators.
@@ -219,14 +218,6 @@ class DiscriminantForm:
 
     orders: tuple
     qmat: tuple  # tuple of tuples of Fraction
-
-    def pairing(self, x, y) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            for j in range(k):
-                total += x[i] * y[j] * self.qmat[i][j]
-        return _mod1(total)
 
     def negated(self) -> "DiscriminantForm":
         return DiscriminantForm(
@@ -252,8 +243,9 @@ class DiscriminantForm:
             table.setdefault((order, q % (2 * D)), []).append(el)
         return table
 
+    @cached_property
     def primary_parts(self) -> dict[int, "DiscriminantForm"]:
-        """The p-primary parts {p: part} for each prime p of the exponent.
+        """The p-primary parts {p: part} for each prime p of the exponent, built once.
 
         The part at p is generated by (o_i / p^e) g_i, of order p^e, for each
         invariant factor o_i with p^e || o_i, e >= 1; its qmat is scaled to
@@ -280,12 +272,15 @@ class DiscriminantForm:
         """Isometry test, one p-primary part at a time.
 
         An isometry maps each p-primary part onto the p-primary part of the
-        image, so two forms are isometric iff their parts are, prime by prime.
+        image, so two forms are isometric iff their parts are, prime by prime:
+        an odd Z/p by its character (`_character`), any other part by brute force.
         """
         if self.orders != other.orders:
             return False
-        theirs = other.primary_parts()
-        return all(part._isometric_to(theirs[p]) for p, part in self.primary_parts().items())
+        theirs = other.primary_parts
+        return all(part._isometric_to(theirs[p]) if (eps := _character(part, p)) is None
+                   else eps == _character(theirs[p], p)
+                   for p, part in self.primary_parts.items())
 
     def _isometric_to(self, other: "DiscriminantForm") -> bool:
         """Brute-force isometry search preserving orders, q and the pairing.
@@ -448,10 +443,12 @@ def form_lattice(f: BinaryQuadraticForm) -> GramLattice:
     return GramLattice(f.gram())
 
 
-def _genus_characters(form: DiscriminantForm) -> dict[int, int]:
-    """{p: eps_p} for each odd p whose part is Z/p: the symbol (p q(g) | p)."""
-    return {p: kronecker(int(p * part.qmat[0][0]), p)
-            for p, part in form.primary_parts().items() if p > 2 and part.orders == (p,)}
+def _character(part: DiscriminantForm, p: int) -> int | None:
+    """(p q(g) | p) of an odd part Z/p = <g>, which classifies it, or None.
+
+    p q(g) is an integer prime to p, even as q(p g) is in 2Z, and q(a g) =
+    a^2 q(g) multiplies it by a square mod 2p."""
+    return kronecker(int(p * part.qmat[0][0]), p) if p > 2 and part.orders == (p,) else None
 
 
 def _candidate_character(f: BinaryQuadraticForm, p: int) -> int:
@@ -478,7 +475,8 @@ def match_transcendental(ns: GramLattice) -> BinaryQuadraticForm:
     if d >= 0:
         raise MatchError("determinant must be negative")
     target = discriminant_form(ns).negated()
-    chars = _genus_characters(target)
+    chars = {p: eps for p, part in target.primary_parts.items()
+             if (eps := _character(part, p)) is not None}
     matches = [cand for cand in sorted(enumerate_reduced(d))
                if all(_candidate_character(cand, p) == e for p, e in chars.items())
                and discriminant_form(form_lattice(cand)).is_isomorphic(target)]

@@ -6,14 +6,16 @@ are single exact valuations, and the tangent branch of a node contact is
 the sign of one exact slope; no local series is expanded.  Heights and
 pairings follow from the standard correction tables.
 
-A list of sections is normalized to one square class where it is formed,
-by `build_sections` or `normalize_sections`, and nowhere else: `certify`,
-`assemble_ns`, `ns_discriminant`, `pairing` and `intersection_number` take
-it as it is and refuse sections of several classes.  Both routes to disc NS
-read one component assignment (`_fiber_components`).  `certify` assembles
-the Neron-Severi lattice once and returns one `Certificate`: the sections,
-their heights, disc NS and T(X) read off that lattice.  `ns_discriminant`
-is the independent Mordell-Weil determinant route.
+A declared conjugate is the verified section conjugated, not verified
+again.  A list of sections is normalized to one square class where it is
+formed, by `build_sections` or `normalize_sections`, and nowhere else:
+`certify`, `assemble_ns`, `ns_discriminant`, `pairing` and
+`intersection_number` take it as it is and refuse sections of several
+classes.  Both routes to disc NS read one component assignment
+(`_fiber_components`).  `certify` assembles the Neron-Severi lattice once
+and returns one `Certificate`: the sections, their heights, disc NS and
+T(X) read off that lattice.  `ns_discriminant` is the independent
+Mordell-Weil determinant route.
 """
 
 from __future__ import annotations
@@ -103,17 +105,12 @@ class Section:
 # ---------------------------------------------------------------------------
 
 def _ratfun_flip(f: RationalFunction, weight: int) -> RationalFunction:
-    """s^weight * f(1/s) as a rational function of s."""
+    """s^weight * f(1/s) as a rational function of s: s^shift rev(num) / rev(den),
+    the power of s taken by one reversal."""
     num, den = f.num, f.den
-    dn, dd = num.degree, den.degree
-    rn = num.reverse(dn)
-    rd = den.reverse(dd)
-    shift = weight + dd - dn
-    d = f.domain
-    s = Polynomial.x(d)
-    if shift >= 0:
-        return RationalFunction(rn * s ** shift, rd)
-    return RationalFunction(rn, rd * s ** (-shift))
+    shift = weight + den.degree - num.degree
+    return RationalFunction(num.reverse(num.degree + max(shift, 0)),
+                            den.reverse(den.degree + max(-shift, 0)))
 
 
 def _local_chart(surface, sec: Section, cusp: Cusp):
@@ -296,10 +293,7 @@ def _orbit_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
     if _vanishes_along(u.den, g):
         return Contact(fiber, "identity")  # pole over the orbit: meets O side
     # non-identity requires w = 0 and f_x(u) = 0 along the orbit
-    if w.is_zero():
-        w_van = True
-    else:
-        w_van = _vanishes_along(w.num, g) and not _vanishes_along(w.den, g)
+    w_van = _vanishes_along(w.num, g) and not _vanishes_along(w.den, g)
     three = Polynomial.constant(dom, dom.from_fraction(Fraction(3)))
     two = Polynomial.constant(dom, dom.from_fraction(Fraction(2)))
     fx = (RationalFunction(three) * u * u + RationalFunction(two * surface.a2) * u
@@ -376,54 +370,66 @@ def _one_class(*sections) -> None:
         raise SectionError("sections of several square classes; normalize_sections joins them")
 
 
+def _mapped(sec: Section, ratfun, scalar, **changes) -> Section:
+    """sec with ratfun applied to u and w, and scalar to msq and to each cycle
+    slope and I0* leg root; (P.O) and the contact kinds are kept."""
+    each = lambda x: None if x is None else scalar(x)
+    contacts = {idx: replace(c, leg_root=each(c.leg_root), slope=each(c.slope))
+                for idx, c in sec.contacts.items()}
+    return replace(sec, u=ratfun(sec.u), w=ratfun(sec.w), msq=scalar(sec.msq), contacts=contacts,
+                   **changes)
+
+
 def _carried(sec: Section, K) -> Section:
     """A section verified over Q, as `verify_section` finds it over K, without verifying again.
 
     Over K, w's numerator is monic: w and each cycle slope are divided by
-    lc(w.num), and msq = kernel * lc(w.num)^2.  u, the contacts and their
-    leg roots are the same, embedded in K.
+    lc(w.num), and msq = kernel * lc(w.num)^2, all embedded in K.
     """
     lc = sec.w.num.leading()
-    lift = lambda f: f.map_domain(K)
-    embed = lambda x: None if x is None else K.from_fraction(x)
-    contacts = {idx: replace(c, leg_root=embed(c.leg_root), slope=embed(c.slope and c.slope / lc))
-                for idx, c in sec.contacts.items()}
-    return replace(sec, u=RationalFunction(lift(sec.u.num), lift(sec.u.den)),
-                   w=RationalFunction(lift(sec.w.num.monic()), lift(sec.w.den)),
-                   msq=K.from_fraction(sec.msq * lc * lc), contacts=contacts)
+    lift = lambda f: RationalFunction(f.num.map_domain(K), f.den.map_domain(K))
+    return _mapped(_scaled_section(sec, 1 / lc, sec.msq * lc * lc), lift, K.from_fraction)
 
 
 def normalized_pair(surface, p: Section, q: Section):
     """(p, q') sharing one square class: `normalize_sections` of the pair."""
-    p, q = normalize_sections(surface, [p, q])
-    return p, q
+    return tuple(normalize_sections(surface, [p, q]))
 
 
 def build_sections(surface, section_fixtures) -> list:
     """The declared sections, verified in order and normalized to one class.
 
     A fixture with `conjugate_of` is the Galois conjugate of the section it
-    names, declared before it, taken from that section as verified, before
-    normalization.
+    names, declared before it: that section as verified, conjugated
+    (`_conjugated`) and not verified again, before normalization.
     """
     secs = {}
     for sf in section_fixtures:
         if sf.name.lower() in secs:
             raise SectionError(f"section {sf.name} is declared twice")
-        if sf.conjugate_of:
-            if sf.conjugate_of.lower() not in secs:
-                raise SectionError(f"section {sf.name} is the conjugate of {sf.conjugate_of}, "
-                                   "which is not declared before it")
-            u = _conjugate_ratfun(secs[sf.conjugate_of.lower()].u)
+        if not sf.conjugate_of:
+            secs[sf.name.lower()] = verify_section(surface, sf.u(), name=sf.name)
+        elif sf.conjugate_of.lower() in secs:
+            secs[sf.name.lower()] = _conjugated(secs[sf.conjugate_of.lower()], sf.name)
         else:
-            u = sf.u()
-        secs[sf.name.lower()] = verify_section(surface, u, name=sf.name)
+            raise SectionError(f"section {sf.name} is the conjugate of {sf.conjugate_of}, "
+                               "which is not declared before it")
     return normalize_sections(surface, list(secs.values()))
 
 
 def _conjugate_ratfun(f: RationalFunction) -> RationalFunction:
     conj = lambda poly: Polynomial(poly.domain, [c.conjugate() for c in poly.coeffs])
     return RationalFunction(conj(f.num), conj(f.den))
+
+
+def _conjugated(sec: Section, name: str) -> Section:
+    """The Galois conjugate of a verified section, as `verify_section` finds it.
+
+    The surface and its fibers are over Q and `monic_sqrt` is unique, so
+    verifying sigma(u) gives sigma(w) and sigma(msq), the same (P.O) and
+    contact kinds, and the conjugate of each cycle slope and I0* leg root.
+    """
+    return _mapped(sec, _conjugate_ratfun, lambda x: x.conjugate(), name=name)
 
 
 def corr_pair(p: Contact, q: Contact) -> Fraction:
@@ -504,11 +510,7 @@ def _same_square_class(dom, m1, m2):
     """Return c with m1 = c^2 m2, or None."""
     if dom == QQ:
         return rational_sqrt(Fraction(m1) / Fraction(m2))
-    # quadratic field: solve (x + y sqrt(m))^2 = m1/m2
-    z = dom.div(m1, m2)
-    if isinstance(z, QuadNum):
-        return _quad_sqrt(dom, z)
-    return None
+    return _quad_sqrt(dom, dom.div(m1, m2))   # quadratic field: (x + y sqrt(m))^2 = m1/m2
 
 
 def _quad_sqrt(dom: QuadField, z: QuadNum):

@@ -12,23 +12,73 @@
    surface and extremal row (the 39 surfaces `verify` certifies), compares
    `match_transcendental` with the same matching done by the whole-group
    brute force.
+   It also compares each lattice's leading minors (`GramLattice._minors`,
+   rows rescaled when read) with the dense Bareiss elimination
+   (`oracles.dense_minors`).
 3. For U + f(-1) with f each reduced form of the same 73 discriminants,
    compares `match_transcendental` (genus characters, then the per-prime
    isometry test) with the whole-group brute-force matching, on the returned
    form or on the "several classes" / "no form" outcome.
 
-Prints one line per discriminant and per fixture group, then the totals;
-exits 1 on any disagreement.
+Prints one line per discriminant and per fixture group, then the totals,
+with how many odd primary parts `is_isomorphic` decided by their character
+and how many by brute force; exits 1 on any disagreement.
 """
 
 import sys
 import time
 
+import k3cm.lattices
 from k3cm.fixtures import registry
-from k3cm.lattices import GramLattice, MatchError, discriminant_form, form_lattice, match_transcendental
+from k3cm.lattices import (
+    DiscriminantForm,
+    GramLattice,
+    MatchError,
+    discriminant_form,
+    form_lattice,
+    match_transcendental,
+)
 from k3cm.newforms import exponent_two_table
 from k3cm.quadforms import enumerate_reduced
 from k3cm.sections import assemble_ns, build_sections
+
+from oracles import dense_minors
+
+
+class OddPartTally:
+    """Odd primary parts decided inside `is_isomorphic`, by character or by brute force.
+
+    A part decided by its character reads `_character` twice, once per form
+    (both parts are Z/p); any other part calls `_isometric_to` once.
+    """
+
+    def __init__(self):
+        self.character_reads = self.brute = 0
+        self.inside = False
+        iso, brute, char = DiscriminantForm.is_isomorphic, DiscriminantForm._isometric_to, k3cm.lattices._character
+
+        def is_isomorphic(form, other):
+            self.inside = True
+            try:
+                return iso(form, other)
+            finally:
+                self.inside = False
+
+        def isometric_to(part, other):
+            self.brute += self.inside and part.orders[0] % 2 == 1
+            return brute(part, other)
+
+        def character(part, p):
+            eps = char(part, p)
+            self.character_reads += self.inside and eps is not None
+            return eps
+
+        DiscriminantForm.is_isomorphic, DiscriminantForm._isometric_to = is_isomorphic, isometric_to
+        k3cm.lattices._character = character
+
+    def summary(self):
+        return (f"odd primary parts decided by character {self.character_reads // 2}, "
+                f"by brute force {self.brute}")
 
 
 def whole_group_matches(ns):
@@ -77,6 +127,9 @@ def check_lattices(reg):
         if got != want:
             disagree += 1
             print(f"{group} {name}: per-prime {got}, whole group {want}", flush=True)
+        if ns._minors != dense_minors(ns.gram):
+            disagree += 1
+            print(f"{group} {name}: minors {ns._minors}, dense {dense_minors(ns.gram)}", flush=True)
     for group, n in counts.items():
         print(f"{group}: {n} NS lattices compared", flush=True)
     return sum(counts.values()), disagree
@@ -112,6 +165,7 @@ def check_u_plus_forms(discs):
 
 
 def main():
+    tally = OddPartTally()
     reg = registry()
     discs = {d for ds in exponent_two_table(7000).values() for d in ds}
     discs |= {fx.expected_disc for fx in reg.certified}
@@ -121,7 +175,7 @@ def main():
     print(f"{len(discs)} discriminants, {pairs} ordered pairs x 2 (as is, negated), "
           f"{isometric} isometric, {bad_pairs} disagreement; "
           f"{lattices} NS lattices, {bad_lattices} disagreement; "
-          f"{u_forms} U + f(-1) lattices, {bad_u_forms} disagreement")
+          f"{u_forms} U + f(-1) lattices, {bad_u_forms} disagreement; {tally.summary()}")
     return 1 if bad_pairs or bad_lattices or bad_u_forms else 0
 
 

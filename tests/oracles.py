@@ -92,6 +92,41 @@ def det_bareiss(m) -> int:
     return sign * a[-1][-1]
 
 
+def dense_minors(gram) -> tuple:
+    """`GramLattice._minors` as a dense Bareiss elimination: every row below the
+    pivot is updated at every step, rows that are 0 in the pivot column too.
+
+    (1, M_1, M_2, ...), the leading principal minors of a congruent Gram
+    matrix; a zero pivot is replaced by congruence (a swap with a later
+    nonzero diagonal entry, or adding a row and column that meets row k off
+    the diagonal), and the tuple stops short of M_n exactly when the form is
+    degenerate.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    minors = [1]
+    for k in range(n):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if i is not None:
+                a[k], a[i] = a[i], a[k]
+                for row in a:
+                    row[k], row[i] = row[i], row[k]
+            else:
+                i = next((i for i in range(k + 1, n) if a[k][i]), None)
+                if i is None:
+                    break
+                a[k] = [x + y for x, y in zip(a[k], a[i])]
+                for row in a:
+                    row[k] += row[i]
+        piv = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // minors[-1]
+        minors.append(piv)
+    return tuple(minors)
+
+
 # ---------------------------------------------------------------------------
 # polynomials over Q as plain lists of Fractions, ascending, no trailing zeros
 # ---------------------------------------------------------------------------
@@ -230,6 +265,12 @@ def q_value(df: DiscriminantForm, coeffs) -> Fraction:
         for j in range(i + 1, k):
             total += 2 * coeffs[i] * coeffs[j] * df.qmat[i][j]
     return Fraction(total.numerator % (2 * total.denominator), total.denominator)
+
+
+def b_value(df: DiscriminantForm, x, y) -> Fraction:
+    """b(sum x[i] g_i, sum y[j] g_j) mod Z."""
+    total = sum(x[i] * y[j] * df.qmat[i][j] for i in range(len(x)) for j in range(len(y)))
+    return Fraction(total.numerator % total.denominator, total.denominator)
 
 
 def reference_discriminant_form(lattice) -> DiscriminantForm:

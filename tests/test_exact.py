@@ -464,6 +464,34 @@ def test_rational_function_normalization():
     assert f.valuation_at(Fraction(0)) == -1
 
 
+def gcd_route(num, den):
+    """RationalFunction's normalization with the gcd always taken: lowest terms, den monic."""
+    d = num.domain
+    if num.is_zero():
+        return num, Polynomial.constant(d, d.one)
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    inv = d.inv(den.leading())
+    return num.scale(inv), den.scale(inv)
+
+
+def test_constant_denominator_matches_the_gcd_route():
+    # a constant denominator takes no gcd, and one of 1 no scaling either
+    K = QuadField(23)
+    root = QuadNum(Fraction(2), Fraction(-1, 3), 23)
+    for d, c in ((QQ, Fraction(-3, 7)), (K, K.from_fraction(Fraction(5, 2))), (K, root)):
+        one, const = Polynomial.constant(d, d.one), Polynomial.constant(d, c)
+        nums = [P(d, 1, -2, 0, 5), P(d, Fraction(3, 4)), Polynomial(d, [])]
+        if d == K:
+            nums.append(Polynomial(K, [root, K.zero, root * root]))
+        for num in nums:
+            assert RationalFunction(num) == RationalFunction(num, one)
+            for den in (one, const, P(d, -2, 1) * const):
+                f = RationalFunction(num, den)
+                assert (f.num, f.den) == gcd_route(num, den), (num, den)
+                assert f.den.leading() == d.one
+
+
 def test_parse_rational_roundtrip():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("17") == Fraction(17)

@@ -17,7 +17,7 @@ from k3cm.lattices import (
 from k3cm.quadforms import BinaryQuadraticForm, enumerate_reduced
 from k3cm.sections import assemble_ns
 from k3cm.surfaces import Cusp, FiberDescriptor
-from oracles import det_bareiss, group_order, mat_mul, q_value, reference_discriminant_form
+from oracles import b_value, dense_minors, det_bareiss, group_order, mat_mul, q_value, reference_discriminant_form
 
 
 def test_smith_examples():
@@ -53,6 +53,13 @@ def test_gram_lattice_basics():
     assert U.det == -1 and U.signature() == (1, 1) and U.is_even()
     with pytest.raises(ValueError):
         GramLattice([[0, 1], [2, 0]])
+
+
+def test_gram_lattice_refuses_entries_that_are_not_integers():
+    for gram, bad in (([[Fraction(3, 2), 1], [1, 2.7]], r"\(0, 0\)"), ([[2, 1], [1, 2.7]], r"\(1, 1\) = 2.7")):
+        with pytest.raises(ValueError, match=bad):
+            GramLattice(gram)
+    assert GramLattice([[Fraction(4, 2), 1.0], [1, -2]]).gram == ((2, 1), (1, -2))
 
 
 def test_discriminant_form_unimodular_trivial():
@@ -290,6 +297,19 @@ def test_det_matches_bareiss_reference_on_signature_test_forms():
     assert 2 < degenerate < len(grams)
 
 
+def test_minors_match_dense_bareiss_oracle(certified):
+    # rows that are 0 in the pivot column are rescaled when read, not at every step
+    grams = [gram for gram, _ in ZERO_DIAGONAL_CASES.values()]
+    grams += list(DEGENERATE_CASES) + list(random_grams())
+    grams += [assemble_ns(surf, secs).gram for _, surf, secs in certified]
+    short = 0
+    for g in grams:
+        minors = GramLattice(g)._minors
+        assert minors == dense_minors(g), g
+        short += len(minors) <= len(g)
+    assert 2 < short < len(grams)
+
+
 def test_signature_matches_fraction_reference_on_certified_lattices(certified):
     for name, surf, secs in certified:
         ns = assemble_ns(surf, secs)
@@ -299,8 +319,9 @@ def test_signature_matches_fraction_reference_on_certified_lattices(certified):
 # -- p-primary split ---------------------------------------------------------------
 
 # 2-parts Z/2 x Z/4 (-88, -840), Z/2 x Z/8 (-112), a non-primitive reduced
-# form 2[1,1,17] (-268), and h = 8 (-840, -1540)
-SPLIT_DISCS = (-88, -112, -268, -840, -1540)
+# form 2[1,1,17] (-268), h = 8 (-840, -1540), and odd parts other than Z/p,
+# which the isometry test searches by brute force: Z/27 and Z/3 x Z/9 (-108)
+SPLIT_DISCS = (-88, -108, -112, -268, -840, -1540)
 
 
 def _reduced_forms(d):
@@ -335,7 +356,7 @@ def _is_power_of(o, p):
 
 def test_primary_part_orders_multiply_to_group_order():
     for df in _split_examples():
-        parts = df.primary_parts()
+        parts = df.primary_parts
         total = 1
         for p, part in parts.items():
             assert part.orders and all(_is_power_of(o, p) for o in part.orders)
@@ -345,25 +366,25 @@ def test_primary_part_orders_multiply_to_group_order():
 
 def test_primary_parts_are_orthogonal():
     for df in _split_examples():
-        primes = sorted(df.primary_parts())
+        primes = sorted(df.primary_parts)
         for p in primes:
             for r in primes:
                 if p < r:
                     for x in _part_generators(df, p):
                         for y in _part_generators(df, r):
-                            assert df.pairing(x, y) == 0
+                            assert b_value(df, x, y) == 0
 
 
 def test_primary_part_values_match_the_whole_form():
     for df in _split_examples():
-        for p, part in df.primary_parts().items():
+        for p, part in df.primary_parts.items():
             gens = _part_generators(df, p)
             assert len(gens) == len(part.orders)
             units = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
             for a, x in zip(units, gens):
                 assert q_value(part, a) == q_value(df, x)
                 for b, y in zip(units, gens):
-                    assert part.pairing(a, b) == df.pairing(x, y)
+                    assert b_value(part, a, b) == b_value(df, x, y)
 
 
 def test_per_prime_isometry_matches_whole_group_oracle():

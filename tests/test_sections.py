@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.exact import QQ, Polynomial, QuadField, RationalFunction, Series, poly_series
+from k3cm.exact import QQ, Polynomial, QuadField, QuadNum, RationalFunction, Series, poly_series
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lattices import match_transcendental
 from k3cm.quadforms import BinaryQuadraticForm
@@ -14,11 +14,13 @@ from k3cm.sections import (
     _resolved_multiplicity,
     _carried,
     _conjugate_ratfun,
+    _conjugated,
     _cycle_contact,
     _embed,
     _fiber_components,
     _local_chart,
     _meeting_order,
+    _ratfun_flip,
     _scaled_section,
     _square_cofactor,
     _star_contact,
@@ -195,6 +197,56 @@ def test_conjugate_pair_1012(reg):
     P, Ps = normalize_sections(surf, [P, Ps])
     assert abs(pairing(surf, P, Ps)) == Fraction(8, 15)
     assert ns_discriminant(surf, [P, Ps]) == -1012
+
+
+def test_conjugated_section_equals_its_verification(reg, monkeypatch):
+    import k3cm.sections
+
+    fx = reg.surfaces["ex_1012"]
+    surf = fx.build_surface(reg)
+    P = verify_section(surf, fx.sections[0].u(), name="P")
+    got = _conjugated(P, "Psigma")
+    want = verify_section(surf, _conjugate_ratfun(P.u), name="Psigma")
+    assert got.u != P.u and got.w != P.w and got.msq != P.msq
+    assert (got.u, got.w, got.msq, got.pO, got.name) == (want.u, want.w, want.msq, want.pO, want.name)
+    fields = lambda c: (c.fiber, c.kind, c.k, c.slope, c.leg_root)
+    assert {i: fields(c) for i, c in got.contacts.items()} == {i: fields(c) for i, c in want.contacts.items()}
+    assert sum(c.slope is not None for c in want.contacts.values()) == 2
+    # build_sections verifies P alone and conjugates it
+    calls = _counting(monkeypatch, k3cm.sections, "verify_section")
+    assert [s.name for s in build_sections(surf, fx.sections)] == ["P", "Psigma"]
+    assert len(calls) == 1
+
+
+def flip_by_power(f: RationalFunction, weight: int) -> RationalFunction:
+    """s^weight f(1/s) as reversals times a power of s, multiplied out."""
+    num, den = f.num, f.den
+    rn, rd = num.reverse(num.degree), den.reverse(den.degree)
+    shift = weight + den.degree - num.degree
+    s = Polynomial.x(f.domain)
+    if shift >= 0:
+        return RationalFunction(rn * s ** shift, rd)
+    return RationalFunction(rn, rd * s ** (-shift))
+
+
+def test_flip_matches_the_power_and_product_formula():
+    K = QuadField(23)
+    root = QuadNum(Fraction(1, 2), Fraction(-3), 23)
+    shifts = set()
+    for d in (QQ, K):
+        c = root if d == K else Fraction(-5, 3)
+        nums = [from_fractions(d, [1, 2]), Polynomial(d, [c, d.zero, d.one]),
+                from_fractions(d, [0, 0, 3, 0, 0, 0, 0, 0, 7, 2]), Polynomial(d, [])]
+        dens = [from_fractions(d, [1]), from_fractions(d, [4, -4, 1]),
+                Polynomial(d, [d.one, c, d.zero, d.one])]
+        for num in nums:
+            for den in dens:
+                for weight in (4, 6):
+                    f = RationalFunction(num, den)
+                    assert _ratfun_flip(f, weight) == flip_by_power(f, weight), (f, weight)
+                    shift = weight + f.den.degree - f.num.degree
+                    shifts.add((d, (shift > 0) - (shift < 0)))
+    assert shifts == {(d, sign) for d in (QQ, K) for sign in (-1, 0, 1)}
 
 
 def test_pairing_against_group_law_oracle(reg):
