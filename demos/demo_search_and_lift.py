@@ -25,7 +25,7 @@ cache = CountCache()
 
 primes = usable_primes(fam, oracle, 100)[:4]
 print(f"scanning split primes {primes} for the field of discriminant -88")
-reports = search(fam, -88, primes, cache=cache)
+reports = search(fam, oracle, primes, cache=cache)
 for rep in reports[:3]:
     print(f"  candidate lambda = {rep.lam} (height {rep.height}, matched at {rep.primes_matched} primes)")
 

@@ -116,7 +116,7 @@ def cmd_search(args) -> int:
         print("not enough usable split primes", file=sys.stderr)
         return 2
     try:
-        reports = search(fam, args.disc, primes, args.height_bound, cache)
+        reports = search(fam, oracle, primes, args.height_bound, cache)
     except SearchError as e:   # the scans ran; their residues cannot be lifted
         print(f"no candidate: {e}", file=sys.stderr)
         return 1

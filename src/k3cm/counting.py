@@ -54,11 +54,18 @@ CountingError naming the cusp and p.
 families with the same name and other data never share a count.  It is a
 conflict-checked log, never a source of counts: every count is computed and
 then put, a count that differs from the log's is a determinism breach, and
-a scan appends its new counts to the file in one `batch()`.
+a scan appends its new counts to the file in one `batch()`.  An entry is the
+line `KEY p lambda count` as `put` writes it: four fields one space apart,
+the last three canonical integers (`0`, or digits not starting with 0 after
+an optional `-`), padding around the line allowed.  Blank lines and lines
+whose first field starts with `#` are skipped; any other line is reported as
+`cache: skipping corrupt line ...` on stderr.  A command reads the log once,
+in bulk: one regular-expression pass indexes "KEY p lambda" -> "count" as text.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from contextlib import contextmanager
@@ -204,7 +211,7 @@ def depressed_cubic_sums(p: int, chi: list, A: list, B: list) -> tuple[list, lis
     """
     n = chi.index(-1)
     N = [_cubic_value_counts(c, p) for c in (0, 1, n)]
-    F = [_correlate_with_chi(counts, chi, p) for counts in N]
+    F = _correlate_with_chi(N, chi, p)
     offset, inv_a3 = [0] * p, [1] * p     # A = c a^2: p (c's place, + 3 if chi(a) = -1), a^-3 mod p
     for a in range(1, (p + 1) // 2):
         aa, flip = a * a % p, 3 * p * (chi[a] == -1)
@@ -224,27 +231,26 @@ def _cubic_value_counts(c: int, p: int) -> list[int]:
     return counts
 
 
-def _correlate_with_chi(values: list, chi: list, p: int) -> list[int]:
-    """F[b] = sum_v values[v] chi(v + b) for b in F_p, values[v] >= 0, from one big-integer product.
+def _correlate_with_chi(rows: list, chi: list, p: int) -> list[list[int]]:
+    """F[b] = sum_v values[v] chi(v + b) for b in F_p, for each row of values >= 0, one big-integer product each.
 
-    values reversed and chi + 1 fill the slots of two integers (Kronecker
-    substitution), each slot an item of the smallest array type that holds
-    2 sum(values).  Slot k of the product is the linear correlation
+    Each row reversed and chi + 1, packed once for all rows, fill the slots of two
+    integers (Kronecker substitution), each slot an item of the smallest array type
+    that holds 2 sum(values) of every row.  Slot k of a product is the linear correlation
     L[k] = sum_v values[v] (chi(v + k - p + 1) + 1) over 0 <= v + k - p + 1 < p,
     and the cyclic one is L[p - 1 + b] + L[b - 1] = F[b] + sum(values), folded
     in one shift-and-add.  No slot exceeds 2 sum(values), so none carries into
     the next; where that does not fit 8 bytes, CountingError.
     """
-    total = sum(values)
-    code = next((c for c in "BHILQ" if 2 * total < 1 << 8 * array(c).itemsize), None)
+    totals = [sum(values) for values in rows]
+    code = next((c for c in "BHILQ" if 2 * max(totals) < 1 << 8 * array(c).itemsize), None)
     if code is None:
-        raise CountingError(f"correlation at p = {p}: 2 * {total} does not fit a slot of 8 bytes")
+        raise CountingError(f"correlation at p = {p}: 2 * {max(totals)} does not fit a slot of 8 bytes")
     bits = 8 * array(code).itemsize
-    linear = (int.from_bytes(_little(array(code, values[::-1])), "little")
-              * int.from_bytes(_little(array(code, [x + 1 for x in chi])), "little"))
-    low = (p - 1) * bits
-    folded = (linear >> low) + ((linear & ((1 << low) - 1)) << bits)
-    return [v - total for v in _little(array(code, folded.to_bytes(p * bits // 8, "little")))]
+    low, packed = (p - 1) * bits, int.from_bytes(_little(array(code, [x + 1 for x in chi])), "little")
+    linear = [int.from_bytes(_little(array(code, values[::-1])), "little") * packed for values in rows]
+    folded = [(x >> low) + ((x & ((1 << low) - 1)) << bits) for x in linear]
+    return [[v - t for v in _little(array(code, f.to_bytes(p * bits // 8, "little")))] for f, t in zip(folded, totals)]
 
 
 def _little(slots: array) -> array:
@@ -362,7 +368,7 @@ class TwistTable:
         Taken once per table: a search scans the same (family, p) for each field.
         """
         p = self.p
-        corr = _correlate_with_chi([s + p for s in self.S], self.chi[:p], p)
+        corr, = _correlate_with_chi([[s + p for s in self.S]], self.chi[:p], p)
         base = p * (p + 1) + self.inf_count
         return [base + c for c in corr[:1] + corr[:0:-1]]   # corr[-lambda]
 
@@ -402,6 +408,18 @@ def on_cusp(family, p: int, lam: int) -> str:
 # count cache (append-only, conflict-checked)
 # ---------------------------------------------------------------------------
 
+_INT, _PAD = r"(?:0|-?[1-9][0-9]*+)", r"[^\S\n]*+"   # a canonical integer; padding within a line
+_ENTRY = rf"([^\s#]\S*+ {_INT} {_INT}) ({_INT})"    # "KEY p lambda count", as `put` writes it
+_ENTRIES = re.compile(rf"^{_PAD}{_ENTRY}{_PAD}$", re.M)
+_CORRUPT = re.compile(rf"^{_PAD}(?!#|$|{_ENTRY}{_PAD}$)(?P<line>.+?){_PAD}$", re.M)
+
+
+def _conflict(key: str, known: str, count: str) -> CountingError:
+    """The determinism breach of a key with two counts, the key named as (KEY, p, lambda)."""
+    fam, p, lam = key.split(" ")
+    return CountingError(f"cache conflict for {(fam, int(p), int(lam))}: {known} vs {count} (determinism breach)")
+
+
 class CountCache:
     """Append-only, conflict-checked log of smooth counts keyed by (family digest, p, lambda).
 
@@ -414,46 +432,42 @@ class CountCache:
 
     def __init__(self, path=None):
         self.path = path
-        self.data: dict[tuple[str, int, int], int] = {}
+        self.data: dict[str, str] = {}
         self._pending: list[str] | None = None   # lines of the open batch
         if path is not None:
             self._load()
 
     def _load(self):
+        """The log's entries; its other lines, up to a conflicting entry, reported corrupt."""
         try:
             with open(self.path) as fh:
-                lines = fh.read().splitlines()
+                text = fh.read()
         except FileNotFoundError:
             return
-        data = self.data
-        for line in lines:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != 4:
-                print(f"cache: skipping corrupt line {line.strip()!r}", file=sys.stderr)
-                continue
-            key, n = (parts[0], int(parts[1]), int(parts[2])), int(parts[3])
-            if data.setdefault(key, n) != n:
-                raise CountingError(
-                    f"cache conflict for {key}: {data[key]} vs {n} (determinism breach)"
-                )
+        entries = _ENTRIES.findall(text)
+        self.data = dict(entries)
+        seen, clash = {}, None
+        if len(self.data) < len(entries):   # a key logged twice: the first other count raises
+            clash = next((m for m in _ENTRIES.finditer(text) if seen.setdefault(m[1], m[2]) != m[2]), None)
+        if len(entries) < text.count("\n") or not text.endswith("\n"):   # a line other than an entry
+            for m in _CORRUPT.finditer(text, 0, clash.start() if clash else len(text)):
+                print(f"cache: skipping corrupt line {m['line']!r}", file=sys.stderr)
+        if clash:
+            raise _conflict(clash[1], seen[clash[1]], clash[2])
 
     def get(self, fam: str, p: int, lam: int):
-        return self.data.get((fam, p, lam))
+        return None if (n := self.data.get(f"{fam} {p} {lam}")) is None else int(n)
 
     def put(self, fam: str, p: int, lam: int, count: int):
-        key = (fam, p, lam)
+        key, n = f"{fam} {p} {lam}", f"{count}"
         known = self.data.get(key)
         if known is not None:
-            if known != count:
-                raise CountingError(
-                    f"cache conflict for {key}: {known} vs {count} (determinism breach)"
-                )
+            if known != n:
+                raise _conflict(key, known, n)
             return
-        self.data[key] = count
+        self.data[key] = n
         if self.path is not None:
-            line = f"{fam} {p} {lam} {count}\n"
+            line = f"{key} {n}\n"
             if self._pending is not None:
                 self._pending.append(line)
             else:

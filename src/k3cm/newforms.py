@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from k3cm.exact import is_square, kronecker, squarefree_part
-from k3cm.quadforms import class_number, is_exponent_two
+from k3cm.quadforms import class_number, enumerate_reduced, is_exponent_two
 
 INERT = "inert"
 SPLIT = "split"
@@ -43,9 +43,10 @@ class NewformOracle:
 
     def __post_init__(self):
         d0 = fundamental_discriminant(self.disc)
+        forms = enumerate_reduced(d0)   # one form per class: h, and the exponent-2 test
         object.__setattr__(self, "field_disc", d0)
-        object.__setattr__(self, "h", class_number(d0))
-        if not is_exponent_two(d0):
+        object.__setattr__(self, "h", len(forms))
+        if not all(f.is_ambiguous() for f in forms):
             raise ValueError(
                 f"class group of {d0} has exponent > 2; no rational-eigenvalue form"
             )

@@ -152,13 +152,12 @@ def corroborate(family, lam: Fraction, oracle: NewformOracle, primes, cache=None
     return out
 
 
-def search(family, target_disc: int, primes, height_bound: int = 10**6, cache=None):
-    """Full Algorithm-10 style run: scan, lift, return ranked reports."""
-    oracle = NewformOracle(target_disc)
+def search(family, oracle: NewformOracle, primes, height_bound: int = 10**6, cache=None):
+    """Full Algorithm-10 style run: scan, lift, return ranked reports for the oracle's field."""
     residue_sets = {}
     for p in primes:
         try:
             residue_sets[p] = scan_prime(family, p, oracle, cache)
         except SearchError:
             continue
-    return lift_candidates(residue_sets, target_disc, height_bound)
+    return lift_candidates(residue_sets, oracle.disc, height_bound)

@@ -1,11 +1,13 @@
 """Reference implementations that the package no longer carries, kept as test oracles."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
 from k3cm.counting import (
+    CountingError,
     TwistTable,
     _character_table,
     _fiber_count,
@@ -576,3 +578,29 @@ def reduces_cleanly(family, p: int) -> bool:
         return False
     pattern = lambda f: sorted((h.degree, m) for h, m in squarefree_decomposition(f)[1])
     return pattern(delta_p) == pattern(g.delta)
+
+
+def reference_cache_load(path) -> dict:
+    """The count log as `CountCache` once read it, line by line: (KEY, p, lambda) -> count.
+
+    Blank and comment lines are skipped, a line of other than four fields is
+    reported corrupt on stderr, every field is read by `int` (so `03` is 3, and
+    `x` raises ValueError), and a key logged with two counts raises CountingError.
+    """
+    data = {}
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        return data
+    for line in lines:
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 4:
+            print(f"cache: skipping corrupt line {line.strip()!r}", file=sys.stderr)
+            continue
+        key, n = (parts[0], int(parts[1]), int(parts[2])), int(parts[3])
+        if data.setdefault(key, n) != n:
+            raise CountingError(f"cache conflict for {key}: {data[key]} vs {n} (determinism breach)")
+    return data

@@ -151,7 +151,7 @@ def test_criterion_5_search_rediscovery():
         oracle = NewformOracle(disc)
         primes = usable_primes(fam, oracle, 100)[:4]
         assert len(primes) >= 3
-        reports = search(fam, disc, primes, cache=cache)
+        reports = search(fam, oracle, primes, cache=cache)
         results[disc] = reports[0].lam if reports else None
     elapsed = time.time() - t0
     ok = (

@@ -423,6 +423,18 @@ def test_a_wrong_count_in_the_cache_stops_a_search(tmp_path):
     assert (code, out) == (2, "") and "331 vs 240 (determinism breach)" in err
 
 
+@pytest.mark.parametrize("disc", ["-88", "-1540"])
+def test_the_cache_does_not_change_search_output(tmp_path, disc):
+    # no cache, a cold one and a warm one print the same; the warm run appends nothing
+    search, cache = ["search", "--disc", disc, "--primes", "4"], tmp_path / "counts.cache"
+    plain = run_with_stderr(search)
+    cold = run_with_stderr(["--cache", str(cache)] + search)
+    log = cache.read_bytes()
+    warm = run_with_stderr(["--cache", str(cache)] + search)
+    assert plain[0] == 0 and plain[1] and plain == cold == warm
+    assert log and cache.read_bytes() == log
+
+
 def test_lift_system_file(tmp_path):
     system = tmp_path / "sq.system"
     system.write_text("[system]\nvars = x\neq1 = 1:2 + -4/9:0\n")

@@ -37,7 +37,15 @@ from k3cm.surfaces import (
     _discriminant_polys,
     classify_fibers,
 )
-from oracles import classified_fibers_of_g, depressed_per_t, fiber_rows, table_fibers, twist_fibers, twist_sums
+from oracles import (
+    classified_fibers_of_g,
+    depressed_per_t,
+    fiber_rows,
+    reference_cache_load,
+    table_fibers,
+    twist_fibers,
+    twist_sums,
+)
 
 
 @pytest.fixture(scope="module")
@@ -264,12 +272,84 @@ def test_load_skips_corrupt_lines_and_rejects_conflicts(tmp_path, capsys):
     path = tmp_path / "counts.cache"
     path.write_text("# comment\n\nfam 7 3 120\n  fam 7 3 120  \nfam 7 4\nfam 7 5 98\n")
     c = CountCache(str(path))
-    assert c.data == {("fam", 7, 3): 120, ("fam", 7, 5): 98}
+    assert c.data == {"fam 7 3": "120", "fam 7 5": "98"}
     assert capsys.readouterr().err == "cache: skipping corrupt line 'fam 7 4'\n"
     with open(path, "a") as fh:
         fh.write("fam 7 5 97\n")
     with pytest.raises(CountingError, match=r"cache conflict for \('fam', 7, 5\): 98 vs 97"):
         CountCache(str(path))
+
+
+HAND_WRITTEN_LOGS = [
+    "# comment\n\n   \nfam 7 3 120\n  # an indented comment\n#fam 7 4 1\n",
+    "  fam 7 3 120  \n\tfam 7 5 98\t\nfam 7 3 120\r\nfam 7 6 -4\n",
+    "fam 7 4\nfam 7 5 98\nfam 7\nfam 7 3 120 5\n",
+    "fam 7 4\nfam 7 5 98\nfam 7 5 98\nfam 7 5 97\nfam 7 6\nfam 7 5 96\n",   # clash after a corrupt line
+    "fam 7 5 98\nfam 7 4",                                                  # no newline at the end
+    "",
+]
+
+
+def _read_log(reader, path, capsys):
+    """(entries as (KEY, p, lambda) -> count, or the error raised; stderr) of one reader."""
+    try:
+        out = reader(path)
+    except (CountingError, ValueError) as exc:
+        out = (type(exc), str(exc))
+    return out, capsys.readouterr().err
+
+
+def _bulk_reader(path):
+    """`CountCache`'s entries in the reference reader's form."""
+    out = {}
+    for key, n in CountCache(str(path)).data.items():
+        fam, p, lam = key.split(" ")
+        out[fam, int(p), int(lam)] = int(n)
+    return out
+
+
+def test_the_bulk_reader_matches_the_line_by_line_reference(tmp_path, capsys):
+    from k3cm.cli import main
+
+    real = tmp_path / "search.cache"
+    assert main(["--cache", str(real), "search", "--disc", "-1540", "--primes", "6"]) == 0
+    capsys.readouterr()
+    logs = [real.read_text()] + HAND_WRITTEN_LOGS
+    assert len(logs[0].splitlines()) > 200
+    for i, text in enumerate(logs):
+        path = tmp_path / f"{i}.cache"
+        path.write_text(text)
+        assert _read_log(_bulk_reader, path, capsys) == _read_log(reference_cache_load, path, capsys), text[:40]
+    clash, err = _read_log(_bulk_reader, tmp_path / "4.cache", capsys)
+    assert clash == (CountingError, "cache conflict for ('fam', 7, 5): 98 vs 97 (determinism breach)")
+    assert err == "cache: skipping corrupt line 'fam 7 4'\n"
+
+
+def test_a_line_not_in_the_canonical_form_is_corrupt_where_it_was_read_or_raised(tmp_path, capsys):
+    # the one intended divergence from the line-by-line reader: a field that is not a
+    # canonical integer, or fields not one space apart, make the line corrupt; that reader
+    # raised ValueError on "x", and read "+120", "-0" and "fam  7" as integers and a key
+    path, read = tmp_path / "counts.cache", {("fam", 7, 3): 120, ("fam", 7, 5): 98}
+    for line, reference in (("fam 7 x 120", (ValueError, "invalid literal for int() with base 10: 'x'")),
+                            ("fam 7 3 +120", read), ("fam  7 3 120", read),
+                            ("fam 7 -0 120", {("fam", 7, 0): 120, ("fam", 7, 5): 98})):
+        path.write_text(f"{line}\nfam 7 5 98\n")
+        assert _read_log(_bulk_reader, path, capsys) == (
+            {("fam", 7, 5): 98}, f"cache: skipping corrupt line {line!r}\n")
+        assert _read_log(reference_cache_load, path, capsys) == (reference, "")
+
+
+def test_a_non_canonical_line_is_never_read_under_a_second_key(tmp_path, capsys):
+    # "03" is not how `put` writes 3: the line is corrupt, not a count of a key "fam 7 03"
+    path = tmp_path / "counts.cache"
+    path.write_text("fam 7 3 120\nfam 7 03 121\n")
+    cache = CountCache(str(path))
+    assert cache.data == {"fam 7 3": "120"}
+    assert capsys.readouterr().err == "cache: skipping corrupt line 'fam 7 03 121'\n"
+    with pytest.raises(CountingError, match=r"\('fam', 7, 3\): 120 vs 121"):
+        cache.put("fam", 7, 3, 121)
+    cache.put("fam", 7, 4, 98)
+    assert path.read_text() == "fam 7 3 120\nfam 7 03 121\nfam 7 4 98\n"
 
 
 def test_family_member_counts_bounded(fam):
@@ -507,11 +587,14 @@ def test_class_tables_match_direct_sums(p):
 @pytest.mark.parametrize("p", [5, 7, 13, 101])
 def test_correlation_kernel_on_any_non_negative_values(p):
     # values far above the point counts' 3 widen the slots; zeros and one lone large value
-    # check the fold of the linear product's two halves into the cyclic correlation
+    # check the fold of the linear product's two halves into the cyclic correlation;
+    # the rows share one packing of chi, at the slot width of the largest total
     chi = counting._character_table(p)
-    for values in ([0] * p, [0] * (p - 1) + [10**6], [(7 * v * v + 3) % 1000 for v in range(p)]):
-        want = [sum(values[v] * chi[(v + b) % p] for v in range(p)) for b in range(p)]
-        assert counting._correlate_with_chi(values, chi, p) == want, (p, values[:3])
+    rows = [[0] * p, [0] * (p - 1) + [10**6], [(7 * v * v + 3) % 1000 for v in range(p)]]
+    want = [[sum(values[v] * chi[(v + b) % p] for v in range(p)) for b in range(p)] for values in rows]
+    assert counting._correlate_with_chi(rows, chi, p) == want, p
+    for values, row_want in zip(rows, want):
+        assert counting._correlate_with_chi([values], chi, p) == [row_want], (p, values[:3])
 
 
 def test_build_needs_p_above_3(fam):
@@ -553,16 +636,16 @@ def test_correlation_slots_of_each_width_match_the_direct_sum(scale, width):
     values = [scale * ((7 * v * v + 3) % 10) for v in range(p)]
     assert 8 * width // 2 < (2 * sum(values)).bit_length() <= 8 * width
     want = [sum(values[v] * chi[(v + b) % p] for v in range(p)) for b in range(p)]
-    assert counting._correlate_with_chi(values, chi, p) == want
+    assert counting._correlate_with_chi([values], chi, p) == [want]
 
 
 def test_correlation_refuses_a_total_beyond_8_byte_slots():
     p = 13
     chi = counting._character_table(p)
     fits = [2**63 - 1] + [0] * (p - 1)      # 2 * total = 2^64 - 2, the largest that fits
-    assert counting._correlate_with_chi(fits, chi, p) == [fits[0] * chi[b] for b in range(p)]
+    assert counting._correlate_with_chi([fits], chi, p) == [[fits[0] * chi[b] for b in range(p)]]
     with pytest.raises(CountingError, match="p = 13"):
-        counting._correlate_with_chi([2**63] + [0] * (p - 1), chi, p)
+        counting._correlate_with_chi([[2**63] + [0] * (p - 1)], chi, p)
 
 
 def test_correlation_slots_are_little_endian_on_either_host(monkeypatch):

@@ -75,8 +75,9 @@ def test_lift_ranks_true_parameter_first(fam, cache):
 
 
 def test_search_rediscovers_1540(fam, cache):
-    primes = usable_primes(fam, NewformOracle(-1540), 100)[:4]
-    reports = search(fam, -1540, primes, cache=cache)
+    oracle = NewformOracle(-1540)
+    primes = usable_primes(fam, oracle, 100)[:4]
+    reports = search(fam, oracle, primes, cache=cache)
     assert reports[0].lam == Fraction(539, 512)
 
 
