@@ -56,11 +56,10 @@ conflict-checked log, never a source of counts: every count is computed and
 then put, a count that differs from the log's is a determinism breach, and
 a scan appends its new counts to the file in one `batch()`.  An entry is the
 line `KEY p lambda count` as `put` writes it: four fields one space apart,
-the last three canonical integers (`0`, or digits not starting with 0 after
-an optional `-`), padding around the line allowed.  Blank lines and lines
-whose first field starts with `#` are skipped; any other line is reported as
-`cache: skipping corrupt line ...` on stderr.  A command reads the log once,
-in bulk: one regular-expression pass indexes "KEY p lambda" -> "count" as text.
+the last three canonical integers, padding around the line allowed.  Blank
+and `#` lines are skipped; any other line is reported corrupt on stderr.  A
+command reads the log once, in bulk: one regular-expression pass indexes
+"KEY p lambda" -> "count" as text.
 """
 
 from __future__ import annotations
@@ -408,10 +407,10 @@ def on_cusp(family, p: int, lam: int) -> str:
 # count cache (append-only, conflict-checked)
 # ---------------------------------------------------------------------------
 
-_INT, _PAD = r"(?:0|-?[1-9][0-9]*+)", r"[^\S\n]*+"   # a canonical integer; padding within a line
-_ENTRY = rf"([^\s#]\S*+ {_INT} {_INT}) ({_INT})"    # "KEY p lambda count", as `put` writes it
+_INT, _PAD = r"(?:0|-?[1-9][0-9]*)", r"[^\S\n]*"     # a canonical integer; padding within a line
+_ENTRY = rf"([^\s#]\S* {_INT} {_INT}) ({_INT})"      # "KEY p lambda count", as `put` writes it
 _ENTRIES = re.compile(rf"^{_PAD}{_ENTRY}{_PAD}$", re.M)
-_CORRUPT = re.compile(rf"^{_PAD}(?!#|$|{_ENTRY}{_PAD}$)(?P<line>.+?){_PAD}$", re.M)
+_CORRUPT = re.compile(rf"^{_PAD}(?![\s#]|{_ENTRY}{_PAD}$)(?P<line>.+?){_PAD}$", re.M)   # [\s#] keeps padding out of the line
 
 
 def _conflict(key: str, known: str, count: str) -> CountingError:

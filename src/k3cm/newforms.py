@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from k3cm.exact import is_square, kronecker, squarefree_part
-from k3cm.quadforms import class_number, enumerate_reduced, is_exponent_two
+from k3cm.quadforms import enumerate_reduced, is_exponent_two, is_fundamental
 
 INERT = "inert"
 SPLIT = "split"
@@ -46,7 +46,7 @@ class NewformOracle:
         forms = enumerate_reduced(d0)   # one form per class: h, and the exponent-2 test
         object.__setattr__(self, "field_disc", d0)
         object.__setattr__(self, "h", len(forms))
-        if not all(f.is_ambiguous() for f in forms):
+        if not is_exponent_two(d0, forms):
             raise ValueError(
                 f"class group of {d0} has exponent > 2; no rational-eigenvalue form"
             )
@@ -96,10 +96,9 @@ def exponent_two_table(max_abs: int) -> dict[int, list[int]]:
         d = -ad
         if d % 4 not in (0, 1):
             continue
-        from k3cm.quadforms import is_fundamental
-
         if not is_fundamental(d):
             continue
-        if is_exponent_two(d):
-            table.setdefault(class_number(d), []).append(d)
+        forms = enumerate_reduced(d)   # one form per class: h, and the exponent-2 test
+        if is_exponent_two(d, forms):
+            table.setdefault(len(forms), []).append(d)
     return table

@@ -93,9 +93,9 @@ def class_number(d: int) -> int:
     return len(enumerate_reduced(d))
 
 
-def is_exponent_two(d: int) -> bool:
-    """True iff every class of discriminant d is ambiguous."""
-    return all(f.is_ambiguous() for f in enumerate_reduced(d))
+def is_exponent_two(d: int, forms: set | None = None) -> bool:
+    """True iff every class of discriminant d is ambiguous; read off `forms`, its reduced forms, if given."""
+    return all(f.is_ambiguous() for f in (enumerate_reduced(d) if forms is None else forms))
 
 
 def is_fundamental(d: int) -> bool:

@@ -339,6 +339,19 @@ def test_a_line_not_in_the_canonical_form_is_corrupt_where_it_was_read_or_raised
         assert _read_log(reference_cache_load, path, capsys) == (reference, "")
 
 
+def test_the_log_grammar_uses_no_syntax_newer_than_python_3_10():
+    # possessive quantifiers and atomic groups arrived in 3.11's re; on 3.10 the module would not import
+    for pattern in (counting._ENTRIES.pattern, counting._CORRUPT.pattern):
+        assert re.search(r"[*+?}]\+|\(\?>", pattern) is None, pattern
+
+
+def test_padding_is_never_given_back_to_a_comment_or_an_entry(tmp_path, capsys):
+    path = tmp_path / "counts.cache"
+    path.write_text(" \t# comment\n\t\n  fam 7 3 120 \t\n   \n\t#fam 7 4 1")
+    assert CountCache(str(path)).data == {"fam 7 3": "120"}
+    assert capsys.readouterr().err == ""
+
+
 def test_a_non_canonical_line_is_never_read_under_a_second_key(tmp_path, capsys):
     # "03" is not how `put` writes 3: the line is corrupt, not a count of a key "fam 7 03"
     path = tmp_path / "counts.cache"
