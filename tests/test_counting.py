@@ -286,6 +286,7 @@ HAND_WRITTEN_LOGS = [
     "fam 7 4\nfam 7 5 98\nfam 7\nfam 7 3 120 5\n",
     "fam 7 4\nfam 7 5 98\nfam 7 5 98\nfam 7 5 97\nfam 7 6\nfam 7 5 96\n",   # clash after a corrupt line
     "fam 7 5 98\nfam 7 4",                                                  # no newline at the end
+    " \t# comment\n\t\n  fam 7 3 120 \t\n   \n\t#fam 7 4 1",                     # padding before a comment
     "",
 ]
 
@@ -343,13 +344,6 @@ def test_the_log_grammar_uses_no_syntax_newer_than_python_3_10():
     # possessive quantifiers and atomic groups arrived in 3.11's re; on 3.10 the module would not import
     for pattern in (counting._ENTRIES.pattern, counting._CORRUPT.pattern):
         assert re.search(r"[*+?}]\+|\(\?>", pattern) is None, pattern
-
-
-def test_padding_is_never_given_back_to_a_comment_or_an_entry(tmp_path, capsys):
-    path = tmp_path / "counts.cache"
-    path.write_text(" \t# comment\n\t\n  fam 7 3 120 \t\n   \n\t#fam 7 4 1")
-    assert CountCache(str(path)).data == {"fam 7 3": "120"}
-    assert capsys.readouterr().err == ""
 
 
 def test_a_non_canonical_line_is_never_read_under_a_second_key(tmp_path, capsys):
