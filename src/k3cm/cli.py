@@ -83,7 +83,7 @@ def cmd_count(args) -> int:
         print(f"p = {p} is not prime", file=sys.stderr)
         return 2
     fam = _load_family(args.family)
-    cache = CountCache(args.cache)
+    cache = None if args.cache is None else CountCache(args.cache)
     if fam.untwisted.is_bad_prime(p):
         print(f"p = {p} is excluded for this family", file=sys.stderr)
         return 2
@@ -110,7 +110,7 @@ def cmd_search(args) -> int:
 
     fam = _load_family(args.family)
     oracle = NewformOracle(args.disc)
-    cache = CountCache(args.cache)
+    cache = None if args.cache is None else CountCache(args.cache)
     primes = first_usable_primes(fam, oracle, args.primes)
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)

@@ -44,11 +44,11 @@ Then a member is read off it:
   its count are g's, off its t^3, t^6, t^9 coefficients (`Family.chart_at_infinity`).
 
 So a member's fixed components are one integer, `TwistTable.fixed(lambda)`,
-with no fiber list built per member; `TwistTable.members` takes them for
-every lambda as one list and keeps every member's count for all the scans
-at p.  A lambda on a cusp of g
-(Delta_g(lambda) = 0, where the I0* meets a fixed fiber) raises
-CountingError naming the cusp and p.
+with no fiber list built per member.  They cancel in the candidate traces,
+r -+ p with r = raw - (p+1)^2, so a scan matches on `TwistTable.raw_counts`
+alone; `TwistTable.members` takes them for every lambda as one list, for
+`count` output and the log.  A lambda on a cusp of g (Delta_g(lambda) = 0,
+where the I0* meets a fixed fiber) raises CountingError naming the cusp and p.
 
 `CountCache` keys each count on the family's coefficient digest, so two
 families with the same name and other data never share a count.  It is a
@@ -292,9 +292,9 @@ class TwistTable:
     """Member-independent counting data of a (1, 2, 3)-twist family at p.
 
     A member off the cusps of g is read off it: `raw_count` is its
-    Weierstrass count in O(p), `raw_counts` and `members` every member's
-    raw and smooth count, and `fixed` its Frobenius-fixed non-identity
-    components, an integer, with no per-member fiber list.
+    Weierstrass count in O(p), `raw_counts` every member's (all a scan reads)
+    and `members` every member's smooth count, and `fixed` its Frobenius-fixed
+    non-identity components, an integer, with no per-member fiber list.
     """
 
     p: int
@@ -512,9 +512,9 @@ def count_family_member(family, p: int, lam: int, cache: CountCache | None = Non
 def count_members(family, p: int, cache: CountCache | None = None) -> MappingProxyType:
     """lambda -> (smooth count, t_alg, candidates) for every lambda in F_p off the cusps of g.
 
-    The twist table's read-only `members`, computed once per (family, p);
-    the counts reach the cache in one `batch()`.  Where g has a fiber the
-    counting tables reject, CountingError before any member.
+    The twist table's read-only `members`, computed once per (family, p), for
+    `count` output and the log, which gets them in one `batch()`.  Where g has
+    a fiber the counting tables reject, CountingError before any member.
     """
     members = twist_table(family, p).members
     if cache is not None:

@@ -30,6 +30,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from k3cm.exact import GF, QQ, Polynomial, parse_rational, primes_up_to, roots_mod_p
 from k3cm.surfaces import Cusp, FiberDescriptor, WeierstrassSurface, classify_at, delta_cusps, walk_fibers
@@ -78,15 +79,13 @@ class Family:
     # -- construction helpers -------------------------------------------------
 
     def _assemble(self, block, pre, lam, mu, domain) -> Polynomial:
-        """t^i (t-1)^j (t-lambda)^k times the block at mu, over Q or GF(p)."""
-        t = Polynomial.x(domain)
-        one = Polynomial.constant(domain, domain.one)
-        lin = t - Polynomial.constant(domain, domain.from_fraction(Fraction(lam)))
+        """t^i (t-1)^j (t-lambda)^k times the block at mu, over Q or GF(p): t^i as a shift
+        of the block's coefficients, each other power one product with its binomial expansion."""
         i, j, k = pre
-        out = Polynomial(domain, [domain.from_fraction(c(mu)) for c in block])
-        for factor, e in ((t, i), (t - one, j), (lin, k)):
-            for _ in range(e):
-                out = out * factor
+        out = Polynomial(domain, [domain.zero] * i + [domain.from_fraction(c(mu)) for c in block])
+        for c, e in ((Fraction(-1), j), (-Fraction(lam), k)):   # (t + c)^e
+            if e:
+                out = out * Polynomial(domain, [domain.from_fraction(comb(e, n) * c ** (e - n)) for n in range(e + 1)])
         return out
 
     def specialize(self, lam, mu=None, name=None) -> WeierstrassSurface:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from k3cm.exact import is_square, kronecker, squarefree_part
-from k3cm.quadforms import enumerate_reduced, is_exponent_two, is_fundamental
+from k3cm.quadforms import class_number, enumerate_reduced, is_exponent_two, is_fundamental
 
 INERT = "inert"
 SPLIT = "split"
@@ -98,7 +98,6 @@ def exponent_two_table(max_abs: int) -> dict[int, list[int]]:
             continue
         if not is_fundamental(d):
             continue
-        forms = enumerate_reduced(d)   # one form per class: h, and the exponent-2 test
-        if is_exponent_two(d, forms):
-            table.setdefault(len(forms), []).append(d)
+        if is_exponent_two(d):   # stops at the first non-ambiguous class
+            table.setdefault(class_number(d), []).append(d)
     return table

@@ -73,8 +73,12 @@ def _check_discriminant(d: int):
 
 def enumerate_reduced(d: int) -> set[BinaryQuadraticForm]:
     """All reduced forms of discriminant d, one per class."""
+    return set(_reduced_forms(d))
+
+
+def _reduced_forms(d: int):
+    """The reduced forms of discriminant d, each once, by ascending a."""
     _check_discriminant(d)
-    out = set()
     a_max = math.isqrt(-d // 3)
     for a in range(1, a_max + 1):
         for b in range(-a + 1, a + 1):
@@ -85,8 +89,7 @@ def enumerate_reduced(d: int) -> set[BinaryQuadraticForm]:
                 continue
             if (a == c or a == b) and b < 0:
                 continue
-            out.add(BinaryQuadraticForm(a, b, c))
-    return out
+            yield BinaryQuadraticForm(a, b, c)
 
 
 def class_number(d: int) -> int:
@@ -94,8 +97,8 @@ def class_number(d: int) -> int:
 
 
 def is_exponent_two(d: int, forms: set | None = None) -> bool:
-    """True iff every class of discriminant d is ambiguous; read off `forms`, its reduced forms, if given."""
-    return all(f.is_ambiguous() for f in (enumerate_reduced(d) if forms is None else forms))
+    """True iff every class of discriminant d is ambiguous; stops at the first that is not. `forms`: d's, if known."""
+    return all(f.is_ambiguous() for f in (_reduced_forms(d) if forms is None else forms))
 
 
 def is_fundamental(d: int) -> bool:

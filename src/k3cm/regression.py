@@ -61,16 +61,14 @@ CORROBORATION_PRIMES = 4   # the first usable split primes each corroboration ro
 
 
 def run_corroboration(rep: Report, reg) -> None:
-    from k3cm.counting import CountCache
     from k3cm.newforms import NewformOracle
     from k3cm.search import corroborate, first_usable_primes
 
     fam = reg.family("xlm")
-    cache = CountCache()
     for row in reg.corroboration:
         oracle = NewformOracle(row.disc)
         primes = first_usable_primes(fam, oracle, CORROBORATION_PRIMES)
-        rows = corroborate(fam, row.lam, oracle, primes, cache)
+        rows = corroborate(fam, row.lam, oracle, primes)
         bad = [p for p, s in rows if s == "mismatch"]
         rep.add(not bad, f"corroborate lam={row.lam} disc={row.disc}: "
                          f"{len([s for _, s in rows if s == 'match'])} matches, {len(bad)} mismatches")

@@ -1,8 +1,8 @@
 """Parameter search: scan split primes, match eigenvalues, lift candidates.
 
-For a fixed target field the scan walks every lambda in F_p, computes the
-two candidate transcendental traces from the point count, and keeps the
-lambdas where one sign choice matches the newform's |a_p|.  Residue tuples
+For a fixed target field the scan walks every lambda in F_p and keeps those
+whose candidate traces r -+ p, r = raw count - (p+1)^2 (the fixed components
+cancel), match the newform's |a_p|: one target set per (p, field).  Residue tuples
 across several primes are combined by CRT and recognized as small-height
 rationals; corroboration replays the test at further primes.  Membership in
 the output is necessary evidence only, never a proof of rank 20.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from k3cm.counting import CountCache, count_family_member, count_members
+from k3cm.counting import CountCache, count_family_member, count_members, twist_table
 from k3cm.exact import crt_combine, prime_divisors, rational_reconstruct
 from k3cm.newforms import SPLIT, NewformOracle
 
@@ -53,17 +53,23 @@ def first_usable_primes(family, oracle: NewformOracle, k: int) -> list[int]:
 
 
 def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None = None) -> set[int]:
-    """All lambda in F_p off the cusps of g whose candidate traces match the newform at p.
-
-    Where g has a fiber at p that the counting tables reject, CountingError.
+    """All lambda in F_p off the cusps of g whose raw count is in `matching_raw_counts`;
+    smooth counts are formed only for a given log.  Where g has a fiber at p that the
+    counting tables reject, CountingError.
     """
     if oracle.prime_kind(p) != SPLIT:
         raise SearchError(f"p = {p} is not split for discriminant {oracle.field_disc}")
     if family.untwisted.is_bad_prime(p):
         raise SearchError(f"p = {p} is a bad prime for family {family.name}")
-    admissible = oracle.eigenvalue_abs(p)
-    return {lam for lam, (_, _, cands) in count_members(family, p, cache).items()
-            if any(abs(c) in admissible for c in cands)}
+    targets, table = matching_raw_counts(oracle, p), twist_table(family, p)
+    if cache is not None:
+        count_members(family, p, cache)
+    return {lam for lam, raw in enumerate(table.raw_counts) if raw in targets and lam not in table.cusps}
+
+
+def matching_raw_counts(oracle: NewformOracle, p: int) -> set[int]:
+    """The raw counts (p+1)^2 + r with |r - p| or |r + p| in `eigenvalue_abs(p)`: r = +-a +- p."""
+    return {(p + 1) ** 2 + s * a + e * p for a in oracle.eigenvalue_abs(p) for s in (1, -1) for e in (1, -1)}
 
 
 def _degenerate_lambdas(family, p: int) -> set[int]:
@@ -135,19 +141,14 @@ def corroborate(family, lam: Fraction, oracle: NewformOracle, primes, cache=None
     """
     out = []
     for p in primes:
-        if family.untwisted.is_bad_prime(p) or oracle.prime_kind(p) != SPLIT:
+        lam_p = None if lam.denominator % p == 0 else lam.numerator * pow(lam.denominator, -1, p) % p
+        if (family.untwisted.is_bad_prime(p) or oracle.prime_kind(p) != SPLIT or lam_p is None
+                or lam_p in family.degenerate_lambdas(p)):
             out.append((p, "skipped"))
             continue
-        if lam.denominator % p == 0:
-            out.append((p, "skipped"))
-            continue
-        lam_p = lam.numerator * pow(lam.denominator, -1, p) % p
-        if lam_p in family.degenerate_lambdas(p):
-            out.append((p, "skipped"))
-            continue
-        _, _, cands = count_family_member(family, p, lam_p, cache)
-        admissible = oracle.eigenvalue_abs(p)
-        ok = any(abs(c) in admissible for c in cands)
+        if cache is not None:
+            count_family_member(family, p, lam_p, cache)
+        ok = twist_table(family, p).raw_count(lam_p) in matching_raw_counts(oracle, p)
         out.append((p, "match" if ok else "mismatch"))
     return out
 

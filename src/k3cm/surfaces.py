@@ -174,19 +174,17 @@ def root_disc_product(fibers) -> int:
 # ---------------------------------------------------------------------------
 
 def _discriminant_polys(a2, a4, a6):
-    """(c4, c6, Delta) of y^2 = x^3 + a2 x^2 + a4 x + a6."""
+    """(c4, c6, Delta) of y^2 = x^3 + a2 x^2 + a4 x + a6: c4 = 16 a2^2 - 48 a4, c6 = -64 a2^3
+    + 288 a2 a4 - 864 a6 and Delta = (c4^3 - c6^2)/1728, so 1728 must be a unit of the domain
+    (DomainError in GF(2), GF(3))."""
     d = a2.domain
-    two = Polynomial.constant(d, d.from_fraction(Fraction(2)))
-    four = Polynomial.constant(d, d.from_fraction(Fraction(4)))
-    b2 = four * a2
-    b4 = two * a4
-    b6 = four * a6
-    b8 = four * a2 * a6 - a4 * a4
-    c = lambda q: Polynomial.constant(d, d.from_fraction(Fraction(q)))
-    c4 = b2 * b2 - c(24) * b4
-    c6 = -(b2 * b2 * b2) + c(36) * b2 * b4 - c(216) * b6
-    delta = -(b2 * b2) * b8 - c(8) * (b4 ** 3) - c(27) * (b6 * b6) + c(9) * b2 * b4 * b6
-    return c4, c6, delta
+    k = lambda q: d.from_fraction(Fraction(q))
+    if not d.is_unit(k(1728)):
+        raise DomainError(f"c4, c6, Delta divide by 1728, which is not a unit in {d!r}")
+    a2a2 = a2 * a2
+    c4 = a2a2.scale(k(16)) - a4.scale(k(48))
+    c6 = (a2a2 * a2).scale(k(-64)) + (a2 * a4).scale(k(288)) - a6.scale(k(864))
+    return c4, c6, (c4 * c4 * c4 - c6 * c6).scale(k(Fraction(1, 1728)))
 
 
 class WeierstrassSurface:

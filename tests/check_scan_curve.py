@@ -2,7 +2,10 @@
 
     PYTHONPATH=src python tests/check_scan_curve.py [PRIME ...] [--disc D] [--repeats N]
 
-Scans every lambda of the `xlm` family for the field of discriminant D
+First prints the family's fixed cost, paid once per command whatever the
+primes: the median time of N fresh registries' g (`Family.untwisted`), its
+reduction numbers (the bad-prime rule's integers) and its fixed fibers.
+Then scans every lambda of the `xlm` family for the field of discriminant D
 (default -88) at each prime (default 199, 401, 787, 1193, 1997 and 4003),
 each run with a fresh twist table, and prints per prime the median time of
 N (default 5) table builds and of N full scans, taken in N rounds over all
@@ -21,6 +24,7 @@ import time
 
 from oracles import scan_by_member
 
+import k3cm.fixtures as fixtures
 from k3cm.counting import TwistTable
 from k3cm.fixtures import registry
 from k3cm.newforms import SPLIT, NewformOracle
@@ -35,12 +39,27 @@ def elapsed(fn) -> float:
     return time.perf_counter() - start
 
 
+def fixed_costs(name: str, repeats: int) -> dict:
+    """Median seconds of g, its reduction numbers and its fixed fibers, each from a fresh registry."""
+    times = {"g": [], "reduction numbers": [], "fixed fibers": []}
+    for _ in range(repeats):
+        fixtures._registry = None
+        fam = registry().family(name)
+        times["g"].append(elapsed(lambda: fam.untwisted))
+        times["reduction numbers"].append(elapsed(lambda: fam.untwisted._reduction_numbers))
+        times["fixed fibers"].append(elapsed(lambda: fam.fixed_fibers))
+    return {part: statistics.median(ts) for part, ts in times.items()}
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[1])
     parser.add_argument("primes", nargs="*", type=int, default=PRIMES)
     parser.add_argument("--disc", type=int, default=-88)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
+    costs = fixed_costs("xlm", args.repeats)
+    print(f"xlm fixed cost, median of {args.repeats} fresh registries: "
+          + ", ".join(f"{part} {1000 * t:.2f} ms" for part, t in costs.items()), flush=True)
     fam, oracle = registry().family("xlm"), NewformOracle(args.disc)
 
     def fresh_scan(p):

@@ -38,7 +38,6 @@ from k3cm.sections import Section, SectionError, _same_square_class
 from k3cm.surfaces import (
     Cusp,
     WeierstrassSurface,
-    _discriminant_polys,
     _roots_of_squarefree,
     squarefree_decomposition,
     walk_fibers,
@@ -558,6 +557,23 @@ def twist_sums(family, p: int) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
+# c4, c6, Delta through the b-invariants
+# ---------------------------------------------------------------------------
+
+def reference_discriminant_polys(a2, a4, a6):
+    """(c4, c6, Delta) of y^2 = x^3 + a2 x^2 + a4 x + a6 through b2, b4, b6, b8, as
+    `surfaces` took them before its closed forms; no division, so any domain."""
+    d = a2.domain
+    c = lambda q: Polynomial.constant(d, d.from_fraction(Fraction(q)))
+    b2, b4, b6 = c(4) * a2, c(2) * a4, c(4) * a6
+    b8 = c(4) * a2 * a6 - a4 * a4
+    c4 = b2 * b2 - c(24) * b4
+    c6 = -(b2 * b2 * b2) + c(36) * b2 * b4 - c(216) * b6
+    delta = -(b2 * b2) * b8 - c(8) * (b4 ** 3) - c(27) * (b6 * b6) + c(9) * b2 * b4 * b6
+    return c4, c6, delta
+
+
+# ---------------------------------------------------------------------------
 # a family's bad primes, one reduction at a time
 # ---------------------------------------------------------------------------
 
@@ -573,7 +589,7 @@ def reduces_cleanly(family, p: int) -> bool:
     coeffs = (g.a2, g.a4, g.a6)
     if p <= 5 or any(f.int_coeffs[1] % p == 0 for f in coeffs):
         return False
-    delta_p = _discriminant_polys(*(f.map_domain(GF(p)) for f in coeffs))[2]
+    delta_p = reference_discriminant_polys(*(f.map_domain(GF(p)) for f in coeffs))[2]
     if delta_p.is_zero() or delta_p.degree != g.delta.degree:
         return False
     pattern = lambda f: sorted((h.degree, m) for h, m in squarefree_decomposition(f)[1])

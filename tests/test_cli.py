@@ -466,3 +466,21 @@ def test_main_parses_each_call_on_its_own(tmp_path):
             run(bad)
         assert exc.value.code == 2
     assert run(["count", "--prime", "19", "--lambda", "15"])[1].startswith("15\t")
+
+
+def test_search_and_count_without_cache_keep_no_log(monkeypatch):
+    # no --cache, no log: a plain search forms no smooth count (`TwistTable.members`) and
+    # puts nothing; count still prints every member's, and puts nothing either
+    from k3cm.counting import CountCache, TwistTable
+
+    logs, puts, built = [], [], []
+    real_members = TwistTable.members.func
+    monkeypatch.setattr(CountCache, "__init__", lambda self, *a: logs.append(a))
+    monkeypatch.setattr(CountCache, "put", lambda self, *a: puts.append(a))
+    monkeypatch.setattr(TwistTable, "members", property(lambda t: built.append(t.p) or real_members(t)))
+    code, out = run(["search", "--disc", "-88", "--primes", "4"])
+    assert code == 0 and out.startswith("5/32\t32\t4")
+    assert (logs, puts, built) == ([], [], [])
+    code, out = run(["count", "--prime", "19"])
+    assert code == 0 and len(out.splitlines()) == 19 - len(registry().family("xlm").degenerate_lambdas(19))
+    assert (logs, puts, built) == ([], [], [19])

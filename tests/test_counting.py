@@ -447,6 +447,19 @@ def test_raw_counts_equal_the_sum_per_member(families):
             assert table.raw_counts == [table.raw_count(lam) for lam in range(p)], (fam.name, p)
 
 
+def test_candidates_read_off_the_raw_count_alone(families):
+    # smooth = raw + p fixed and t_alg = 2 + fixed, so smooth - p t_alg = raw - 2p: the fixed
+    # components cancel and the candidates are r -+ p with r = raw - (p+1)^2
+    for fam in families:
+        good = fam.good_primes(320)
+        for p in (good[0], good[len(good) // 2], good[-1]):
+            table = twist_table(fam, p)
+            for lam in set(range(p)) - set(table.cusps):
+                smooth, t_alg, cands = count_family_member(fam, p, lam)
+                r = table.raw_counts[lam] - (p + 1) ** 2
+                assert cands == lefschetz_candidates(smooth, p, t_alg) == (r - p, r + p), (fam.name, p, lam)
+
+
 def test_lambdas_on_cusps_of_g_raise_naming_the_cusp(families, monkeypatch):
     degenerate = []
     spy = CallCounter(monkeypatch)

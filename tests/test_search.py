@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from k3cm.counting import CountCache, twist_table
+from k3cm.counting import CountCache, TwistTable, count_family_member, twist_table
 from k3cm.families import Family
 from k3cm.fixtures import registry
 from k3cm.newforms import NewformOracle
@@ -11,6 +12,7 @@ from k3cm.search import (
     corroborate,
     first_usable_primes,
     lift_candidates,
+    matching_raw_counts,
     scan_prime,
     search,
     usable_primes,
@@ -141,3 +143,37 @@ def test_scan_equals_the_member_by_member_oracle(fam):
     for other in (I0_STAR_AT_0, I0_STAR_AT_INF):
         for p in usable_primes(other, oracle, 100)[:3]:
             assert scan_prime(other, p, oracle) == scan_by_member(other, p, oracle), (other.name, p)
+
+
+def test_a_raw_count_matches_where_a_candidate_trace_does(fam):
+    # raw in the target set, against |candidate| in eigenvalue_abs, at every lambda off the cusps
+    for disc in (-88, -1540):
+        oracle = NewformOracle(disc)
+        for p in usable_primes(fam, oracle, 100)[:2]:
+            targets, admissible = matching_raw_counts(oracle, p), oracle.eigenvalue_abs(p)
+            table = twist_table(fam, p)
+            for lam in set(range(p)) - set(table.cusps):
+                _, _, cands = count_family_member(fam, p, lam)
+                assert (table.raw_count(lam) in targets) == any(abs(c) in admissible for c in cands)
+
+
+def test_a_scan_with_a_log_keeps_the_same_lambda_and_logs_every_member(fam, tmp_path, monkeypatch):
+    # the match reads raw counts alone; the smooth counts are formed only for the log,
+    # which gets the same lines whether or not a plain scan read the table first
+    oracle, puts, built = NewformOracle(-88), [], []
+    real_put, real_members = CountCache.put, TwistTable.members.func
+    monkeypatch.setattr(CountCache, "put", lambda c, *a: puts.append(a) or real_put(c, *a))
+    monkeypatch.setattr(TwistTable, "members", property(lambda t: built.append(t.p) or real_members(t)))
+    for p in usable_primes(fam, oracle, 100)[:2]:
+        plain_first, log_only = dataclasses.replace(fam), dataclasses.replace(fam)
+        plain = scan_prime(plain_first, p, oracle)
+        assert (puts, built) == ([], [])
+        logs = [tmp_path / f"{p}-after-plain.cache", tmp_path / f"{p}-alone.cache"]
+        assert scan_prime(plain_first, p, oracle, CountCache(str(logs[0]))) == plain
+        assert scan_prime(log_only, p, oracle, CountCache(str(logs[1]))) == plain
+        assert plain == scan_by_member(fam, p, oracle)
+        want = [f"{fam.digest} {p} {lam} {count_family_member(fam, p, lam)[0]}"
+                for lam in range(p) if lam not in fam.degenerate_lambdas(p)]
+        assert [log.read_text().splitlines() for log in logs] == [want, want]
+        assert built == [p, p]
+        puts.clear(), built.clear()

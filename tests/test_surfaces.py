@@ -1,8 +1,11 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from k3cm.exact import GF, QQ, Polynomial, QuadField
+from k3cm.exact import GF, QQ, DomainError, PadicRing, Polynomial, QuadField
+from k3cm.families import _Member
 from k3cm.fixtures import registry
 from k3cm.surfaces import (
     SurfaceError,
@@ -15,7 +18,7 @@ from k3cm.surfaces import (
     squarefree_decomposition,
 )
 
-from oracles import from_fractions, rational_roots
+from oracles import from_fractions, rational_roots, reference_discriminant_polys
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +147,32 @@ def test_derived_models_carry_their_own_invariants(certified):
         for model in models:
             assert (model.c4, model.c6, model.delta) == own(model), (name, model.domain)
     assert fields == {QuadField(21), QuadField(23), QuadField(85)}
+
+
+def test_closed_form_invariants_equal_the_b_invariant_formula(fam, certified):
+    # c4 = 16 a2^2 - 48 a4, c6 = -64 a2^3 + 288 a2 a4 - 864 a6, Delta = (c4^3 - c6^2)/1728
+    # against b2, b4, b6, b8: on g, the 7 direct fixtures and seeded random models
+    direct = [surf for _, surf, _ in certified if not isinstance(surf, _Member)]
+    assert len(direct) == 7
+    models = [(s.a2, s.a4, s.a6) for s in [fam.untwisted] + direct]
+    rng = random.Random(1728)
+    scalars = {QQ: lambda: Fraction(rng.randint(-60, 60), rng.randint(1, 12))}
+    scalars.update({GF(p): (lambda p=p: rng.randrange(p)) for p in (7, 11, 13, 10007)})
+    for domain, scalar in scalars.items():
+        for _ in range(12):
+            models.append(tuple(Polynomial(domain, [scalar() for _ in range(rng.randint(0, deg) + 1)])
+                                for deg in (4, 8, 12)))
+    for a2, a4, a6 in models:
+        assert _discriminant_polys(a2, a4, a6) == reference_discriminant_polys(a2, a4, a6), a2.domain
+
+
+@pytest.mark.parametrize("domain", [GF(2), GF(3), PadicRing(2, 4), PadicRing(3, 2)])
+def test_invariants_refuse_a_domain_where_1728_is_not_a_unit(domain):
+    a = Polynomial(domain, [domain.one, domain.one])
+    with pytest.raises(DomainError, match=re.escape(f"1728, which is not a unit in {domain!r}")):
+        _discriminant_polys(a, a, a)
+    with pytest.raises(DomainError, match="1728"):
+        WeierstrassSurface(a, a, a)
 
 
 def test_mapped_model_with_vanishing_delta_is_rejected():
