@@ -16,8 +16,9 @@ Delta_g and at infinity), the bad primes (where Delta_g mod p changes shape)
 and, at a good p, the degenerate lambdas (the roots of Delta_g mod p).
 
 Specialization at rational (lambda, mu) produces a WeierstrassSurface over Q
-built off g at that mu: its c4, c6, Delta and its fibers are g's twisted, and
-only the fiber at t = lambda is classified on the member (`_Member`).
+built off g at that mu: its c4, c6, Delta and its fibers are g's twisted, its I0*
+at t = lambda read off g's fiber cubic; only at a cusp of g or at infinity is the
+fiber at t = lambda classified on the member (`_Member`).
 lambda = infinity is the x-rescaled limit where the (t-lambda) prefactors
 collapse to constants.  Members are counted mod p off g alone
 (`counting.TwistTable`); `specialize_mod` reduces one member mod a good
@@ -169,10 +170,11 @@ class _Member(WeierstrassSurface):
 
     a2, a4, a6 are g's times d, d^2, d^3, and c4, c6, Delta g's times d^2, d^3, d^6.
     The fibers, in `classify_fibers`' order, are g's fixed fibers twisted by
-    c = t0 - lambda (-1 at INFINITY; the fiber at infinity keeps c = 1), and
-    the one classified on the member, at t = lambda (at INFINITY, at s = 0 of
-    its chart at infinity) with v(Delta) = 6 + v_g(lambda); it replaces g's
-    fiber there when lambda is a cusp of g.
+    c = t0 - lambda (-1 at INFINITY; the fiber at infinity keeps c = 1), and the
+    one at t = lambda with v(Delta) = 6 + v_g(lambda): where Delta_g(lambda) != 0,
+    I0* with g's fiber cubic at lambda (the member's a_i at t = lambda + s are g's
+    values times s^(i/2)); at a cusp of g, where it replaces g's fiber, and at
+    INFINITY (s = 0 of its chart at infinity), classified on the member.
     """
 
     def __init__(self, family: Family, lam, name: str):
@@ -186,14 +188,15 @@ class _Member(WeierstrassSurface):
 
     @cached_property
     def fibers(self) -> list[FiberDescriptor]:
-        family, lam = self.family, self.lam
-        delta_g = family.untwisted.delta
+        family, lam, g = self.family, self.lam, self.family.untwisted
         if lam == INFINITY:   # v_g(infinity) = 18 - deg Delta_g
-            at_lam = classify_at(self.flipped(), Cusp.finite(QQ.zero), 24 - delta_g.degree, Cusp.infinity())
+            at_lam = classify_at(self.flipped(), Cusp.finite(QQ.zero), 24 - g.delta.degree, Cusp.infinity())
             return [f.twisted(-1) for f in family.fixed_fibers if f.cusp.kind != "infinity"] + [at_lam]
         finite = [f.twisted(f.cusp.value - lam) for f in family.fixed_fibers
                   if f.cusp.kind == "finite" and f.cusp.value != lam]
-        finite.append(classify_at(self, Cusp.finite(lam), 6 + delta_g.valuation_at(lam)))
+        v = g.delta.valuation_at(lam)
+        finite.append(classify_at(self, Cusp.finite(lam), 6 + v) if v else
+                      FiberDescriptor(Cusp.finite(lam), "I*", 0, residual_cubic=g.fiber_cubic(lam)))
         finite.sort(key=lambda f: (abs(f.cusp.value), f.cusp.value))
         return finite + [f for f in family.fixed_fibers if f.cusp.kind != "finite"]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from k3cm.exact import (
     QQ,
@@ -163,9 +164,10 @@ def verify_section(surface: WeierstrassSurface, u: RationalFunction, name: str =
     inf_pole = u.num.degree - u.den.degree - 4
     pO = u.den.degree // 2 + max(inf_pole, 0) // 2
     sec = Section(u=u, w=w, msq=m, pO=pO, name=name)
+    charts = {}   # cusp kind -> the section's `_Chart` there, shared by the fibers in it
     for idx, f in enumerate(surface.fibers):
         if f.reducible:
-            sec.contacts[idx] = determine_contact(chart, sec, f)
+            sec.contacts[idx] = _contact(chart, sec, f, charts)
     return sec
 
 
@@ -192,43 +194,58 @@ def determine_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
     """How the section meets the fiber; the surface is over the section's field."""
     if surface.domain != sec.domain:
         raise SectionError(f"contacts need the surface over {sec.domain}, not {surface.domain}")
+    return _contact(surface, sec, fiber, {})
+
+
+def _contact(surface, sec: Section, fiber: FiberDescriptor, charts: dict) -> Contact:
+    """`determine_contact` with the section's `_Chart` per cusp kind, made by its first fiber."""
     if fiber.cusp.kind == "orbit":
         return _orbit_contact(surface, sec, fiber)
     surf_c, u_c, w_c, t0 = _local_chart(surface, sec, fiber.cusp)
-    dom = u_c.domain
-    t0 = _embed(dom, t0)
+    chart = charts.get(fiber.cusp.kind) or charts.setdefault(fiber.cusp.kind, _Chart(surf_c, u_c))
+    t0 = _embed(u_c.domain, t0)
     if not u_c.is_zero() and u_c.valuation_at(t0) < 0:
         return Contact(fiber, "identity")
-    if fiber.kind == "I":
-        return _cycle_contact(surf_c, u_c, w_c, t0, fiber)
-    return _star_contact(surf_c, u_c, w_c, t0, fiber)
+    rule = _cycle_contact if fiber.kind == "I" else _star_contact
+    return rule(surf_c, u_c, w_c, t0, fiber, chart)
 
 
-def _node_depth(surf_c, u_c, t0, x_t0, x0, twist: int) -> tuple:
+class _Chart:
+    """A section's u = N/D in one chart of the surface, with what its node depths there share:
+    2, 3 and 6, and F = (3N + 2 a2 D) N + a4 D^2 = D^2 f'(u), built on first use."""
+
+    def __init__(self, surface: WeierstrassSurface, u: RationalFunction):
+        self.surface, self.u = surface, u
+        self.two, self.three, self.six = (u.domain.from_fraction(Fraction(c)) for c in (2, 3, 6))
+
+    @cached_property
+    def fprime(self) -> Polynomial:
+        n, d, a2, a4 = self.u.num, self.u.den, self.surface.a2, self.surface.a4
+        return (n.scale(self.three) + (a2 * d).scale(self.two)) * n + a4 * (d * d)
+
+
+def _node_depth(chart: _Chart, t0, x_t0, x0, twist: int) -> tuple:
     """(v_{t0}(x - x_node(t)), lc F) for x = u / (t - t0)^twist, with x(t0) = x_t0.
 
     x_node is the root through x0 of 3x^2 + 2 A2 x + A4 = 3 (x - x_node)(x - x_other),
     A_i = a_i / (t - t0)^(i twist / 2): an I_n node (twist 0) or the untwisted
     I_m* cubic (twist 1).  f''(x0) != 0 makes x - x_other a unit at t0, so the
-    depth is v(3u^2 + 2 a2 u + a4) - 2 twist: with u = N/D, D(t0) != 0, one
-    valuation of F = 3N^2 + 2 a2 N D + a4 D^2 = D^2 f'(u).  lc F is F's first
-    non-zero Taylor coefficient at t0, None when x(t0) is not the node or F = 0.
+    depth is v(3u^2 + 2 a2 u + a4) - 2 twist: with u = N/D, D(t0) != 0, one valuation of
+    F = D^2 f'(u), built once per chart (`_Chart.fprime`) for all its I_n and I_m* fibers.
+    lc F is F's first non-zero Taylor coefficient at t0, None when x(t0) is not the node or F = 0.
     """
-    d, a2, a4 = u_c.domain, surf_c.a2, surf_c.a4
-    c2, c3, c6 = (d.from_fraction(Fraction(c)) for c in (2, 3, 6))
-    if d.is_zero(d.add(d.mul(c6, x0), d.mul(c2, (a2.derivative() if twist else a2)(t0)))):
+    d, a2 = chart.u.domain, chart.surface.a2
+    if d.is_zero(d.add(d.mul(chart.six, x0), d.mul(chart.two, (a2.derivative() if twist else a2)(t0)))):
         raise SurfaceError("degenerate node: f''(x0) vanishes")
     if not d.eq(x_t0, x0):
         return 0, None
-    num, den = u_c.num, u_c.den
-    fx = (num * num).scale(c3) + (a2 * num * den).scale(c2) + a4 * den * den
-    if fx.is_zero():
+    if chart.fprime.is_zero():
         return 10**9, None
-    k, lc = fx.order_at(t0)
+    k, lc = chart.fprime.order_at(t0)
     return k - 2 * twist, lc
 
 
-def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
+def _cycle_contact(surf_c, u_c, w_c, t0, fiber, chart=None) -> Contact:
     n = fiber.n
     dom = u_c.domain
     if n == 1:
@@ -236,7 +253,7 @@ def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     if fiber.node_x is None:
         raise SectionError(f"missing node data at {fiber}")
     node = _embed(dom, fiber.node_x)
-    k, lc_fx = _node_depth(surf_c, u_c, t0, u_c(t0), node, 0)
+    k, lc_fx = _node_depth(chart or _Chart(surf_c, u_c), t0, u_c(t0), node, 0)
     if k == 0:
         return Contact(fiber, "identity")
     if 2 * k < n:
@@ -256,7 +273,7 @@ def _cycle_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     )
 
 
-def _star_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
+def _star_contact(surf_c, u_c, w_c, t0, fiber, chart=None) -> Contact:
     dom = u_c.domain
     if not u_c.is_zero() and u_c.valuation_at(t0) <= 0:
         return Contact(fiber, "identity")
@@ -265,7 +282,7 @@ def _star_contact(surf_c, u_c, w_c, t0, fiber) -> Contact:
     X0 = dom.div(u_c.num.derivative()(t0), u_c.den(t0))
     if fiber.n == 0:
         return Contact(fiber, "star-leg", leg_root=X0)
-    vdiff, _ = _node_depth(surf_c, u_c, t0, X0, _embed(dom, fiber.double_root), 1)
+    vdiff, _ = _node_depth(chart or _Chart(surf_c, u_c), t0, X0, _embed(dom, fiber.double_root), 1)
     if vdiff >= (fiber.n + 1) // 2:
         return Contact(fiber, "star-far")
     if vdiff == 0:
@@ -285,21 +302,13 @@ def _orbit_contact(surface, sec: Section, fiber: FiberDescriptor) -> Contact:
     """
     if fiber.kind != "I":
         raise SectionError(f"star fiber over orbit cusp {fiber.cusp} unsupported")
-    g = fiber.cusp.value
     u, w = sec.u, sec.w
-    dom = u.domain
-    if dom != g.domain:
-        g = g.map_domain(dom)
+    g = fiber.cusp.value.map_domain(u.domain)
     if _vanishes_along(u.den, g):
         return Contact(fiber, "identity")  # pole over the orbit: meets O side
-    # non-identity requires w = 0 and f_x(u) = 0 along the orbit
+    # non-identity requires w = 0 and f_x(u) = F / D^2 = 0 along the orbit, where g does not divide D
     w_van = _vanishes_along(w.num, g) and not _vanishes_along(w.den, g)
-    three = Polynomial.constant(dom, dom.from_fraction(Fraction(3)))
-    two = Polynomial.constant(dom, dom.from_fraction(Fraction(2)))
-    fx = (RationalFunction(three) * u * u + RationalFunction(two * surface.a2) * u
-          + RationalFunction(surface.a4))
-    fx_van = _vanishes_along(fx.num, g) and not _vanishes_along(fx.den, g)
-    if w_van and fx_van:
+    if w_van and _vanishes_along(_Chart(surface, u).fprime, g):
         if fiber.n == 2:
             return Contact(fiber, "far-cycle", k=1)
         raise SectionError(
@@ -479,8 +488,7 @@ def ns_discriminant(surface, sections) -> int:
     gram = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            val = pairing(surface, sections[i], sections[j]) if i != j else height(sections[i])
-            gram[i][j] = gram[j][i] = val
+            gram[i][j] = gram[j][i] = pairing(surface, sections[i], sections[j])
     scale = math.lcm(*(x.denominator for row in gram for x in row))
     det = Fraction(GramLattice([[int(x * scale) for x in row] for row in gram]).det, scale ** k)
     if det <= 0:
@@ -589,10 +597,9 @@ def _resolved_multiplicity(cp: Contact, cq: Contact, naive: int) -> int:
 
 
 def _infinity_contribution(p: Section, q: Section) -> int:
-    dom = p.domain
     up, wp = _ratfun_flip(p.u, 4), _ratfun_flip(p.w, 6)
     uq, wq = _ratfun_flip(q.u, 4), _ratfun_flip(q.w, 6)
-    zero = dom.zero
+    zero = p.domain.zero
     vp = up.valuation_at(zero) if not up.is_zero() else 10**9
     vq = uq.valuation_at(zero) if not uq.is_zero() else 10**9
     if vp < 0 and vq < 0:

@@ -22,12 +22,14 @@ from k3cm.exact import (
     Polynomial,
     RationalFunction,
     Series,
+    format_rational,
     is_prime,
     poly_series,
     rational_reconstruct,
     GF,
     resultant,
     roots_mod_p,
+    squarefree_part,
 )
 
 
@@ -73,8 +75,6 @@ class Cusp:
         if self.kind == "orbit":
             return f"orbit({self.value.to_text()})"
         if isinstance(self.value, Fraction):
-            from k3cm.exact import format_rational
-
             return format_rational(self.value)
         return str(self.value)
 
@@ -149,8 +149,8 @@ class FiberDescriptor:
         by c, and so do the node, the split class and the residual cubic's (double) roots."""
         times = lambda x: None if x is None else c * x
         cubic = self.residual_cubic
-        return replace(
-            self, node_x=times(self.node_x), double_root=times(self.double_root),
+        return FiberDescriptor(
+            self.cusp, self.kind, self.n, node_x=times(self.node_x), double_root=times(self.double_root),
             split_class=None if self.split_class is None else _square_class(QQ, c * self.split_class),
             residual_cubic=None if cubic is None else Polynomial(
                 QQ, [c ** (3 - i) * r for i, r in enumerate(cubic.coeffs)]),
@@ -403,8 +403,10 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
 
     The surface must be defined over Q: the finite cusps are the rational
     roots of Delta, and the other factors of Delta are Galois orbits.
-    Callers read the list through `WeierstrassSurface.fibers`.
+    Callers read it through `WeierstrassSurface.fibers`; a family member's is the one it takes from g.
     """
+    if type(surface).fibers is not WeierstrassSurface.fibers:
+        return surface.fibers
     if surface.domain != QQ:
         raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
     fibers = walk_fibers(surface, delta_cusps(surface), surface.flipped(), 24)
@@ -497,8 +499,6 @@ def _classify_star(surface, cusp, m) -> FiberDescriptor:
 
 def _square_class(domain, value):
     """Squarefree kernel of a rational square class; quad scalars kept as-is."""
-    from k3cm.exact import squarefree_part
-
     if domain == QQ:
         v = Fraction(value)
         if v == 0:

@@ -9,8 +9,10 @@ and at INFINITY.  Each member's fibers and c4, c6, Delta (taken from g) must
 equal `classify_fibers` and `_discriminant_polys` of a surface built from the
 member's own a2, a4, a6.  Where the oracle raises (a merge that leaves the
 supported types), the member must raise the same error.  Prints one line per
-family and a total: the number of lambda, the mismatches, and the lambda where
-the oracle raises; exits 1 on any mismatch.
+family and a total: the number of lambda, the mismatches, the lambda where the
+oracle raises, and how many members built their fiber at t = lambda as g's I0*
+(closed form) and how many classified it on the member (`classify_at`, at a
+cusp of g or at INFINITY); exits 1 on any mismatch.
 """
 
 import argparse
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF, I1_STAR_AT_0
 
+import k3cm.families
 from k3cm.families import INFINITY
 from k3cm.fixtures import registry
 from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, classify_fibers
@@ -48,6 +51,12 @@ def compare(family, lam) -> tuple[bool, bool]:
     return member.fibers == want, False
 
 
+def counted_classify_at(classified: list):
+    """`families.classify_at`, appending each cusp it is called at to classified."""
+    original = k3cm.families.classify_at
+    return lambda surface, cusp, *rest: classified.append(cusp) or original(surface, cusp, *rest)
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[1])
     parser.add_argument("-H", type=int, default=40)
@@ -56,19 +65,27 @@ def main(argv):
     families = [xlm, dataclasses.replace(xlm, name="xlm_mu_81/10", mu=Fraction(81, 10)),
                 I0_STAR_AT_0, I0_STAR_AT_INF, I1_STAR_AT_0]
     lams = sweep(args.H)
-    total = mismatches = raised = 0
+    total = mismatches = raised = on_member = 0
+    classified = []
+    k3cm.families.classify_at = counted_classify_at(classified)
     for family in families:
-        start, bad, raises = time.perf_counter(), 0, 0
+        family.fixed_fibers   # g's fibers, which do not go through families.classify_at
+        start, bad, raises, classifying = time.perf_counter(), 0, 0, 0
         for lam in lams:
+            del classified[:]
             same, oracle_raised = compare(family, lam)
             if not same:
                 print(f"{family.name} lambda = {lam}: MISMATCH", flush=True)
             bad += not same
             raises += oracle_raised
+            classifying += bool(classified)
         print(f"{family.name}: {len(lams)} lambda, {bad} mismatch, oracle raises at {raises}, "
+              f"I0* at lambda from g {len(lams) - classifying}, classify_at {classifying}, "
               f"{time.perf_counter() - start:.1f} s", flush=True)
         total, mismatches, raised = total + len(lams), mismatches + bad, raised + raises
-    print(f"{len(families)} families, {total} lambda, {mismatches} mismatch, oracle raises at {raised}")
+        on_member += classifying
+    print(f"{len(families)} families, {total} lambda, {mismatches} mismatch, oracle raises at {raised}, "
+          f"I0* at lambda from g {total - on_member}, classify_at {on_member}")
     return 1 if mismatches else 0
 
 

@@ -182,6 +182,22 @@ def test_verify_examples_match_golden_output():
     assert got == GOLDEN.read_text()
 
 
+GOLDEN_CERTIFIED = Path(__file__).parent / "golden" / "verify_certified.txt"
+
+
+def test_verify_certified_family_members_match_golden_output():
+    # `k3cm verify --surface X` stdout for the 25 Table 1 and 5 extremal surfaces, in the
+    # registry's order, as recorded before a member's I0* at t = lambda was read off g;
+    # with the 9 examples above, every surface a certify pass checks
+    got = ""
+    for fx in registry().certified:
+        if fx.name.startswith(("table1_", "extremal_")):
+            code, out = run(["verify", "--surface", fx.name])
+            got += f"# k3cm verify --surface {fx.name} -> exit {code}\n{out}"
+    assert got.count("-> exit 0\n") == 30
+    assert got == GOLDEN_CERTIFIED.read_text()
+
+
 def test_verify_lifts_sections_once(monkeypatch):
     import k3cm.sections
     import k3cm.surfaces

@@ -12,7 +12,7 @@ from k3cm.counting import TwistTable
 from k3cm.exact import GF, QQ, Polynomial, primes_up_to, roots_mod_p
 from k3cm.families import INFINITY, Family
 from k3cm.fixtures import family_from_text, parse_blocks, registry
-from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, classify_fibers
+from k3cm.surfaces import WeierstrassSurface, _discriminant_polys, _square_class, classify_fibers
 from oracles import reduces_cleanly, untwisted_mod
 from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF, I1_STAR_AT_0
 
@@ -161,3 +161,52 @@ def test_members_take_their_invariants_and_fibers_from_g(fam):
             assert member.fibers == want, (family.name, mu, lam)
             checked += 1
     assert checked >= 240 and raised <= 5   # 242 and 3 with these seeds
+
+
+def certified_members(reg):
+    """(name, member) for the non-defective Table 1 rows, then the 5 extremal rows, each built anew."""
+    fixtures = [row.fixture() for row in reg.table1 if row.status != "defective"] + reg.extremal
+    return [(fx.name, fx.build_surface(reg)) for fx in fixtures]
+
+
+def test_certified_members_classify_only_at_a_cusp_of_g(monkeypatch):
+    """Where Delta_g(lambda) != 0 the fiber at t = lambda is g's I0*, built with no classify_at."""
+    import k3cm.families
+
+    reg = registry()
+    xlm = reg.family("xlm")
+    xlm.fixed_fibers   # g's own fibers, classified once per family
+    calls = []
+    original = k3cm.families.classify_at
+    monkeypatch.setattr(k3cm.families, "classify_at", lambda *a: calls.append(a) or original(*a))
+    members = certified_members(reg)
+    assert len(members) == 30
+    for name, member in members:
+        del calls[:]
+        own = WeierstrassSurface(member.a2, member.a4, member.a6)
+        assert member.fibers == classify_fibers(own), name
+        assert len(calls) == (1 if name.startswith("extremal_") else 0), name
+        if name.startswith("table1_"):
+            at_lam = next(f for f in member.fibers if f.cusp.value == member.lam)
+            assert (at_lam.kind, at_lam.n) == ("I*", 0)
+            assert at_lam.residual_cubic == xlm.untwisted.fiber_cubic(member.lam)
+
+
+def test_twisted_equals_the_replaced_descriptor(fam):
+    """`FiberDescriptor.twisted` builds each field as a `dataclasses.replace` of the fiber would."""
+    def replaced(f, c):
+        times = lambda x: None if x is None else c * x
+        cubic = f.residual_cubic
+        return dataclasses.replace(
+            f, node_x=times(f.node_x), double_root=times(f.double_root),
+            split_class=None if f.split_class is None else _square_class(QQ, c * f.split_class),
+            residual_cubic=None if cubic is None else Polynomial(
+                QQ, [c ** (3 - i) * r for i, r in enumerate(cubic.coeffs)]))
+
+    seen = 0
+    for family in (fresh(fam), stale(fam), I0_STAR_AT_0, I0_STAR_AT_INF, I1_STAR_AT_0):
+        for f in family.fixed_fibers:
+            for c in (Fraction(-1), Fraction(3), Fraction(-5, 32), Fraction(7, 4)):
+                assert f.twisted(c) == replaced(f, c), (family.name, str(f), c)
+                seen += 1
+    assert seen >= 4 * 15

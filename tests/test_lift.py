@@ -108,6 +108,24 @@ def test_disc88_roundtrip(reg, fam):
     assert ks == [2 ** (i + 1) for i in range(len(ks))]
 
 
+def test_a_member_lift_classifies_once(reg, fam, monkeypatch):
+    """classify_fibers of a family member is the list the member takes from g, so classifying
+    and then lifting classifies no fiber past g's own."""
+    import k3cm.surfaces
+
+    row = next(r for r in reg.table1 if r.disc == -88)
+    surf = fam.specialize(row.lam, name="d88")
+    fam.fixed_fibers
+    calls = []
+    original = k3cm.surfaces._classify
+    monkeypatch.setattr(k3cm.surfaces, "_classify", lambda *a: calls.append(a) or original(*a))
+    fibers = classify_fibers(surf)
+    assert fibers is surf.fibers
+    plan = plan_for(fibers, {"I5": 1, "I3": 1, "I7": 2, "I0*": "leg"})
+    assert recover_section(surf, fibers, plan, 19, expected_disc=-88).u == parse_ratfun(row.u_text)
+    assert calls == []
+
+
 def table1_case(fam, row):
     """(surface, plan, printed section) of a Table 1 row.
 
