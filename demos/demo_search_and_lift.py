@@ -15,17 +15,15 @@ from k3cm import (
     registry,
     usable_primes,
 )
-from k3cm.counting import CountCache
 from k3cm.search import search
 
 reg = registry()
 fam = reg.family("xlm")
 oracle = NewformOracle(-88)
-cache = CountCache()
 
 primes = usable_primes(fam, oracle, 100)[:4]
 print(f"scanning split primes {primes} for the field of discriminant -88")
-reports = search(fam, oracle, primes, cache=cache)
+reports = search(fam, oracle, primes)
 for rep in reports[:3]:
     print(f"  candidate lambda = {rep.lam} (height {rep.height}, matched at {rep.primes_matched} primes)")
 

@@ -75,25 +75,39 @@ def cmd_ap(args) -> int:
     return 0
 
 
+def _log_members(log, family, members_by_prime) -> None:
+    """Put the computed smooth counts of each (p, members) pair in the `--cache` log, in one append."""
+    if log is None:
+        return
+    from k3cm.counting import log_key
+
+    key = log_key(family)
+    with log.batch():
+        for p, members in members_by_prime:
+            for lam, (smooth, _, _) in members.items():
+                log.put(key, p, lam, smooth)
+
+
 def cmd_count(args) -> int:
-    from k3cm.counting import CountCache, count_family_member, count_members, on_cusp
+    from k3cm.counting import CountCache, count_family_member, on_cusp, twist_table
 
     p = args.prime
     if not is_prime(p):
         print(f"p = {p} is not prime", file=sys.stderr)
         return 2
     fam = _load_family(args.family)
-    cache = None if args.cache is None else CountCache(args.cache)
+    log = None if args.cache is None else CountCache(args.cache)   # read before any count
     if fam.untwisted.is_bad_prime(p):
         print(f"p = {p} is excluded for this family", file=sys.stderr)
         return 2
     if args.lam is None:
-        lams, members = range(p), count_members(fam, p, cache)
+        lams, members = range(p), twist_table(fam, p).members
     elif (lam := args.lam % p) in fam.degenerate_lambdas(p):
         print(f"{on_cusp(fam, p, lam)}; its member is degenerate", file=sys.stderr)
         return 2
     else:
-        lams, members = [lam], {lam: count_family_member(fam, p, lam, cache)}
+        lams, members = [lam], {lam: count_family_member(fam, p, lam)}
+    _log_members(log, fam, [(p, members)])
     for lam in lams:
         if lam not in members:
             print(f"skipped {on_cusp(fam, p, lam)}", file=sys.stderr)
@@ -104,25 +118,26 @@ def cmd_count(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from k3cm.counting import CountCache
+    from k3cm.counting import CountCache, twist_table
     from k3cm.newforms import NewformOracle
     from k3cm.search import SearchError, first_usable_primes, search
 
     fam = _load_family(args.family)
     oracle = NewformOracle(args.disc)
-    cache = None if args.cache is None else CountCache(args.cache)
+    log = None if args.cache is None else CountCache(args.cache)   # read before any count
     primes = first_usable_primes(fam, oracle, args.primes)
     if len(primes) < 2:
         print("not enough usable split primes", file=sys.stderr)
         return 2
+    why = (f"scanned p = {', '.join(map(str, primes))}; no lambda of "
+           f"height <= {args.height_bound} (--height-bound) lifted")
     try:
-        reports = search(fam, oracle, primes, args.height_bound, cache)
+        reports = search(fam, oracle, primes, args.height_bound)
     except SearchError as e:   # the scans ran; their residues cannot be lifted
-        print(f"no candidate: {e}", file=sys.stderr)
-        return 1
+        reports, why = [], e
+    _log_members(log, fam, ((p, twist_table(fam, p).members) for p in primes))
     if not reports:
-        print(f"no candidate: scanned p = {', '.join(map(str, primes))}; no lambda of "
-              f"height <= {args.height_bound} (--height-bound) lifted", file=sys.stderr)
+        print(f"no candidate: {why}", file=sys.stderr)
         return 1
     for rep in reports:
         print(rep.line())

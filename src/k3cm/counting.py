@@ -33,8 +33,8 @@ Then a member is read off it:
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
   the fiber y^2 = x^3 at t = lambda having p+1 points.  That sum is O(p) for
-  one member (`count_family_member`); for all p members (`count_members`) it
-  is one cyclic correlation of chi with S + p, one big-integer product;
+  one member (`count_family_member`); for all p members (`TwistTable.members`)
+  it is one cyclic correlation of chi with S + p, one big-integer product;
 * at a finite cusp t0 of g the member has g's fiber twisted by the constant
   t0 - lambda: an I_n node's split class is multiplied by it, while an I_1 or
   I_0* fiber (whose residual cubic only scales) keeps its fixed components;
@@ -50,11 +50,12 @@ alone; `TwistTable.members` takes them for every lambda as one list, for
 `count` output and the log.  A lambda on a cusp of g (Delta_g(lambda) = 0,
 where the I0* meets a fixed fiber) raises CountingError naming the cusp and p.
 
-`CountCache` keys each count on the family's coefficient digest, so two
-families with the same name and other data never share a count.  It is a
-conflict-checked log, never a source of counts: every count is computed and
-then put, a count that differs from the log's is a determinism breach, and
-a scan appends its new counts to the file in one `batch()`.  An entry is the
+`CountCache` is the `--cache` log, kept by the `count` and `search` commands
+alone: no counting or search function takes it.  It is conflict-checked and
+never a source of counts: a command computes its counts, then puts them in
+one `batch()`, and a count that differs from the log's is a determinism
+breach.  The key, `log_key`, digests the family's coefficient data, so two
+families with one name and other data never share a count.  An entry is the
 line `KEY p lambda count` as `put` writes it: four fields one space apart,
 the last three canonical integers, padding around the line allowed.  Blank
 and `#` lines are skipped; any other line is reported corrupt on stderr.  A
@@ -64,6 +65,7 @@ command reads the log once, in bulk: one regular-expression pass indexes
 
 from __future__ import annotations
 
+import hashlib
 import re
 import sys
 from array import array
@@ -403,6 +405,25 @@ def on_cusp(family, p: int, lam: int) -> str:
     return f"lambda = {lam} lies on the cusp {fib.label()} = {fib.cusp} mod {p}"
 
 
+def count_family_member(family, p: int, lam: int):
+    """(smooth count, t_alg, candidates) for the family member at lambda mod p.
+
+    Read off the family's twist table in O(p); a lambda on a cusp of g
+    raises CountingError.
+    """
+    table = twist_table(family, p)
+    lam_p = lam % p
+    if lam_p in table.cusps:
+        raise CountingError(f"{on_cusp(family, p, lam_p)}; its member is degenerate")
+    return _member(p, table.raw_count(lam_p), table.fixed(lam_p))
+
+
+def _member(p: int, raw: int, fixed: int) -> tuple:
+    """(smooth count, t_alg, candidates) from a member's raw count and its fixed components."""
+    smooth, t_alg = raw + p * fixed, 2 + fixed
+    return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)
+
+
 # ---------------------------------------------------------------------------
 # count cache (append-only, conflict-checked)
 # ---------------------------------------------------------------------------
@@ -419,22 +440,34 @@ def _conflict(key: str, known: str, count: str) -> CountingError:
     return CountingError(f"cache conflict for {(fam, int(p), int(lam))}: {known} vs {count} (determinism breach)")
 
 
-class CountCache:
-    """Append-only, conflict-checked log of smooth counts keyed by (family digest, p, lambda).
+def log_key(family) -> str:
+    """A short digest of the family's coefficient data (A, B, C, prefactors, mu): the log's key.
 
-    The counting functions compute every count and `put` it; they never read
-    a count from the log.  A put that differs from a logged count, or two
-    logged counts that differ, raise CountingError (a determinism breach).
-    Puts made inside `batch()` reach the file in one append when the block
-    ends; outside a batch each put appends at once.
+    Families with the same data share counts whatever their names; a family
+    file that reuses a name with other data gets keys of its own.  A mu-polynomial is
+    written as by `Polynomial.to_text`, through its Fractions' str, at a quarter of the cost.
+    """
+    blocks = "|".join(",".join(";".join(map(str, c.coeffs)) or "0" for c in block)
+                      for block in (family.A, family.B, family.C))
+    text = f"{blocks}|{family.pre_a2}{family.pre_a4}{family.pre_a6}|{family.mu}"
+    return hashlib.blake2s(text.encode(), digest_size=6).hexdigest()
+
+
+class CountCache:
+    """Append-only, conflict-checked log file of smooth counts keyed by (`log_key`, p, lambda).
+
+    The `count` and `search` commands compute every count and then `put` it;
+    no count is read from the log.  A put that differs from a logged count,
+    or two logged counts that differ, raise CountingError (a determinism
+    breach).  Puts made inside `batch()` reach the file in one append when
+    the block ends; outside a batch each put appends at once.
     """
 
-    def __init__(self, path=None):
+    def __init__(self, path):
         self.path = path
         self.data: dict[str, str] = {}
         self._pending: list[str] | None = None   # lines of the open batch
-        if path is not None:
-            self._load()
+        self._load()
 
     def _load(self):
         """The log's entries; its other lines, up to a conflicting entry, reported corrupt."""
@@ -465,66 +498,21 @@ class CountCache:
                 raise _conflict(key, known, n)
             return
         self.data[key] = n
-        if self.path is not None:
-            line = f"{key} {n}\n"
-            if self._pending is not None:
-                self._pending.append(line)
-            else:
-                with open(self.path, "a") as fh:
-                    fh.write(line)
+        line = f"{key} {n}\n"
+        if self._pending is not None:
+            self._pending.append(line)
+        else:
+            with open(self.path, "a") as fh:
+                fh.write(line)
 
     @contextmanager
     def batch(self):
-        """Collect the puts of the block and append them in one write, also on error.
-
-        A nested batch writes with the outermost one.
-        """
-        if self._pending is not None:
-            yield self
-            return
+        """Collect the puts of the block and append them in one write, also on error."""
         self._pending = []
         try:
             yield self
         finally:
             lines, self._pending = self._pending, None
-            if lines and self.path is not None:
+            if lines:
                 with open(self.path, "a") as fh:
                     fh.write("".join(lines))
-
-
-def count_family_member(family, p: int, lam: int, cache: CountCache | None = None):
-    """(smooth count, t_alg, candidates) for the family member at lambda mod p.
-
-    Read off the family's twist table in O(p); a lambda on a cusp of g
-    raises CountingError.  The count is always computed; the cache, keyed on
-    the family's coefficient digest, only checks it against earlier runs.
-    """
-    table = twist_table(family, p)
-    lam_p = lam % p
-    if lam_p in table.cusps:
-        raise CountingError(f"{on_cusp(family, p, lam_p)}; its member is degenerate")
-    member = _member(p, table.raw_count(lam_p), table.fixed(lam_p))
-    if cache is not None:
-        cache.put(family.digest, p, lam_p, member[0])
-    return member
-
-
-def count_members(family, p: int, cache: CountCache | None = None) -> MappingProxyType:
-    """lambda -> (smooth count, t_alg, candidates) for every lambda in F_p off the cusps of g.
-
-    The twist table's read-only `members`, computed once per (family, p), for
-    `count` output and the log, which gets them in one `batch()`.  Where g has
-    a fiber the counting tables reject, CountingError before any member.
-    """
-    members = twist_table(family, p).members
-    if cache is not None:
-        with cache.batch():
-            for lam, (smooth, _, _) in members.items():
-                cache.put(family.digest, p, lam, smooth)
-    return members
-
-
-def _member(p: int, raw: int, fixed: int) -> tuple:
-    """(smooth count, t_alg, candidates) from a member's raw count and its fixed components."""
-    smooth, t_alg = raw + p * fixed, 2 + fixed
-    return smooth, t_alg, lefschetz_candidates(smooth, p, t_alg)

@@ -21,13 +21,13 @@ at t = lambda read off g's fiber cubic; only at a cusp of g or at infinity is th
 fiber at t = lambda classified on the member (`_Member`).
 lambda = infinity is the x-rescaled limit where the (t-lambda) prefactors
 collapse to constants.  Members are counted mod p off g alone
-(`counting.TwistTable`); `specialize_mod` reduces one member mod a good
-prime, for the brute-force oracle that checks those counts.
+(`counting.TwistTable`; `counting.log_key` keys their log on the coefficient
+data); `specialize_mod` reduces one member mod a good prime, for the
+brute-force oracle that checks those counts.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -65,17 +65,6 @@ class Family:
                 f"family {self.name}: the (t-lambda) exponents of (a2, a4, a6) are {shape}; "
                 "only (1, 2, 3), a quadratic twist by (t-lambda), is supported"
             )
-
-    @cached_property
-    def digest(self) -> str:
-        """A short digest of the coefficient data (A, B, C, prefactors, mu): the count cache's key.
-
-        Families with the same data share counts whatever their names; a
-        family file that reuses a name with other data gets keys of its own.
-        """
-        blocks = "|".join(",".join(c.to_text() for c in block) for block in (self.A, self.B, self.C))
-        text = f"{blocks}|{self.pre_a2}{self.pre_a4}{self.pre_a6}|{self.mu}"
-        return hashlib.blake2s(text.encode(), digest_size=6).hexdigest()
 
     # -- construction helpers -------------------------------------------------
 

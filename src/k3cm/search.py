@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from k3cm.counting import CountCache, count_family_member, count_members, twist_table
+from k3cm.counting import twist_table
 from k3cm.exact import crt_combine, prime_divisors, rational_reconstruct
 from k3cm.newforms import SPLIT, NewformOracle
 
@@ -52,18 +52,16 @@ def first_usable_primes(family, oracle: NewformOracle, k: int) -> list[int]:
     return usable[:k]
 
 
-def scan_prime(family, p: int, oracle: NewformOracle, cache: CountCache | None = None) -> set[int]:
+def scan_prime(family, p: int, oracle: NewformOracle) -> set[int]:
     """All lambda in F_p off the cusps of g whose raw count is in `matching_raw_counts`;
-    smooth counts are formed only for a given log.  Where g has a fiber at p that the
-    counting tables reject, CountingError.
+    no smooth count is formed.  Where g has a fiber at p that the counting tables
+    reject, CountingError.
     """
     if oracle.prime_kind(p) != SPLIT:
         raise SearchError(f"p = {p} is not split for discriminant {oracle.field_disc}")
     if family.untwisted.is_bad_prime(p):
         raise SearchError(f"p = {p} is a bad prime for family {family.name}")
     targets, table = matching_raw_counts(oracle, p), twist_table(family, p)
-    if cache is not None:
-        count_members(family, p, cache)
     return {lam for lam, raw in enumerate(table.raw_counts) if raw in targets and lam not in table.cusps}
 
 
@@ -133,7 +131,7 @@ def _smoothness(q: Fraction) -> int:
     return max(prime_divisors(q.numerator * q.denominator), default=1)
 
 
-def corroborate(family, lam: Fraction, oracle: NewformOracle, primes, cache=None) -> list:
+def corroborate(family, lam: Fraction, oracle: NewformOracle, primes) -> list:
     """Per-prime match evidence for a fixed rational parameter.
 
     Returns (p, status) rows with status in {"match", "mismatch", "skipped"};
@@ -146,19 +144,17 @@ def corroborate(family, lam: Fraction, oracle: NewformOracle, primes, cache=None
                 or lam_p in family.degenerate_lambdas(p)):
             out.append((p, "skipped"))
             continue
-        if cache is not None:
-            count_family_member(family, p, lam_p, cache)
         ok = twist_table(family, p).raw_count(lam_p) in matching_raw_counts(oracle, p)
         out.append((p, "match" if ok else "mismatch"))
     return out
 
 
-def search(family, oracle: NewformOracle, primes, height_bound: int = 10**6, cache=None):
+def search(family, oracle: NewformOracle, primes, height_bound: int = 10**6):
     """Full Algorithm-10 style run: scan, lift, return ranked reports for the oracle's field."""
     residue_sets = {}
     for p in primes:
         try:
-            residue_sets[p] = scan_prime(family, p, oracle, cache)
+            residue_sets[p] = scan_prime(family, p, oracle)
         except SearchError:
             continue
     return lift_candidates(residue_sets, oracle.disc, height_bound)

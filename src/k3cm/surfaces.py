@@ -403,9 +403,10 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
 
     The surface must be defined over Q: the finite cusps are the rational
     roots of Delta, and the other factors of Delta are Galois orbits.
-    Callers read it through `WeierstrassSurface.fibers`; a family member's is the one it takes from g.
+    The list is kept as the surface's `fibers`, so the surface is classified once however
+    it is asked; a family member's is the one it takes from g.
     """
-    if type(surface).fibers is not WeierstrassSurface.fibers:
+    if "fibers" in vars(surface) or type(surface).fibers is not WeierstrassSurface.fibers:
         return surface.fibers
     if surface.domain != QQ:
         raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
@@ -413,6 +414,7 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
     total = sum(f.euler * f.cusp.degree for f in fibers)
     if total != 24:
         raise SurfaceError(f"Euler numbers sum to {total}, not 24: not K3 input")
+    surface.fibers = fibers
     return fibers
 
 

@@ -11,7 +11,9 @@ Runs, in-process unless noted:
   `perfbench/workloads.certify`
 * `k3cm search --disc -88 --primes 4` and `--disc -1540 --primes 4`
 * `k3cm --cache FILE search --disc -88 --primes 4` twice on one new cache
-  file, cold and then warm; the two stdouts must be equal
+  file, cold and then warm; the two stdouts must be equal, and the log as
+  each run left it is copied to OUTDIR/<command>.cache, so that `diff -r`
+  compares the log bytes too
 * `k3cm count --prime 19` for every lambda (the GF(p) fiber classifier)
 * the 4 demos (each in a subprocess that imports the same k3cm)
 * `k3cm lift --system` on the one-variable system of `test_cli`
@@ -23,6 +25,7 @@ PYTHONPATH) and compares the two directories with `diff -r`.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -38,6 +41,7 @@ import workloads  # noqa: E402
 
 LIFT_SYSTEM = "[system]\nvars = x\neq1 = 1:2 + -4/9:0\n"
 CACHED_SEARCH = ("search_-88_cache_cold", "search_-88_cache_warm")
+LOG = "counts.cache"
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -63,7 +67,7 @@ def commands(workdir: str):
             yield f"{command}_{Path(target).stem}", lambda c=command, t=target: run_cli([c, "--surface", t])
     for disc in ("-88", "-1540"):
         yield f"search_{disc}", lambda d=disc: run_cli(["search", "--disc", d, "--primes", "4"])
-    cache = str(Path(workdir) / "counts.cache")
+    cache = str(Path(workdir) / LOG)
     for stem in CACHED_SEARCH:
         yield stem, lambda: run_cli(["--cache", cache, "search", "--disc", "-88", "--primes", "4"])
     yield "count_19", lambda: run_cli(["count", "--prime", "19"])
@@ -85,6 +89,8 @@ def main(argv) -> int:
         for stem, thunk in commands(workdir):
             code, out = thunk()
             (outdir / f"{stem}.txt").write_text(out)
+            if stem in CACHED_SEARCH:
+                shutil.copyfile(Path(workdir) / LOG, outdir / f"{stem}.cache")
             codes.append(f"{stem}\t{code}")
             print(f"{stem}: exit {code}", file=sys.stderr)
     (outdir / "exit_codes.txt").write_text("\n".join(codes) + "\n")

@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/check_twist_full.py [BOUND] [EXTRA_PRIME ...] [--rule-bound N]
 
 Compares `count_family_member` (the twist table, one O(p) sum per lambda) and
-`count_members` (one correlation for all lambda) with specialize + analyze +
+the table's `members` (one correlation for all lambda) with specialize + analyze +
 brute-force count on every lambda at every good prime up to BOUND (default
 199) and at the extra primes (default 307), for the `xlm` family, `xlm` at
 mu = 81/10 (whose g has an orbit cusp, so that the table's cusps include the
@@ -39,7 +39,7 @@ from test_counting import (
     count_or_error,
 )
 
-from k3cm.counting import CountingError, count_members, count_surface, twist_table
+from k3cm.counting import CountingError, count_surface, twist_table
 from k3cm.exact import GF, primes_up_to
 from k3cm.fixtures import registry
 
@@ -120,7 +120,7 @@ def main(argv):
                 no_table += 1
                 print(f"{fam.name} p = {p}: NO TABLE ({table})", flush=True)
                 continue
-            bad, members = 0, count_members(fam, p)
+            bad, members = 0, table.members
             for lam in range(p):
                 want = brute_force_member(fam, p, lam)
                 got = count_or_error(fam, p, lam)

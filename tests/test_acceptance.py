@@ -138,20 +138,18 @@ def test_criterion_4_lefschetz_closed_loop():
 # -- criterion 5: search rediscovery -------------------------------------------
 
 def test_criterion_5_search_rediscovery():
-    from k3cm.counting import CountCache
     from k3cm.newforms import NewformOracle
     from k3cm.search import search, usable_primes
 
     reg = registry()
     fam = reg.family("xlm")
-    cache = CountCache()
     t0 = time.time()
     results = {}
     for disc, expect in ((-88, Fraction(5, 32)), (-1540, Fraction(539, 512))):
         oracle = NewformOracle(disc)
         primes = usable_primes(fam, oracle, 100)[:4]
         assert len(primes) >= 3
-        reports = search(fam, oracle, primes, cache=cache)
+        reports = search(fam, oracle, primes)
         results[disc] = reports[0].lam if reports else None
     elapsed = time.time() - t0
     ok = (

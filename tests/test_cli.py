@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from k3cm.cli import main
+from k3cm.counting import count_family_member, log_key
 from k3cm.exact import QQ, QuadField
 from k3cm.fixtures import registry
 
@@ -42,7 +43,7 @@ def test_count_single_lambda(tmp_path):
     assert lam == "15"
     # 5/32 = 15 mod 19 is the disc -88 member: one candidate is +-|a_19| = 6
     assert "6" in (c1.lstrip("-"), c2.lstrip("-"))
-    key = registry().family("xlm").digest
+    key = log_key(registry().family("xlm"))
     assert cache.exists() and cache.read_text().startswith(f"{key} 19 15 ")
 
 
@@ -428,7 +429,7 @@ def test_a_wrong_count_in_the_cache_stops_a_search(tmp_path):
     search = ["--cache", str(cache), "search", "--disc", "-88", "--primes", "4"]
     code, out, err = run_with_stderr(search)
     assert code == 0 and out.startswith("5/32\t32\t")
-    key = registry().family("xlm").digest
+    key = log_key(registry().family("xlm"))
     lines = cache.read_text().splitlines()
     assert f"{key} 13 3 240" in lines
     cache.write_text("".join(line.replace(" 13 3 240", " 13 3 331") + "\n" for line in lines))
@@ -451,6 +452,81 @@ def test_the_cache_does_not_change_search_output(tmp_path, disc):
     assert log and cache.read_bytes() == log
 
 
+def _members_of(fam, primes):
+    """(p, lambda, smooth count) of every member off the cusps of g at each prime, in order."""
+    return [(p, lam, count_family_member(fam, p, lam)[0])
+            for p in primes for lam in range(p) if lam not in fam.degenerate_lambdas(p)]
+
+
+def test_a_cached_command_appends_to_the_log_once(tmp_path, monkeypatch):
+    # a --cache command reads its log once and appends its new counts in one write, however
+    # many primes it scanned; a command with no new count appends nothing
+    from k3cm.newforms import NewformOracle
+    from k3cm.search import first_usable_primes
+
+    log, opens = tmp_path / "counts.cache", []
+    real_open = open
+
+    def logged_open(f, *a, **k):
+        if str(f) == str(log):
+            opens.append(k.get("mode", a[0] if a else "r"))
+        return real_open(f, *a, **k)
+
+    monkeypatch.setattr("builtins.open", logged_open)
+    fam = registry().family("xlm")
+    primes = first_usable_primes(fam, NewformOracle(-88), 4)
+    search = ["--cache", str(log), "search", "--disc", "-88", "--primes", "4"]
+    assert run(search)[0] == 0
+    assert opens == ["r", "a"]
+    assert len(log.read_text().splitlines()) == len(_members_of(fam, primes))
+    assert run(search)[0] == 0 and opens == ["r", "a", "r"]
+    q = next(p for p in fam.good_primes(100) if p not in primes)
+    assert run(["--cache", str(log), "count", "--prime", str(q)])[0] == 0
+    assert opens == ["r", "a", "r", "r", "a"]
+    assert len(log.read_text().splitlines()) == len(_members_of(fam, primes + [q]))
+
+
+def test_a_cached_search_logs_every_member_of_each_scanned_prime(tmp_path):
+    # the scan forms no smooth count; the log gets every member of each scanned prime, in
+    # scan order, whether or not a plain search built the tables first (a family file loads
+    # a fresh family)
+    from importlib import resources
+
+    from k3cm.newforms import NewformOracle
+    from k3cm.search import first_usable_primes
+
+    path = tmp_path / "xlm.fam"
+    path.write_text(resources.files("k3cm").joinpath("data/family_xlm.fam").read_text())
+    search = ["search", "--disc", "-88", "--primes", "4"]
+    plain = run(search)
+    logs = [tmp_path / "after-plain.cache", tmp_path / "fresh.cache"]
+    assert run(["--cache", str(logs[0])] + search) == plain
+    assert run(["--cache", str(logs[1]), "search", "--family", str(path)] + search[1:]) == plain
+    fam = registry().family("xlm")
+    want = [f"{log_key(fam)} {p} {lam} {n}" for p, lam, n in
+            _members_of(fam, first_usable_primes(fam, NewformOracle(-88), 4))]
+    assert [log.read_text().splitlines() for log in logs] == [want, want]
+
+
+@pytest.mark.parametrize("disc, primes, lines, why", [
+    (-132, 6, 142, "not enough primes with small residue sets"),
+    (-7, 4, 84, "no lambda of height <= 1000000"),
+], ids=["disc-132", "disc-7"])
+def test_a_search_with_no_candidate_logs_the_members_it_scanned(tmp_path, disc, primes, lines, why):
+    # exit 1 comes after the scans: the log still gets every member of each scanned prime
+    from k3cm.newforms import NewformOracle
+    from k3cm.search import first_usable_primes
+
+    log = tmp_path / "counts.cache"
+    code, out, err = run_with_stderr(["--cache", str(log), "search", "--disc", str(disc), "--primes", str(primes)])
+    assert (code, out) == (1, "") and err.startswith("no candidate: ") and why in err
+    fam = registry().family("xlm")
+    got = [line.split(" ") for line in log.read_text().splitlines()]
+    assert len(got) == lines and len({key for key, *_ in got}) == 1
+    scanned = first_usable_primes(fam, NewformOracle(disc), primes)
+    assert [tuple(map(int, rest)) for _, *rest in got] == _members_of(fam, scanned)
+
+
 def test_lift_system_file(tmp_path):
     system = tmp_path / "sq.system"
     system.write_text("[system]\nvars = x\neq1 = 1:2 + -4/9:0\n")
@@ -471,7 +547,7 @@ def test_main_parses_each_call_on_its_own(tmp_path):
     assert code == 0 and out.startswith("15\t")
     code, out = run(["--cache", str(second), "count", "--prime", "23", "--lambda", "3"])
     assert code == 0 and out.startswith("3\t")
-    key = registry().family("xlm").digest
+    key = log_key(registry().family("xlm"))
     assert first.read_text().split()[:3] == [key, "19", "15"]
     assert second.read_text().split()[:3] == [key, "23", "3"]
     assert len(first.read_text().splitlines()) == len(second.read_text().splitlines()) == 1

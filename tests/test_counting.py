@@ -15,12 +15,12 @@ from k3cm.counting import (
     TwistTable,
     analyze_fibers_mod_p,
     count_family_member,
-    count_members,
     count_surface,
     count_weierstrass,
     depressed_cubic_sums,
     fixed_components,
     lefschetz_candidates,
+    log_key,
     twist_table,
 )
 from k3cm.exact import GF, Polynomial, primes_up_to
@@ -217,18 +217,24 @@ def test_count_cache_semantics(tmp_path):
 PUTS = [("fam", 7, 3, 120), ("fam", 7, 5, 98), ("other", 11, 2, 150), ("fam", 7, 3, 120)]
 
 
-def test_a_member_count_is_checked_against_the_cache_not_read_from_it(fam, tmp_path):
+def test_a_member_count_is_checked_against_the_cache_not_read_from_it(fam, tmp_path, capsys):
     # a wrong count already in the cache file is a conflict, never the member's count
-    path = tmp_path / "counts.cache"
+    from k3cm.cli import main
+
+    path, key = tmp_path / "counts.cache", log_key(fam)
     smooth = count_family_member(fam, 13, 3)[0]
-    path.write_text(f"{fam.digest} 13 3 {smooth + 91}\n")
-    cache = CountCache(str(path))
-    with pytest.raises(CountingError, match=f"{smooth + 91} vs {smooth} \\(determinism breach\\)"):
-        count_family_member(fam, 13, 3, cache)
-    with pytest.raises(CountingError, match="determinism breach"):
-        count_members(fam, 13, cache)
-    assert count_family_member(fam, 13, 4 + 13, cache) == count_family_member(fam, 13, 4)
-    assert cache.get(fam.digest, 13, 4) is not None    # keyed on lambda mod p
+    path.write_text(f"{key} 13 3 {smooth + 91}\n")
+    count = ["--cache", str(path), "count", "--prime", "13"]
+    assert main(count + ["--lambda", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: cache conflict for ('{key}', 13, 3): {smooth + 91} vs {smooth} (determinism breach)\n")
+    assert main(count) == 2
+    assert capsys.readouterr() == ("", f"input error: cache conflict for ('{key}', 13, 3): "
+                                       f"{smooth + 91} vs {smooth} (determinism breach)\n")
+    assert main(count + ["--lambda", str(4 + 13)]) == 0
+    smooth, t_alg, (c1, c2) = count_family_member(fam, 13, 4)
+    assert capsys.readouterr().out == f"4\t{smooth}\t{t_alg}\t{c1}\t{c2}\n"
+    assert CountCache(str(path)).get(key, 13, 4) == smooth    # keyed on lambda mod p
 
 
 def test_batch_writes_the_lines_of_separate_puts(tmp_path):
@@ -257,8 +263,7 @@ def test_batch_writes_its_puts_when_an_error_ends_it(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         with c.batch():
             c.put(*PUTS[0])
-            with c.batch():                      # nested: written with the outer batch
-                c.put(*PUTS[1])
+            c.put(*PUTS[1])
             assert opens == []
             raise RuntimeError("member loop interrupted")
     assert opens == [str(path)]
@@ -429,11 +434,11 @@ def test_twist_path_matches_brute_force(families):
 
 
 def test_all_members_from_one_correlation(families):
-    # count_members (one product for every lambda) against the O(p) sum per member and brute force
+    # the table's members (one product for every lambda) against the O(p) sum per member and brute force
     for fam in families:
         for p in fam.good_primes(31):
             table = twist_table(fam, p)
-            members = count_members(fam, p)
+            members = table.members
             assert set(members) == set(range(p)) - set(table.cusps), (fam.name, p)
             for lam, got in members.items():
                 assert got == count_family_member(fam, p, lam), (fam.name, p, lam)
@@ -503,7 +508,7 @@ def test_scan_raises_once_where_g_has_a_fiber_outside_the_tables(monkeypatch):
         with pytest.raises(CountingError, match=f"i1star_at_0~untwisted mod {p} at t=0: I1\\*"):
             scan_prime(I1_STAR_AT_0, p, oracle)
         with pytest.raises(CountingError, match=f"i1star_at_0~untwisted mod {p} at t=0: I1\\*"):
-            count_members(I1_STAR_AT_0, p)
+            twist_table(I1_STAR_AT_0, p).members
     assert spy.calls == {"specialize": 0, "analyze": 0, "count": 0}
 
 
@@ -564,6 +569,8 @@ def test_twist_tables_build_no_surface_and_classify_no_fiber(fam, monkeypatch):
 
 
 def test_members_are_computed_once_per_table(fam, tmp_path, monkeypatch):
+    from k3cm.cli import _log_members
+
     family, p, computed = dataclasses.replace(fam), 13, []
     member = counting._member
 
@@ -573,10 +580,10 @@ def test_members_are_computed_once_per_table(fam, tmp_path, monkeypatch):
 
     monkeypatch.setattr(counting, "_member", counted)
     path = tmp_path / "counts.cache"
-    cache = CountCache(path)
-    members = count_members(family, p, cache)
-    assert count_members(family, p, cache) is members
+    members = twist_table(family, p).members
+    assert twist_table(family, p).members is members
     assert len(computed) == p - len(twist_table(family, p).cusps) == 9
+    _log_members(CountCache(path), family, [(p, members)])   # as `count --prime 13` logs them
     # a fresh file gets the lines the counting wrote before members were kept on the table
     counts = {2: 296, 3: 240, 4: 248, 5: 314, 7: 282, 9: 222, 10: 270, 11: 298, 12: 226}
     assert path.read_text().splitlines() == [f"4684c1aa4cde 13 {lam} {n}" for lam, n in counts.items()]

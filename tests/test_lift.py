@@ -126,6 +126,24 @@ def test_a_member_lift_classifies_once(reg, fam, monkeypatch):
     assert calls == []
 
 
+def test_a_direct_surface_lift_classifies_once(reg, fam, monkeypatch):
+    """classify_fibers of a plain surface keeps its list as the surface's fibers, which the
+    lift's verify_section reads: classifying and then lifting walks the fibers once."""
+    import k3cm.surfaces
+
+    row = next(r for r in reg.table1 if r.disc == -88)
+    member = fam.specialize(row.lam)
+    surf = k3cm.surfaces.WeierstrassSurface(member.a2, member.a4, member.a6, name="d88")
+    walks = []
+    original = k3cm.surfaces.walk_fibers
+    monkeypatch.setattr(k3cm.surfaces, "walk_fibers", lambda *a, **k: walks.append(a[0]) or original(*a, **k))
+    fibers = classify_fibers(surf)
+    assert fibers is surf.fibers and classify_fibers(surf) is fibers
+    plan = plan_for(fibers, {"I5": 1, "I3": 1, "I7": 2, "I0*": "leg"})
+    assert recover_section(surf, fibers, plan, 19, expected_disc=-88).u == parse_ratfun(row.u_text)
+    assert walks == [surf]
+
+
 def table1_case(fam, row):
     """(surface, plan, printed section) of a Table 1 row.
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.counting import CountCache, TwistTable, count_family_member, twist_table
+from k3cm.counting import TwistTable, count_family_member, twist_table
 from k3cm.families import Family
 from k3cm.fixtures import registry
 from k3cm.newforms import NewformOracle
@@ -24,11 +24,6 @@ from test_counting import I0_STAR_AT_0, I0_STAR_AT_INF
 @pytest.fixture(scope="module")
 def fam():
     return registry().family("xlm")
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return CountCache()
 
 
 def test_first_usable_primes_has_no_cap(fam):
@@ -61,25 +56,25 @@ def test_a_scan_asks_the_bad_prime_rule_at_its_prime_alone(fam, monkeypatch):
     assert corroborate(fam, Fraction(1, 3), oracle, [7, 23]) == [(7, "skipped"), (23, "mismatch")]
 
 
-def test_scan_contains_true_residue(fam, cache):
+def test_scan_contains_true_residue(fam):
     oracle = NewformOracle(-88)
     for p in usable_primes(fam, oracle, 100)[:4]:
-        residues = scan_prime(fam, p, oracle, cache)
+        residues = scan_prime(fam, p, oracle)
         want = 5 * pow(32, -1, p) % p
         assert want in residues, (p, residues)
 
 
-def test_lift_ranks_true_parameter_first(fam, cache):
+def test_lift_ranks_true_parameter_first(fam):
     primes = usable_primes(fam, NewformOracle(-88), 100)[:3]
-    sets = {p: scan_prime(fam, p, NewformOracle(-88), cache) for p in primes}
+    sets = {p: scan_prime(fam, p, NewformOracle(-88)) for p in primes}
     reports = lift_candidates(sets, -88)
     assert reports[0].lam == Fraction(5, 32)
 
 
-def test_search_rediscovers_1540(fam, cache):
+def test_search_rediscovers_1540(fam):
     oracle = NewformOracle(-1540)
     primes = usable_primes(fam, oracle, 100)[:4]
-    reports = search(fam, oracle, primes, cache=cache)
+    reports = search(fam, oracle, primes)
     assert reports[0].lam == Fraction(539, 512)
 
 
@@ -89,16 +84,16 @@ def test_inconsistent_residues_do_not_lift(fam):
     assert all(r.lam != Fraction(5, 32) for r in reports)
 
 
-def test_corroborate_matches_and_refutes(fam, cache):
+def test_corroborate_matches_and_refutes(fam):
     oracle = NewformOracle(-88)
     primes = usable_primes(fam, oracle, 100)[:6]
-    rows = corroborate(fam, Fraction(5, 32), oracle, primes, cache)
+    rows = corroborate(fam, Fraction(5, 32), oracle, primes)
     assert all(status == "match" for _, status in rows)
-    rows_bad = corroborate(fam, Fraction(7, 32), oracle, primes, cache)
+    rows_bad = corroborate(fam, Fraction(7, 32), oracle, primes)
     assert any(status == "mismatch" for _, status in rows_bad)
 
 
-def test_table1_lambdas_survive_scan(fam, cache):
+def test_table1_lambdas_survive_scan(fam):
     # soundness sample: true parameters reduce into the scan output
     reg = registry()
     sample = [r for r in reg.table1 if r.disc in (-228, -312, -660)]
@@ -107,28 +102,9 @@ def test_table1_lambdas_survive_scan(fam, cache):
         for p in usable_primes(fam, oracle, 100)[:3]:
             if row.lam.denominator % p == 0:
                 continue
-            res = scan_prime(fam, p, oracle, cache)
+            res = scan_prime(fam, p, oracle)
             want = row.lam.numerator * pow(row.lam.denominator, -1, p) % p
             assert want in res, (row.disc, p)
-
-
-def test_scan_prime_appends_to_the_cache_once(fam, tmp_path, monkeypatch):
-    path = tmp_path / "counts.cache"
-    cache = CountCache(str(path))
-    oracle = NewformOracle(-88)
-    opens = []
-    real_open = open
-    monkeypatch.setattr("builtins.open", lambda f, *a, **k: opens.append(f) or real_open(f, *a, **k))
-    p, q = usable_primes(fam, oracle, 100)[:2]
-    first = scan_prime(fam, p, oracle, cache)
-    assert opens == [str(path)]
-    counted = len(path.read_text().splitlines())
-    assert counted == p - len(fam.degenerate_lambdas(p))
-    assert scan_prime(fam, p, oracle, cache) == first        # all hits: nothing to append
-    assert opens == [str(path)]
-    scan_prime(fam, q, oracle, cache)
-    assert opens == [str(path)] * 2
-    assert len(path.read_text().splitlines()) == counted + q - len(fam.degenerate_lambdas(q))
 
 
 def test_scan_equals_the_member_by_member_oracle(fam):
@@ -157,23 +133,18 @@ def test_a_raw_count_matches_where_a_candidate_trace_does(fam):
                 assert (table.raw_count(lam) in targets) == any(abs(c) in admissible for c in cands)
 
 
-def test_a_scan_with_a_log_keeps_the_same_lambda_and_logs_every_member(fam, tmp_path, monkeypatch):
-    # the match reads raw counts alone; the smooth counts are formed only for the log,
-    # which gets the same lines whether or not a plain scan read the table first
-    oracle, puts, built = NewformOracle(-88), [], []
-    real_put, real_members = CountCache.put, TwistTable.members.func
-    monkeypatch.setattr(CountCache, "put", lambda c, *a: puts.append(a) or real_put(c, *a))
+def test_a_scan_forms_no_smooth_count_and_keeps_its_lambda_once_they_are_formed(fam, monkeypatch):
+    # the match reads raw counts alone: a scan never forms the members' smooth counts
+    # (`TwistTable.members`), and once something has formed them the scan is unchanged
+    oracle, built = NewformOracle(-88), []
+    real_members = TwistTable.members.func
     monkeypatch.setattr(TwistTable, "members", property(lambda t: built.append(t.p) or real_members(t)))
     for p in usable_primes(fam, oracle, 100)[:2]:
-        plain_first, log_only = dataclasses.replace(fam), dataclasses.replace(fam)
+        plain_first, members_first = dataclasses.replace(fam), dataclasses.replace(fam)
         plain = scan_prime(plain_first, p, oracle)
-        assert (puts, built) == ([], [])
-        logs = [tmp_path / f"{p}-after-plain.cache", tmp_path / f"{p}-alone.cache"]
-        assert scan_prime(plain_first, p, oracle, CountCache(str(logs[0]))) == plain
-        assert scan_prime(log_only, p, oracle, CountCache(str(logs[1]))) == plain
-        assert plain == scan_by_member(fam, p, oracle)
-        want = [f"{fam.digest} {p} {lam} {count_family_member(fam, p, lam)[0]}"
-                for lam in range(p) if lam not in fam.degenerate_lambdas(p)]
-        assert [log.read_text().splitlines() for log in logs] == [want, want]
-        assert built == [p, p]
-        puts.clear(), built.clear()
+        assert built == []
+        twist_table(members_first, p).members
+        assert scan_prime(members_first, p, oracle) == plain == scan_by_member(fam, p, oracle)
+        assert scan_prime(plain_first, p, oracle) == plain
+        assert built == [p]
+        built.clear()
