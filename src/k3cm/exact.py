@@ -217,8 +217,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """The text "n" or "n/d" of a Fraction or an int, which `str` already gives."""
+    return str(q)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +328,6 @@ class Domain:
 
     def eq(self, x, y) -> bool:
         return x == y
-
-    def is_zero(self, x) -> bool:
-        return self.eq(x, self.zero)
 
     def is_unit(self, x) -> bool:
         return not self.is_zero(x)
@@ -1003,12 +1000,13 @@ def _quads(xa, xb, den: int, m: int) -> list:
 def _convolve(domain: Domain, xs, ys, n: int) -> list:
     """The first n coefficients of the product of coefficient lists xs and ys.
 
-    Multiplies `Series` (products, `scale`, `inverse`) and, outside Q,
-    `Polynomial` products and `scale`.  Over Q the integer numerators are
-    convolved over one common denominator; over Z/p^k (GF(p) included) plain
-    ints, reduced mod p^k once per output coefficient; over Q(sqrt m) the
-    (rational part, sqrt(m) part) numerator pairs over one common denominator.
-    Each output scalar is built once.  Short lists are read as padded with zeros.
+    `Polynomial` products and `scale` outside Q run on it (over Q they
+    convolve their integer numerators directly).  Over Q the integer
+    numerators are convolved over one common denominator; over Z/p^k (GF(p)
+    included) plain ints, reduced mod p^k once per output coefficient; over
+    Q(sqrt m) the (rational part, sqrt(m) part) numerator pairs over one
+    common denominator.  Each output scalar is built once.  Short lists are
+    read as padded with zeros.
     """
     xs, ys = xs[:n], ys[:n]
     if isinstance(domain, RationalField):
@@ -1173,82 +1171,3 @@ class RationalFunction:
         if self.is_polynomial():
             return self.num.to_text()
         return f"{self.num.to_text()} / {self.den.to_text()}"
-
-
-# ---------------------------------------------------------------------------
-# truncated power series (for local expansions at a cusp)
-# ---------------------------------------------------------------------------
-
-class Series:
-    """Truncated power series: coefficients known modulo t^prec."""
-
-    __slots__ = ("domain", "coeffs", "prec")
-
-    def __init__(self, domain: Domain, coeffs, prec: int):
-        cs = list(coeffs)[:prec]
-        cs += [domain.zero] * (prec - len(cs))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Series is immutable")
-
-    def __add__(self, other):
-        n = min(self.prec, other.prec)
-        d = self.domain
-        return Series(d, [d.add(self.coeffs[i], other.coeffs[i]) for i in range(n)], n)
-
-    def __sub__(self, other):
-        n = min(self.prec, other.prec)
-        d = self.domain
-        return Series(d, [d.sub(self.coeffs[i], other.coeffs[i]) for i in range(n)], n)
-
-    def __neg__(self):
-        return Series(self.domain, [self.domain.neg(c) for c in self.coeffs], self.prec)
-
-    def __mul__(self, other):
-        n = min(self.prec, other.prec)
-        return Series(self.domain, _convolve(self.domain, self.coeffs, other.coeffs, n), n)
-
-    def scale(self, c):
-        return Series(self.domain, _convolve(self.domain, [c], self.coeffs, self.prec), self.prec)
-
-    def inverse(self) -> "Series":
-        """Newton doubling g <- g - g (f g - 1) on `_convolve` in every domain,
-        so over Q and Q(sqrt m) on integer numerators (pairs).  A zero
-        precision or a non-unit constant term raises ZeroDivisionError."""
-        d, n = self.domain, self.prec
-        if n == 0 or not d.is_unit(self.coeffs[0]):
-            raise ZeroDivisionError("series is not a unit")
-        g = [d.inv(self.coeffs[0])]
-        while len(g) < n:
-            k = len(g)
-            err = _convolve(d, self.coeffs, g, min(2 * k, n))[k:]
-            g += [d.neg(c) for c in _convolve(d, g, err, len(err))]
-        return Series(d, g, n)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def valuation(self) -> int:
-        """Order of vanishing; returns prec when zero to working precision."""
-        for i, c in enumerate(self.coeffs):
-            if not self.domain.is_zero(c):
-                return i
-        return self.prec
-
-    def __getitem__(self, i):
-        return self.coeffs[i] if i < self.prec else self.domain.zero
-
-    def is_zero_to_prec(self) -> bool:
-        return all(self.domain.is_zero(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"Series({[self.domain.format(c) for c in self.coeffs]}, O(t^{self.prec}))"
-
-
-def poly_series(f: Polynomial, point, prec: int) -> Series:
-    """Expansion of f around t = point to the given precision."""
-    return Series(f.domain, f.shift(point).coeffs, prec)
-

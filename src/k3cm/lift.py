@@ -1,7 +1,9 @@
 """Recovering exact section coefficients by p-adic Newton iteration.
 
-The ansatz builder turns a contact plan into (i) affine models of the
-section coordinates u and w whose linear constraints are already solved
+The ansatz builder turns a contact plan into (i) one affine row per
+coefficient of the section coordinates u and w, over the free variables
+left by the linear contact constraints (whose targets at an I_n node are the
+Taylor coefficients of the node's critical point, `surfaces.node_series`),
 and (ii) the polynomial system stating u^3 + a2 u^2 + a4 u + a6 = m w^2
 coefficientwise.  Solutions are located exhaustively mod p, their p-adic
 accuracy doubled with an exact-Jacobian Newton step, and the coordinates
@@ -12,6 +14,7 @@ of every equation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -119,8 +122,6 @@ class MultiPoly:
         return total
 
     def denominator_lcm(self) -> int:
-        import math
-
         out = 1
         for c in self.terms.values():
             out = out * c.denominator // math.gcd(out, c.denominator)
@@ -173,23 +174,26 @@ class PolySystem:
 class SectionAnsatz:
     """Degree-bounded u and w with contact constraints already solved.
 
-    u_affine / w_affine: per-coefficient affine forms over the free
-    variables (z_1..z_r for u, then z_{r+1}.. for w, then m last).  The pair
-    (m, w) carries a scale gauge (m, w) ~ (m c^2, w/c); `pinned` removes it
-    by fixing one free w-coordinate to 1.
+    u_affine / w_affine: one affine row per t-coefficient of u (degree <= 4)
+    and w (degree <= 6), [coefficient of each free variable..., constant].
+    The variables are z_1..z_r for u, then z_{r+1}.. for w, then m last.
+    The pair (m, w) carries a scale gauge (m, w) ~ (m c^2, w/c); `pinned`
+    removes it by fixing one free w-coordinate to 1.
     """
 
     surface: WeierstrassSurface
     plan: list
-    u_affine: list   # MultiPoly per t-coefficient of u (degree <= 4)
-    w_affine: list   # MultiPoly per t-coefficient of w (degree <= 6)
+    u_affine: list
+    w_affine: list
     n_u_free: int
     n_w_free: int
     system: PolySystem
     pin_index: int | None = None
 
-    def u_for(self, values, domain=QQ) -> Polynomial:
-        return Polynomial(domain, [a.evaluate(values, domain) for a in self.u_affine])
+    def u_for(self, values) -> Polynomial:
+        """u with the free u-variables set to the leading entries of values."""
+        return Polynomial(QQ, [sum((c * z for c, z in zip(row[:-1], values)), row[-1])
+                               for row in self.u_affine])
 
     def pinned(self, j: int) -> "SectionAnsatz":
         """Gauge-fixed copy with free w-coordinate j set to 1."""
@@ -200,8 +204,8 @@ class SectionAnsatz:
         return SectionAnsatz(
             surface=self.surface,
             plan=self.plan,
-            u_affine=[a.pin(var) for a in self.u_affine],
-            w_affine=[a.pin(var) for a in self.w_affine],
+            u_affine=self.u_affine,
+            w_affine=[row[:j] + row[j + 1 : -1] + [row[-1] + row[j]] for row in self.w_affine],
             n_u_free=self.n_u_free,
             n_w_free=self.n_w_free - 1,
             system=PolySystem(
@@ -219,7 +223,8 @@ def build_ansatz(surface: WeierstrassSurface, fibers, plan: dict, expected_disc:
     plan: fiber index -> contact spec: an integer k for I_n (component pair
     {k, n-k}), or "leg" for a non-identity I_0* contact.  Degree bounds are
     4 for u and 6 for w; the fiber contact divisibilities become linear
-    constraints whose inhomogeneous parts come from the node drift series.
+    constraints whose inhomogeneous parts are the Taylor coefficients of the
+    node's critical point (`node_series`).
     """
     corr = Fraction(0)
     for idx, spec in plan.items():
@@ -247,21 +252,22 @@ def build_ansatz(surface: WeierstrassSurface, fibers, plan: dict, expected_disc:
             ku, kw = 1, 2
         _contact_rows(surface, f, ku, 5, rows_u, rhs_u, node=True)
         _contact_rows(surface, f, kw, 7, rows_w, rhs_w, node=False)
-    u_aff, nu = _affine_solutions(rows_u, rhs_u, 5, 0)
-    w_aff, nw = _affine_solutions(rows_w, rhs_w, 7, nu)
+    u_aff = _affine_solutions(rows_u, rhs_u, 5)
+    w_aff = _affine_solutions(rows_w, rhs_w, 7)
+    nu, nw = len(u_aff[0]) - 1, len(w_aff[0]) - 1
     nvars = nu + nw + 1
-    u_aff = [_expand_vars(a, nvars) for a in u_aff]
-    w_aff = [_expand_vars(a, nvars) for a in w_aff]
+    u = _multipolys(u_aff, 0, nvars)
+    w = _multipolys(w_aff, nu, nvars)
 
     # coefficientwise equations of u^3 + a2 u^2 + a4 u + a6 - m w^2
     m_var = MultiPoly.variable(nvars, nvars - 1)
-    u2 = _convolve(u_aff, u_aff, nvars)
-    u3 = _convolve(u2, u_aff, nvars)
+    u2 = _convolve(u, u, nvars)
+    u3 = _convolve(u2, u, nvars)
     a2co = [MultiPoly.constant(nvars, c) for c in surface.a2.coeffs]
     a4co = [MultiPoly.constant(nvars, c) for c in surface.a4.coeffs]
     a6co = [MultiPoly.constant(nvars, c) for c in surface.a6.coeffs]
-    terms = [u3, _convolve(a2co, u2, nvars), _convolve(a4co, u_aff, nvars), a6co]
-    w2 = _convolve(w_aff, w_aff, nvars)
+    terms = [u3, _convolve(a2co, u2, nvars), _convolve(a4co, u, nvars), a6co]
+    w2 = _convolve(w, w, nvars)
     mw2 = [m_var * c for c in w2]
     deg = max(len(t) for t in terms + [mw2])
     eqs = []
@@ -282,8 +288,8 @@ def build_ansatz(surface: WeierstrassSurface, fibers, plan: dict, expected_disc:
 def _contact_rows(surface, fiber, k, width, rows, rhs, node: bool):
     """Linear conditions: the first k local coefficients match the target.
 
-    For u the target is the node drift series (x = 0 line for star fibers);
-    for w the target is zero.
+    For u the target is the node's critical point (x = 0 line for star
+    fibers); for w the target is zero.
     """
     cusp = fiber.cusp
     if cusp.kind == "orbit":
@@ -297,62 +303,45 @@ def _contact_rows(surface, fiber, k, width, rows, rhs, node: bool):
         t0 = cusp.value
         reversed_idx = False
     if node and fiber.kind == "I" and fiber.n >= 2:
-        target = node_series(chart, t0, Fraction(fiber.node_x), k + 1)
-        targets = [target[i] for i in range(k)]
+        targets = node_series(chart, t0, Fraction(fiber.node_x), k)
     else:
         targets = [Fraction(0)] * k
     # Taylor rows: coefficient of (t0 + eps)^j expansions, eps-order i < k
     deg = width - 1
     for i in range(k):
         row = [Fraction(0)] * width
-        for j in range(width):
-            src = deg - j if reversed_idx else j
-            if i <= j:
-                row[src] += _binom(j, i) * (t0 ** (j - i))
+        for j in range(i, width):
+            row[deg - j if reversed_idx else j] += math.comb(j, i) * t0 ** (j - i)
         rows.append(row)
         rhs.append(targets[i])
 
 
-def _binom(n, k):
-    import math
-
-    return Fraction(math.comb(n, k))
-
-
-def _affine_solutions(rows, rhs, width, var_offset):
-    """Solve the linear constraints; coefficients become affine MultiPolys.
-
-    Returns (affine list over a temporary variable count, n_free).
-    """
+def _affine_solutions(rows, rhs, width) -> list[list[Fraction]]:
+    """Solve the linear constraints: one affine row per coefficient,
+    [coefficient of each free variable..., constant]."""
     aug, pivots = row_reduce(QQ, [row + [b] for row, b in zip(rows, rhs)], width)
     if any(row[width] for row in aug[len(pivots):]):
         raise LiftError("contact plan is linearly inconsistent")
     free_cols = [c for c in range(width) if c not in pivots]
-    nfree = len(free_cols)
-    # temporary total variable count: var_offset + nfree + slack; expanded later
-    tmp_nvars = var_offset + nfree + 1
-    coeffs = []
+    out = []
     for c in range(width):
         if c in free_cols:
-            i = free_cols.index(c)
-            coeffs.append(MultiPoly.variable(tmp_nvars, var_offset + i))
+            out.append([Fraction(c == fc) for fc in free_cols] + [Fraction(0)])
         else:
-            rrow = pivots.index(c)
-            e = MultiPoly.constant(tmp_nvars, aug[rrow][width])
-            for fi, fc in enumerate(free_cols):
-                val = aug[rrow][fc]
-                if val:
-                    e = e - MultiPoly.variable(tmp_nvars, var_offset + fi).scale(val)
-            coeffs.append(e)
-    return coeffs, nfree
+            r = aug[pivots.index(c)]
+            out.append([-r[fc] for fc in free_cols] + [r[width]])
+    return out
 
 
-def _expand_vars(mp: MultiPoly, nvars: int) -> MultiPoly:
-    out = {}
-    for e, c in mp.terms.items():
-        e2 = tuple(list(e) + [0] * (nvars - len(e)))
-        out[e2] = c
-    return MultiPoly(nvars, out)
+def _multipolys(rows, offset: int, nvars: int) -> list[MultiPoly]:
+    """Affine rows over the variables offset.. as MultiPolys in nvars variables."""
+    out = []
+    for row in rows:
+        terms = {(0,) * nvars: row[-1]}
+        for i, c in enumerate(row[:-1], offset):
+            terms[(0,) * i + (1,) + (0,) * (nvars - i - 1)] = c
+        out.append(MultiPoly(nvars, terms))
+    return out
 
 
 def _convolve(a, b, nvars):
@@ -390,8 +379,8 @@ def solve_mod_p(ansatz: SectionAnsatz, p: int) -> list[tuple[int, ...]]:
     if p ** nu > 2 * 10**6:
         raise LiftError(f"mod-{p} search space of {p}^{nu} values of u exceeds the cap of 2*10^6")
     surf_p = ansatz.surface.map_domain(F)
-    u_rows = _affine_rows(ansatz.u_affine, 0, nu, F)
-    w_rows = _affine_rows(ansatz.w_affine, nu, nw, F)
+    u_rows = _affine_rows(ansatz.u_affine, F)
+    w_rows = _affine_rows(ansatz.w_affine, F)
     sols = []
     for zu in itertools.product(range(p), repeat=nu):
         u = Polynomial(F, [sum((a * z for a, z in zip(row, zu)), row[nu]) % p for row in u_rows])
@@ -413,15 +402,9 @@ def solve_mod_p(ansatz: SectionAnsatz, p: int) -> list[tuple[int, ...]]:
     return sols
 
 
-def _affine_rows(affs, offset: int, n: int, F) -> list[list[int]]:
-    """Affine forms in variables offset..offset+n-1 as rows [coefficients..., constant] over F."""
-    rows = []
-    for aff in affs:
-        row = [0] * (n + 1)
-        for e, c in aff.terms.items():
-            row[e.index(1) - offset if any(e) else n] = F.from_fraction(c)
-        rows.append(row)
-    return rows
+def _affine_rows(rows, F) -> list[list[int]]:
+    """Affine rows [coefficients..., constant] reduced into F."""
+    return [[F.from_fraction(c) for c in row] for row in rows]
 
 
 def newton_double(system: PolySystem, solution, p: int, k: int, row_choice=None):
@@ -553,7 +536,7 @@ def recover_section(surface, fibers, plan: dict, p: int, expected_disc=None, tra
     """build_ansatz + solve + lift, returning a verified Section."""
     ansatz = build_ansatz(surface, fibers, plan, expected_disc)
     values, fixed = lift_and_verify(ansatz, p, trace=trace)
-    u = fixed.u_for(values, QQ)
+    u = fixed.u_for(values)
     return verify_section(surface, RationalFunction(u))
 
 

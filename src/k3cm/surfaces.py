@@ -21,10 +21,7 @@ from k3cm.exact import (
     DomainError,
     Polynomial,
     RationalFunction,
-    Series,
-    format_rational,
     is_prime,
-    poly_series,
     rational_reconstruct,
     GF,
     resultant,
@@ -74,8 +71,6 @@ class Cusp:
             return "inf"
         if self.kind == "orbit":
             return f"orbit({self.value.to_text()})"
-        if isinstance(self.value, Fraction):
-            return format_rational(self.value)
         return str(self.value)
 
 
@@ -510,25 +505,30 @@ def _square_class(domain, value):
 
 
 # ---------------------------------------------------------------------------
-# node drift series (the t-varying critical point near a node)
+# node targets (the t-varying critical point near a node)
 # ---------------------------------------------------------------------------
 
-def node_series(surface: WeierstrassSurface, t0, x0, prec: int) -> Series:
-    """Power series x(t) of the critical point of the fiber cubic near x0.
+def node_series(surface: WeierstrassSurface, t0, x0, prec: int) -> list:
+    """The first prec Taylor coefficients at t0 of the critical point x(t) of
+    the fiber cubic through x0, the root of f'(x) = 3x^2 + 2 a2 x + a4.
 
-    The root of f'(x) = 3x^2 + 2 a2 x + a4 by Newton iteration in the series
-    ring at t0; requires f''(x0) != 0 at t0 (true at any I_n node).
+    With v = 3x + a2, f'(x) = 0 reads v^2 = D = a2^2 - 3 a4, so v is the square
+    root of D with v_0 = 3 x0 + a2(t0), one coefficient at a time:
+    v_n = (D_n - sum_{0<i<n} v_i v_{n-i}) / (2 v_0).  v_0 = f''(x0)/2 is
+    nonzero at any I_n node.
     """
     d = surface.domain
-    a2s, a4s = poly_series(surface.a2, t0, prec), poly_series(surface.a4, t0, prec)
-    three, two, six = (Series(d, [d.from_fraction(Fraction(c))], prec) for c in (3, 2, 6))
-    x = Series(d, [x0], prec)
-    for _ in range(prec.bit_length() + 3):
-        fprime = three * x * x + two * a2s * x + a4s
-        if fprime.is_zero_to_prec():
-            return x
-        fsecond = six * x + two * a2s
-        if d.is_zero(fsecond.coeffs[0]):
-            raise SurfaceError("degenerate node: f''(x0) vanishes")
-        x = x - fprime / fsecond
-    raise SurfaceError("node series did not converge; raise precision")
+    three = d.from_fraction(Fraction(3))
+    a2 = surface.a2.shift(t0)
+    D = (surface.a2 * surface.a2 - surface.a4.scale(three)).shift(t0)
+    v = [d.add(d.mul(three, x0), a2[0])]
+    if d.is_zero(v[0]):
+        raise SurfaceError("degenerate node: f''(x0) vanishes")
+    if not d.eq(d.mul(v[0], v[0]), D[0]):
+        raise SurfaceError("x0 is not a critical point of the fiber cubic at t0")
+    for n in range(1, prec):
+        acc = D[n]
+        for i in range(1, n):
+            acc = d.sub(acc, d.mul(v[i], v[n - i]))
+        v.append(d.div(acc, d.add(v[0], v[0])))
+    return [x0] + [d.div(d.sub(v[n], a2[n]), three) for n in range(1, prec)]

@@ -22,9 +22,9 @@ from k3cm.exact import (
     Polynomial,
     QuadField,
     QuadNum,
+    Domain,
     RationalFunction,
-    Series,
-    poly_series,
+    _convolve,
     primes_up_to,
     rational_sqrt,
     roots_mod_p,
@@ -37,6 +37,7 @@ from k3cm.quadforms import BinaryQuadraticForm, _check_discriminant, reduce_form
 from k3cm.sections import Section, SectionError, _same_square_class
 from k3cm.surfaces import (
     Cusp,
+    SurfaceError,
     WeierstrassSurface,
     _roots_of_squarefree,
     squarefree_decomposition,
@@ -54,6 +55,107 @@ def rational_roots(f: Polynomial) -> dict:
 def from_fractions(domain, fracs) -> Polynomial:
     """The polynomial with ascending coefficients fracs (rationals) mapped into domain."""
     return Polynomial(domain, [domain.from_fraction(Fraction(c)) for c in fracs])
+
+
+# ---------------------------------------------------------------------------
+# truncated power series: local expansions the package no longer makes
+# ---------------------------------------------------------------------------
+
+class Series:
+    """Truncated power series: coefficients known modulo t^prec."""
+
+    __slots__ = ("domain", "coeffs", "prec")
+
+    def __init__(self, domain: Domain, coeffs, prec: int):
+        cs = list(coeffs)[:prec]
+        cs += [domain.zero] * (prec - len(cs))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "prec", prec)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Series is immutable")
+
+    def __add__(self, other):
+        n = min(self.prec, other.prec)
+        d = self.domain
+        return Series(d, [d.add(self.coeffs[i], other.coeffs[i]) for i in range(n)], n)
+
+    def __sub__(self, other):
+        n = min(self.prec, other.prec)
+        d = self.domain
+        return Series(d, [d.sub(self.coeffs[i], other.coeffs[i]) for i in range(n)], n)
+
+    def __neg__(self):
+        return Series(self.domain, [self.domain.neg(c) for c in self.coeffs], self.prec)
+
+    def __mul__(self, other):
+        n = min(self.prec, other.prec)
+        return Series(self.domain, _convolve(self.domain, self.coeffs, other.coeffs, n), n)
+
+    def scale(self, c):
+        return Series(self.domain, _convolve(self.domain, [c], self.coeffs, self.prec), self.prec)
+
+    def inverse(self) -> "Series":
+        """Newton doubling g <- g - g (f g - 1) on `_convolve` in every domain,
+        so over Q and Q(sqrt m) on integer numerators (pairs).  A zero
+        precision or a non-unit constant term raises ZeroDivisionError."""
+        d, n = self.domain, self.prec
+        if n == 0 or not d.is_unit(self.coeffs[0]):
+            raise ZeroDivisionError("series is not a unit")
+        g = [d.inv(self.coeffs[0])]
+        while len(g) < n:
+            k = len(g)
+            err = _convolve(d, self.coeffs, g, min(2 * k, n))[k:]
+            g += [d.neg(c) for c in _convolve(d, g, err, len(err))]
+        return Series(d, g, n)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def valuation(self) -> int:
+        """Order of vanishing; returns prec when zero to working precision."""
+        for i, c in enumerate(self.coeffs):
+            if not self.domain.is_zero(c):
+                return i
+        return self.prec
+
+    def __getitem__(self, i):
+        return self.coeffs[i] if i < self.prec else self.domain.zero
+
+    def is_zero_to_prec(self) -> bool:
+        return all(self.domain.is_zero(c) for c in self.coeffs)
+
+    def __repr__(self):
+        return f"Series({[self.domain.format(c) for c in self.coeffs]}, O(t^{self.prec}))"
+
+
+def poly_series(f: Polynomial, point, prec: int) -> Series:
+    """Expansion of f around t = point to the given precision."""
+    return Series(f.domain, f.shift(point).coeffs, prec)
+
+
+def node_series_newton(surface: WeierstrassSurface, t0, x0, prec: int) -> Series:
+    """Power series x(t) of the critical point of the fiber cubic near x0.
+
+    The root of f'(x) = 3x^2 + 2 a2 x + a4 by Newton iteration in the series
+    ring at t0, as `surfaces.node_series` computed it before its square-root
+    recurrence; requires f''(x0) != 0 at t0 (true at any I_n node).
+    """
+    d = surface.domain
+    a2s, a4s = poly_series(surface.a2, t0, prec), poly_series(surface.a4, t0, prec)
+    three, two, six = (Series(d, [d.from_fraction(Fraction(c))], prec) for c in (3, 2, 6))
+    x = Series(d, [x0], prec)
+    for _ in range(prec.bit_length() + 3):
+        fprime = three * x * x + two * a2s * x + a4s
+        if fprime.is_zero_to_prec():
+            return x
+        fsecond = six * x + two * a2s
+        if d.is_zero(fsecond.coeffs[0]):
+            raise SurfaceError("degenerate node: f''(x0) vanishes")
+        x = x - fprime / fsecond
+    raise SurfaceError("node series did not converge; raise precision")
+
 
 
 def ratfun_series(f: RationalFunction, point, prec: int) -> Series:

@@ -1,6 +1,5 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
@@ -168,35 +167,6 @@ def test_verify_fixture_surface():
     assert code == 0
     assert "disc NS = -627" in out
     assert "T(X) = [22,11,34]" in out
-
-
-GOLDEN = Path(__file__).parent / "golden" / "verify_examples.txt"
-
-
-def test_verify_examples_match_golden_output():
-    # `k3cm verify --surface X` stdout for the 9 example surfaces, as recorded
-    # before sections were built and normalized in one place
-    got = ""
-    for name in sorted(registry().surfaces):
-        code, out = run(["verify", "--surface", name])
-        got += f"# k3cm verify --surface {name} -> exit {code}\n{out}"
-    assert got == GOLDEN.read_text()
-
-
-GOLDEN_CERTIFIED = Path(__file__).parent / "golden" / "verify_certified.txt"
-
-
-def test_verify_certified_family_members_match_golden_output():
-    # `k3cm verify --surface X` stdout for the 25 Table 1 and 5 extremal surfaces, in the
-    # registry's order, as recorded before a member's I0* at t = lambda was read off g;
-    # with the 9 examples above, every surface a certify pass checks
-    got = ""
-    for fx in registry().certified:
-        if fx.name.startswith(("table1_", "extremal_")):
-            code, out = run(["verify", "--surface", fx.name])
-            got += f"# k3cm verify --surface {fx.name} -> exit {code}\n{out}"
-    assert got.count("-> exit 0\n") == 30
-    assert got == GOLDEN_CERTIFIED.read_text()
 
 
 def test_verify_lifts_sections_once(monkeypatch):

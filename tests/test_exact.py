@@ -13,7 +13,6 @@ from k3cm.exact import (
     QuadField,
     QuadNum,
     RationalFunction,
-    Series,
     _convolve,
     _pair_coeffs,
     _pair_primitive,
@@ -23,7 +22,6 @@ from k3cm.exact import (
     parse_quadnum,
     parse_rational,
     prime_divisors,
-    poly_series,
     rational_reconstruct,
     resultant,
     row_reduce,
@@ -35,6 +33,7 @@ from k3cm.exact import (
 )
 
 from oracles import (
+    Series,
     frac_add,
     frac_derivative,
     frac_divrem,
@@ -47,6 +46,7 @@ from oracles import (
     frac_shift,
     frac_trim,
     from_fractions,
+    poly_series,
     ratfun_series,
     reference_square_cofactor,
 )
@@ -417,7 +417,7 @@ def test_row_reduce_over_padic_ring():
 
 
 # ---------------------------------------------------------------------------
-# series and misc helpers
+# the Series oracle (tests/oracles.py) and misc helpers
 # ---------------------------------------------------------------------------
 
 def test_series_expansion_and_inverse():

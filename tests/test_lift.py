@@ -330,8 +330,8 @@ def reference_solve_mod_p(ansatz, p):
     surf_p = ansatz.surface.map_domain(F)
     sols = []
     for zu in itertools.product(range(p), repeat=nu):
-        u_vals = list(zu) + [0] * (nw) + [0]
-        u = Polynomial(F, [a.evaluate(u_vals, F) for a in ansatz.u_affine])
+        u = Polynomial(F, [(sum(F.from_fraction(c) * z for c, z in zip(row, zu)) + F.from_fraction(row[nu])) % p
+                           for row in ansatz.u_affine])
         R = surf_p.rhs(RationalFunction(u)).num
         if R.is_zero():
             continue
@@ -373,21 +373,12 @@ def _reference_sqrt(f, roots):
 
 def _reference_match_w(ansatz, w, F):
     """z_w with w_affine(z_w) = w, when the solve is unique; else None."""
-    nu, nw = ansatz.n_u_free, ansatz.n_w_free
+    nw = ansatz.n_w_free
     rows, rhs = [], []
-    for j, aff in enumerate(ansatz.w_affine):
-        row = [0] * nw
-        const = F.zero
-        for e, c in aff.terms.items():
-            cval = F.from_fraction(c)
-            idx = [i for i, k in enumerate(e) if k]
-            if not idx:
-                const = F.add(const, cval)
-            else:
-                (i,) = idx
-                row[i - nu] = F.add(row[i - nu], cval)
-        rows.append(row)
-        rhs.append(F.sub(w[j], const))
+    for j, row in enumerate(ansatz.w_affine):
+        assert len(row) == nw + 1
+        rows.append([F.from_fraction(c) for c in row[:nw]])
+        rhs.append(F.sub(w[j], F.from_fraction(row[nw])))
     aug, pivots = row_reduce(F, [row + [b] for row, b in zip(rows, rhs)], nw)
     if len(pivots) < nw or any(row[nw] for row in aug[nw:]):
         return None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3cm.exact import QQ, Polynomial, QuadField, QuadNum, RationalFunction, Series, poly_series
+from k3cm.exact import QQ, Polynomial, QuadField, QuadNum, RationalFunction
 from k3cm.fixtures import parse_ratfun, registry
 from k3cm.lattices import match_transcendental
 from k3cm.quadforms import BinaryQuadraticForm
@@ -36,7 +36,15 @@ from k3cm.sections import (
     verify_section,
 )
 
-from oracles import from_fractions, ratfun_series, reference_rhs, reference_square_cofactor, section_sum
+from oracles import (
+    Series,
+    from_fractions,
+    poly_series,
+    ratfun_series,
+    reference_rhs,
+    reference_square_cofactor,
+    section_sum,
+)
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,14 @@ from k3cm.surfaces import (
     squarefree_decomposition,
 )
 
-from oracles import from_fractions, rational_roots, reference_discriminant_polys
+from oracles import (
+    Series,
+    from_fractions,
+    node_series_newton,
+    poly_series,
+    rational_roots,
+    reference_discriminant_polys,
+)
 
 
 @pytest.fixture(scope="module")
@@ -222,12 +229,37 @@ def test_squarefree_decomposition_roundtrip():
 
 def test_node_series_tracks_critical_point(fam):
     surf = fam.specialize(Fraction(5, 32))
-    x = node_series(surf, Fraction(0), Fraction(0), 6)
+    x = Series(QQ, node_series(surf, Fraction(0), Fraction(0), 6), 6)
     # f'(x(t)) = 3x^2 + 2 a2 x + a4 vanishes to working precision
-    from k3cm.exact import Series, poly_series
-
     a2s = poly_series(surf.a2, Fraction(0), 6)
     a4s = poly_series(surf.a4, Fraction(0), 6)
     three = Series(QQ, [Fraction(3)], 6)
     two = Series(QQ, [Fraction(2)], 6)
     assert (three * x * x + two * a2s * x + a4s).is_zero_to_prec()
+
+
+def test_node_series_matches_the_series_newton_at_every_table1_node(fam):
+    # the square-root recurrence against the Newton iteration in the series ring
+    # it replaced, at every I_n node (n >= 2) of the 26 Table 1 members, in the
+    # chart at infinity for the node there, as `lift._contact_rows` reads them
+    checked = 0
+    for row in registry().table1:
+        surf = fam.specialize(row.lam)
+        for f in surf.fibers:
+            if f.kind != "I" or f.n < 2:
+                continue
+            chart, t0 = (surf.flipped(), Fraction(0)) if f.cusp.kind == "infinity" else (surf, f.cusp.value)
+            for prec in (3, 8):
+                got = node_series(chart, t0, f.node_x, prec)
+                assert got == node_series_newton(chart, t0, f.node_x, prec).coeffs, (row.disc, str(f), prec)
+                checked += 1
+    assert checked == 208
+
+
+def test_node_series_refuses_a_degenerate_or_missing_node():
+    # at t = 0 the fiber cubic is x^3: f'(0) = f''(0) = 0
+    surf = WeierstrassSurface(P(0, 1), P(0, 1), P(0, 0, 1))
+    with pytest.raises(SurfaceError, match="degenerate node"):
+        node_series(surf, Fraction(0), Fraction(0), 4)
+    with pytest.raises(SurfaceError, match="not a critical point"):
+        node_series(surf, Fraction(0), Fraction(1), 4)
