@@ -1,5 +1,6 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,39 @@ def test_verify_fixture_surface():
     assert code == 0
     assert "disc NS = -627" in out
     assert "T(X) = [22,11,34]" in out
+
+
+GOLDEN = Path(__file__).parent / "golden" / "outputs"
+
+
+def recorded_verify(names):
+    # `k3cm verify --surface X` stdout against tests/golden/outputs/verify_X.txt,
+    # with every exit code 0
+    got, want = "", ""
+    for name in names:
+        code, out = run(["verify", "--surface", name])
+        got += f"# k3cm verify --surface {name} -> exit {code}\n{out}"
+        want += f"# k3cm verify --surface {name} -> exit 0\n"
+        want += (GOLDEN / f"verify_{name}.txt").read_text()
+    return got, want
+
+
+def test_verify_examples_match_golden_output():
+    # the 9 example surfaces, as recorded before sections were built and
+    # normalized in one place
+    got, want = recorded_verify(sorted(registry().surfaces))
+    assert got == want
+
+
+def test_verify_certified_family_members_match_golden_output():
+    # the 25 Table 1 and 5 extremal surfaces, in the registry's order, as recorded
+    # before a member's I0* at t = lambda was read off g; with the 9 examples
+    # above, every surface a certify pass checks
+    names = [fx.name for fx in registry().certified
+             if fx.name.startswith(("table1_", "extremal_"))]
+    assert len(names) == 30
+    got, want = recorded_verify(names)
+    assert got == want
 
 
 def test_verify_lifts_sections_once(monkeypatch):
