@@ -32,23 +32,23 @@ node's split class is -2AB there (f''/2 = -9B/2A at the double root -3B/2A).
 Then a member is read off it:
 
 * raw count = p(p+1) + (infinity fiber count) + sum_{t != lambda} chi(t-lambda) S(t),
-  the fiber y^2 = x^3 at t = lambda having p+1 points.  That sum is O(p) for
-  one member (`count_family_member`); for all p members (`TwistTable.members`)
-  it is one cyclic correlation of chi with S + p, one big-integer product;
+  the fiber y^2 = x^3 at t = lambda having p+1 points.  For all p members
+  (`TwistTable.raw_counts`) that sum is one cyclic correlation of chi with
+  S + p, one big-integer product;
 * at a finite cusp t0 of g the member has g's fiber twisted by the constant
   t0 - lambda: an I_n node's split class is multiplied by it, while an I_1 or
   I_0* fiber (whose residual cubic only scales) keeps its fixed components;
 * at t = lambda the member has an I0* fiber whose residual cubic g_lambda has
   Z(lambda) roots;
 * at infinity the twist factor (1 - lambda s) is 1 at s = 0, so the fiber and
-  its count are g's, off its t^3, t^6, t^9 coefficients (`Family.chart_at_infinity`).
+  its count are g's, at s = 0 of g's chart `flipped()` (g has weight 3).
 
-So a member's fixed components are one integer, `TwistTable.fixed(lambda)`,
-with no fiber list built per member.  They cancel in the candidate traces,
-r -+ p with r = raw - (p+1)^2, so a scan matches on `TwistTable.raw_counts`
-alone; `TwistTable.members` takes them for every lambda as one list, for
-`count` output and the log.  A lambda on a cusp of g (Delta_g(lambda) = 0,
-where the I0* meets a fixed fiber) raises CountingError naming the cusp and p.
+So a member's fixed components are one integer, with no fiber list built per
+member.  They cancel in the candidate traces, r -+ p with r = raw - (p+1)^2,
+so a scan matches on `TwistTable.raw_counts` alone; `TwistTable.members`
+takes them for every lambda as one list, for `count` output, the log and
+`count_family_member`.  A lambda on a cusp of g (Delta_g(lambda) = 0, where
+the I0* meets a fixed fiber) raises CountingError naming the cusp and p.
 
 `CountCache` is the `--cache` log, kept by the `count` and `search` commands
 alone: no counting or search function takes it.  It is conflict-checked and
@@ -73,7 +73,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
 from types import MappingProxyType
 
 from k3cm.exact import GF, PadicRing, roots_mod_p
@@ -134,7 +133,7 @@ def _fibers_mod_p(surface) -> list[tuple[FiberDescriptor, int]]:
     """(fiber, fixed components) at each root of Delta mod p, then at infinity."""
     delta = surface.delta
     cusps = [(Cusp.finite(t0), delta.valuation_at(t0)) for t0 in sorted(roots_mod_p(delta))]
-    return walk_fibers(surface, cusps, surface.flipped(), 24, _fiber_mod_p)
+    return walk_fibers(surface, cusps, _fiber_mod_p)
 
 
 def _fiber_mod_p(surface, cusp: Cusp, vd: int, place: Cusp | None = None) -> tuple[FiberDescriptor, int]:
@@ -191,7 +190,7 @@ def count_surface(surface_q: WeierstrassSurface, p: int):
     """
     if surface_q.is_bad_prime(p):
         raise CountingError(f"{surface_q.name or 'surface'}: p = {p} is a bad prime of its model")
-    S, _ = depressed_cubic_sums(p, _character_table(p), *_depressed_coefficients(surface_q, 4, p))
+    S, _ = depressed_cubic_sums(p, _character_table(p), *_depressed_coefficients(surface_q, p))
     fixed = sum(n for _, n in _fibers_mod_p(surface_q.map_domain(GF(p))))
     smooth = p * (p + 1) + p + 1 + sum(S) + p * fixed
     return smooth, 2 + fixed, lefschetz_candidates(smooth, p, 2 + fixed)
@@ -261,14 +260,14 @@ def _little(slots: array) -> array:
     return slots
 
 
-def _depressed_coefficients(surface, weight: int, p: int) -> tuple[list, list]:
+def _depressed_coefficients(surface, p: int) -> tuple[list, list]:
     """A, B with the cubic at t depressed to X^3 + A[t] X + B[t] at t = 0, ..., p - 1, then at infinity.
 
     A = -c4/48 and B = -c6/864 off the surface's c4 and c6 over Q, reduced mod p;
-    at infinity their t^2w and t^3w coefficients (s = 0 of the chart of weights (w, 2w, 3w)).
+    at infinity their t^2w and t^3w coefficients, w the model's weight (s = 0 of `flipped()`).
     """
     out = []
-    for f, scale, top in ((surface.c4, -48, 2 * weight), (surface.c6, -864, 3 * weight)):
+    for f, scale, top in ((surface.c4, -48, 2 * surface.weight), (surface.c6, -864, 3 * surface.weight)):
         nums, den = f.int_coeffs
         inv = pow(scale * den, -1, p)
         cs = [c * inv % p for c in nums]
@@ -293,10 +292,10 @@ def _values_mod(cs: list, p: int) -> list[int]:
 class TwistTable:
     """Member-independent counting data of a (1, 2, 3)-twist family at p.
 
-    A member off the cusps of g is read off it: `raw_count` is its
-    Weierstrass count in O(p), `raw_counts` every member's (all a scan reads)
-    and `members` every member's smooth count, and `fixed` its Frobenius-fixed
-    non-identity components, an integer, with no per-member fiber list.
+    A member off the cusps of g is read off it: `raw_counts` holds every
+    member's Weierstrass count (all a scan reads) and `members` every member's
+    smooth count, its Frobenius-fixed non-identity components an integer,
+    with no per-member fiber list.
     """
 
     p: int
@@ -318,7 +317,7 @@ class TwistTable:
         if p <= 3:
             raise CountingError(f"twist table at p = {p}: the cubic is depressed by X -> X - c2/3")
         F, g = family.residue_field(p), family.untwisted
-        A, B = _depressed_coefficients(g, 3, p)
+        A, B = _depressed_coefficients(g, p)
         chi = _character_table(p)
         S, Z = depressed_cubic_sums(p, chi, A, B)
         at = [(t0, Cusp.finite(t0), fib) for t0, fib in sorted(family.degenerate_lambdas(p).items())]
@@ -332,7 +331,7 @@ class TwistTable:
             try:
                 fixed = fixed_components(fib, p)
             except UnsupportedFiberError as exc:   # in the words of `classify_at` on g or its chart
-                where = g.name if i < p else family.chart_at_infinity.name
+                where = (g if i < p else g.flipped()).name
                 raise CountingError(f"{where} mod {p} at t={i % p}: {exc}") from exc
             fibers[i] = fib
             if i < p and fib.kind == "I" and fib.n >= 2:
@@ -343,27 +342,9 @@ class TwistTable:
         inf_fiber = fibers.pop(p, None)
         return TwistTable(p, chi + chi, S[:p], Z[:p], fibers, inf_fiber, p + 1 + S[p], shared, tuple(nodes))
 
-    def fixed(self, lam: int) -> int:
-        """The member's Frobenius-fixed non-identity components, summed over its fibers.
-
-        The shared constant, each node's share after the flip by chi(t0 - lambda),
-        and 1 + Z[lambda] at the I0* fiber over t = lambda.
-        """
-        chi, p = self.chi, self.p
-        out = self.shared + 1 + self.Z[lam]
-        for t0, kept, flipped in self.nodes:
-            out += flipped if chi[p + t0 - lam] == -1 else kept
-        return out
-
-    def raw_count(self, lam: int) -> int:
-        """The member's raw Weierstrass count, equal to `count_weierstrass`; one O(p) sum."""
-        p = self.p
-        twisted = sum(map(mul, self.chi[p - lam:2 * p - lam], self.S))
-        return p * (p + 1) + self.inf_count + twisted
-
     @cached_property
     def raw_counts(self) -> list[int]:
-        """`raw_count` of every lambda in F_p, from one correlation of chi with S + p.
+        """Every lambda's raw count (equal to `count_weierstrass`), from one correlation of chi with S + p.
 
         S(t) + p >= 0 since |S(t)| <= p, and the shift adds p sum_t chi(t - lambda) = 0.
         Taken once per table: a search scans the same (family, p) for each field.
@@ -377,7 +358,7 @@ class TwistTable:
     def members(self) -> MappingProxyType:
         """lambda -> (smooth count, t_alg, candidates) off the cusps of g, read-only, taken once.
 
-        Every lambda's `fixed` is one list, one pass per node over chi[p + t0 - lambda].
+        Every lambda's fixed components are one list, one pass per node over chi[p + t0 - lambda].
         """
         p, chi = self.p, self.chi
         fixed = [self.shared + 1 + z for z in self.Z]
@@ -408,14 +389,14 @@ def on_cusp(family, p: int, lam: int) -> str:
 def count_family_member(family, p: int, lam: int):
     """(smooth count, t_alg, candidates) for the family member at lambda mod p.
 
-    Read off the family's twist table in O(p); a lambda on a cusp of g
-    raises CountingError.
+    Read off the family's twist table (`TwistTable.members`); a lambda on a
+    cusp of g raises CountingError.
     """
     table = twist_table(family, p)
     lam_p = lam % p
     if lam_p in table.cusps:
         raise CountingError(f"{on_cusp(family, p, lam_p)}; its member is degenerate")
-    return _member(p, table.raw_count(lam_p), table.fixed(lam_p))
+    return table.members[lam_p]
 
 
 def _member(p: int, raw: int, fixed: int) -> tuple:

@@ -208,12 +208,12 @@ def rational_reconstruct(residue: int, modulus: int) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n" or "n/d" in base 10."""
-    text = text.strip()
-    if "/" in text:
-        n, d = text.split("/")
-        return Fraction(int(n), int(d))
-    return Fraction(int(text))
+    """Parse "n" or "n/d" in base 10; any other text, d = 0 included, is a ValueError naming it."""
+    n, slash, d = text.strip().partition("/")
+    try:
+        return Fraction(int(n), int(d)) if slash else Fraction(int(n))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {text.strip()!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -300,7 +300,9 @@ def parse_quadnum(text: str, m: int) -> QuadNum:
     text = text.strip().replace(" ", "")
     if "sqrt" not in text:
         return QuadNum(parse_rational(text), Fraction(0), m)
-    head, tail = text.split("*sqrt(", 1)
+    head, star, tail = text.partition("*sqrt(")
+    if not star:
+        raise ValueError(f"not a number a+b*sqrt({m}): {text!r}")
     rad = int(tail.rstrip(")"))
     if rad != m:
         raise DomainError(f"radicand {rad} does not match field sqrt({m})")

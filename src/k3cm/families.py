@@ -10,10 +10,11 @@ with structural prefactors in t, (t-1) and (t-lambda):
 
 The (t-lambda) exponents must be (1, 2, 3), or the family is refused: every
 member is then the quadratic twist by (t-lambda) of one lambda-free model g
-(`untwisted`), with Delta = (t-lambda)^6 Delta_g.  So g over Q is the one
-source of what all members share: the fixed fibers (g's, at the zeros of
-Delta_g and at infinity), the bad primes (where Delta_g mod p changes shape)
-and, at a good p, the degenerate lambdas (the roots of Delta_g mod p).
+(`untwisted`, of weight 3), with Delta = (t-lambda)^6 Delta_g.  So g over Q
+is the one source of what all members share: the fixed fibers (g's, at the
+zeros of Delta_g and at infinity, on g's chart `flipped()`), the bad primes
+(where Delta_g mod p changes shape) and, at a good p, the degenerate lambdas
+(the roots of Delta_g mod p).
 
 Specialization at rational (lambda, mu) produces a WeierstrassSurface over Q
 built off g at that mu: its c4, c6, Delta and its fibers are g's twisted, its I0*
@@ -97,23 +98,13 @@ class Family:
             raise ValueError("family has no fixed mu")
         a2, a4, a6 = (self._assemble(block, pre[:2] + (0,), 0, self.mu, QQ)
                       for block, pre in self._blocks())
-        return WeierstrassSurface(a2, a4, a6, name=f"{self.name}~untwisted")
-
-    @cached_property
-    def chart_at_infinity(self) -> WeierstrassSurface:
-        """g in the chart s = 1/t, X' = X/t^3 of weights (3, 6, 9), where a member's twist
-        factor (1 - lambda s) is 1; its c4, c6, Delta are g's reversed."""
-        g = self.untwisted
-        return WeierstrassSurface(
-            g.a2.reverse(3), g.a4.reverse(6), g.a6.reverse(9), name=f"{g.name}~inf",
-            _invariants=(g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18)),
-        )
+        return WeierstrassSurface(a2, a4, a6, name=f"{self.name}~untwisted", weight=3)
 
     @cached_property
     def fixed_fibers(self) -> list[FiberDescriptor]:
         """g's fibers over Q at the zeros of Delta_g, then at infinity: every member's but the I0*."""
         g = self.untwisted
-        return walk_fibers(g, delta_cusps(g), self.chart_at_infinity, 18)
+        return walk_fibers(g, delta_cusps(g))
 
     def bad_primes(self, bound: int) -> set[int]:
         """The primes p <= bound where g does not reduce to its fixed fibers (`is_bad_prime`)."""
@@ -178,8 +169,9 @@ class _Member(WeierstrassSurface):
     @cached_property
     def fibers(self) -> list[FiberDescriptor]:
         family, lam, g = self.family, self.lam, self.family.untwisted
-        if lam == INFINITY:   # v_g(infinity) = 18 - deg Delta_g
-            at_lam = classify_at(self.flipped(), Cusp.finite(QQ.zero), 24 - g.delta.degree, Cusp.infinity())
+        if lam == INFINITY:   # s = 0 of the member's chart at infinity, v(Delta) = 6w - deg Delta
+            v = 6 * self.weight - self.delta.degree
+            at_lam = classify_at(self.flipped(), Cusp.finite(QQ.zero), v, Cusp.infinity())
             return [f.twisted(-1) for f in family.fixed_fibers if f.cusp.kind != "infinity"] + [at_lam]
         finite = [f.twisted(f.cusp.value - lam) for f in family.fixed_fibers
                   if f.cusp.kind == "finite" and f.cusp.value != lam]

@@ -294,14 +294,8 @@ def _contact_rows(surface, fiber, k, width, rows, rhs, node: bool):
     cusp = fiber.cusp
     if cusp.kind == "orbit":
         raise LiftError("ansatz contacts at orbit cusps are unsupported")
-    if cusp.kind == "infinity":
-        chart = surface.flipped()
-        t0 = Fraction(0)
-        reversed_idx = True
-    else:
-        chart = surface
-        t0 = cusp.value
-        reversed_idx = False
+    at_inf = cusp.kind == "infinity"
+    chart, t0 = (surface.flipped(), Fraction(0)) if at_inf else (surface, cusp.value)
     if node and fiber.kind == "I" and fiber.n >= 2:
         targets = node_series(chart, t0, Fraction(fiber.node_x), k)
     else:
@@ -311,7 +305,7 @@ def _contact_rows(surface, fiber, k, width, rows, rhs, node: bool):
     for i in range(k):
         row = [Fraction(0)] * width
         for j in range(i, width):
-            row[deg - j if reversed_idx else j] += math.comb(j, i) * t0 ** (j - i)
+            row[deg - j if at_inf else j] += math.comb(j, i) * t0 ** (j - i)
         rows.append(row)
         rhs.append(targets[i])
 

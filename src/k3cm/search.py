@@ -144,7 +144,7 @@ def corroborate(family, lam: Fraction, oracle: NewformOracle, primes) -> list:
                 or lam_p in family.degenerate_lambdas(p)):
             out.append((p, "skipped"))
             continue
-        ok = twist_table(family, p).raw_count(lam_p) in matching_raw_counts(oracle, p)
+        ok = twist_table(family, p).raw_counts[lam_p] in matching_raw_counts(oracle, p)
         out.append((p, "match" if ok else "mismatch"))
     return out
 

@@ -207,7 +207,7 @@ def _contact(surface, sec: Section, fiber: FiberDescriptor, charts: dict) -> Con
     if not u_c.is_zero() and u_c.valuation_at(t0) < 0:
         return Contact(fiber, "identity")
     rule = _cycle_contact if fiber.kind == "I" else _star_contact
-    return rule(surf_c, u_c, w_c, t0, fiber, chart)
+    return rule(chart, w_c, t0, fiber)
 
 
 class _Chart:
@@ -245,15 +245,14 @@ def _node_depth(chart: _Chart, t0, x_t0, x0, twist: int) -> tuple:
     return k - 2 * twist, lc
 
 
-def _cycle_contact(surf_c, u_c, w_c, t0, fiber, chart=None) -> Contact:
-    n = fiber.n
-    dom = u_c.domain
+def _cycle_contact(chart: _Chart, w_c, t0, fiber) -> Contact:
+    n, u_c, dom = fiber.n, chart.u, chart.u.domain
     if n == 1:
         return Contact(fiber, "identity")  # no non-identity component exists
     if fiber.node_x is None:
         raise SectionError(f"missing node data at {fiber}")
     node = _embed(dom, fiber.node_x)
-    k, lc_fx = _node_depth(chart or _Chart(surf_c, u_c), t0, u_c(t0), node, 0)
+    k, lc_fx = _node_depth(chart, t0, u_c(t0), node, 0)
     if k == 0:
         return Contact(fiber, "identity")
     if 2 * k < n:
@@ -273,8 +272,8 @@ def _cycle_contact(surf_c, u_c, w_c, t0, fiber, chart=None) -> Contact:
     )
 
 
-def _star_contact(surf_c, u_c, w_c, t0, fiber, chart=None) -> Contact:
-    dom = u_c.domain
+def _star_contact(chart: _Chart, w_c, t0, fiber) -> Contact:
+    u_c, dom = chart.u, chart.u.domain
     if not u_c.is_zero() and u_c.valuation_at(t0) <= 0:
         return Contact(fiber, "identity")
     # X = u / (t - t0) on the untwisted cubic X^3 + (a2/pi) X^2 + (a4/pi^2) X
@@ -282,7 +281,7 @@ def _star_contact(surf_c, u_c, w_c, t0, fiber, chart=None) -> Contact:
     X0 = dom.div(u_c.num.derivative()(t0), u_c.den(t0))
     if fiber.n == 0:
         return Contact(fiber, "star-leg", leg_root=X0)
-    vdiff, _ = _node_depth(chart or _Chart(surf_c, u_c), t0, X0, _embed(dom, fiber.double_root), 1)
+    vdiff, _ = _node_depth(chart, t0, X0, _embed(dom, fiber.double_root), 1)
     if vdiff >= (fiber.n + 1) // 2:
         return Contact(fiber, "star-far")
     if vdiff == 0:

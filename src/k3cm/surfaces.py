@@ -1,12 +1,11 @@
 """Elliptic K3 surfaces y^2 = x^3 + a2 x^2 + a4 x + a6 over Q(t) and their
 singular fibers.
 
-Fibers are classified from exact valuations of (c4, c6, Delta) at each cusp,
-with the place at infinity handled through the weighted chart flip
-(x, y, t) -> (x/t^4, y/t^6, 1/t).  Only types I_n, I_0* and I_m* are in
-scope; anything else raises UnsupportedFiberError naming the cusp.  The
-same rules (`classify_at`) classify the fibers of a reduction mod p for
-point counting.
+Fibers are classified from exact valuations of (c4, c6, Delta) at each cusp, with
+the place at infinity handled through the chart flip (x, t) -> (x/t^w, 1/t) of the
+model's weight w (4 for a K3, y -> y/t^6).  Only types I_n, I_0* and I_m* are in
+scope; anything else raises UnsupportedFiberError naming the cusp.  The same rules
+(`classify_at`) classify the fibers of a reduction mod p for point counting.
 """
 
 from __future__ import annotations
@@ -183,10 +182,10 @@ def _discriminant_polys(a2, a4, a6):
 
 
 class WeierstrassSurface:
-    """Extended Weierstrass model of an elliptic K3 with zero section.
+    """Extended Weierstrass model of weight w with zero section: deg a_i <= i w.
 
-    Degree bounds deg a2 <= 4, deg a4 <= 8, deg a6 <= 12 certify the K3
-    property together with the Euler-number check done at classification.
+    A K3 has w = 4, where the degree bounds certify the K3 property together with
+    the Euler-number check done at classification; a twist family's g has w = 3.
     The chart at infinity, the fiber list, Delta's squarefree factors and the
     integers of the bad-prime rule (`is_bad_prime`) are derived once, on first use.
     The chart at infinity and a mapped model take c4, c6, Delta from the parent,
@@ -194,14 +193,15 @@ class WeierstrassSurface:
     """
 
     def __init__(self, a2: Polynomial, a4: Polynomial, a6: Polynomial, name: str = "",
-                 _invariants=None):
+                 weight: int = 4, _invariants=None):
         if not (a2.domain == a4.domain == a6.domain):
             raise DomainError("surface coefficients must share one domain")
-        if a2.degree > 4 or a4.degree > 8 or a6.degree > 12:
-            raise SurfaceError("degree bounds (4, 8, 12) violated; not a K3 model")
+        if a2.degree > weight or a4.degree > 2 * weight or a6.degree > 3 * weight:
+            kind = "K3 model" if weight == 4 else f"model of weight {weight}"
+            raise SurfaceError(f"degree bounds {(weight, 2 * weight, 3 * weight)} violated; not a {kind}")
         self.domain = a2.domain
         self.a2, self.a4, self.a6 = a2, a4, a6
-        self.name = name
+        self.name, self.weight = name, weight
         self.c4, self.c6, self.delta = _invariants or _discriminant_polys(a2, a4, a6)
         if self.delta.is_zero():
             raise SurfaceError("identically singular model (Delta = 0)")
@@ -256,12 +256,13 @@ class WeierstrassSurface:
         return Polynomial(d, [self.a6(t0), self.a4(t0), self.a2(t0), d.one])
 
     def flipped(self) -> "WeierstrassSurface":
-        """The model in the chart s = 1/t, x' = x/t^4, y' = y/t^6."""
+        """The model in the chart s = 1/t, x' = x/t^w: a_i reversed to degree i w, c4, c6, Delta to 2w, 3w, 6w."""
         if self._flipped is None:
+            w = self.weight
             self._flipped = WeierstrassSurface(
-                self.a2.reverse(4), self.a4.reverse(8), self.a6.reverse(12),
-                name=f"{self.name}~inf",
-                _invariants=(self.c4.reverse(8), self.c6.reverse(12), self.delta.reverse(24)),
+                self.a2.reverse(w), self.a4.reverse(2 * w), self.a6.reverse(3 * w),
+                name=f"{self.name}~inf", weight=w,
+                _invariants=(self.c4.reverse(2 * w), self.c6.reverse(3 * w), self.delta.reverse(6 * w)),
             )
         return self._flipped
 
@@ -271,6 +272,7 @@ class WeierstrassSurface:
             self.a4.map_domain(target),
             self.a6.map_domain(target),
             name=self.name,
+            weight=self.weight,
             _invariants=tuple(f.map_domain(target) for f in (self.c4, self.c6, self.delta)),
         )
 
@@ -405,10 +407,10 @@ def classify_fibers(surface: WeierstrassSurface) -> list[FiberDescriptor]:
         return surface.fibers
     if surface.domain != QQ:
         raise SurfaceError(f"fibers are classified over Q only, not over {surface.domain}")
-    fibers = walk_fibers(surface, delta_cusps(surface), surface.flipped(), 24)
+    fibers = walk_fibers(surface, delta_cusps(surface))
     total = sum(f.euler * f.cusp.degree for f in fibers)
-    if total != 24:
-        raise SurfaceError(f"Euler numbers sum to {total}, not 24: not K3 input")
+    if total != 6 * surface.weight:
+        raise SurfaceError(f"Euler numbers sum to {total}, not {6 * surface.weight}: not K3 input")
     surface.fibers = fibers
     return fibers
 
@@ -424,13 +426,14 @@ def classify_at(surface: WeierstrassSurface, cusp: Cusp, vd: int, place: Cusp | 
     return fib if place is None else replace(fib, cusp=place)
 
 
-def walk_fibers(surface, cusps, chart, weight: int, classify=classify_at) -> list:
+def walk_fibers(surface, cusps, classify=classify_at) -> list:
     """`classify(surface, cusp, vd)` at each (cusp, vd) of cusps, then at s = 0 of the chart at
-    infinity, whose Delta is the surface's reversed to weight (24 for `flipped`, 18 for a twist
-    family's g), where vd = weight - deg Delta is positive; that fiber is reported at infinity."""
+    infinity (`flipped()`), whose Delta is the surface's reversed to degree 6w, where
+    vd = 6w - deg Delta is positive; that fiber is reported at infinity."""
     out = [classify(surface, cusp, vd) for cusp, vd in cusps]
-    v_inf = weight - surface.delta.degree
+    v_inf = 6 * surface.weight - surface.delta.degree
     if v_inf > 0:
+        chart = surface.flipped()
         out.append(classify(chart, Cusp.finite(chart.domain.zero), v_inf, Cusp.infinity()))
     return out
 

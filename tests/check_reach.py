@@ -7,7 +7,8 @@ demos) in this process under `sys.setprofile`, and lists each function or
 method defined in `src/k3cm` whose code object was never called, with the
 reason `ALLOWED` gives for keeping it.  A function with no reason there is
 either dead code or a sign that a recorded output is missing.  Exits 1 when
-such a function exists, or when an allowed name is entered after all.
+such a function exists, or when an allowed name is entered after all or is
+no longer defined.
 """
 
 import ast
@@ -25,7 +26,6 @@ DOMAIN = "open item 21: the text interface (format, parse) of a scalar domain"
 ALLOWED = {
     "__init__.__dir__": "module protocol: dir(k3cm) lists the lazy names (test_package)",
     "counting.CountCache.get": PIN,
-    "counting.TwistTable.fixed": "reached through count_family_member, a perfbench pin",
     "counting._conflict": ERROR,
     "counting._fiber_count": ORACLE,
     "counting.analyze_fibers_mod_p": PIN,
@@ -115,8 +115,9 @@ def main() -> int:
         if reason is None:
             unexplained.append(name)
     reached = sorted(set(ALLOWED) - set(missed))
+    defined = set(functions.values())
     for name in reached:
-        print(f"allowed but entered: {name}")
+        print(f"allowed but {'entered' if name in defined else 'not defined'}: {name}")
     return 1 if unexplained or reached else 0
 
 

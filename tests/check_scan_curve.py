@@ -12,8 +12,8 @@ N (default 5) table builds and of N full scans, taken in N rounds over all
 the primes, then the log-log slope of the scan time between neighbouring
 scanned primes.  A prime that does not split in the field has its table
 timed and no scan.  At each scanned prime the scan's residue set must equal
-the member-by-member oracle `oracles.scan_by_member` (one O(p)
-`count_family_member` per lambda); exits 1 where it does not.
+the member-by-member oracle `oracles.scan_by_member` (one O(p) raw-count
+sum and the member's fibers per lambda); exits 1 where it does not.
 """
 
 import argparse

@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python tests/check_twist_full.py [BOUND] [EXTRA_PRIME ...] [--rule-bound N]
 
-Compares `count_family_member` (the twist table, one O(p) sum per lambda) and
-the table's `members` (one correlation for all lambda) with specialize + analyze +
-brute-force count on every lambda at every good prime up to BOUND (default
+Compares `count_family_member`, an entry of the twist table's `members` (one
+correlation for all lambda), with specialize + analyze + brute-force count
+on every lambda at every good prime up to BOUND (default
 199) and at the extra primes (default 307), for the `xlm` family, `xlm` at
 mu = 81/10 (whose g has an orbit cusp, so that the table's cusps include the
 roots of an irreducible factor of Delta_g mod p) and the two test families

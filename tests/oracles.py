@@ -13,8 +13,9 @@ from k3cm.counting import (
     _fiber_count,
     _fiber_mod_p,
     _node_fixed,
-    count_family_member,
     fixed_components,
+    lefschetz_candidates,
+    twist_table,
 )
 from k3cm.exact import (
     GF,
@@ -574,18 +575,17 @@ def table_fibers(table: TwistTable) -> dict:
 
 
 def classified_fibers_of_g(family, p: int) -> dict:
-    """`table_fibers` by classifying g mod p: g and its chart at infinity mapped to GF(p), then
-    `walk_fibers` with `_fiber_mod_p` at the roots of Delta_g mod p and at s = 0 of the chart.
+    """`table_fibers` by classifying g mod p: g mapped to GF(p), then `walk_fibers` with
+    `_fiber_mod_p` at the roots of Delta_g mod p and at s = 0 of its chart `flipped()`.
 
     The route the twist table took before it read g's fibers off Q; a fiber outside the
     counting tables raises the CountingError that route raised.
     """
     g = family.untwisted.map_domain(family.residue_field(p))
-    chart = family.chart_at_infinity.map_domain(g.domain)
     chi = _character_table(p)
     at = [(Cusp.finite(t0), g.delta.valuation_at(t0)) for t0 in sorted(roots_mod_p(g.delta))]
-    out = {"cusps": {}, "nodes": [], "shared": 0, "inf_count": _fiber_count(chart, 0, chi), "inf_fiber": None}
-    for fib, fixed in walk_fibers(g, at, chart, 18, _fiber_mod_p):
+    out = {"cusps": {}, "nodes": [], "shared": 0, "inf_count": _fiber_count(g.flipped(), 0, chi), "inf_fiber": None}
+    for fib, fixed in walk_fibers(g, at, _fiber_mod_p):
         if fib.cusp.kind == "infinity":
             out["inf_fiber"] = fib.label()
         else:
@@ -599,14 +599,22 @@ def classified_fibers_of_g(family, p: int) -> dict:
     return out
 
 
+def raw_count_per_member(table: TwistTable, lam: int) -> int:
+    """A member's raw Weierstrass count off its twist table, one O(p) sum:
+    p(p+1) + inf_count + sum_t chi(t - lambda) S(t)."""
+    p, chi = table.p, table.chi
+    return p * (p + 1) + table.inf_count + sum(chi[p + t - lam] * s for t, s in enumerate(table.S))
+
+
 def scan_by_member(family, p: int, oracle: NewformOracle) -> set[int]:
-    """The lambda `scan_prime` keeps at a good split prime, one O(p) `count_family_member` each."""
-    admissible = oracle.eigenvalue_abs(p)
+    """The lambda `scan_prime` keeps at a good split prime, each member counted on its own: its raw
+    count one O(p) sum (`raw_count_per_member`), its fixed components off its fibers (`twist_fibers`).
+    The table's `members` is never formed."""
+    admissible, table = oracle.eigenvalue_abs(p), twist_table(family, p)
     out = set()
-    for lam in range(p):
-        if lam in family.degenerate_lambdas(p):
-            continue
-        _, _, cands = count_family_member(family, p, lam)
+    for lam in set(range(p)) - set(family.degenerate_lambdas(p)):
+        fixed = sum(row[2] for row in twist_fibers(table, lam))
+        cands = lefschetz_candidates(raw_count_per_member(table, lam) + p * fixed, p, 2 + fixed)
         if any(abs(c) in admissible for c in cands):
             out.add(lam)
     return out

@@ -338,6 +338,25 @@ def test_a_block_before_the_surface_block_is_input_error(tmp_path, block):
         assert (code, out, err) == (2, "", f"input error: [{block}] block before the [surface] block\n")
 
 
+def test_a_zero_denominator_or_a_bare_root_is_input_error(tmp_path):
+    # a 1/0 escaped as ZeroDivisionError, exit 1 (the code of a mismatch), and a bare sqrt(m) as
+    # "not enough values to unpack": each is an input error that names its text
+    member, direct = tmp_path / "zero.surf", tmp_path / "direct.surf"
+    member.write_text("[surface]\nname = zero\nfamily = xlm\nlambda = 1/0\n")
+    direct.write_text("[surface]\nname = direct\na2 = 1/0;1\na4 = 0\na6 = 0;1\n")
+    system, root = tmp_path / "zero.system", tmp_path / "root.sections"
+    system.write_text("[system]\nvars = x\neq1 = 1/0:2 + -4/9:0\n")
+    root.write_text("[sections]\nname = P\nfield = quadratic:23\nu = sqrt(23);1\n")
+    cases = [
+        (["verify", "--surface", str(member)], "not a rational number: '1/0'"),
+        (["verify", "--surface", str(direct)], "not a rational number: '1/0'"),
+        (["lift", "--system", str(system), "--prime", "7"], "not a rational number: '1/0'"),
+        (["verify", "--surface", "ex_1012", "--sections", str(root)], "not a number a+b*sqrt(23): 'sqrt(23)'"),
+    ]
+    for argv, words in cases:
+        assert run_with_stderr(argv) == (2, "", f"input error: {words}\n"), argv
+
+
 def test_regression_subset():
     code, out = run(["regression", "--subset", "extremal"])
     assert code == 0

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import k3cm.counting as counting
-import k3cm.families as families_module
 import k3cm.surfaces as surfaces
 from k3cm.counting import (
     CountCache,
@@ -41,6 +40,7 @@ from oracles import (
     classified_fibers_of_g,
     depressed_per_t,
     fiber_rows,
+    raw_count_per_member,
     reference_cache_load,
     table_fibers,
     twist_fibers,
@@ -449,7 +449,7 @@ def test_raw_counts_equal_the_sum_per_member(families):
     for fam in families:
         for p in (199, 307):
             table = twist_table(fam, p)
-            assert table.raw_counts == [table.raw_count(lam) for lam in range(p)], (fam.name, p)
+            assert table.raw_counts == [raw_count_per_member(table, lam) for lam in range(p)], (fam.name, p)
 
 
 def test_candidates_read_off_the_raw_count_alone(families):
@@ -493,7 +493,7 @@ def test_fixed_components_in_closed_form(families):
             for lam in range(p):
                 if lam in table.cusps:
                     continue
-                fixed = table.fixed(lam)
+                fixed = table.members[lam][1] - 2
                 assert fixed == sum(row[2] for row in twist_fibers(table, lam)), (p, lam)
                 general = analyze_fibers_mod_p(fam.specialize_mod(p, lam))
                 assert fixed == sum(fixed_components(f, p) for f in general), (fam.name, p, lam)
@@ -513,24 +513,24 @@ def test_scan_raises_once_where_g_has_a_fiber_outside_the_tables(monkeypatch):
 
 
 def test_twist_chart_takes_its_invariants_from_g(fam, monkeypatch):
-    # the chart at infinity is given c4, c6, Delta reversed from g, not recomputed,
-    # and built once per family: its fixed fibers and every twist table read the one chart
+    # g's chart at infinity (`flipped()`, of g's weight 3) is given c4, c6, Delta reversed from g,
+    # not recomputed, and built once per family: its fixed fibers and every twist table read the one chart
     charts = []
 
     class Spy(WeierstrassSurface):
-        def __init__(self, a2, a4, a6, name="", _invariants=None):
+        def __init__(self, a2, a4, a6, name="", weight=4, _invariants=None):
             if name.endswith("~untwisted~inf"):
-                charts.append(((a2, a4, a6), _invariants))
-            super().__init__(a2, a4, a6, name, _invariants)
+                charts.append(((a2, a4, a6), weight, _invariants))
+            super().__init__(a2, a4, a6, name, weight, _invariants)
 
-    monkeypatch.setattr(families_module, "WeierstrassSurface", Spy)
+    monkeypatch.setattr(surfaces, "WeierstrassSurface", Spy)
     family = dataclasses.replace(fam)   # nothing derived yet
     assert family.fixed_fibers[-1].cusp.kind == "infinity"
     for p in family.good_primes(199):
         counting.TwistTable.build(family, p)
     assert len(charts) == 1
-    coeffs, invariants = charts[0]
-    assert invariants is not None
+    coeffs, weight, invariants = charts[0]
+    assert weight == 3 and invariants is not None
     assert invariants == _discriminant_polys(*coeffs)
 
 
@@ -639,7 +639,7 @@ def test_depressed_coefficients_of_g_match_the_per_t_depression(fam):
     for family in (fam, dataclasses.replace(fam, mu=MU_ORBIT), I0_STAR_AT_0, I0_STAR_AT_INF):
         g = family.untwisted
         for p in family.good_primes(199):
-            assert counting._depressed_coefficients(g, 3, p) == depressed_per_t(g, 3, p), (family.name, p)
+            assert counting._depressed_coefficients(g, p) == depressed_per_t(g, 3, p), (family.name, p)
 
 
 def test_depressed_coefficients_of_the_direct_surfaces_match_the_per_t_depression(reg):
@@ -650,7 +650,7 @@ def test_depressed_coefficients_of_the_direct_surfaces_match_the_per_t_depressio
     for surf in direct:
         for p in primes_up_to(199):
             if not surf.is_bad_prime(p):
-                assert counting._depressed_coefficients(surf, 4, p) == depressed_per_t(surf, 4, p), (surf.name, p)
+                assert counting._depressed_coefficients(surf, p) == depressed_per_t(surf, 4, p), (surf.name, p)
                 compared += 1
     assert compared == 249
 
@@ -687,10 +687,10 @@ def test_correlation_slots_are_little_endian_on_either_host(monkeypatch):
 
 
 def test_vectorized_fixed_counts_equal_the_per_member_formula(fam):
-    # `members` takes every lambda's fixed components as one list; `fixed(lambda)` sums them per member
+    # `members` takes every lambda's fixed components as one list; `twist_fibers` sums them per member
     for family in (fam, dataclasses.replace(fam, mu=MU_ORBIT), I0_STAR_AT_0, I0_STAR_AT_INF):
         for p in family.good_primes(199):
             table = TwistTable.build(family, p)
             assert set(table.members) == set(range(p)) - set(table.cusps), (family.name, p)
             for lam, (_, t_alg, _) in table.members.items():
-                assert t_alg == 2 + table.fixed(lam), (family.name, p, lam)
+                assert t_alg == 2 + sum(row[2] for row in twist_fibers(table, lam)), (family.name, p, lam)

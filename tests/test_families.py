@@ -192,6 +192,18 @@ def test_certified_members_classify_only_at_a_cusp_of_g(monkeypatch):
             assert at_lam.residual_cubic == xlm.untwisted.fiber_cubic(member.lam)
 
 
+def test_the_chart_of_g_is_g_reversed_at_weight_3(fam):
+    """g.flipped() is g in the chart s = 1/t, X' = X/t^3: a2, a4, a6 reversed to degrees 3, 6, 9
+    and c4, c6, Delta to 6, 9, 18, named as g's chart at infinity."""
+    for family in (fresh(fam), stale(fam), I0_STAR_AT_0, I0_STAR_AT_INF, I1_STAR_AT_0):
+        g = family.untwisted
+        chart = g.flipped()
+        assert (g.weight, chart.weight, chart.name) == (3, 3, f"{family.name}~untwisted~inf")
+        assert (chart.a2, chart.a4, chart.a6) == (g.a2.reverse(3), g.a4.reverse(6), g.a6.reverse(9)), family.name
+        assert (chart.c4, chart.c6, chart.delta) == (g.c4.reverse(6), g.c6.reverse(9), g.delta.reverse(18))
+        assert (chart.c4, chart.c6, chart.delta) == _discriminant_polys(chart.a2, chart.a4, chart.a6)
+
+
 def test_twisted_equals_the_replaced_descriptor(fam):
     """`FiberDescriptor.twisted` builds each field as a `dataclasses.replace` of the fiber would."""
     def replaced(f, c):

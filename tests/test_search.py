@@ -130,7 +130,7 @@ def test_a_raw_count_matches_where_a_candidate_trace_does(fam):
             table = twist_table(fam, p)
             for lam in set(range(p)) - set(table.cusps):
                 _, _, cands = count_family_member(fam, p, lam)
-                assert (table.raw_count(lam) in targets) == any(abs(c) in admissible for c in cands)
+                assert (table.raw_counts[lam] in targets) == any(abs(c) in admissible for c in cands)
 
 
 def test_a_scan_forms_no_smooth_count_and_keeps_its_lambda_once_they_are_formed(fam, monkeypatch):

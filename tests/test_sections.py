@@ -11,6 +11,7 @@ from k3cm.surfaces import Cusp, FiberDescriptor
 from k3cm.sections import (
     Contact,
     SectionError,
+    _Chart,
     _resolved_multiplicity,
     _carried,
     _conjugate_ratfun,
@@ -609,11 +610,12 @@ def test_contact_depths_match_series_rules(certified):
     assert {s.domain for _, _, secs in certified for s in secs} > {QQ}   # Q(sqrt m) too
 
 
-def _outcome(rule, surf_c, u_c, w_c, t0, fiber):
-    """(kind, k, leg_root, branch): the branch is eta_k / xi_k from the reference
-    series and slope * f''(x0) from a contact, at cycle contacts only."""
+def _outcome(contact, surf_c, t0):
+    """(kind, k, leg_root, branch) of contact(), a rule's Contact or the reference's tuple: the
+    branch is eta_k / xi_k from the reference series and slope * f''(x0) from a contact, at
+    cycle contacts only."""
     try:
-        c = rule(surf_c, u_c, w_c, t0, fiber)
+        c = contact()
     except SectionError:
         return "SectionError"
     if isinstance(c, tuple):
@@ -668,14 +670,16 @@ def test_contact_depths_match_series_rules_at_every_depth(certified):
             group = []
             for x in probes:
                 u_c = RationalFunction(x)
+                chart = _Chart(surf_c, u_c)
                 w_c = RationalFunction(x * x + Polynomial.constant(QQ, Fraction(1)) if node is None else x - node)
-                got = _outcome(rule, surf_c, u_c, w_c, t0, f)
-                assert got == _outcome(reference_contact, surf_c, u_c, w_c, t0, f), (name, str(f), x)
+                got = _outcome(lambda: rule(chart, w_c, t0, f), surf_c, t0)
+                want = _outcome(lambda: reference_contact(surf_c, u_c, w_c, t0, f), surf_c, t0)
+                assert got == want, (name, str(f), x)
                 if got != "SectionError" and got[0] == "cycle":
                     assert got[3] == 1, (name, str(f), x)
                     for w in (w_c, -w_c):
                         ref = reference_contact(surf_c, u_c, w, t0, f)
-                        group.append((_cycle_contact(surf_c, u_c, w, t0, f), ref[3], ref[4]))
+                        group.append((_cycle_contact(chart, w, t0, f), ref[3], ref[4]))
                 outcomes.add((f.kind, got if got == "SectionError" else got[0]))
             branches.update(_branch_pairs(group, (name, str(f))))
     assert branches == {True, False}

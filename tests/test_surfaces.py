@@ -196,6 +196,18 @@ def test_degree_bounds_enforced():
         WeierstrassSurface(P(*([1] * 6)), P(1), P(1))
 
 
+def test_a_weight_3_model_refuses_degrees_beyond_3_6_9():
+    # g of a twist family: deg a_i <= 3i, where a K3 model (weight 4) allows 4i
+    t = lambda d: P(*([0] * d + [1]))
+    assert WeierstrassSurface(t(3), t(6), t(9), weight=3).weight == 3
+    for coeffs in ((t(4), t(6), t(9)), (t(3), t(7), t(9)), (t(3), t(6), t(10))):
+        with pytest.raises(SurfaceError, match=re.escape("degree bounds (3, 6, 9) violated; not a model of weight 3")):
+            WeierstrassSurface(*coeffs, weight=3)
+        assert WeierstrassSurface(*coeffs).weight == 4
+    with pytest.raises(SurfaceError, match=re.escape("degree bounds (4, 8, 12) violated; not a K3 model")):
+        WeierstrassSurface(t(5), t(6), t(9))
+
+
 def test_rational_roots_with_huge_coefficients():
     f = (P(-5, 1024) ** 2) * P(Fraction(3), 1) * P(1, 0, 1)
     roots = rational_roots(f)
